@@ -43,27 +43,6 @@ Commands::
                                        or failed job back up from its
                                        registry cursor)
     banks jobs --jobs-dir DIR          list ingest jobs and their states
-    banks bench-serve DB               serving-engine throughput benchmark
-    banks bench-shard DB               sharded scatter-gather benchmark
-    banks bench-mutate DB              write-path benchmark (delta vs deep)
-    banks bench-wal DB                 durable-log benchmark (WAL overhead,
-                                       recovery + replica parity)
-    banks bench-replicaset DB          replica-set benchmark (read QPS
-                                       scaling, parity, read-your-writes,
-                                       lag exclusion)
-    banks bench-net DB                 HTTP-tier benchmark (wire parity,
-                                       time-to-first-answer over SSE,
-                                       end-to-end QPS)
-    banks bench-kernel DB              CSR search-kernel benchmark (median
-                                       latency vs the reference kernel,
-                                       strict top-k parity)
-    banks bench-ops DB                 checkpointing + rebalancing benchmark
-                                       (recovery speedup over full replay,
-                                       live-drain search parity)
-    banks bench-ingest synth:N         ingest benchmark (sustained
-                                       records/sec, kill + resume, strict
-                                       top-k parity vs an uninterrupted
-                                       load)
 
 ``banks serve`` stands the deployment up through the cluster layer
 (:mod:`repro.cluster`): the flags translate into one declarative
@@ -174,41 +153,6 @@ valid checkpoint instead of the base snapshot (O(tail) recovery), and
 (checkpoint-aware) and persists it as a new checkpoint, re-basing the
 log: once the manifest records the checkpoint epoch, WAL retention may
 prune segments below it and recovery starts from the checkpoint.
-
-``banks bench-ops`` measures checkpointed recovery against full-history
-replay on a long mutation log (the gated claim: >= 3x faster at 500
-epochs) and proves a live shard drain keeps exact top-k parity while
-the ownership sets remain a disjoint cover.
-
-``banks bench-mutate`` measures write throughput of the delta-log
-write path against the deep-copy baseline on the same mutation
-workload, verifies both end states match each other and a full
-rebuild, and reports epoch publish latency.
-
-``banks bench-serve`` measures the engine against serialized
-single-thread dispatch on a Zipf-skewed workload; ``--concurrency``,
-``--requests``, ``--workers`` and ``--queue-bound`` shape the load.
-
-``banks bench-shard`` measures ``--shards N`` scatter-gather against
-``--shards 1`` dispatch at a given client concurrency and verifies the
-gathered global top-k matches single-engine search; it needs a demo
-dataset with a benchmark query set (bibliography, tpcd) or explicit
-``--query`` options.
-
-``banks bench-wal`` measures the durable write path (delta snapshots +
-WAL append + fsync) against the in-memory delta path on the same
-mutation workload, then proves the log back: recovery from the base
-snapshot must reproduce the live facade's top-5 answers exactly, and a
-replica follower in a second process must catch up to zero lag with
-identical answers.
-
-``banks bench-replicaset`` measures the replica-set front end: N
-process-backed replicas must answer a concurrent read workload faster
-than one (QPS scales with cores), every replica must reproduce the
-primary's top-k exactly, a read issued with read-your-writes
-consistency must observe the preceding mutation, and a replica
-suspended past the staleness bound must be routed around (then
-re-admitted once caught up).
 
 Exit status: 0 on success, 1 on a usage or data error (message on
 stderr).
@@ -718,142 +662,6 @@ def _command_jobs(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_bench_ingest(args: argparse.Namespace, out) -> int:
-    from repro.ingest import run_ingest_benchmark
-
-    scheme, _, rest = args.db.partition(":")
-    if scheme != "synth" or not rest:
-        raise ReproError(
-            "bench-ingest generates its own stream: use synth:N[:SEED]"
-        )
-    papers, _, seed_text = rest.partition(":")
-    try:
-        n_papers = int(papers)
-        seed = int(seed_text) if seed_text else 7
-    except ValueError:
-        raise ReproError(
-            f"bad synthetic specifier {args.db!r} (use synth:N[:SEED])"
-        ) from None
-    report = run_ingest_benchmark(
-        n_papers=n_papers,
-        seed=seed,
-        chunk_size=args.chunk,
-        kill_step=args.kill_step,
-        kill_fraction=args.kill_fraction,
-    )
-    print(report.render(), file=out)
-    if not report.parity_ok:
-        raise ReproError(
-            "resumed ingest did not reproduce the uninterrupted top-k"
-        )
-    return 0
-
-
-def _command_bench_wal(args: argparse.Namespace, out) -> int:
-    from repro.datasets import DEMO_QUERY_SETS
-    from repro.store.bench import run_wal_benchmark
-
-    database = load_database(args.db)
-    queries = args.queries or DEMO_QUERY_SETS.get(database.name)
-    if not queries:
-        raise ReproError(
-            f"no benchmark query set for database {database.name!r}; "
-            "pass one or more --query options"
-        )
-    report = run_wal_benchmark(
-        database,
-        dataset=args.db,
-        mutations=args.mutations,
-        batch_size=args.batch_size,
-        fsync=args.fsync,
-        queries=queries,
-    )
-    print(report.render(), file=out)
-    return 0 if report.ok else 1
-
-
-def _command_bench_replicaset(args: argparse.Namespace, out) -> int:
-    from repro.cluster.bench import run_replicaset_benchmark
-    from repro.datasets import DEMO_QUERY_SETS
-
-    database = load_database(args.db)
-    queries = args.queries or DEMO_QUERY_SETS.get(database.name)
-    if not queries:
-        raise ReproError(
-            f"no benchmark query set for database {database.name!r}; "
-            "pass one or more --query options"
-        )
-    report = run_replicaset_benchmark(
-        database,
-        queries,
-        dataset=args.db,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        replicas=args.replicas,
-        balance=args.balance,
-        replica_backend=args.replica_backend,
-        k=args.max_results,
-    )
-    print(report.render(), file=out)
-    return 0 if report.ok else 1
-
-
-def _command_bench_shard(args: argparse.Namespace, out) -> int:
-    from repro.datasets import DEMO_QUERY_SETS
-    from repro.shard.bench import run_shard_benchmark
-
-    database = load_database(args.db)
-    queries = args.queries or DEMO_QUERY_SETS.get(database.name)
-    if not queries:
-        raise ReproError(
-            f"no benchmark query set for database {database.name!r}; "
-            "pass one or more --query options"
-        )
-    report = run_shard_benchmark(
-        database,
-        queries,
-        dataset=args.db,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        shards=args.shards,
-        backend=args.backend,
-        k=args.max_results,
-        strategy=args.strategy,
-    )
-    print(report.render(), file=out)
-    return 0 if report.parity_ok else 1
-
-
-def _command_bench_mutate(args: argparse.Namespace, out) -> int:
-    from repro.store.bench import run_mutation_benchmark
-
-    database = load_database(args.db)
-    report = run_mutation_benchmark(
-        database,
-        dataset=args.db,
-        mutations=args.mutations,
-        batch_size=args.batch_size,
-    )
-    print(report.render(), file=out)
-    return 0 if report.equivalence_ok else 1
-
-
-def _command_bench_serve(args: argparse.Namespace, out) -> int:
-    from repro.serve.bench import run_serving_benchmark
-
-    database = load_database(args.db)
-    report = run_serving_benchmark(
-        database,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        workers=args.workers,
-        queue_bound=args.queue_bound,
-        max_results=args.max_results,
-    )
-    print(report.render(), file=out)
-    return 0 if report.results_match else 1
-
-
 def _command_client(args: argparse.Namespace, out) -> int:
     from repro.net import BanksClient
 
@@ -913,71 +721,6 @@ def _command_client(args: argparse.Namespace, out) -> int:
         file=out,
     )
     return 0
-
-
-def _command_bench_net(args: argparse.Namespace, out) -> int:
-    from repro.datasets import DEMO_QUERY_SETS
-    from repro.net.bench import run_net_benchmark
-
-    database = load_database(args.db)
-    queries = args.queries or DEMO_QUERY_SETS.get(database.name)
-    if not queries:
-        raise ReproError(
-            f"no benchmark query set for database {database.name!r}; "
-            "pass one or more --query options"
-        )
-    report = run_net_benchmark(
-        database,
-        queries,
-        dataset=args.db,
-        k=args.max_results,
-        requests=args.requests,
-    )
-    print(report.render(), file=out)
-    return 0 if report.ok else 1
-
-
-def _command_bench_kernel(args: argparse.Namespace, out) -> int:
-    from repro.core.kernelbench import run_kernel_benchmark
-    from repro.datasets import DEMO_QUERY_SETS
-
-    database = load_database(args.db)
-    queries = args.queries or DEMO_QUERY_SETS.get(database.name)
-    if not queries:
-        raise ReproError(
-            f"no benchmark query set for database {database.name!r}; "
-            "pass one or more --query options"
-        )
-    report = run_kernel_benchmark(
-        database,
-        queries,
-        dataset=args.db,
-        k=args.max_results,
-        repeats=args.repeats,
-    )
-    print(report.render(), file=out)
-    return 0 if report.parity == 1.0 else 1
-
-
-def _command_bench_ops(args: argparse.Namespace, out) -> int:
-    from repro.ops.bench import run_ops_benchmark
-
-    database = load_database(args.db)
-    # Default to the store benchmark's probe battery (strict-parity
-    # safe through a drain at the default shard count) rather than the
-    # demo query set, whose deep ranks straddle per-shard top-k
-    # boundaries.
-    kwargs = {"queries": tuple(args.queries)} if args.queries else {}
-    report = run_ops_benchmark(
-        database,
-        dataset=args.db,
-        epochs=args.epochs,
-        checkpoint_every=args.checkpoint_every,
-        shards=args.shards,
-        **kwargs,
-    )
-    print(report.render(), file=out)
-    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1338,116 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs.set_defaults(run=_command_jobs)
 
-    bench_serve = commands.add_parser(
-        "bench-serve", help="serving-engine throughput benchmark"
-    )
-    bench_serve.add_argument("db")
-    bench_serve.add_argument("--requests", type=int, default=200)
-    bench_serve.add_argument("--concurrency", type=int, default=8)
-    bench_serve.add_argument("--workers", type=int, default=8)
-    bench_serve.add_argument(
-        "--queue-bound", type=int, default=64, dest="queue_bound"
-    )
-    bench_serve.add_argument(
-        "-k", "--max-results", type=int, default=10, dest="max_results"
-    )
-    bench_serve.set_defaults(run=_command_bench_serve)
-
-    bench_shard = commands.add_parser(
-        "bench-shard", help="sharded scatter-gather throughput benchmark"
-    )
-    bench_shard.add_argument("db")
-    bench_shard.add_argument("--shards", type=int, default=4)
-    bench_shard.add_argument("--requests", type=int, default=48)
-    bench_shard.add_argument("--concurrency", type=int, default=8)
-    bench_shard.add_argument(
-        "--backend", choices=("thread", "process", "auto"), default="auto"
-    )
-    bench_shard.add_argument(
-        "--strategy",
-        choices=("hash", "table", "round_robin"),
-        default="hash",
-    )
-    bench_shard.add_argument(
-        "--query",
-        action="append",
-        dest="queries",
-        metavar="QUERY",
-        help="benchmark query (repeatable; default: the dataset's "
-        "demo query set)",
-    )
-    bench_shard.add_argument(
-        "-k", "--max-results", type=int, default=5, dest="max_results"
-    )
-    bench_shard.set_defaults(run=_command_bench_shard)
-
-    bench_mutate = commands.add_parser(
-        "bench-mutate",
-        help="write-path benchmark: delta-log vs deep-copy snapshots",
-    )
-    bench_mutate.add_argument("db")
-    bench_mutate.add_argument("--mutations", type=int, default=32)
-    bench_mutate.add_argument(
-        "--batch-size", type=int, default=1, dest="batch_size"
-    )
-    bench_mutate.set_defaults(run=_command_bench_mutate)
-
-    bench_wal = commands.add_parser(
-        "bench-wal",
-        help="durable-log benchmark: WAL overhead, recovery and "
-        "replica parity",
-    )
-    bench_wal.add_argument("db")
-    bench_wal.add_argument("--mutations", type=int, default=52)
-    bench_wal.add_argument(
-        "--batch-size", type=int, default=1, dest="batch_size"
-    )
-    bench_wal.add_argument(
-        "--fsync", choices=("always", "rotate", "never"), default="always"
-    )
-    bench_wal.add_argument(
-        "--query",
-        action="append",
-        dest="queries",
-        metavar="QUERY",
-        help="parity query (repeatable; default: the dataset's demo "
-        "query set)",
-    )
-    bench_wal.set_defaults(run=_command_bench_wal)
-
-    bench_replicaset = commands.add_parser(
-        "bench-replicaset",
-        help="replica-set benchmark: read QPS scaling, replica parity, "
-        "read-your-writes, lag exclusion",
-    )
-    bench_replicaset.add_argument("db")
-    bench_replicaset.add_argument("--replicas", type=int, default=3)
-    bench_replicaset.add_argument("--requests", type=int, default=64)
-    bench_replicaset.add_argument("--concurrency", type=int, default=8)
-    bench_replicaset.add_argument(
-        "--balance",
-        choices=("round_robin", "least_inflight"),
-        default="round_robin",
-    )
-    bench_replicaset.add_argument(
-        "--replica-backend",
-        choices=("thread", "process", "auto"),
-        default="auto",
-        dest="replica_backend",
-    )
-    bench_replicaset.add_argument(
-        "--query",
-        action="append",
-        dest="queries",
-        metavar="QUERY",
-        help="benchmark query (repeatable; default: the dataset's "
-        "demo query set)",
-    )
-    bench_replicaset.add_argument(
-        "-k", "--max-results", type=int, default=5, dest="max_results"
-    )
-    bench_replicaset.set_defaults(run=_command_bench_replicaset)
-
     client = commands.add_parser(
         "client",
         help="query a 'banks serve --http' server (add --stream to "
@@ -1490,104 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     client.set_defaults(run=_command_client)
 
-    bench_net = commands.add_parser(
-        "bench-net",
-        help="HTTP-tier benchmark: wire parity vs in-process search, "
-        "time-to-first-answer over SSE, end-to-end QPS",
-    )
-    bench_net.add_argument("db")
-    bench_net.add_argument("--requests", type=int, default=32)
-    bench_net.add_argument(
-        "--query",
-        action="append",
-        dest="queries",
-        metavar="QUERY",
-        help="benchmark query (repeatable; default: the dataset's "
-        "demo query set)",
-    )
-    bench_net.add_argument(
-        "-k", "--max-results", type=int, default=5, dest="max_results"
-    )
-    bench_net.set_defaults(run=_command_bench_net)
-
-    bench_kernel = commands.add_parser(
-        "bench-kernel",
-        help="CSR search-kernel benchmark: median latency vs the "
-        "dict-of-dicts reference kernel, strict top-k parity",
-    )
-    bench_kernel.add_argument("db")
-    bench_kernel.add_argument("--repeats", type=int, default=3)
-    bench_kernel.add_argument(
-        "--query",
-        action="append",
-        dest="queries",
-        metavar="QUERY",
-        help="benchmark query (repeatable; default: the dataset's "
-        "demo query set)",
-    )
-    bench_kernel.add_argument(
-        "-k", "--max-results", type=int, default=5, dest="max_results"
-    )
-    bench_kernel.set_defaults(run=_command_bench_kernel)
-
-    bench_ops = commands.add_parser(
-        "bench-ops",
-        help="checkpointing + rebalancing benchmark: checkpointed "
-        "recovery speedup over full replay, live-drain search parity",
-    )
-    bench_ops.add_argument("db")
-    bench_ops.add_argument(
-        "--epochs",
-        type=int,
-        default=500,
-        help="mutation epochs to drive through the WAL",
-    )
-    bench_ops.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=100,
-        dest="checkpoint_every",
-        help="checkpoint cadence in epochs",
-    )
-    bench_ops.add_argument(
-        "--shards",
-        type=int,
-        default=3,
-        help="shards for the live-drain parity probe",
-    )
-    bench_ops.add_argument(
-        "--query",
-        action="append",
-        dest="queries",
-        metavar="QUERY",
-        help="parity probe query (repeatable; default: the dataset's "
-        "demo query set)",
-    )
-    bench_ops.set_defaults(run=_command_bench_ops)
-
-    bench_ingest = commands.add_parser(
-        "bench-ingest",
-        help="ingest benchmark: throughput, kill + resume, top-k parity",
-    )
-    bench_ingest.add_argument(
-        "db", help="stream size as synth:N[:SEED] (the bench generates "
-        "its own records)",
-    )
-    bench_ingest.add_argument(
-        "--chunk", type=int, default=1000,
-        help="records per committed chunk (default 1000)",
-    )
-    bench_ingest.add_argument(
-        "--kill-step", default="ingest.chunk_commit",
-        help="protocol step the injected crash fires at "
-        "(default ingest.chunk_commit)",
-    )
-    bench_ingest.add_argument(
-        "--kill-fraction", type=float, default=0.5,
-        help="where in the stream to crash, as a fraction of chunks "
-        "(default 0.5)",
-    )
-    bench_ingest.set_defaults(run=_command_bench_ingest)
     return parser
 
 

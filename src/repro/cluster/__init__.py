@@ -23,8 +23,6 @@ contract:
   ``least_inflight``), laggards excluded past a staleness bound,
   mutations routed to the primary, failover + re-admission surfaced on
   ``/metrics``.
-* :mod:`repro.cluster.bench` — the ``banks bench-replicaset``
-  measurement (:func:`run_replicaset_benchmark`).
 
 :class:`~repro.serve.engine.QueryEngine`,
 :class:`~repro.shard.router.ShardRouter` and
@@ -35,7 +33,6 @@ carries the migration table).
 """
 
 from repro.cluster.api import Cluster, QueryRequest, QueryResult
-from repro.cluster.bench import ReplicaSetBenchReport, run_replicaset_benchmark
 from repro.cluster.replicaset import ReplicaAnswer, ReplicaSet
 from repro.cluster.spec import (
     BALANCE_POLICIES,
@@ -53,7 +50,5 @@ __all__ = [
     "QueryResult",
     "ReplicaAnswer",
     "ReplicaSet",
-    "ReplicaSetBenchReport",
     "TOPOLOGIES",
-    "run_replicaset_benchmark",
 ]

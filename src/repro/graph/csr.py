@@ -32,8 +32,8 @@ read-optimised twin:
   per-pop allocation), and a settled bytearray.  It reproduces
   :class:`~repro.graph.dijkstra.DijkstraIterator` exactly — same
   relaxation order, same tie-breaks, same float arithmetic — which is
-  what the kernel parity gate (``BENCH_kernel.json``) checks
-  end-to-end.
+  what ``tests/graph/test_csr.py`` pins visit by visit and the
+  ``benchmarks/e2e`` oracle check re-proves end-to-end.
 """
 
 from __future__ import annotations

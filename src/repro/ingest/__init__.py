@@ -13,15 +13,11 @@ adds the missing driver loop and its crash contract:
   (:class:`IngestPipeline`): one epoch per chunk, cursor saved after
   the commit, resume reconciled by epoch arithmetic, transient
   failures retried with backoff, crashes provable at every named
-  step in :data:`INGEST_STEPS`;
-* :mod:`~repro.ingest.bench` — the acceptance benchmark: DBLP-scale
-  ingest throughput, kill-at-a-chunk-boundary, resume, and strict
-  top-k parity against an uninterrupted run.
+  step in :data:`INGEST_STEPS`.
 
 CLI: ``banks ingest DB SOURCE`` and ``banks jobs``.
 """
 
-from repro.ingest.bench import IngestBenchReport, run_ingest_benchmark
 from repro.ingest.jobs import JOB_STATES, IngestJob, JobRegistry
 from repro.ingest.pipeline import (
     INGEST_STEPS,
@@ -42,7 +38,6 @@ __all__ = [
     "CsvSource",
     "GeneratorSource",
     "INGEST_STEPS",
-    "IngestBenchReport",
     "IngestJob",
     "IngestPipeline",
     "JOB_STATES",
@@ -53,5 +48,4 @@ __all__ = [
     "StoreTarget",
     "dump_jsonl",
     "open_source",
-    "run_ingest_benchmark",
 ]

@@ -124,7 +124,7 @@ class JobRegistry:
     reconciles against share a filesystem).
 
     Args:
-        path: the registry directory (created on first use).
+        path: the registry directory (created by the first save).
         clock: timestamp source for ``created_at``/``updated_at``
             (injectable for deterministic tests).
     """
@@ -132,7 +132,6 @@ class JobRegistry:
     def __init__(self, path: str, clock: Callable[[], float] = time.time):
         self.path = str(path)
         self._clock = clock
-        os.makedirs(self.path, exist_ok=True)
 
     def path_of(self, job_id: str) -> str:
         return os.path.join(self.path, f"{job_id}.json")
@@ -154,6 +153,7 @@ class JobRegistry:
     def save(self, job: IngestJob) -> None:
         """Persist ``job`` atomically (tmp write + fsync + rename)."""
         job.updated_at = self._clock()
+        os.makedirs(self.path, exist_ok=True)
         final = self.path_of(job.job_id)
         tmp = final + ".tmp"
         data = json.dumps(job.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -190,8 +190,12 @@ class JobRegistry:
         """Every registered job, sorted by id.  ``*.tmp`` orphans from
         a crash mid-save are ignored (the rename never happened, so
         the previous job file — if any — is still the truth)."""
+        try:
+            names = sorted(os.listdir(self.path))
+        except FileNotFoundError:
+            raise IngestError(f"no job registry at {self.path}") from None
         result = []
-        for name in sorted(os.listdir(self.path)):
+        for name in names:
             if not name.endswith(".json"):
                 continue
             result.append(self.load(name[: -len(".json")]))

@@ -16,12 +16,9 @@ processes on other machines.
   yields ``(event, data)`` pairs as the remote kernel produces them.
 * :class:`RemoteReplica` — the worker-interface adapter behind
   ``ClusterSpec(remote_replicas=...)``.
-* :func:`run_net_benchmark` — parity, time-to-first-answer and
-  throughput gates (``banks bench-net``).
 """
 
 from repro.net.auth import RateLimiter, TokenAuth
-from repro.net.bench import NetBenchReport, run_net_benchmark
 from repro.net.client import BanksClient, RemoteReplica
 from repro.net.schema import (
     WIRE_VERSION,
@@ -38,7 +35,6 @@ from repro.net.server import HttpServer, NetConfig, serve_http
 __all__ = [
     "BanksClient",
     "HttpServer",
-    "NetBenchReport",
     "NetConfig",
     "RateLimiter",
     "RemoteReplica",
@@ -48,7 +44,6 @@ __all__ = [
     "decode_request",
     "encode_answer",
     "encode_result",
-    "run_net_benchmark",
     "serve_http",
     "sse_event",
     "tree_from_wire",

@@ -27,7 +27,6 @@ that way.  This package closes both gaps:
   every interruption point the way PR 4's fuzzing proved the WAL tail.
 """
 
-from repro.ops.bench import OpsBenchReport, run_ops_benchmark
 from repro.ops.checkpoint import (
     CHECKPOINT_STEPS,
     CheckpointManager,
@@ -48,11 +47,9 @@ __all__ = [
     "CheckpointRecord",
     "FaultInjected",
     "FaultInjector",
-    "OpsBenchReport",
     "REBALANCE_STEPS",
     "RebalanceMove",
     "RebalancePlan",
     "drain_plan",
     "plan_rebalance",
-    "run_ops_benchmark",
 ]

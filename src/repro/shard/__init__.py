@@ -14,8 +14,7 @@ ranked by the paper's answer-relevance score:
   and root-restricted search;
 * :mod:`repro.shard.process` — forked worker processes, one per shard
   (CPU scaling past the GIL);
-* :mod:`repro.shard.router` — the :class:`ShardRouter` front end;
-* :mod:`repro.shard.bench` — the ``banks bench-shard`` measurement.
+* :mod:`repro.shard.router` — the :class:`ShardRouter` front end.
 
 The router also serves a *changing* database: mutations derive
 :class:`~repro.store.delta.Delta` records (see :mod:`repro.store`)

@@ -40,10 +40,9 @@ Dispatch policies — the throughput finding, measured honestly:
   chosen by query hash (repeat queries keep shard affinity).  Every
   forked worker holds the stitched graph copy-on-write, so the worker
   computes exactly the single-engine answer list, and N workers answer
-  N queries concurrently — throughput scales with cores (the
-  ``bench-shard`` >= 1.5x criterion is met here).  Memory does not
-  shrink; this is the policy when the graph fits and the GIL is the
-  constraint.
+  N queries concurrently — throughput scales with cores.  Memory does
+  not shrink; this is the policy when the graph fits and the GIL is
+  the constraint.
 
 Mutations — the router serves a *changing* database: the write path
 routes every :class:`~repro.store.delta.Delta` to its **owning shard**

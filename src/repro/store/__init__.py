@@ -68,10 +68,7 @@ path, so readers stay wait-free.  What changes is lifetime management:
 ``copy_mode="delta"`` (the default when the facade supports forking);
 ``copy_mode="deep"`` keeps the original deep-copy path as a fallback,
 asserted equivalent by the hypothesis property test in
-``tests/core/test_incremental.py``.  ``banks bench-mutate`` measures
-the two against each other; ``banks bench-wal`` measures the durable
-write path against the in-memory one and verifies recovery + replica
-parity.
+``tests/core/test_incremental.py``.
 
 The full mutation data flow (derivation → capture → epoch → WAL →
 recovery/replica) is drawn in ``docs/ARCHITECTURE.md``; the operator

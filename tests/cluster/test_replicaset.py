@@ -88,6 +88,7 @@ class TestStalenessExclusion:
             assert status[0]["state"] == "excluded"
             # Catch back up: re-admitted and serving again.
             replica_set.resume_replica(0)
+            assert replica_set.lag_epochs(0) == 0
             served = {cluster.query("alice", k=2).replica for _ in range(4)}
             assert 0 in served
             snapshot = replica_set.metrics.snapshot()

@@ -77,6 +77,11 @@ class TestSynthDatabase:
         assert len(database.table("paper")) == 300
         database.check_integrity()
 
+    def test_default_size_is_paper_scale(self):
+        """Every record becomes one graph node: the default 19,500
+        papers must stay at the paper's ~100K-node scale."""
+        assert sum(1 for _ in synth_bibliography_records(19500)) >= 100_000
+
     def test_empty_build_is_just_the_schema(self):
         database, n_records = synth_bibliography(0)
         assert n_records == 0

@@ -109,9 +109,10 @@ def test_retention_clamped_to_checkpoint_floor(tmp_path):
 
 
 def test_recovery_from_checkpoint_plus_tail_matches_live(tmp_path):
-    store, manager, wal_dir, _job = ingest_with_checkpoints(
-        str(tmp_path), retain=2
-    )
+    with pytest.warns(RuntimeWarning, match="clamping"):
+        store, manager, wal_dir, _job = ingest_with_checkpoints(
+            str(tmp_path), retain=2
+        )
     store.wal.close()
     live = store.current().facade
     recovered = IncrementalBANKS.recover(

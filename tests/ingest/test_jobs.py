@@ -30,6 +30,29 @@ def test_create_save_load_roundtrip(tmp_path):
     assert loaded.updated_at == 123.5
 
 
+def test_constructor_leaves_the_filesystem_untouched(tmp_path):
+    """Listing a mistyped directory must not create it (``banks jobs``
+    used to print "no jobs" over a directory it had just made)."""
+    path = str(tmp_path / "typo" / "jobs")
+    registry = JobRegistry(path)
+    assert registry.try_load("ghost") is None
+    with pytest.raises(IngestError, match="typo"):
+        registry.jobs()
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_first_save_creates_the_directory_and_a_restart_finds_the_job(
+    tmp_path,
+):
+    path = str(tmp_path / "wal" / "jobs")
+    job = JobRegistry(path).create(make_job())
+    assert os.listdir(path) == ["j1.json"]
+    # The resumed process builds its own registry over the same path.
+    restarted = JobRegistry(path)
+    assert restarted.load("j1") == job
+    assert [j.job_id for j in restarted.jobs()] == ["j1"]
+
+
 def test_create_refuses_existing_id(tmp_path):
     registry = JobRegistry(str(tmp_path))
     registry.create(make_job())

@@ -21,11 +21,21 @@ from repro.ops.faults import FaultInjected, FaultInjector
 from repro.ops.rebalance import REBALANCE_STEPS, drain_plan, plan_rebalance
 from repro.shard.process import fork_available
 from repro.shard.router import ShardRouter
-from repro.store.bench import PROBE_QUERIES
 
 from tests.ops.test_checkpoint_crash import make_db
 
 SHARDS = 3
+
+#: Strict-parity safe through a drain at SHARDS: no exact-score tie
+#: straddles a per-shard top-5 boundary (the demo query set's deep
+#: ranks do).  The last two match nothing in this dataset and keep the
+#: no-answer path under the same load.
+PROBE_QUERIES = (
+    "soumen sunita",
+    "transaction",
+    "benchmark workload",
+    "snapshot epoch",
+)
 
 
 def tie_signature(answers):

@@ -92,8 +92,9 @@ class TestFloorClampsPruning:
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
         writer, store = build_store(wal_dir, ckpt_dir, retain=2)
-        for step in range(5):
-            publish(store, step)
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            for step in range(5):  # no manifest yet: floor 0 clamps
+                publish(store, step)
         CheckpointManager(ckpt_dir).checkpoint(store.current().facade, 5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -107,13 +108,15 @@ class TestFloorClampsPruning:
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
         _writer, store = build_store(wal_dir, ckpt_dir, retain=1)
-        for step in range(4):
-            publish(store, step)
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            for step in range(4):  # floor 0
+                publish(store, step)
         CheckpointManager(ckpt_dir).checkpoint(
             store.current().facade, store.epoch
         )
-        for step in range(4, 7):
-            publish(store, step)  # prunes epochs 1..4 behind the floor
+        with pytest.warns(RuntimeWarning, match="clamping"):
+            for step in range(4, 7):  # floor 4
+                publish(store, step)  # prunes epochs 1..4 behind the floor
         assert WalReader(wal_dir).first_epoch() == 5
         live = top5(store.current().facade)
 

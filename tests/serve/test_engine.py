@@ -495,18 +495,6 @@ class TestCliIntegration:
         assert status == 0
         assert "metrics" not in output
 
-    def test_bench_serve_smoke(self):
-        status, output = self.run_cli(
-            "bench-serve",
-            "demo:university",
-            "--requests", "16",
-            "--concurrency", "4",
-            "--workers", "4",
-        )
-        assert status == 0
-        assert "speedup" in output
-        assert "shed              : 0" in output
-
 
 class TestFederationFanout:
     def make_federation(self):

@@ -4,19 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets.bibliography import DEMO_QUERIES as BIBLIOGRAPHY_QUERIES
+from repro.datasets.tpcd import DEMO_QUERIES as TPCD_QUERIES
 from repro.errors import ShardError
 from repro.shard import ShardRouter
 
-#: Multi-term queries from the benchmark battery (strict-parity safe:
-#: no exact-score tie straddles the top-5 boundary on the default
-#: bibliography dataset — verified by benchmarks/bench_shard.py over
-#: the full battery).
-PARITY_QUERIES = (
-    "soumen sunita",
-    "query optimization",
-    "index concurrency",
-    "sunita mining",
-)
+#: The whole bibliography demo battery: strict-parity safe (no
+#: exact-score tie straddles the top-5 boundary on the default
+#: dataset), so gather and route are held to roots *and* scores on it.
+PARITY_QUERIES = BIBLIOGRAPHY_QUERIES
+
+#: The one TPC-D demo query where the 4-shard gather is never-worse but
+#: not score-equal: it surfaces ``lineitem 109`` (0.172), which the
+#: single engine's approximately-ordered output heap never emits.
+TPCD_SCORE_GAP = "steel bolt"
 
 
 def _signature(answers):
@@ -43,6 +44,56 @@ class TestParity:
                 biblio_banks_session.search(query, max_results=5)
             )
             assert sharded == single, query
+
+    @pytest.fixture(scope="class")
+    def tpcd_scores(self):
+        """Per TPC-D demo query: the (gathered, single-engine) top-5
+        relevance sequences at 4 shards."""
+        from repro import BANKS
+        from repro.datasets import generate_tpcd
+
+        def scores(engine, query):
+            answers = engine.search(query, max_results=5)
+            return [score for _root, score in _signature(answers)]
+
+        database = generate_tpcd()[0]
+        single = BANKS(database)
+        with ShardRouter(database, shards=4, backend="thread") as router:
+            return {
+                query: (scores(router, query), scores(single, query))
+                for query in TPCD_QUERIES
+            }
+
+    def test_tpcd_gather_is_never_worse(self, tpcd_scores):
+        """Interchangeable ``lineitem`` rows make strict root parity
+        ill-defined on TPC-D; what gather must never do is lose
+        relevance at any rank."""
+        for query, (sharded, single) in tpcd_scores.items():
+            assert len(sharded) >= len(single), query
+            assert all(
+                ours >= theirs - 1e-9
+                for ours, theirs in zip(sharded, single)
+            ), query
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            pytest.param(
+                query,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 3: tpcd gather is never-worse "
+                    "but not score-equal (7 of 8 queries)",
+                ),
+            )
+            if query == TPCD_SCORE_GAP
+            else query
+            for query in TPCD_QUERIES
+        ],
+    )
+    def test_tpcd_gather_is_score_equal(self, tpcd_scores, query):
+        sharded, single = tpcd_scores[query]
+        assert sharded == single
 
     def test_single_shard_router_matches_single_engine(
         self, bibliography_session, biblio_banks_session

@@ -121,6 +121,23 @@ class TestCommands:
         status = main(["stats", "demo:ghost"], out=io.StringIO())
         assert status == 1
 
+    def test_jobs_lists_without_creating_the_directory(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "typo"
+        status, output = run_cli("jobs", "--jobs-dir", str(missing))
+        assert status == 1 and output == ""
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+        # ingest is what creates the registry; jobs then lists it.
+        jobs_dir = str(tmp_path / "made" / "jobs")
+        assert run_cli(
+            "ingest", "synth:0", "synth:20", "--jobs-dir", jobs_dir
+        )[0] == 0
+        status, output = run_cli("jobs", "--jobs-dir", jobs_dir)
+        assert status == 0
+        assert "ingest" in output and "done" in output
+
 
 class TestWalCommands:
     """The durable-log surface: serve --wal/--follow and recover."""

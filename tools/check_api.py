@@ -47,14 +47,11 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "QueryResult",
         "ReplicaAnswer",
         "ReplicaSet",
-        "ReplicaSetBenchReport",
         "TOPOLOGIES",
-        "run_replicaset_benchmark",
     ),
     "repro.net": (
         "BanksClient",
         "HttpServer",
-        "NetBenchReport",
         "NetConfig",
         "RateLimiter",
         "RemoteReplica",
@@ -64,7 +61,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "decode_request",
         "encode_answer",
         "encode_result",
-        "run_net_benchmark",
         "serve_http",
         "sse_event",
         "tree_from_wire",
@@ -88,19 +84,16 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "CheckpointRecord",
         "FaultInjected",
         "FaultInjector",
-        "OpsBenchReport",
         "REBALANCE_STEPS",
         "RebalanceMove",
         "RebalancePlan",
         "drain_plan",
         "plan_rebalance",
-        "run_ops_benchmark",
     ),
     "repro.ingest": (
         "CsvSource",
         "GeneratorSource",
         "INGEST_STEPS",
-        "IngestBenchReport",
         "IngestJob",
         "IngestPipeline",
         "JOB_STATES",
@@ -111,7 +104,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "StoreTarget",
         "dump_jsonl",
         "open_source",
-        "run_ingest_benchmark",
     ),
     "repro.graph.csr": (
         "CSRDijkstra",
