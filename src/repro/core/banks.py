@@ -119,7 +119,7 @@ class BANKS:
             mutation surface as :class:`~repro.graph.digraph.DiGraph`,
             answers bit-identical, roughly half the latency.  Pass
             ``False`` to keep the dict-of-dicts reference
-            representation (the parity benchmark does).
+            representation (the kernel parity tests do).
     """
 
     def __init__(

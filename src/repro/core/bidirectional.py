@@ -148,6 +148,8 @@ def bidirectional_search(
             profile.edges_relaxed += iterator.relaxations - relaxed_before
             if visit is not None:
                 profile.nodes_expanded += 1
+                if visit.parent is None:  # the origin: first next()
+                    profile.lanes_started += 1
         if visit is None:
             continue
         peek = iterator.peek()
@@ -180,6 +182,8 @@ def bidirectional_search(
         for visit in forward:
             if profile is not None:
                 profile.nodes_expanded += 1
+                if visit.parent is None:
+                    profile.lanes_started += 1
             for position, group in enumerate(remaining):
                 if found[position] is None and visit.node in group:
                     found[position] = visit.node

@@ -2,12 +2,17 @@
 
 This is :func:`repro.core.search.backward_expanding_search` rewritten
 for :class:`repro.graph.csr.CSRGraph`: the algorithm, heuristics and
-emission semantics are identical (the kernel parity benchmark asserts
-strict top-k equality of roots *and* scores on every demo query), but
-the hot loops run on dense int node ids and contiguous arrays:
+emission semantics are identical (``tests/core/test_kernel_parity.py``
+asserts exact equality of roots, scores, emission order and profile
+counters on every query shape), but the hot loops run on dense int node
+ids and contiguous adjacency arrays:
 
-* one distance/parent/parent-weight array triple per keyword-node
-  lane instead of per-iterator dicts — relaxation is two array probes;
+* a keyword-node lane is sparse and lazily started: at set-up it is its
+  ``(offset, origin)`` pair and one multiplexer entry; its first
+  multiplexer pop materialises a ``node -> distance`` dict, a
+  ``node -> (parent, parent_weight)`` dict, a settled set and a heap,
+  which then hold only the nodes the lane touches — a lane costs what
+  it settles, never |V|;
 * flat two-tuple heap entries ``(distance, counter * N + node)`` for
   both the per-lane heaps and the multiplexer (the packed int
   reproduces the reference ``(distance, counter, origin)`` tie-break
@@ -71,10 +76,7 @@ def csr_backward_search(
     reprs = graph._reprs
     tables = graph._tables
 
-    groups = [
-        {node for node in group if node in index}
-        for group in keyword_node_sets
-    ]
+    groups = [{node for node in group if node in index} for group in keyword_node_sets]
     if config.require_all_keywords and any(not group for group in groups):
         return  # some keyword matches nothing: no complete answer exists
 
@@ -110,56 +112,32 @@ def csr_backward_search(
     pred_w = graph._pred_w
     base_n = len(pred_off) - 1
     max_distance = config.max_distance
-    inf = float("inf")
 
-    # -- lanes: one array-backed Dijkstra per origin -----------------------
-    lane_of: Dict[int, int] = {}
-    origins: List[int] = []
-    dists: List = []
-    parents: List = []
-    parws: List = []
-    settleds: List[bytearray] = []
-    heaps: List[List[Tuple[float, int]]] = []
-    counters: List[int] = []
-    from array import array
-
-    inf_template = array("d", [inf])
-    parent_template = array("q", [-1])
-    zero_bytes = bytes(8 * n_total)
-    lane_count = len(terms_of_origin)
+    # -- lanes: one sparse Dijkstra per origin, started on first pop -------
+    # Until its multiplexer entry is first popped a lane is only its
+    # (offset, origin) pair; the per-lane state lists hold None.
+    origins: List[int] = list(terms_of_origin)
+    lane_count = len(origins)
+    lane_of: Dict[int, int] = {origin: lane for lane, origin in enumerate(origins)}
+    offsets: List[float] = []
+    dists: List[Optional[Dict[int, float]]] = [None] * lane_count
+    links: List[Optional[Dict[int, Tuple[int, float]]]] = [None] * lane_count
+    settleds: List[Optional[Set[int]]] = [None] * lane_count
+    heaps: List[Optional[List[Tuple[float, int]]]] = [None] * lane_count
+    counters: List[int] = [1] * lane_count
     multiplexer: List[Tuple[float, int]] = []
     mcount = 0
     scale = config.origin_distance_scale
-    for origin in terms_of_origin:
-        lane = len(heaps)
-        lane_of[origin] = lane
-        origins.append(origin)
+    for lane, origin in enumerate(origins):
         offset = 0.0
         if scale > 0.0:
             prestige = nw(origin) / max_node_weight
             offset = scale * (1.0 - prestige)
-        dist = inf_template * n_total
-        dist[origin] = offset
-        dists.append(dist)
-        parents.append(parent_template * n_total)
-        parws.append(array("d", zero_bytes))
-        settled = bytearray(n_total)
-        settleds.append(settled)
-        heap = [(offset, origin)]
-        heaps.append(heap)
-        counters.append(1)
+        offsets.append(offset)
         # initial peek (reference: iterator.peek() before first push)
-        while heap:
-            peek_distance, packed = heap[0]
-            if settled[packed % n_total]:
-                heappop(heap)
-                continue
-            if max_distance is not None and peek_distance > max_distance:
-                heap.clear()
-                continue
-            heappush(multiplexer, (peek_distance, mcount * lane_count + lane))
+        if max_distance is None or offset <= max_distance:
+            heappush(multiplexer, (offset, mcount * lane_count + lane))
             mcount += 1
-            break
     if profile is not None:
         profile.iterators += lane_count
 
@@ -266,6 +244,7 @@ def csr_backward_search(
 
     # -- main loop ---------------------------------------------------------
     product = itertools.product
+    first_hops: Set[int] = set()
     while multiplexer and emitted_count < max_results:
         if visited_budget is not None:
             if visited_budget <= 0:
@@ -277,27 +256,32 @@ def csr_backward_search(
         if profile is not None:
             profile.heap_pops += 1
 
-        # settle the lane's next node (inlined CSRDijkstra.next_index)
+        # Settle the lane's next node.  A lane has at most one
+        # multiplexer entry, pushed when its heap top was last skimmed
+        # valid, and nothing touches the lane in between — so the top
+        # (or, on the first pop, the origin itself) settles unchecked.
         heap = heaps[lane]
-        settled = settleds[lane]
-        while heap:
-            head_distance, head_packed = heap[0]
-            if settled[head_packed % n_total]:
-                heappop(heap)
-                continue
-            if max_distance is not None and head_distance > max_distance:
-                heap.clear()
-                continue
-            break
-        if not heap:
-            continue
-        d0, packed0 = heappop(heap)
-        v = packed0 % n_total
-        settled[v] = 1
-        dist = dists[lane]
-        parent = parents[lane]
-        parw = parws[lane]
-        count = counters[lane]
+        if heap is None:
+            v = origins[lane]
+            d0 = offsets[lane]
+            heap = heaps[lane] = []
+            dist = dists[lane] = {v: d0}
+            link = links[lane] = {}
+            settled = settleds[lane] = {v}
+            count = 1
+            if profile is not None:
+                profile.lanes_started += 1
+        else:
+            d0, packed0 = heappop(heap)
+            v = packed0 % n_total
+            settled = settleds[lane]
+            settled.add(v)
+            dist = dists[lane]
+            link = links[lane]
+            count = counters[lane]
+        # No settled probe while relaxing: weights are non-negative, so
+        # a settled neighbour already has dist <= d0 <= candidate and
+        # the strict comparison fails on its own.
         row = over_pred.get(v)
         if row is None and v < base_n:
             lo = pred_off[v]
@@ -306,26 +290,23 @@ def csr_backward_search(
                 profile.edges_relaxed += hi - lo
             for position in range(lo, hi):
                 neighbor = pred_to[position]
-                if settled[neighbor]:
-                    continue
-                candidate = d0 + pred_w[position]
-                if candidate < dist[neighbor]:
+                weight = pred_w[position]
+                candidate = d0 + weight
+                known = dist.get(neighbor)
+                if known is None or candidate < known:
                     dist[neighbor] = candidate
-                    parent[neighbor] = v
-                    parw[neighbor] = pred_w[position]
+                    link[neighbor] = (v, weight)
                     heappush(heap, (candidate, count * n_total + neighbor))
                     count += 1
         elif row:
             if profile is not None:
                 profile.edges_relaxed += len(row)
             for neighbor, weight in row.items():
-                if settled[neighbor]:
-                    continue
                 candidate = d0 + weight
-                if candidate < dist[neighbor]:
+                known = dist.get(neighbor)
+                if known is None or candidate < known:
                     dist[neighbor] = candidate
-                    parent[neighbor] = v
-                    parw[neighbor] = weight
+                    link[neighbor] = (v, weight)
                     heappush(heap, (candidate, count * n_total + neighbor))
                     count += 1
         counters[lane] = count
@@ -335,7 +316,7 @@ def csr_backward_search(
         # re-arm the multiplexer with the lane's next distance
         while heap:
             head_distance, head_packed = heap[0]
-            if settled[head_packed % n_total]:
+            if head_packed % n_total in settled:
                 heappop(heap)
                 continue
             if max_distance is not None and head_distance > max_distance:
@@ -359,7 +340,6 @@ def csr_backward_search(
 
         origin = origins[lane]
         path_cache: Dict[int, List[int]] = {}
-        first_hops: Set[int] = set()
         for term_index in terms_of_origin[origin]:
             if root_allowed:
                 pools: Optional[List[List[Optional[int]]]] = []
@@ -384,7 +364,7 @@ def csr_backward_search(
                                 assignment.append(next(combo_iter))
                         # Pre-graft discard (Fig. 3 "duplicate result"):
                         # the grafted tree's root children are a subset
-                        # of the raw first hops {parents[lane][v]}, and
+                        # of the raw first hops {links[lane][v][0]}, and
                         # the subset is exact when it has at most one
                         # element (the first grafted path always keeps
                         # its first hop) — so most discards need no tree
@@ -396,19 +376,18 @@ def csr_backward_search(
                         for member in assignment:
                             if member is None:
                                 continue
-                            hop = parents[lane_of[member]][v]
-                            if hop < 0:
+                            hop = links[lane_of[member]].get(v)
+                            if hop is None:
                                 root_is_keyword = True
                             else:
-                                first_hops.add(hop)
+                                first_hops.add(hop[0])
                         if len(first_hops) == 1 and not root_is_keyword:
                             continue
                         tree = _build_int_tree(
                             v,
                             assignment,
                             lane_of,
-                            parents,
-                            parws,
+                            links,
                             path_cache,
                         )
                         if len(first_hops) > 1 and (
@@ -438,16 +417,15 @@ def _build_int_tree(
     root: int,
     assignment: Sequence[Optional[int]],
     lane_of: Dict[int, int],
-    parents: List,
-    parws: List,
+    links: List,
     path_cache: Dict[int, List[int]],
 ) -> _IntTree:
     """Union-of-paths graft, int edition of :meth:`AnswerTree.from_paths`.
 
-    Edge weights come from the parent-weight arrays captured at
-    relaxation time (the exact float ``graph.edge_weight`` would
-    return), and dict insertion order replicates the reference graft
-    order so the eventual ``AnswerTree.weight`` sums identically.
+    Edge weights come from the lanes' ``(parent, parent_weight)`` links
+    captured at relaxation time (the exact float ``graph.edge_weight``
+    would return), and dict insertion order replicates the reference
+    graft order so the eventual ``AnswerTree.weight`` sums identically.
     """
     parent: Dict[int, int] = {}
     in_tree = {root}
@@ -457,15 +435,14 @@ def _build_int_tree(
         if origin is None:
             keyword_nodes.append(None)
             continue
-        lane = lane_of[origin]
+        link = links[lane_of[origin]]
         path = path_cache.get(origin)
         if path is None:
-            lane_parent = parents[lane]
             path = [root]
-            current = lane_parent[root]
-            while current >= 0:
-                path.append(current)
-                current = lane_parent[current]
+            hop = link.get(root)
+            while hop is not None:
+                path.append(hop[0])
+                hop = link.get(hop[0])
             path_cache[origin] = path
         keyword_nodes.append(path[-1])
         graft = 0
@@ -473,14 +450,13 @@ def _build_int_tree(
             if path[position] in in_tree:
                 graft = position
                 break
-        lane_parw = parws[lane]
         for position in range(graft, len(path) - 1):
             source, target = path[position], path[position + 1]
             if target in in_tree:
                 raise GraphError(f"path re-enters the tree at {target!r}")
             parent[target] = source
             in_tree.add(target)
-            edge_weights[(source, target)] = lane_parw[source]
+            edge_weights[(source, target)] = link[source][1]
     return (root, parent, tuple(keyword_nodes), edge_weights)
 
 

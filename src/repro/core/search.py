@@ -191,9 +191,9 @@ def backward_expanding_search(
     :class:`~repro.graph.csr.CSRGraph` (or its mutable overlay) runs
     the array kernel (:mod:`repro.core.csrkernel`); a dict-of-dicts
     :class:`DiGraph` runs the reference implementation below.  The two
-    are answer-for-answer identical — the kernel parity benchmark
-    gates strict top-k equality of roots and scores — so callers never
-    need to know which one they got.
+    are answer-for-answer identical — ``tests/core/test_kernel_parity.py``
+    gates exact equality of roots, scores, emission order and profile
+    counters — so callers never need to know which one they got.
 
     Args:
         graph: the data graph (forward + backward edges, weighted).
@@ -356,6 +356,8 @@ def _reference_backward_search(
             profile.edges_relaxed += iterator.relaxations - relaxed_before
             if visit is not None:
                 profile.nodes_expanded += 1
+                if visit.parent is None:  # the origin: first next()
+                    profile.lanes_started += 1
         if visit is None:
             continue
         peek = iterator.peek()

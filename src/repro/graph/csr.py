@@ -26,10 +26,11 @@ read-optimised twin:
   of a frozen graph.
 
 * :class:`CSRDijkstra` — the lazy Dijkstra iterator rewritten for the
-  arrays: per-origin distance/parent/edge-weight *arrays* instead of
-  dict probes, a flat two-tuple heap (``(distance, counter*N + node)``
-  packs the tie-break counter and node into one machine int, halving
-  per-pop allocation), and a settled bytearray.  It reproduces
+  arrays: adjacency read from the contiguous rows by dense int id, a
+  flat two-tuple heap (``(distance, counter*N + node)`` packs the
+  tie-break counter and node into one machine int, halving per-pop
+  allocation), and sparse per-iterator state keyed by touched node, so
+  construction is O(1) whatever |V|.  It reproduces
   :class:`~repro.graph.dijkstra.DijkstraIterator` exactly — same
   relaxation order, same tie-breaks, same float arithmetic — which is
   what ``tests/graph/test_csr.py`` pins visit by visit and the
@@ -714,19 +715,20 @@ def freeze_graph(graph) -> CSROverlayGraph:
 
 
 class CSRDijkstra:
-    """Array-backed lazy Dijkstra over a :class:`CSRGraph` (or overlay).
+    """Lazy Dijkstra over a :class:`CSRGraph`'s adjacency arrays (or overlay).
 
     Drop-in behavioural twin of
     :class:`~repro.graph.dijkstra.DijkstraIterator`: one settlement per
     :meth:`next`, :meth:`peek` exposes the next distance, parents spell
-    the path back to the source.  State lives in flat arrays — distance
-    and parent per node, a settled bytearray — and the heap holds
+    the path back to the source.  State is sparse — a distance dict, a
+    ``node -> (parent, parent_weight)`` dict and a settled set holding
+    only the nodes the iterator has touched — and the heap holds
     ``(distance, counter * N + node)`` two-tuples whose packed second
     element reproduces the reference ``(distance, counter, node)``
     ordering exactly (counters are unique, so the node never decides).
-    ``parent_weight`` additionally caches the weight of each node's
-    parent edge at relaxation time, which lets tree construction skip
-    the edge-weight lookup entirely.
+    ``parent_weight`` is the weight of each node's parent edge captured
+    at relaxation time, which lets tree construction skip the
+    edge-weight lookup entirely.
     """
 
     __slots__ = (
@@ -735,10 +737,8 @@ class CSRDijkstra:
         "_reverse",
         "_max_distance",
         "_n",
-        "_source_index",
         "_dist",
-        "_parent",
-        "_parw",
+        "_link",
         "_settled",
         "_heap",
         "_counter",
@@ -757,15 +757,11 @@ class CSRDijkstra:
         self.source = source
         self._reverse = reverse
         self._max_distance = max_distance
-        n = len(graph._ids)
-        self._n = n
+        self._n = len(graph._ids)
         source_index = graph.index_of(source)
-        self._source_index = source_index
-        self._dist = array("d", [math.inf]) * n
-        self._parent = array("q", [-1]) * n
-        self._parw = array("d", bytes(8 * n))
-        self._settled = bytearray(n)
-        self._dist[source_index] = initial_distance
+        self._dist: Dict[int, float] = {source_index: initial_distance}
+        self._link: Dict[int, Tuple[int, float]] = {}
+        self._settled: set = set()
         self._heap: List[Tuple[float, int]] = [
             (initial_distance, source_index)
         ]
@@ -781,7 +777,7 @@ class CSRDijkstra:
         max_distance = self._max_distance
         while heap:
             distance, packed = heap[0]
-            if settled[packed % n]:
+            if packed % n in settled:
                 _heappop(heap)
                 continue
             if max_distance is not None and distance > max_distance:
@@ -806,14 +802,12 @@ class CSRDijkstra:
         n = self._n
         distance, packed = _heappop(heap)
         index = packed % n
-        settled = self._settled
-        settled[index] = 1
+        self._settled.add(index)
         graph = self._graph
         over = graph._over_pred if self._reverse else graph._over_succ
         row = over.get(index)
         dist = self._dist
-        parent = self._parent
-        parw = self._parw
+        link = self._link
         counter = self._counter
         if row is None and index < len(graph._succ_off) - 1:
             if self._reverse:
@@ -828,29 +822,29 @@ class CSRDijkstra:
                     graph._succ_to,
                     graph._succ_w,
                 )
+            # No settled probe: weights are non-negative, so a settled
+            # neighbour already has dist <= distance <= candidate and
+            # the strict comparison fails on its own.
             lo, hi = offsets[index], offsets[index + 1]
             self.relaxations += hi - lo
             for position in range(lo, hi):
                 neighbor = to[position]
-                if settled[neighbor]:
-                    continue
-                candidate = distance + weights[position]
-                if candidate < dist[neighbor]:
+                weight = weights[position]
+                candidate = distance + weight
+                known = dist.get(neighbor)
+                if known is None or candidate < known:
                     dist[neighbor] = candidate
-                    parent[neighbor] = index
-                    parw[neighbor] = weights[position]
+                    link[neighbor] = (index, weight)
                     _heappush(heap, (candidate, counter * n + neighbor))
                     counter += 1
         elif row:
             self.relaxations += len(row)
             for neighbor, weight in row.items():
-                if settled[neighbor]:
-                    continue
                 candidate = distance + weight
-                if candidate < dist[neighbor]:
+                known = dist.get(neighbor)
+                if known is None or candidate < known:
                     dist[neighbor] = candidate
-                    parent[neighbor] = index
-                    parw[neighbor] = weight
+                    link[neighbor] = (index, weight)
                     _heappush(heap, (candidate, counter * n + neighbor))
                     counter += 1
         self._counter = counter
@@ -865,8 +859,8 @@ class CSRDijkstra:
         if index < 0:
             return None
         ids = self._graph._ids
-        parent_index = self._parent[index]
-        parent = None if parent_index < 0 else ids[parent_index]
+        hop = self._link.get(index)
+        parent = None if hop is None else ids[hop[0]]
         return Visit(ids[index], self._dist[index], parent)
 
     def __iter__(self):
@@ -880,34 +874,36 @@ class CSRDijkstra:
 
     def settled_distance(self, node: Node) -> Optional[float]:
         index = self._graph.index_of(node)
-        if not self._settled[index]:
+        if index not in self._settled:
             return None
         return self._dist[index]
 
     def path_indexes(self, index: int) -> List[int]:
         """Dense-index path ``index -> ... -> source`` along parents."""
-        if not self._settled[index]:
+        if index not in self._settled:
             raise KeyError(f"node index {index} not settled yet")
-        parent = self._parent
+        link = self._link
         path = [index]
-        current = parent[index]
-        while current >= 0:
-            path.append(current)
-            current = parent[current]
+        hop = link.get(index)
+        while hop is not None:
+            path.append(hop[0])
+            hop = link.get(hop[0])
         return path
 
     def path_to_source(self, node: Node) -> List[Node]:
         graph = self._graph
         index = graph.index_of(node)
-        if not self._settled[index]:
+        if index not in self._settled:
             raise KeyError(f"node {node!r} not settled yet")
         ids = graph._ids
         return [ids[i] for i in self.path_indexes(index)]
 
     def parent_weight(self, index: int) -> float:
         """Weight of the edge to ``index``'s parent, captured when the
-        winning relaxation happened."""
-        return self._parw[index]
+        winning relaxation happened (``0.0`` for the source and for
+        nodes not reached yet)."""
+        hop = self._link.get(index)
+        return 0.0 if hop is None else hop[1]
 
     @property
     def exhausted(self) -> bool:

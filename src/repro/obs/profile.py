@@ -37,6 +37,7 @@ class SearchProfile:
         "duplicate_trees",
         "answers_emitted",
         "iterators",
+        "lanes_started",
         "expansion_seconds",
     )
 
@@ -50,6 +51,10 @@ class SearchProfile:
         self.duplicate_trees = 0
         self.answers_emitted = 0
         self.iterators = 0
+        #: Iterators that settled at least one node (``iterators``
+        #: counts those created) — a broad query creates hundreds of
+        #: lanes and starts a handful.
+        self.lanes_started = 0
         self.expansion_seconds = 0.0
 
     # -- aggregation -----------------------------------------------------------
@@ -90,6 +95,7 @@ class SearchProfile:
             f"duplicates={self.duplicate_trees} "
             f"answers={self.answers_emitted} "
             f"iterators={self.iterators} "
+            f"lanes_started={self.lanes_started} "
             f"expansion_ms={self.expansion_seconds * 1000.0:.2f}"
         )
 

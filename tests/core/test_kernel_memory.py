@@ -1,0 +1,107 @@
+"""Search state is bounded by what a search touches, not by |V| x lanes.
+
+A dense lane (distance, parent, parent-weight and settled arrays) costs
+25 bytes per graph node per matching keyword node whether the lane ever
+runs or not; the kernel's sparse lanes and :class:`CSRDijkstra` cost
+nothing until they settle something.  These tests pin that with
+``tracemalloc`` — allocation counts, no timing — and check the
+configuration in which the dense layout hurt most: several engine
+workers answering broad queries at once.
+"""
+
+from __future__ import annotations
+
+import threading
+import tracemalloc
+
+import pytest
+
+from repro.cluster import Cluster, ClusterSpec
+from repro.core.banks import BANKS
+from repro.datasets import synth_bibliography
+from repro.graph.csr import CSRDijkstra
+from repro.obs import SearchProfile
+
+#: What one dense lane held per graph node: three 8-byte arrays + 1 byte.
+DENSE_LANE_BYTES_PER_NODE = 25
+
+
+@pytest.fixture(scope="module")
+def banks():
+    """``synth:1600``: 8,748 nodes, built before any tracing starts."""
+    return BANKS(synth_bibliography(1600)[0])
+
+
+def traced_peak(action) -> int:
+    """Peak bytes allocated while ``action`` runs."""
+    tracemalloc.start()
+    try:
+        action()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestLaneMemory:
+    def test_broad_search_allocates_a_fraction_of_dense_lanes(self, banks):
+        profile = SearchProfile()
+        peak = traced_peak(lambda: banks.search("mining discovery", profile=profile))
+        assert profile.iterators > 200  # 124 + 109 matches, 8 shared
+        dense = profile.iterators * banks.graph.num_nodes * DENSE_LANE_BYTES_PER_NODE
+        assert dense > 45_000_000
+        assert peak < dense / 10
+
+    def test_dijkstra_construction_is_constant_size(self, banks):
+        graph = banks.graph
+        source = next(iter(graph.nodes()))
+        iterators = []
+        peak = traced_peak(
+            lambda: iterators.extend(
+                CSRDijkstra(graph, source, reverse=True) for _ in range(500)
+            )
+        )
+        assert len(iterators) == 500
+        assert peak < 1_000_000  # dense: 500 x 8,748 x 25 B = 109 MB
+
+
+class TestConcurrentBroadQueries:
+    def test_four_workers_answer_distinct_title_words(self):
+        database = synth_bibliography(800)[0]
+        reference = BANKS(database.fork(), freeze=False)
+        queries = ("mining", "indexing", "adaptive views", "parallel queries")
+        expected = {
+            query: [
+                (answer.root, answer.relevance)
+                for answer in reference.search(query, max_results=5)
+            ]
+            for query in queries
+        }
+        assert all(expected.values())
+
+        results = {}
+        errors = []
+        barrier = threading.Barrier(len(queries))
+
+        def ask(cluster, query):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(3):
+                    answers = cluster.query(query, k=5).answers
+                    results[query] = [(a.root, a.relevance) for a in answers]
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        spec = ClusterSpec(topology="single", workers=4)
+        with Cluster(spec, database=database) as cluster:
+            threads = [
+                threading.Thread(target=ask, args=(cluster, query))
+                for query in queries
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert results == expected

@@ -1,0 +1,209 @@
+"""CSR kernel vs the dict reference, kernel to kernel.
+
+``csr_backward_search`` promises the reference search's answers exactly:
+same roots, same float relevances, same emission order, same work.  The
+facade-level tests see that promise through one or two queries; this
+module calls both kernels directly on the same keyword node sets and
+scorer, across the query shapes whose lane counts differ by two orders
+of magnitude (a one-name ``solo`` query starts a fraction of its lanes,
+a ``point`` query runs three lanes for thousands of pops) and across
+every ``SearchConfig`` knob that reaches the lane machinery.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from repro.core.banks import BANKS
+from repro.core.csrkernel import csr_backward_search
+from repro.core.incremental import IncrementalBANKS
+from repro.core.search import _reference_backward_search
+from repro.datasets import (
+    DEMO_QUERY_SETS,
+    generate_bibliography,
+    generate_tpcd,
+    synth_bibliography,
+)
+from repro.graph.csr import CSROverlayGraph, freeze_graph
+from repro.obs import SearchProfile
+from repro.store.delta import apply_graph_delta
+from repro.store.versioned import fork_graph
+
+#: Counters both kernels fill at the same points of the algorithm
+#: (``expansion_seconds`` is wall time, ``answers_emitted`` follows from
+#: the answer lists compared beside them).
+SHARED_COUNTERS = (
+    "heap_pops",
+    "nodes_expanded",
+    "edges_relaxed",
+    "trees_considered",
+    "duplicate_trees",
+    "iterators",
+    "lanes_started",
+)
+
+#: ``synth:800`` query shapes, by the benchmark's class names, with the
+#: lanes each resolves to.
+SHAPES = {
+    "solo": ("albrecht", 40),
+    "name": ("alice albrecht", 55),
+    "half": ("alice 17", 17),
+    "point3": ("3 11 25", 3),
+    "title_word": ("mining", 71),
+    "title_words": ("mining discovery", 129),
+}
+
+#: ``SearchConfig`` overrides on top of ``max_results=5``.  Author
+#: prestige is low, so ``offset_past_radius`` leaves most author lanes
+#: with a starting distance beyond ``max_distance``: they must never
+#: enter the multiplexer, in either kernel.
+VARIANTS = {
+    "default": {},
+    "origin_offsets": {"origin_distance_scale": 0.5},
+    "radius": {"max_distance": 2.0},
+    "offset_past_radius": {"origin_distance_scale": 4.0, "max_distance": 3.9},
+    "partial_answers": {"require_all_keywords": False},
+}
+
+
+def run_both(reference_graph, frozen_graph, keyword_node_sets, scorer, config):
+    """Both kernels to exhaustion: (answers, counters) for each."""
+    assert isinstance(frozen_graph, CSROverlayGraph)
+    outcomes = []
+    for kernel, graph in (
+        (_reference_backward_search, reference_graph),
+        (csr_backward_search, frozen_graph),
+    ):
+        profile = SearchProfile()
+        answers = [
+            (
+                scored.tree.root,
+                scored.relevance,
+                scored.order,
+                scored.tree.keyword_nodes,
+                scored.tree.undirected_key(),
+            )
+            for scored in kernel(
+                graph, keyword_node_sets, scorer, config, profile=profile
+            )
+        ]
+        counters = {name: getattr(profile, name) for name in SHARED_COUNTERS}
+        outcomes.append((answers, counters))
+    return outcomes
+
+
+def assert_parity(reference_graph, frozen_graph, facade, query, config):
+    (expected, expected_counters), (actual, actual_counters) = run_both(
+        reference_graph, frozen_graph, facade.resolve(query), facade.scorer, config
+    )
+    assert actual == expected  # floats compared with ==, on purpose
+    assert actual_counters == expected_counters
+    return actual, actual_counters
+
+
+@pytest.fixture(scope="module")
+def synth():
+    """The reference facade over ``synth:800`` and its frozen graph."""
+    facade = BANKS(synth_bibliography(800)[0], freeze=False)
+    return facade, freeze_graph(facade.graph)
+
+
+class TestSynthShapes:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_under_config(self, synth, shape, variant):
+        facade, frozen = synth
+        query, lanes = SHAPES[shape]
+        config = replace(facade.search_config, max_results=5, **VARIANTS[variant])
+        _answers, counters = assert_parity(facade.graph, frozen, facade, query, config)
+        assert counters["iterators"] == lanes
+        assert 0 < counters["lanes_started"] <= lanes
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_with_allowed_roots(self, synth, shape):
+        facade, frozen = synth
+        allowed = frozenset(node for node in facade.graph.nodes() if node[1] % 3 != 0)
+        config = replace(
+            facade.search_config, max_results=5, allowed_root_nodes=allowed
+        )
+        answers, _counters = assert_parity(
+            facade.graph, frozen, facade, SHAPES[shape][0], config
+        )
+        assert answers and all(root in allowed for root, *_ in answers)
+
+    def test_broad_query_starts_a_fraction_of_its_lanes(self, synth):
+        facade, frozen = synth
+        config = replace(facade.search_config, max_results=5)
+        _answers, counters = assert_parity(
+            facade.graph, frozen, facade, "albrecht", config
+        )
+        assert counters["lanes_started"] == counters["heap_pops"] == 25
+
+    def test_lane_whose_offset_exceeds_the_radius_never_starts(self, synth):
+        facade, frozen = synth
+        config = replace(facade.search_config, **VARIANTS["offset_past_radius"])
+        _answers, counters = assert_parity(
+            facade.graph, frozen, facade, "alice 17", config
+        )
+        assert counters["lanes_started"] < counters["iterators"]
+        # ...and not for want of pops: the started lanes ran to their radius.
+        assert counters["heap_pops"] > counters["iterators"]
+
+
+class TestForkedOverlay:
+    def test_inserted_and_deleted_rows(self):
+        """The same deltas applied to a dict fork and to an overlay fork
+        of the graph frozen *before* them: touched rows are read from
+        the overlay dicts, untouched rows from the arrays."""
+        base = IncrementalBANKS(synth_bibliography(800)[0], freeze=False)
+        frozen = freeze_graph(base.graph)
+        live = base.fork()
+        live.begin_delta_capture()
+        live.insert("author", ["sa900000", "Alice Albrecht 900000"])
+        live.insert("paper", ["S900000", "Mining Discovery Overlays"])
+        live.insert("writes", ["sa900000", "S900000"])
+        live.insert("writes", ["sa000017", "S900000"])
+        live.insert("cites", ["S900000", "S000003"])
+        writes = live.database.table("writes")
+        cites = live.database.table("cites")
+        live.delete(("writes", next(iter(writes)).rid))
+        for row in list(cites)[:3]:
+            live.delete(("cites", row.rid))
+        overlay = fork_graph(frozen)
+        for delta in live.end_delta_capture():
+            apply_graph_delta(overlay, delta)
+        live._refresh_stats()
+        assert overlay.overlay_nodes > 0
+
+        config = replace(live.search_config, max_results=5)
+        for query, _lanes in SHAPES.values():
+            assert_parity(live.graph, overlay, live, query, config)
+        # Author 900000 touches the graph only through the inserted
+        # writes and paper: any answer crosses overlay-only rows.
+        answers, _counters = assert_parity(
+            live.graph, overlay, live, "900000 17", config
+        )
+        assert answers
+
+
+class TestDemoBatteries:
+    @pytest.mark.parametrize(
+        "dataset, generate",
+        [
+            ("bibliography", generate_bibliography),
+            ("tpcd", generate_tpcd),
+            ("synth_bibliography", lambda: synth_bibliography(800)),
+        ],
+    )
+    def test_every_demo_query(self, dataset, generate):
+        facade = BANKS(generate()[0], freeze=False)
+        frozen = freeze_graph(facade.graph)
+        answered = 0
+        for query in DEMO_QUERY_SETS[dataset]:
+            answers, _counters = assert_parity(
+                facade.graph, frozen, facade, query, facade.search_config
+            )
+            answered += bool(answers)
+        assert answered >= len(DEMO_QUERY_SETS[dataset]) // 2

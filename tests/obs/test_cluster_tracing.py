@@ -76,6 +76,7 @@ class TestSpanTreePerTopology:
         assert result.profile.heap_pops > 0
         assert result.profile.answers_emitted > 0
         assert record.profile["heap_pops"] == result.profile.heap_pops
+        assert 0 < result.profile.lanes_started <= result.profile.iterators
 
     def test_forked_workers_reparent_into_one_tree(self, database):
         spec = ClusterSpec(
@@ -88,6 +89,8 @@ class TestSpanTreePerTopology:
         names = _names(roots[0])
         assert names.count("shard.search") == 2
         assert result.profile.heap_pops > 0
+        # ...and survives the forked workers' pipes as a plain dict key
+        assert 0 < result.profile.lanes_started <= result.profile.iterators
 
     def test_replica_process_backend_reparents(self, database):
         spec = ClusterSpec(

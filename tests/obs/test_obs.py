@@ -216,11 +216,15 @@ class TestSearchProfile:
     def test_merge_and_round_trip(self):
         first = SearchProfile()
         first.heap_pops = 3
+        first.lanes_started = 1
         first.expansion_seconds = 0.5
-        second = SearchProfile.from_dict({"heap_pops": 2, "edges_relaxed": 9})
+        second = SearchProfile.from_dict(
+            {"heap_pops": 2, "edges_relaxed": 9, "lanes_started": 4}
+        )
         first.merge(second)
         assert first.heap_pops == 5
         assert first.edges_relaxed == 9
+        assert first.lanes_started == 5
         assert SearchProfile.from_dict(first.to_dict()).to_dict() == (
             first.to_dict()
         )

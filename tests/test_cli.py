@@ -103,6 +103,7 @@ class TestCommands:
         assert "engine.execute" in output
         assert "search.kernel" in output
         assert "profile: heap_pops=" in output
+        assert " lanes_started=" in output
         assert "answer(s) via engine" in output
 
     def test_trace_sharded_topology(self):
