@@ -600,7 +600,7 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
                 f"not {source.name!r}; resume must replay the same stream"
             )
         facade = IncrementalBANKS.recover(
-            lambda: load_database(args.db), args.wal, freeze=False
+            lambda: load_database(args.db), args.wal
         )
     else:
         job = registry.create(
@@ -608,7 +608,7 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
                 args.job_id, source.name, args.db, chunk_size=args.chunk
             )
         )
-        facade = IncrementalBANKS(load_database(args.db), freeze=False)
+        facade = IncrementalBANKS(load_database(args.db))
     store = SnapshotStore(facade, copy_mode="delta", wal=args.wal)
     pipeline = IngestPipeline(registry, StoreTarget(store))
     start = time.perf_counter()

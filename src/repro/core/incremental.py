@@ -27,9 +27,10 @@ the shard router's delta routing.  Two capabilities build on that:
   records through a :class:`~repro.store.log.DeltaLog` so downstream
   consumers (shard routers, replicas) can follow along;
 * **copy-on-write forking** — :meth:`fork` returns a facade sharing
-  all storage structurally (graph adjacency, postings lists, table
-  heaps); mutating the fork copies only what it touches.  This is
-  what makes publishing a snapshot O(delta) instead of O(data);
+  all storage structurally (the frozen graph arrays and overlay rows,
+  postings lists, table heaps); mutating the fork copies only what it
+  touches.  This is what makes publishing a snapshot O(delta) adjacency
+  work instead of O(data);
 * **replication and recovery** — :meth:`apply_delta` /
   :meth:`apply_epochs` absorb *externally derived* deltas (a replica
   following a primary's epochs), and :meth:`recover` rebuilds the
@@ -42,10 +43,16 @@ test over random mutation sequences (``tests/core/test_incremental.py``),
 which also drives the delta-log and deep-copy snapshot paths side by
 side.
 
+The facade's graph is always frozen: a
+:class:`~repro.graph.csr.CSROverlayGraph`, the one mutable graph
+representation.  ``BANKS(database, freeze=False)`` keeps the
+dict-of-dicts graph as a read-only reference oracle; this class takes
+no ``freeze`` option, so passing one is a ``TypeError``.
+
 Limitations: prestige mode ``"pagerank"`` is global by nature and not
 maintained incrementally (construction refuses it); scoring
-normalisers are recomputed lazily (an O(E) scan) on the first search
-after a mutation, which is still far cheaper than a rebuild.
+normalisers are refreshed lazily on the first search after a mutation,
+from aggregates the overlay maintains as it is written.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ from repro.store.delta import (
     derive_update,
     replay_delta,
 )
-from repro.store.versioned import fork_graph
 
 
 class IncrementalBANKS(BANKS):
@@ -86,7 +92,7 @@ class IncrementalBANKS(BANKS):
                 "IncrementalBANKS does not maintain PageRank prestige "
                 "incrementally; use prestige='indegree' or 'none'"
             )
-        super().__init__(database, **banks_options)
+        super().__init__(database, freeze=True, **banks_options)
         self._stats_dirty = False
         self._captured: Optional[List[Delta]] = None
         #: Newest WAL epoch this facade has absorbed (0 = base
@@ -124,8 +130,10 @@ class IncrementalBANKS(BANKS):
         """A facade sharing all storage structurally with this one.
 
         The fork sees exactly this facade's data; mutating it copies
-        only the touched adjacency dicts, postings lists and table
-        heaps (see :mod:`repro.store`).  By the snapshot contract the
+        only the touched overlay rows, postings lists and table heaps
+        (see :mod:`repro.store`).  The graph fork references the frozen
+        base, not this facade's graph, so a chain of published forks
+        does not keep its ancestors alive.  By the snapshot contract the
         parent must not be mutated once forked — the serving layer
         always mutates the newest fork and publishes it.
         """
@@ -133,7 +141,7 @@ class IncrementalBANKS(BANKS):
         clone.__dict__.update(self.__dict__)
         clone.database = self.database.fork()
         clone.index = self.index.fork(clone.database)
-        clone.graph = fork_graph(self.graph)
+        clone.graph = self.graph.fork()
         clone._captured = None
         return clone
 

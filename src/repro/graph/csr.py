@@ -3,8 +3,10 @@
 The dict-of-dicts :class:`~repro.graph.digraph.DiGraph` is the right
 shape for *building* the data graph — idempotent edge merges, tombstoned
 removals — but the search kernel only ever reads it, and pays dict-probe
-and tuple-churn costs on every relaxation.  This module provides the
-read-optimised twin:
+and tuple-churn costs on every relaxation.  So ``DiGraph`` is the
+build-time builder (and the reference the parity tests compare
+against), and this module holds everything a facade serves from and
+writes to:
 
 * :class:`CSRGraph` — an immutable compressed-sparse-row snapshot.
   :meth:`CSRGraph.freeze` densely renumbers the live nodes (tombstone
@@ -16,14 +18,15 @@ read-optimised twin:
   (``log2(1 + w/w_min)``, the paper's *EdgeLog* form) are precomputed
   at freeze time.
 
-* :class:`CSROverlayGraph` — a mutable copy-on-write view over a
-  frozen base.  Delta-touched adjacency rows live in per-node overlay
-  dicts consulted *before* the arrays; untouched rows are read straight
-  from the shared base.  Forking an overlay is O(n) pointer copies
-  (the same contract as :class:`~repro.store.versioned.VersionedGraph`),
-  and mutating a fork copies only the rows it touches — so the O(delta)
-  write path, WAL replay and shard delta routing run unchanged on top
-  of a frozen graph.
+* :class:`CSROverlayGraph` — the one mutable graph representation: a
+  copy-on-write view over a frozen base.  Delta-touched adjacency rows
+  live in per-node overlay dicts consulted *before* the arrays;
+  untouched rows are read straight from the shared base.  Forking an
+  overlay copies an O(n) index spine plus the overlay's row table (not
+  the rows), and mutating a fork copies only the rows it touches — the
+  write path, WAL replay and shard delta routing all run on it.  A fork
+  references the frozen base, never its parent, so a published version
+  does not keep the versions before it alive.
 
 * :class:`CSRDijkstra` — the lazy Dijkstra iterator rewritten for the
   arrays: adjacency read from the contiguous rows by dense int id, a
@@ -70,8 +73,7 @@ class CSRGraph:
     Exposes the full read API of :class:`~repro.graph.digraph.DiGraph`
     (``index_of``/``successors``/``edges``/...), so scorers, stitch
     parity checks and browse pages work unchanged.  Mutators raise:
-    call :meth:`overlay` (or :func:`repro.store.versioned.fork_graph`)
-    to get a writable copy-on-write view.
+    call :meth:`overlay` to get a writable copy-on-write view.
     """
 
     __slots__ = (
@@ -151,12 +153,10 @@ class CSRGraph:
         )
         snapshot._edge_count = len(succ_to)
 
-        # Delegate the normalisers to the source graph: its max scans
-        # tombstone slots as 0.0, and scoring parity demands the exact
-        # same float the dict representation would have produced.
-        snapshot._min_edge = (
-            graph.min_edge_weight() if snapshot._edge_count else None
-        )
+        # Delegate the node normaliser to the source graph: its max
+        # scans tombstone slots as 0.0, and scoring parity demands the
+        # exact same float the dict representation would have produced.
+        snapshot._min_edge = min(succ_w) if succ_w else None
         snapshot._max_node = graph.max_node_weight() if ids else None
         edge_norms: Dict[float, float] = {}
         if snapshot._min_edge is not None and snapshot._min_edge > 0:
@@ -307,55 +307,14 @@ class CSRGraph:
     # -- aggregates ---------------------------------------------------------
 
     def min_edge_weight(self) -> float:
-        over = self._over_succ
-        if not over and self.tombstone_count == 0:
-            if self._min_edge is None:
-                raise _GraphError("graph has no edges")
-            return self._min_edge
-        # Mutated overlay: this runs on every stats refresh of the
-        # write path, so scan overlay rows as dicts and untouched rows
-        # straight off the weight array — never materialise a row.
-        best: Optional[float] = None
-        base_n = len(self._succ_off) - 1
-        offsets, weights = self._succ_off, self._succ_w
-        for index in range(len(self._ids)):
-            row = over.get(index)
-            if row is not None:
-                if not row:
-                    continue
-                candidate = min(row.values())
-            elif index < base_n:
-                lo, hi = offsets[index], offsets[index + 1]
-                if lo == hi:
-                    continue
-                candidate = min(weights[lo:hi])
-            else:
-                continue  # overlay-born node whose row was never written
-            if best is None or candidate < best:
-                best = candidate
-        if best is None:
+        if self._min_edge is None:
             raise _GraphError("graph has no edges")
-        return best
+        return self._min_edge
 
     def max_node_weight(self) -> float:
-        if not self._ids:
+        if self._max_node is None:
             raise _GraphError("graph has no nodes")
-        if not self._over_nw and self.tombstone_count == 0:
-            return self._max_node
-        # Tombstone slots count as 0.0, exactly as DiGraph's weight
-        # list does after remove_node zeroes the slot.
-        best = 0.0 if self.tombstone_count else None
-        over = self._over_nw
-        base = self._node_weights
-        for index, node in enumerate(self._ids):
-            if node is None:
-                continue
-            weight = over.get(index)
-            if weight is None:
-                weight = base[index]
-            if best is None or weight > best:
-                best = weight
-        return best
+        return self._max_node
 
     # -- utilities ----------------------------------------------------------
 
@@ -397,9 +356,8 @@ class CSROverlayGraph(CSRGraph):
     shared base arrays; the full :class:`DiGraph` mutator surface
     (including tombstoned ``remove_node``) is implemented by *owning* a
     row — materialising the array slice into a dict — before touching
-    it.  :meth:`fork` is O(n) pointer copies and fork children share
-    overlay rows structurally until they write, mirroring
-    :class:`~repro.store.versioned.VersionedGraph` semantics exactly.
+    it.  :meth:`fork` copies the index spine and the overlay's row
+    table; children share overlay rows structurally until they write.
     """
 
     __slots__ = (
@@ -407,7 +365,7 @@ class CSROverlayGraph(CSRGraph):
         "_owned_succ",
         "_owned_pred",
         "_live_min",
-        "_min_dirty",
+        "_min_carriers",
         "_live_max",
         "_max_dirty",
     )
@@ -415,7 +373,6 @@ class CSROverlayGraph(CSRGraph):
     @classmethod
     def _over(cls, base: CSRGraph) -> "CSROverlayGraph":
         view = cls.__new__(cls)
-        view._base = base
         view._index = dict(base._index)
         view._ids = list(base._ids)
         view._reprs = list(base._reprs)
@@ -437,18 +394,28 @@ class CSROverlayGraph(CSRGraph):
         view._owned_succ = set()
         view._owned_pred = set()
         # Live normaliser aggregates, maintained incrementally by the
-        # mutators: a full rescan happens only when the standing
-        # extremum itself is invalidated (its edge removed, its node
-        # reweighed downward), so the per-write stats refresh on the
-        # delta path stays O(1) instead of O(V + E).
+        # mutators so the per-write stats refresh stays O(1) instead of
+        # O(V + E).  ``_live_min`` is a lower bound on every edge weight
+        # and ``_min_carriers`` edges carry exactly that weight; Eq. 1
+        # re-weighing constantly replaces *one* minimum-weight edge with
+        # a heavier one, and only when the last carrier goes is the
+        # bound stale and a rescan due.  The node maximum is rescanned
+        # when its holder is reweighed downward or removed.
         if isinstance(base, CSROverlayGraph):
+            # The frozen snapshot, never the parent overlay: a fork
+            # holding its parent would keep every earlier published
+            # version alive.
+            view._base = base._base
             view._live_min = base._live_min
-            view._min_dirty = base._min_dirty
+            view._min_carriers = base._min_carriers
             view._live_max = base._live_max
             view._max_dirty = base._max_dirty
         else:
+            view._base = base
             view._live_min = base._min_edge
-            view._min_dirty = False
+            view._min_carriers = (
+                base._succ_w.count(base._min_edge) if base._edge_count else 0
+            )
             view._live_max = base._max_node
             view._max_dirty = False
         return view
@@ -460,11 +427,8 @@ class CSROverlayGraph(CSRGraph):
 
     @property
     def base(self) -> CSRGraph:
-        """The frozen snapshot underneath (its own base for forks)."""
-        base = self._base
-        while isinstance(base, CSROverlayGraph):
-            base = base._base
-        return base
+        """The frozen snapshot underneath (shared by every fork)."""
+        return self._base
 
     @property
     def overlay_nodes(self) -> int:
@@ -477,8 +441,7 @@ class CSROverlayGraph(CSRGraph):
     @property
     def shared_nodes(self) -> int:
         """Adjacency slots still read from shared storage (base arrays
-        or the parent's overlay rows) — mirrors
-        :attr:`VersionedGraph.shared_nodes` for tests and benchmarks."""
+        or the parent's overlay rows) — the O(delta) claim, observable."""
         return len(self._ids) - len(self._owned_succ)
 
     def refreeze(self) -> CSRGraph:
@@ -488,11 +451,10 @@ class CSROverlayGraph(CSRGraph):
     # -- aggregates (incremental) -------------------------------------------
 
     def min_edge_weight(self) -> float:
-        if self._min_dirty:
-            self._live_min = self._scan_min_edge()
-            self._min_dirty = False
-        if self._live_min is None:
+        if not self._edge_count:
             raise _GraphError("graph has no edges")
+        if not self._min_carriers:
+            self._live_min, self._min_carriers = self._scan_min_edge()
         return self._live_min
 
     def max_node_weight(self) -> float:
@@ -503,27 +465,30 @@ class CSROverlayGraph(CSRGraph):
             self._max_dirty = False
         return self._live_max
 
-    def _scan_min_edge(self) -> Optional[float]:
+    def _scan_min_edge(self) -> Tuple[Optional[float], int]:
+        """``(minimum edge weight, edges carrying it)`` — overlay rows
+        read as dicts, untouched rows straight off the weight array."""
         over = self._over_succ
         best: Optional[float] = None
+        carriers = 0
         base_n = self._base_n()
         offsets, weights = self._succ_off, self._succ_w
         for index in range(len(self._ids)):
             row = over.get(index)
             if row is not None:
-                if not row:
-                    continue
-                candidate = min(row.values())
+                values = list(row.values())
             elif index < base_n:
-                lo, hi = offsets[index], offsets[index + 1]
-                if lo == hi:
-                    continue
-                candidate = min(weights[lo:hi])
+                values = weights[offsets[index] : offsets[index + 1]]
             else:
+                continue  # overlay-born node whose row was never written
+            if not values:
                 continue
+            candidate = min(values)
             if best is None or candidate < best:
-                best = candidate
-        return best
+                best, carriers = candidate, values.count(candidate)
+            elif candidate == best:
+                carriers += values.count(candidate)
+        return best, carriers
 
     def _scan_max_node(self) -> Optional[float]:
         # Tombstone slots count as 0.0, exactly as DiGraph's weight
@@ -615,21 +580,22 @@ class CSROverlayGraph(CSRGraph):
         previous = succ.get(target_index)
         if previous is None:
             self._edge_count += 1
+        else:
+            self._note_removed(previous)
         value = float(weight)
         succ[target_index] = value
         pred[source_index] = value
-        if not self._min_dirty:
-            live = self._live_min
-            if (
-                previous is not None
-                and previous == live
-                and value > previous
-            ):
-                # Overwrote (possibly the only) minimum-weight edge
-                # with something heavier: the floor must be rescanned.
-                self._min_dirty = True
-            elif live is None or value < live:
-                self._live_min = value
+        # Every other edge weighs at least the bound, so a value at or
+        # under it is the minimum even when the carriers had run out.
+        live = self._live_min
+        if live is None or value < live:
+            self._live_min, self._min_carriers = value, 1
+        elif value == live:
+            self._min_carriers += 1
+
+    def _note_removed(self, weight: float) -> None:
+        if weight == self._live_min:
+            self._min_carriers -= 1
 
     def remove_edge(self, source: Node, target: Node) -> None:
         source_index = self.index_of(source)
@@ -638,34 +604,23 @@ class CSROverlayGraph(CSRGraph):
         if target_index not in succ:
             raise _GraphError(f"no edge {source!r} -> {target!r}")
         pred = self._own_pred(target_index)
-        removed = succ[target_index]
-        del succ[target_index]
+        self._note_removed(succ.pop(target_index))
         del pred[source_index]
         self._edge_count -= 1
-        if not self._min_dirty and removed == self._live_min:
-            self._min_dirty = True
 
     def remove_node(self, node: Node) -> None:
         index = self.index_of(node)
         succ = self._own_succ(index)
         pred = self._own_pred(index)
-        live = self._live_min
-        if (
-            not self._min_dirty
-            and live is not None
-            and live in succ.values()
-        ):
-            self._min_dirty = True
-        for target_index in list(succ):
+        for target_index, weight in succ.items():
             del self._own_pred(target_index)[index]
-            self._edge_count -= 1
+            self._note_removed(weight)
+        self._edge_count -= len(succ)
         succ.clear()
-        for source_index in list(pred):
-            row = self._own_succ(source_index)
-            if not self._min_dirty and row[index] == live:
-                self._min_dirty = True
-            del row[index]
-            self._edge_count -= 1
+        for source_index, weight in pred.items():
+            del self._own_succ(source_index)[index]
+            self._note_removed(weight)
+        self._edge_count -= len(pred)
         pred.clear()
         previous = self._current_node_weight(index)
         self._ids[index] = None
@@ -707,10 +662,6 @@ def freeze_graph(graph) -> CSROverlayGraph:
     """Freeze ``graph`` and return a mutable overlay view over it —
     the facade-facing idiom (search reads the arrays, feedback and
     delta replay write the overlay)."""
-    if isinstance(graph, CSROverlayGraph):
-        return graph.refreeze().overlay()
-    if isinstance(graph, CSRGraph):
-        return graph.overlay()
     return CSRGraph.freeze(graph).overlay()
 
 

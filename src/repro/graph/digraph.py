@@ -8,18 +8,22 @@ large databases with millions of nodes and edges can fit in modest
 amounts of memory"* — this representation stores, per node, only its id,
 weight and adjacency, and per edge a single ``(neighbor, weight)`` pair
 in each direction.
+
+``DiGraph`` is the build-time builder:
+:func:`repro.core.model.build_data_graph` fills one, and
+:func:`repro.graph.csr.freeze_graph` snapshots it into the array form
+every facade serves from and writes to
+(:class:`~repro.graph.csr.CSROverlayGraph`).  It keeps its mutators
+because it is also the reference representation the parity tests
+mutate as ground truth, and ``BANKS(database, freeze=False)`` searches
+it as the read-only oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import GraphError, UnknownNodeError
-
-# Warn-once latch for the raw_node_weight deprecation (list, not bool,
-# so the method can flip it without a global statement).
-_warned_raw_node_weight: List[bool] = []
 
 
 class DiGraph:
@@ -38,16 +42,6 @@ class DiGraph:
         self._succ: List[Dict[int, float]] = []
         self._pred: List[Dict[int, float]] = []
         self._edge_count = 0
-        # Cached global minimum edge weight plus how many edges carry
-        # exactly that weight (None = recompute on demand).  The count
-        # matters: Eq. 1 re-weighing constantly *replaces* one
-        # minimum-weight edge with a heavier one (a backward edge whose
-        # indegree grew), and only when the last minimum-carrying edge
-        # disappears is a rescan needed.  Keeps min_edge_weight — read
-        # per snapshot publish for the paper's e_min normaliser — from
-        # scanning all edges each time.
-        self._min_edge_cache: Optional[float] = None
-        self._min_edge_count = 0
 
     # -- construction -------------------------------------------------------
 
@@ -70,33 +64,13 @@ class DiGraph:
             raise GraphError(f"self loop rejected: {source!r}")
         if weight < 0:
             raise GraphError(f"negative edge weight rejected: {weight!r}")
-        self._add_edge_at(self.add_node(source), self.add_node(target), weight)
-
-    def _add_edge_at(
-        self, source_index: int, target_index: int, weight: float
-    ) -> None:
-        """:meth:`add_edge` past validation and node resolution — for
-        subclasses that already resolved (and took ownership of) the
-        endpoint indices."""
-        new_weight = float(weight)
-        old_weight = self._succ[source_index].get(target_index)
-        if old_weight is None:
+        source_index = self.add_node(source)
+        target_index = self.add_node(target)
+        if target_index not in self._succ[source_index]:
             self._edge_count += 1
-        self._succ[source_index][target_index] = new_weight
-        self._pred[target_index][source_index] = new_weight
-        cached = self._min_edge_cache
-        if cached is not None:
-            if old_weight == cached:
-                self._min_edge_count -= 1
-            if new_weight < cached:
-                self._min_edge_cache = new_weight
-                self._min_edge_count = 1
-            elif new_weight == cached:
-                self._min_edge_count += 1
-            elif self._min_edge_count == 0:
-                # Replaced the last edge carrying the minimum with a
-                # heavier weight: the true minimum is unknown now.
-                self._min_edge_cache = None
+        value = float(weight)
+        self._succ[source_index][target_index] = value
+        self._pred[target_index][source_index] = value
 
     # -- removal (incremental maintenance) -----------------------------------
 
@@ -106,13 +80,9 @@ class DiGraph:
         target_index = self.index_of(target)
         if target_index not in self._succ[source_index]:
             raise GraphError(f"no edge {source!r} -> {target!r}")
-        removed = self._succ[source_index].pop(target_index)
+        del self._succ[source_index][target_index]
         del self._pred[target_index][source_index]
         self._edge_count -= 1
-        if self._min_edge_cache is not None and removed == self._min_edge_cache:
-            self._min_edge_count -= 1
-            if self._min_edge_count == 0:
-                self._min_edge_cache = None
 
     def remove_node(self, node: Hashable) -> None:
         """Remove ``node`` and every incident edge.
@@ -122,25 +92,16 @@ class DiGraph:
         regions of the graph are not invalidated.
         """
         index = self.index_of(node)
-        for target_index, weight in list(self._succ[index].items()):
+        for target_index in self._succ[index]:
             del self._pred[target_index][index]
-            self._edge_count -= 1
-            self._note_min_edge_removed(weight)
-        self._succ[index].clear()
-        for source_index, weight in list(self._pred[index].items()):
+        for source_index in self._pred[index]:
             del self._succ[source_index][index]
-            self._edge_count -= 1
-            self._note_min_edge_removed(weight)
+        self._edge_count -= len(self._succ[index]) + len(self._pred[index])
+        self._succ[index].clear()
         self._pred[index].clear()
         self._ids[index] = None
         self._node_weights[index] = 0.0
         del self._index[node]
-
-    def _note_min_edge_removed(self, weight: float) -> None:
-        if self._min_edge_cache is not None and weight == self._min_edge_cache:
-            self._min_edge_count -= 1
-            if self._min_edge_count == 0:
-                self._min_edge_cache = None
 
     # -- node access ----------------------------------------------------------
 
@@ -236,25 +197,15 @@ class DiGraph:
         """Smallest edge weight in the graph (the paper's ``e_min``
         normaliser).  Raises on an edgeless graph.
 
-        O(1) while the maintained cache is valid; a removal of the
-        minimum-carrying edge falls back to one full scan here.
+        A full scan: the builder asks once, and the mutable
+        :class:`~repro.graph.csr.CSROverlayGraph` maintains its own.
         """
-        cached = self._min_edge_cache
-        if cached is not None:
-            return cached
-        best: Optional[float] = None
-        carriers = 0
-        for adjacency in self._succ:
-            for weight in adjacency.values():
-                if best is None or weight < best:
-                    best = weight
-                    carriers = 1
-                elif weight == best:
-                    carriers += 1
+        best = min(
+            (min(adjacency.values()) for adjacency in self._succ if adjacency),
+            default=None,
+        )
         if best is None:
             raise GraphError("graph has no edges")
-        self._min_edge_cache = best
-        self._min_edge_count = carriers
         return best
 
     def max_node_weight(self) -> float:
@@ -270,20 +221,6 @@ class DiGraph:
 
     def raw_predecessors(self, index: int) -> Dict[int, float]:
         return self._pred[index]
-
-    def raw_node_weight(self, index: int) -> float:
-        """Deprecated: the array kernel reads weights through its own
-        frozen arrays, and no in-tree caller reads this anymore.  Use
-        :meth:`node_weight` (id-level) instead."""
-        if not _warned_raw_node_weight:
-            _warned_raw_node_weight.append(True)
-            warnings.warn(
-                "DiGraph.raw_node_weight is deprecated: the search "
-                "kernels no longer read it; use node_weight(node)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self._node_weights[index]
 
     # -- utilities --------------------------------------------------------------
 

@@ -20,13 +20,13 @@ updates incrementally.  This package makes writes O(delta):
   :class:`~repro.core.incremental.IncrementalBANKS` delegates its
   mutation arithmetic here — one derivation serves the facade, the
   serving layer and the shard router.
-* :class:`~repro.store.versioned.VersionedGraph` — a
-  :class:`~repro.graph.digraph.DiGraph` with node-granularity
-  copy-on-write adjacency.  ``fork()`` shares every adjacency dict
-  with the parent and copies one only when the child first mutates it,
-  so publishing a snapshot copies O(delta) adjacency data (plus an
-  O(n) pointer-spine copy whose constant is a few hundred times
-  smaller than a deep copy of the facade).
+* The graph a write touches is always a
+  :class:`~repro.graph.csr.CSROverlayGraph`: ``fork()`` shares the
+  frozen arrays and every overlay row with the parent and copies a row
+  only when the child first mutates it, so publishing a snapshot copies
+  O(delta) adjacency data plus an O(n) index spine.  A fork references
+  the frozen base, never its parent, so old versions are reclaimed as
+  soon as no reader holds them.
 * :class:`~repro.store.log.DeltaLog` — the publication record.  Every
   published snapshot is an **epoch**: a monotone number plus the tuple
   of deltas that produced it.
@@ -86,7 +86,6 @@ from repro.store.delta import (
     replay_delta,
 )
 from repro.store.log import DeltaLog, Epoch
-from repro.store.versioned import VersionedGraph, fork_graph
 from repro.store.wal import (
     ReplicaFollower,
     WalReader,
@@ -99,7 +98,6 @@ __all__ = [
     "DeltaLog",
     "Epoch",
     "ReplicaFollower",
-    "VersionedGraph",
     "WalReader",
     "WalWriter",
     "apply_graph_delta",
@@ -108,6 +106,5 @@ __all__ = [
     "derive_insert",
     "derive_insert_dict",
     "derive_update",
-    "fork_graph",
     "replay_delta",
 ]

@@ -12,6 +12,7 @@ from repro.core.incremental import IncrementalBANKS
 from repro.core.model import build_data_graph
 from repro.core.weights import WeightPolicy
 from repro.errors import BatchMutationError, GraphError, IntegrityError
+from repro.graph.csr import CSROverlayGraph
 from repro.relational import Database, execute_script
 
 
@@ -177,6 +178,11 @@ class TestConfiguration:
             IncrementalBANKS(
                 make_db(), weight_policy=WeightPolicy(prestige="pagerank")
             )
+
+    def test_writable_facade_is_always_frozen(self):
+        assert isinstance(IncrementalBANKS(make_db()).graph, CSROverlayGraph)
+        with pytest.raises(TypeError):
+            IncrementalBANKS(make_db(), freeze=False)
 
     def test_none_prestige_supported(self):
         banks = IncrementalBANKS(

@@ -29,7 +29,6 @@ from repro.datasets import (
 from repro.graph.csr import CSROverlayGraph, freeze_graph
 from repro.obs import SearchProfile
 from repro.store.delta import apply_graph_delta
-from repro.store.versioned import fork_graph
 
 #: Counters both kernels fill at the same points of the algorithm
 #: (``expansion_seconds`` is wall time, ``answers_emitted`` follows from
@@ -154,11 +153,13 @@ class TestSynthShapes:
 
 class TestForkedOverlay:
     def test_inserted_and_deleted_rows(self):
-        """The same deltas applied to a dict fork and to an overlay fork
-        of the graph frozen *before* them: touched rows are read from
-        the overlay dicts, untouched rows from the arrays."""
-        base = IncrementalBANKS(synth_bibliography(800)[0], freeze=False)
-        frozen = freeze_graph(base.graph)
+        """The same deltas applied in place to the reference dict graph
+        and to an overlay fork of the graph frozen *before* them:
+        touched rows are read from the overlay dicts, untouched rows
+        from the arrays."""
+        base = IncrementalBANKS(synth_bibliography(800)[0])
+        reference = BANKS(base.database.fork(), freeze=False).graph
+        overlay = base.graph.fork()
         live = base.fork()
         live.begin_delta_capture()
         live.insert("author", ["sa900000", "Alice Albrecht 900000"])
@@ -171,19 +172,20 @@ class TestForkedOverlay:
         live.delete(("writes", next(iter(writes)).rid))
         for row in list(cites)[:3]:
             live.delete(("cites", row.rid))
-        overlay = fork_graph(frozen)
         for delta in live.end_delta_capture():
+            apply_graph_delta(reference, delta)
             apply_graph_delta(overlay, delta)
         live._refresh_stats()
         assert overlay.overlay_nodes > 0
+        assert reference.min_edge_weight() == live.stats.min_edge_weight
 
         config = replace(live.search_config, max_results=5)
         for query, _lanes in SHAPES.values():
-            assert_parity(live.graph, overlay, live, query, config)
+            assert_parity(reference, overlay, live, query, config)
         # Author 900000 touches the graph only through the inserted
         # writes and paper: any answer crosses overlay-only rows.
         answers, _counters = assert_parity(
-            live.graph, overlay, live, "900000 17", config
+            reference, overlay, live, "900000 17", config
         )
         assert answers
 

@@ -162,6 +162,32 @@ class TestOverlay:
         assert graphs_equal(refrozen, overlay)
         assert refrozen.overlay().overlay_nodes == 0
 
+    def test_min_edge_rescans_only_when_the_last_carrier_goes(
+        self, monkeypatch
+    ):
+        """Eq. 1 re-weighing overwrites one of many minimum-weight edges
+        on almost every write; that must not cost an O(V) rescan."""
+        scans = []
+        scan = CSROverlayGraph._scan_min_edge
+
+        def counting(graph):
+            scans.append(graph)
+            return scan(graph)
+
+        monkeypatch.setattr(CSROverlayGraph, "_scan_min_edge", counting)
+        overlay = freeze_graph(small_graph())  # a->b and c->d weigh 1.0
+        overlay.add_edge("b", "d", 1.0)  # a third carrier
+        overlay.add_edge("a", "b", 3.0)
+        overlay.remove_edge("c", "d")
+        assert overlay.min_edge_weight() == 1.0
+        overlay = overlay.fork()
+        assert overlay.min_edge_weight() == 1.0
+        assert scans == []
+        overlay.remove_edge("b", "d")  # the last carrier goes
+        assert overlay.min_edge_weight() == 2.0
+        assert overlay.min_edge_weight() == 2.0
+        assert len(scans) == 1
+
     def test_mutation_error_parity(self):
         overlay = freeze_graph(small_graph())
         with pytest.raises(GraphError):
@@ -251,14 +277,20 @@ def _apply(graph, op: str, a: int, b: int) -> None:
 @given(seed=st.integers(0, 5), mutations=_mutations)
 def test_property_overlay_replay_matches_digraph(seed, mutations):
     """Freeze a random graph, fork the overlay, replay a random delta
-    sequence over both representations: structural equality AND
+    sequence over both representations (forking again as it goes):
+    identical normalisers after every mutation, structural equality AND
     identical top-k answers (the search kernels must agree answer for
     answer on the mutated graph, not just on the frozen snapshot)."""
     plain = random_graph(seed, nodes=12, edges=24)
     overlay = freeze_graph(random_graph(seed, nodes=12, edges=24)).fork()
-    for op, a, b in mutations:
+    for step, (op, a, b) in enumerate(mutations):
+        if step % 3 == 2:
+            overlay = overlay.fork()  # the maintained aggregates carry over
         _apply(plain, op, a, b)
         _apply(overlay, op, a, b)
+        if plain.num_edges:
+            assert overlay.min_edge_weight() == plain.min_edge_weight()
+        assert overlay.max_node_weight() == plain.max_node_weight()
     assert graphs_equal(overlay, plain)
     assert list(overlay.nodes()) == list(plain.nodes())
     assert list(overlay.edges()) == list(plain.edges())

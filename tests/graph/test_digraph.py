@@ -1,7 +1,5 @@
 """Unit tests for the directed graph substrate."""
 
-import warnings
-
 import pytest
 
 from repro.errors import GraphError, UnknownNodeError
@@ -115,16 +113,3 @@ class TestDerivedGraphs:
         assert reversed_graph.edge_weight("b", "a") == 1.0
         assert reversed_graph.num_edges == triangle.num_edges
 
-
-class TestDeprecations:
-    def test_raw_node_weight_warns_once_and_still_answers(self, triangle):
-        from repro.graph import digraph
-
-        digraph._warned_raw_node_weight.clear()
-        index = triangle._index["a"]
-        expected = triangle.node_weight("a")
-        with pytest.warns(DeprecationWarning, match="raw_node_weight"):
-            assert triangle.raw_node_weight(index) == expected
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # latched: second call is silent
-            assert triangle.raw_node_weight(index) == expected

@@ -64,7 +64,7 @@ def ingest_with_checkpoints(workdir, retain=None):
         checkpoint_path=checkpoint_dir,
     )
     store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
         wal=wal,
         checkpoints=manager,
@@ -116,7 +116,7 @@ def test_recovery_from_checkpoint_plus_tail_matches_live(tmp_path):
     store.wal.close()
     live = store.current().facade
     recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir, checkpoints=manager, freeze=False
+        synth_bibliography_base, wal_dir, checkpoints=manager
     )
     assert recovered.applied_epoch == store.epoch
     queries = DEMO_QUERY_SETS["synth_bibliography"][:3]

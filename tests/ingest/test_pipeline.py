@@ -38,7 +38,7 @@ def make_source(n_papers=N_PAPERS, seed=SEED):
 
 def make_store():
     return SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
     )
 
@@ -73,7 +73,7 @@ def test_ingest_matches_direct_build(tmp_path):
     assert job.chunks_committed == -(-n_records // job.chunk_size)
 
     ingested = store.current().facade
-    direct = IncrementalBANKS(direct_db, freeze=False)
+    direct = IncrementalBANKS(direct_db)
     assert top5(ingested) == top5(direct)
     for table in ("author", "paper", "writes", "cites"):
         assert len(ingested.database.table(table)) == len(

@@ -32,7 +32,7 @@ SEED = 13
 
 # Computed once: the stream the direct build and every ingest replay.
 DIRECT_DB, N_RECORDS = synth_bibliography(N_PAPERS, seed=SEED)
-DIRECT_FACADE = IncrementalBANKS(DIRECT_DB, freeze=False)
+DIRECT_FACADE = IncrementalBANKS(DIRECT_DB)
 PROBE = "mining discovery"
 PROBE_ANSWERS = [
     (a.tree.root, round(a.relevance, 9))
@@ -72,7 +72,7 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     wal_dir = os.path.join(work, "wal")
     registry = JobRegistry(os.path.join(work, "jobs"))
     store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
         wal=wal_dir,
     )
@@ -90,7 +90,7 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     del store
 
     recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir, freeze=False
+        synth_bibliography_base, wal_dir
     )
     resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
     resumed = registry.load("prop")

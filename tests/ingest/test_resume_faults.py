@@ -60,7 +60,7 @@ def top5(facade):
 def reference():
     """The uninterrupted ingest: answers plus chunk count."""
     store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
     )
     import tempfile
@@ -82,7 +82,7 @@ def crash_recover_resume(tmp_path, step, occurrence):
     wal_dir = os.path.join(str(tmp_path), "wal")
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
     store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
         wal=wal_dir,
     )
@@ -98,7 +98,7 @@ def crash_recover_resume(tmp_path, step, occurrence):
     del store  # the crash: all in-memory state is gone
 
     recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir, freeze=False
+        synth_bibliography_base, wal_dir
     )
     resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
     resumed = registry.load("killed")
@@ -138,7 +138,7 @@ def crash_recover_resume_finish(tmp_path):
     wal_dir = os.path.join(str(tmp_path), "wal")
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
     store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
         wal=wal_dir,
     )
@@ -154,7 +154,7 @@ def crash_recover_resume_finish(tmp_path):
     del store
 
     recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir, freeze=False
+        synth_bibliography_base, wal_dir
     )
     resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
     resumed = registry.load("killed")
@@ -174,7 +174,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     wal_dir = os.path.join(str(tmp_path), "wal")
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
     store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base(), freeze=False),
+        IncrementalBANKS(synth_bibliography_base()),
         copy_mode="delta",
         wal=wal_dir,
     )
@@ -191,7 +191,7 @@ def test_double_crash_then_resume(tmp_path, reference):
 
     # First resume crashes too (one chunk later).
     recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir, freeze=False
+        synth_bibliography_base, wal_dir
     )
     resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
     resumed = registry.load("killed")
@@ -204,7 +204,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     del resumed_store
 
     recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir, freeze=False
+        synth_bibliography_base, wal_dir
     )
     final_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
     final = registry.load("killed")

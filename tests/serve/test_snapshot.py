@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import tracemalloc
 
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.datasets import synth_bibliography
 from repro.errors import BatchMutationError, ServeError
+from repro.graph.csr import CSROverlayGraph
 from repro.relational import Database, execute_script
 from repro.serve.snapshot import SnapshotStore, supports_delta
 
@@ -283,6 +287,41 @@ class TestCopyModes:
         assert fresh.search("compiling") == []
         answers = fresh.search("edsger structured")
         assert answers and len(answers[0].tree.nodes) >= 3
+
+
+class TestVersionRetention:
+    def test_publishes_do_not_keep_earlier_versions_alive(self):
+        """A published graph fork references the frozen base, never its
+        parent: once readers drop a version it is reclaimed, so memory
+        grows with what the writes added, not with one O(n) index spine
+        per publish."""
+        store = SnapshotStore(IncrementalBANKS(synth_bibliography(800)[0]))
+
+        def publish(author: int) -> None:
+            store.mutate(
+                lambda f: f.insert("writes", [f"sa{author:06d}", "S000799"])
+            )
+
+        publish(0)  # warm-up: first-write allocations are not growth
+        base = store.current().facade.graph.base
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for author in range(1, 51):
+                publish(author)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        live = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, CSROverlayGraph) and obj.base is base
+        ]
+        # The store's current version, plus the facade it was built on.
+        assert len(live) <= 2
+        assert growth / 50 < 100 * 1024
 
 
 class TestEngineCopyMetrics:

@@ -1,21 +1,27 @@
-"""Tests for VersionedGraph: copy-on-write semantics and the audited
+"""Versioned graph snapshots: the copy-on-write semantics of overlay
+forks that every published store version relies on, and the audited
 tombstone accessor."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.errors import GraphError
+from repro.graph.csr import CSROverlayGraph, freeze_graph
 from repro.graph.digraph import DiGraph
-from repro.store.versioned import VersionedGraph, fork_graph
 
 
-def triangle(cls=VersionedGraph):
-    graph = cls()
+def plain_triangle() -> DiGraph:
+    graph = DiGraph()
     graph.add_edge("a", "b", 1.0)
     graph.add_edge("b", "c", 2.0)
     graph.add_edge("c", "a", 3.0)
     graph.set_node_weight("a", 5.0)
     return graph
+
+
+def triangle() -> CSROverlayGraph:
+    return freeze_graph(plain_triangle())
 
 
 def snapshot(graph):
@@ -45,9 +51,9 @@ class TestForkIsolation:
         assert child.edge_weight("d", "a") == 1.5
 
     def test_wrapping_a_plain_digraph(self):
-        plain = triangle(DiGraph)
-        child = fork_graph(plain)
-        assert isinstance(child, VersionedGraph)
+        plain = plain_triangle()
+        child = freeze_graph(plain)
+        assert isinstance(child, CSROverlayGraph)
         before = snapshot(plain)
         child.remove_node("a")
         assert snapshot(plain) == before
@@ -65,22 +71,22 @@ class TestForkIsolation:
         assert g2.has_edge("a", "c") is False
         assert not g2.has_node("z")
         assert g3.has_node("z")
+        # Every fork holds the frozen base, never its parent: a chain
+        # of published versions does not keep its ancestors alive.
+        assert g3.base is g2.base is g1.base is g0.base
 
     def test_structural_sharing_is_real(self):
         """A fork owns nothing until it writes, then owns only what it
         touched — the O(delta) claim, observable."""
         parent = triangle()
+        parent.add_edge("c", "b", 4.0)  # succ[c] becomes an overlay row
         child = parent.fork()
         assert child.shared_nodes == 3
         child.add_edge("a", "b", 1.5)  # touches succ[a] + pred[b]
         assert child.shared_nodes < 3
-        # Untouched adjacency dicts are the very same objects.
+        # Untouched overlay rows are the very same objects.
         c = child.index_of("c")
         assert child.raw_successors(c) is parent.raw_successors(c)
-
-    def test_fresh_graph_owns_everything(self):
-        graph = triangle()
-        assert graph.shared_nodes == 0
 
 
 class TestEquivalenceWithDiGraph:
@@ -93,9 +99,8 @@ class TestEquivalenceWithDiGraph:
             ("add_node", ("lone",)),
             ("remove_node", ("z",)),
         ]
-        plain = triangle(DiGraph)
-        versioned = triangle()
-        head = versioned
+        plain = plain_triangle()
+        head = triangle()
         for name, args in operations:
             getattr(plain, name)(*args)
             head = head.fork()  # mutate through a fresh fork every time
@@ -103,6 +108,8 @@ class TestEquivalenceWithDiGraph:
         assert snapshot(plain) == snapshot(head)
         assert plain.num_nodes == head.num_nodes
         assert plain.num_edges == head.num_edges
+        assert plain.min_edge_weight() == head.min_edge_weight()
+        assert plain.max_node_weight() == head.max_node_weight()
 
 
 class TestTombstoneAccounting:
@@ -133,7 +140,7 @@ class TestTombstoneAccounting:
         assert parent.tombstone_count == 1
 
     def test_plain_digraph_exposes_the_same_accessor(self):
-        graph = triangle(DiGraph)
+        graph = plain_triangle()
         graph.remove_node("a")
         assert graph.num_nodes == 2
         assert graph.tombstone_count == 1
@@ -142,10 +149,10 @@ class TestTombstoneAccounting:
 class TestContractErrors:
     def test_self_loop_still_rejected(self):
         child = triangle().fork()
-        with pytest.raises(Exception):
+        with pytest.raises(GraphError):
             child.add_edge("a", "a", 1.0)
 
     def test_missing_edge_removal_still_raises(self):
         child = triangle().fork()
-        with pytest.raises(Exception):
+        with pytest.raises(GraphError):
             child.remove_edge("a", "c")

@@ -146,7 +146,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "DeltaLog",
         "Epoch",
         "ReplicaFollower",
-        "VersionedGraph",
         "WalReader",
         "WalWriter",
         "apply_graph_delta",
@@ -155,7 +154,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "derive_insert",
         "derive_insert_dict",
         "derive_update",
-        "fork_graph",
         "replay_delta",
     ),
 }
