@@ -31,7 +31,10 @@ ids and contiguous adjacency arrays:
 
 Overlay rows (:class:`repro.graph.csr.CSROverlayGraph`) are consulted
 before the arrays, so a forked, delta-mutated graph searches correctly
-without re-freezing — at dict speed only for the touched rows.
+without re-freezing — at dict speed only for the touched rows.  Node
+ids resolve the same way: the frozen spine's lists directly, the nodes
+an overlay appended (ids from the base's ``n`` up) through its own
+list.
 
 ``SearchProfile`` counters fill at exactly the reference points, every
 increment behind the same ``is not None`` guard.
@@ -47,7 +50,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 from repro.errors import EmptyQueryError, GraphError
 from repro.core.answer import AnswerTree
 from repro.core.scoring import Scorer
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _node_table
 
 #: An unscored candidate: (root, child -> parent, keyword nodes,
 #: (parent, child) -> weight) — all dense int node ids.
@@ -71,12 +74,27 @@ def csr_backward_search(
     if term_count == 0:
         raise EmptyQueryError("no search terms")
 
-    index = graph._index
-    ids = graph._ids
-    reprs = graph._reprs
-    tables = graph._tables
+    # The frozen spine's lists, read directly; ids from ``base_n`` up
+    # were appended by an overlay (none on a read-only facade).
+    id_of = graph.id_of
+    base_ids = graph._ids
+    base_reprs = graph._reprs
+    base_tables = graph._tables
+    app_ids = graph._app_ids
+    base_n = len(base_ids)
+    lookup = graph._lookup if app_ids or graph._removed else graph._index.get
+    if app_ids:
 
-    groups = [{node for node in group if node in index} for group in keyword_node_sets]
+        def repr_of(i: int) -> str:
+            return base_reprs[i] if i < base_n else repr(app_ids[i - base_n])
+
+    else:
+        repr_of = base_reprs.__getitem__
+
+    groups = [
+        {node for node in group if lookup(node) is not None}
+        for group in keyword_node_sets
+    ]
     if config.require_all_keywords and any(not group for group in groups):
         return  # some keyword matches nothing: no complete answer exists
 
@@ -86,7 +104,7 @@ def csr_backward_search(
     terms_of_origin: Dict[int, List[int]] = {}
     for term_index, group in enumerate(groups):
         for node in sorted(group, key=repr):
-            terms_of_origin.setdefault(index[node], []).append(term_index)
+            terms_of_origin.setdefault(lookup(node), []).append(term_index)
     if not terms_of_origin:
         return
 
@@ -101,16 +119,15 @@ def csr_backward_search(
     else:
         nw = base_nw.__getitem__
 
-    max_node_weight = graph.max_node_weight() if len(index) else 1.0
+    max_node_weight = graph.max_node_weight() if graph.num_nodes else 1.0
     if max_node_weight <= 0:
         max_node_weight = 1.0
 
-    n_total = len(ids)
+    n_total = base_n + len(app_ids)
     over_pred = graph._over_pred
     pred_off = graph._pred_off
     pred_to = graph._pred_to
     pred_w = graph._pred_w
-    base_n = len(pred_off) - 1
     max_distance = config.max_distance
 
     # -- lanes: one sparse Dijkstra per origin, started on first pop -------
@@ -159,7 +176,7 @@ def csr_backward_search(
         total = 0
         if edge_weights:
             pairs = [
-                ("(%s, %s)" % (reprs[s], reprs[t]), w)
+                ("(%s, %s)" % (repr_of(s), repr_of(t)), w)
                 for (s, t), w in edge_weights.items()
             ]
             pairs.sort(key=itemgetter(0))
@@ -193,10 +210,10 @@ def csr_backward_search(
     def materialize(tree: _IntTree) -> AnswerTree:
         root, parent, keyword_nodes, edge_weights = tree
         return AnswerTree(
-            ids[root],
-            {ids[c]: ids[p] for c, p in parent.items()},
-            tuple(None if k is None else ids[k] for k in keyword_nodes),
-            {(ids[s], ids[t]): w for (s, t), w in edge_weights.items()},
+            id_of(root),
+            {id_of(c): id_of(p) for c, p in parent.items()},
+            tuple(None if k is None else id_of(k) for k in keyword_nodes),
+            {(id_of(s), id_of(t)): w for (s, t), w in edge_weights.items()},
         )
 
     # -- dedup + output heap (identical machinery, int keys) ---------------
@@ -331,9 +348,14 @@ def csr_backward_search(
             lists = [[] for _ in range(term_count)]
             visit_lists[v] = lists
 
-        node_id = ids[v]
+        if v < base_n:
+            node_id = base_ids[v]
+            table = base_tables[v]
+        else:
+            node_id = app_ids[v - base_n]
+            table = _node_table(node_id)
         root_allowed = (
-            tables[v] not in excluded_tables
+            table not in excluded_tables
             and node_id not in excluded_nodes
             and (allowed_nodes is None or node_id in allowed_nodes)
         )

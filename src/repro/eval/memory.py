@@ -79,6 +79,9 @@ _CSR_GRAPH_ATTRS = (
     "_over_succ",
     "_over_pred",
     "_over_nw",
+    "_app_ids",
+    "_app_index",
+    "_removed",
 )
 
 

@@ -21,12 +21,16 @@ writes to:
 * :class:`CSROverlayGraph` — the one mutable graph representation: a
   copy-on-write view over a frozen base.  Delta-touched adjacency rows
   live in per-node overlay dicts consulted *before* the arrays;
-  untouched rows are read straight from the shared base.  Forking an
-  overlay copies an O(n) index spine plus the overlay's row table (not
-  the rows), and mutating a fork copies only the rows it touches — the
-  write path, WAL replay and shard delta routing all run on it.  A fork
-  references the frozen base, never its parent, so a published version
-  does not keep the versions before it alive.
+  untouched rows are read straight from the shared base.  The frozen
+  node spine (``_index``/``_ids``/``_reprs``/``_tables``) is read-only
+  and shared by every fork; an overlay owns only the nodes appended
+  since the freeze (dense ids from the base's ``n`` up), their reverse
+  index and the set of removed ids, so forking costs O(appended +
+  removed + overlay rows) and mutating a fork copies only the rows it
+  touches — the write path, WAL replay and shard delta routing all run
+  on it.  A removed node's id is never reused: re-adding it appends a
+  new id.  A fork references the frozen base, never its parent, so a
+  published version does not keep the versions before it alive.
 
 * :class:`CSRDijkstra` — the lazy Dijkstra iterator rewritten for the
   arrays: adjacency read from the contiguous rows by dense int id, a
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 from array import array
 from heapq import heappop as _heappop, heappush as _heappush
+from itertools import chain as _chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import GraphError as _GraphError
@@ -95,6 +100,9 @@ class CSRGraph:
         "_over_succ",
         "_over_pred",
         "_over_nw",
+        "_app_ids",
+        "_app_index",
+        "_removed",
     )
 
     def __init__(self) -> None:
@@ -172,6 +180,9 @@ class CSRGraph:
         snapshot._over_succ = {}
         snapshot._over_pred = {}
         snapshot._over_nw = {}
+        snapshot._app_ids = ()
+        snapshot._app_index = {}
+        snapshot._removed = frozenset()
         return snapshot
 
     def overlay(self) -> "CSROverlayGraph":
@@ -205,18 +216,37 @@ class CSRGraph:
     set_node_weight = _refuse_mutation
 
     # -- node access --------------------------------------------------------
+    #
+    # Dense ids below ``len(self._ids)`` live in the frozen spine; ids from
+    # there up were appended by an overlay (``_app_ids``, reverse index
+    # ``_app_index``).  ``_removed`` holds tombstoned ids of either kind.
+    # All three are empty on a frozen snapshot.
+
+    def _lookup(self, node: Node) -> Optional[int]:
+        """The dense id of live ``node``, or ``None``."""
+        index = self._index.get(node)
+        if index is None or index in self._removed:
+            return self._app_index.get(node)
+        return index
+
+    def _slot_count(self) -> int:
+        """Dense ids handed out so far, tombstones included."""
+        return len(self._ids) + len(self._app_ids)
 
     def index_of(self, node: Node) -> int:
-        try:
-            return self._index[node]
-        except KeyError:
-            raise _UnknownNodeError(node) from None
+        index = self._lookup(node)
+        if index is None:
+            raise _UnknownNodeError(node)
+        return index
 
     def id_of(self, index: int) -> Node:
-        return self._ids[index]
+        base_n = len(self._ids)
+        if index < base_n:
+            return None if index in self._removed else self._ids[index]
+        return self._app_ids[index - base_n]
 
     def has_node(self, node: Node) -> bool:
-        return node in self._index
+        return self._lookup(node) is not None
 
     def node_weight(self, node: Node) -> float:
         index = self.index_of(node)
@@ -226,15 +256,22 @@ class CSRGraph:
         return self._node_weights[index]
 
     def nodes(self) -> Iterator[Node]:
-        return (node for node in self._ids if node is not None)
+        removed = self._removed
+        frozen: Iterable[Node] = self._ids
+        if removed:
+            frozen = (
+                node for index, node in enumerate(frozen) if index not in removed
+            )
+        appended = (node for node in self._app_ids if node is not None)
+        return _chain(frozen, appended)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._index)
+        return self._slot_count() - len(self._removed)
 
     @property
     def tombstone_count(self) -> int:
-        return len(self._ids) - len(self._index)
+        return len(self._removed)
 
     @property
     def num_edges(self) -> int:
@@ -265,8 +302,8 @@ class CSRGraph:
     # -- edge access --------------------------------------------------------
 
     def has_edge(self, source: Node, target: Node) -> bool:
-        source_index = self._index.get(source)
-        target_index = self._index.get(target)
+        source_index = self._lookup(source)
+        target_index = self._lookup(target)
         if source_index is None or target_index is None:
             return False
         return target_index in self._succ_row(source_index)
@@ -280,15 +317,15 @@ class CSRGraph:
             raise _GraphError(f"no edge {source!r} -> {target!r}") from None
 
     def successors(self, node: Node) -> List[Tuple[Node, float]]:
-        ids = self._ids
+        id_of = self.id_of
         return [
-            (ids[t], w) for t, w in self._succ_row(self.index_of(node)).items()
+            (id_of(t), w) for t, w in self._succ_row(self.index_of(node)).items()
         ]
 
     def predecessors(self, node: Node) -> List[Tuple[Node, float]]:
-        ids = self._ids
+        id_of = self.id_of
         return [
-            (ids[s], w) for s, w in self._pred_row(self.index_of(node)).items()
+            (id_of(s), w) for s, w in self._pred_row(self.index_of(node)).items()
         ]
 
     def out_degree(self, node: Node) -> int:
@@ -298,11 +335,11 @@ class CSRGraph:
         return len(self._pred_row(self.index_of(node)))
 
     def edges(self) -> Iterator[Tuple[Node, Node, float]]:
-        ids = self._ids
-        for source_index in range(len(ids)):
-            source = ids[source_index]
+        id_of = self.id_of
+        for source_index in range(self._slot_count()):
+            source = id_of(source_index)
             for target_index, weight in self._succ_row(source_index).items():
-                yield (source, ids[target_index], weight)
+                yield (source, id_of(target_index), weight)
 
     # -- aggregates ---------------------------------------------------------
 
@@ -343,7 +380,7 @@ class CSRGraph:
         return result
 
     def __contains__(self, node: Node) -> bool:
-        return node in self._index
+        return self._lookup(node) is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph({self.num_nodes} nodes, {self.num_edges} edges)"
@@ -356,8 +393,10 @@ class CSROverlayGraph(CSRGraph):
     shared base arrays; the full :class:`DiGraph` mutator surface
     (including tombstoned ``remove_node``) is implemented by *owning* a
     row — materialising the array slice into a dict — before touching
-    it.  :meth:`fork` copies the index spine and the overlay's row
-    table; children share overlay rows structurally until they write.
+    it.  The frozen node spine is shared read-only; :meth:`fork` copies
+    only the appended nodes, their reverse index, the removed ids and
+    the overlay's row table, and children share overlay rows
+    structurally until they write.
     """
 
     __slots__ = (
@@ -373,10 +412,15 @@ class CSROverlayGraph(CSRGraph):
     @classmethod
     def _over(cls, base: CSRGraph) -> "CSROverlayGraph":
         view = cls.__new__(cls)
-        view._index = dict(base._index)
-        view._ids = list(base._ids)
-        view._reprs = list(base._reprs)
-        view._tables = list(base._tables)
+        # The frozen spine is never written, so every fork shares it;
+        # what the overlay changed about the node set is O(delta).
+        view._index = base._index
+        view._ids = base._ids
+        view._reprs = base._reprs
+        view._tables = base._tables
+        view._app_ids = list(base._app_ids)
+        view._app_index = dict(base._app_index)
+        view._removed = set(base._removed)
         view._node_weights = base._node_weights
         view._succ_off = base._succ_off
         view._succ_to = base._succ_to
@@ -421,7 +465,8 @@ class CSROverlayGraph(CSRGraph):
         return view
 
     def fork(self) -> "CSROverlayGraph":
-        """A child sharing the base arrays and all overlay rows; the
+        """A child sharing the frozen spine, the base arrays and all
+        overlay rows, at O(appended + removed + overlay rows) cost; the
         parent must not be mutated afterwards (snapshot contract)."""
         return CSROverlayGraph._over(self)
 
@@ -442,7 +487,7 @@ class CSROverlayGraph(CSRGraph):
     def shared_nodes(self) -> int:
         """Adjacency slots still read from shared storage (base arrays
         or the parent's overlay rows) — the O(delta) claim, observable."""
-        return len(self._ids) - len(self._owned_succ)
+        return self._slot_count() - len(self._owned_succ)
 
     def refreeze(self) -> CSRGraph:
         """Collapse the overlay into a fresh frozen snapshot."""
@@ -458,7 +503,7 @@ class CSROverlayGraph(CSRGraph):
         return self._live_min
 
     def max_node_weight(self) -> float:
-        if not self._ids:
+        if not self._slot_count():
             raise _GraphError("graph has no nodes")
         if self._max_dirty:
             self._live_max = self._scan_max_node()
@@ -473,7 +518,7 @@ class CSROverlayGraph(CSRGraph):
         carriers = 0
         base_n = self._base_n()
         offsets, weights = self._succ_off, self._succ_w
-        for index in range(len(self._ids)):
+        for index in range(self._slot_count()):
             row = over.get(index)
             if row is not None:
                 values = list(row.values())
@@ -493,11 +538,12 @@ class CSROverlayGraph(CSRGraph):
     def _scan_max_node(self) -> Optional[float]:
         # Tombstone slots count as 0.0, exactly as DiGraph's weight
         # list does after remove_node zeroes the slot.
-        best: Optional[float] = 0.0 if self.tombstone_count else None
+        removed = self._removed
+        best: Optional[float] = 0.0 if removed else None
         over = self._over_nw
         base = self._node_weights
-        for index, node in enumerate(self._ids):
-            if node is None:
+        for index in range(self._slot_count()):
+            if index in removed:
                 continue
             weight = over.get(index)
             if weight is None:
@@ -548,14 +594,12 @@ class CSROverlayGraph(CSRGraph):
     # -- mutators -----------------------------------------------------------
 
     def add_node(self, node: Node, weight: float = 0.0) -> int:
-        existing = self._index.get(node)
+        existing = self._lookup(node)
         if existing is not None:
             return existing
-        index = len(self._ids)
-        self._index[node] = index
-        self._ids.append(node)
-        self._reprs.append(repr(node))
-        self._tables.append(_node_table(node))
+        index = self._slot_count()
+        self._app_index[node] = index
+        self._app_ids.append(node)
         value = float(weight)
         self._over_nw[index] = value
         self._over_succ[index] = {}
@@ -623,10 +667,12 @@ class CSROverlayGraph(CSRGraph):
         self._edge_count -= len(pred)
         pred.clear()
         previous = self._current_node_weight(index)
-        self._ids[index] = None
-        self._tables[index] = None
+        base_n = self._base_n()
+        if index >= base_n:
+            self._app_ids[index - base_n] = None
+            del self._app_index[node]
+        self._removed.add(index)
         self._over_nw[index] = 0.0
-        del self._index[node]
         if not self._max_dirty:
             if previous == self._live_max:
                 self._max_dirty = True
@@ -708,7 +754,7 @@ class CSRDijkstra:
         self.source = source
         self._reverse = reverse
         self._max_distance = max_distance
-        self._n = len(graph._ids)
+        self._n = graph._slot_count()
         source_index = graph.index_of(source)
         self._dist: Dict[int, float] = {source_index: initial_distance}
         self._link: Dict[int, Tuple[int, float]] = {}
@@ -809,10 +855,10 @@ class CSRDijkstra:
         index = self.next_index()
         if index < 0:
             return None
-        ids = self._graph._ids
+        id_of = self._graph.id_of
         hop = self._link.get(index)
-        parent = None if hop is None else ids[hop[0]]
-        return Visit(ids[index], self._dist[index], parent)
+        parent = None if hop is None else id_of(hop[0])
+        return Visit(id_of(index), self._dist[index], parent)
 
     def __iter__(self):
         while True:
@@ -846,8 +892,8 @@ class CSRDijkstra:
         index = graph.index_of(node)
         if index not in self._settled:
             raise KeyError(f"node {node!r} not settled yet")
-        ids = graph._ids
-        return [ids[i] for i in self.path_indexes(index)]
+        id_of = graph.id_of
+        return [id_of(i) for i in self.path_indexes(index)]
 
     def parent_weight(self, index: int) -> float:
         """Weight of the edge to ``index``'s parent, captured when the

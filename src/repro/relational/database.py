@@ -54,8 +54,10 @@ class Database:
         self._reverse_refs: Dict[RID, List[Tuple[ForeignKey, str, int]]] = (
             defaultdict(list)
         )
-        # Reverse-ref lists shared with a fork; copied before append.
-        self._shared_refs: Set[RID] = set()
+        # Reverse-ref lists this version has copied since its last fork,
+        # so owns privately; any other list may be shared with a fork
+        # and is copied before its first append.
+        self._owned_refs: Set[RID] = set()
         # target rid -> {source table: count}: the per-relation indegree
         # ``IN_{R}(v)`` of Eq. 1, maintained so :meth:`indegree_from` is
         # O(1) instead of scanning the (possibly huge, for hub tuples)
@@ -80,6 +82,10 @@ class Database:
         consistent database; whichever side mutates first pays for
         exactly what it touches.  The snapshot store only ever mutates
         the newest fork.
+
+        Cost: one shallow copy each of the table map, the reverse-ref
+        map and the indegree map; the owned-list sets restart empty on
+        both sides, so no set of keys is built.
         """
         child = Database.__new__(Database)
         child.name = self.name
@@ -87,9 +93,8 @@ class Database:
         child._deferred = self._deferred
         child._tables = {name: table.fork() for name, table in self._tables.items()}
         child._reverse_refs = defaultdict(list, self._reverse_refs)
-        shared = set(self._reverse_refs)
-        child._shared_refs = shared
-        self._shared_refs = set(shared)
+        child._owned_refs = set()
+        self._owned_refs = set()
         child._indeg = dict(self._indeg)  # inner dicts shared, see __init__
         child._fk_plans = self._fk_plans  # schema-derived, DDL rebinds
         return child
@@ -117,10 +122,12 @@ class Database:
 
     def drop_table(self, table_name: str) -> None:
         self.schema.drop_table(table_name)
-        table = self._tables.pop(table_name)
-        self._fk_plans = {}
+        table = self._tables[table_name]
+        # Forget while the table still resolves its own references.
         for row in table.scan():
             self._forget_references(table.schema, row)
+        del self._tables[table_name]
+        self._fk_plans = {}
 
     # -- access ---------------------------------------------------------------
 
@@ -180,7 +187,9 @@ class Database:
         would dangle a reference raises :class:`IntegrityError` and the
         tuple is restored); the reverse-reference index is maintained.
         Changing the primary key of a tuple that other tuples reference
-        is refused — their foreign-key values would be orphaned.
+        is refused — their foreign-key values would be orphaned — and so
+        is changing a non-key column an inclusion dependency references
+        it through.
         """
         table_name, slot = rid
         table = self.table(table_name)
@@ -190,15 +199,22 @@ class Database:
 
         old_row = table.row(slot)
         old_values = old_row.values
-        pk_changed = any(
-            column in changes and changes[column] != old_row[column]
-            for column in schema.primary_key
-        )
-        if pk_changed and self._reverse_refs.get(rid):
-            raise IntegrityError(
-                f"cannot change primary key of {rid}: referenced by "
-                f"{len(self._reverse_refs[rid])} tuple(s)"
-            )
+        referrers = self._reverse_refs.get(rid)
+        changed = {
+            column for column in changes if changes[column] != old_row[column]
+        }
+        if referrers and changed:
+            if changed.intersection(schema.primary_key):
+                raise IntegrityError(
+                    f"cannot change primary key of {rid}: referenced by "
+                    f"{len(referrers)} tuple(s)"
+                )
+            for fk, _source_table, _source_rid in referrers:
+                if changed.intersection(fk.target_columns):
+                    raise IntegrityError(
+                        f"cannot change {fk.target_columns} of {rid}: "
+                        f"referenced via {fk.name}"
+                    )
 
         new_values = [
             changes.get(name, old_values[position])
@@ -234,88 +250,60 @@ class Database:
 
     # -- referential machinery ------------------------------------------------
 
-    def _resolve_fk_target(
-        self, fk: ForeignKey, row: Row
-    ) -> Optional[RID]:
-        """RID of the tuple that ``row`` references through ``fk``.
-
-        Returns ``None`` when any referencing column is NULL (SQL
-        semantics: NULL foreign keys reference nothing).
-        """
-        key = tuple(row[c] for c in fk.source_columns)
-        if any(part is None for part in key):
-            return None
-        target_table = self.table(fk.target_table)
-        target_schema = target_table.schema
-        if tuple(target_schema.primary_key) == tuple(fk.target_columns):
-            target_row = target_table.lookup_pk(key)
-        else:
-            # Referenced columns are not the PK (the paper's "inclusion
-            # dependency" extension): fall back to a scan for the first
-            # matching tuple.
-            target_row = None
-            positions = [
-                target_schema.column_position(c) for c in fk.target_columns
-            ]
-            for candidate in target_table.scan():
-                if tuple(candidate.values[p] for p in positions) == key:
-                    target_row = candidate
-                    break
-        if target_row is None:
-            if self._deferred:
-                return None
-            raise IntegrityError(
-                f"foreign key violation: {fk.name} has no target for {key!r}"
-            )
-        return (fk.target_table, target_row.rid)
-
     def _record_references(self, schema: TableSchema, row: Row) -> None:
         # Resolve every target before mutating the index so that a failing
         # FK leaves no partial entries behind.
-        targets: List[Tuple[RID, ForeignKey]] = []
-        for fk in schema.foreign_keys:
-            target = self._resolve_fk_target(fk, row)
-            if target is not None:
-                targets.append((target, fk))
-        for target, fk in targets:
-            if target in self._shared_refs:
-                # The list is shared with a fork: copy before append.
-                self._reverse_refs[target] = list(self._reverse_refs[target])
-                self._shared_refs.discard(target)
-            self._reverse_refs[target].append((fk, schema.name, row.rid))
+        targets = self._resolve(self._fk_plan(schema.name), row.values)
+        refs = self._reverse_refs
+        owned = self._owned_refs
+        for fk, target in targets:
+            if target not in owned:
+                # Possibly shared with a fork: copy before the first append.
+                refs[target] = list(refs.get(target, ()))
+                owned.add(target)
+            refs[target].append((fk, schema.name, row.rid))
             counts = dict(self._indeg.get(target, ()))
             counts[schema.name] = counts.get(schema.name, 0) + 1
             self._indeg[target] = counts
 
     def _forget_references(self, schema: TableSchema, row: Row) -> None:
-        for fk in schema.foreign_keys:
-            key = tuple(row[c] for c in fk.source_columns)
-            if any(part is None for part in key):
+        """Drop ``row``'s entries from the reverse index.
+
+        Each foreign key's target is resolved exactly as
+        :meth:`_record_references` resolved it, and only that target's
+        list and indegree entry are rebuilt; a NULL or deferred-missing
+        target recorded nothing, so there is nothing to forget.  (A
+        recorded target keeps its key: it can be neither deleted nor
+        re-keyed while referenced, see :meth:`update`.)
+        """
+        refs = self._reverse_refs
+        for fk, target in self._resolve(self._fk_plan(schema.name), row.values):
+            entries = refs.get(target)
+            if not entries:
                 continue
-            for target, entries in list(self._reverse_refs.items()):
-                if target[0] != fk.target_table:
-                    continue
-                kept = [
-                    e
-                    for e in entries
-                    if not (e[0] is fk and e[1] == schema.name and e[2] == row.rid)
-                ]
-                if len(kept) != len(entries):
-                    if kept:
-                        self._reverse_refs[target] = kept
-                    else:
-                        del self._reverse_refs[target]
-                    dropped = len(entries) - len(kept)
-                    counts = dict(self._indeg.get(target, ()))
-                    remaining = counts.get(schema.name, 0) - dropped
-                    if remaining > 0:
-                        counts[schema.name] = remaining
-                    else:
-                        counts.pop(schema.name, None)
-                    if counts:
-                        self._indeg[target] = counts
-                    else:
-                        self._indeg.pop(target, None)
+            kept = [
+                e
+                for e in entries
+                if not (e[0] is fk and e[1] == schema.name and e[2] == row.rid)
+            ]
+            dropped = len(entries) - len(kept)
+            if not dropped:
+                continue
+            if kept:
+                refs[target] = kept
+                self._owned_refs.add(target)
+            else:
+                del refs[target]
+            counts = dict(self._indeg.get(target, ()))
+            remaining = counts.get(schema.name, 0) - dropped
+            if remaining > 0:
+                counts[schema.name] = remaining
+            else:
+                counts.pop(schema.name, None)
+            if counts:
+                self._indeg[target] = counts
+            else:
+                self._indeg.pop(target, None)
 
     # -- reference queries ------------------------------------------------------
 
@@ -359,7 +347,16 @@ class Database:
             plan = self._fk_plan(table_name)
         if not plan:
             return []
-        values = self._tables[table_name].values_at(slot)
+        return self._resolve(plan, self._tables[table_name].values_at(slot))
+
+    def _resolve(
+        self, plan, values: Sequence[Any]
+    ) -> List[Tuple[ForeignKey, RID]]:
+        """``(fk, target)`` for each foreign key of a row holding
+        ``values``, following its table's :meth:`_fk_plan` — the one
+        resolution that recording, forgetting and :meth:`references_of`
+        share.  NULL keys reference nothing; a missing target raises
+        :class:`IntegrityError`, or is skipped in a deferred database."""
         out: List[Tuple[ForeignKey, RID]] = []
         for fk, target_name, source_positions, target_positions in plan:
             if len(source_positions) == 1:
@@ -501,7 +498,7 @@ class Database:
         """
         self.schema.validate()
         self._reverse_refs.clear()
-        self._shared_refs.clear()
+        self._owned_refs.clear()
         self._indeg.clear()
         was_deferred = self._deferred
         self._deferred = False

@@ -22,9 +22,10 @@ updates incrementally.  This package makes writes O(delta):
   serving layer and the shard router.
 * The graph a write touches is always a
   :class:`~repro.graph.csr.CSROverlayGraph`: ``fork()`` shares the
-  frozen arrays and every overlay row with the parent and copies a row
-  only when the child first mutates it, so publishing a snapshot copies
-  O(delta) adjacency data plus an O(n) index spine.  A fork references
+  frozen arrays, the frozen node spine and every overlay row with the
+  parent and copies a row only when the child first mutates it, so
+  publishing a snapshot copies O(delta) adjacency and node data — the
+  nodes appended and removed since the freeze.  A fork references
   the frozen base, never its parent, so old versions are reclaimed as
   soon as no reader holds them.
 * :class:`~repro.store.log.DeltaLog` — the publication record.  Every

@@ -73,8 +73,10 @@ class InvertedIndex:
         # token -> (table, column) pairs whose column name matches it
         self._column_meta: Dict[str, Set[Tuple[str, str]]] = {}
         self._database: Optional[Database] = None
-        # Postings lists shared with a fork; copied before append.
-        self._shared_tokens: Set[str] = set()
+        # Postings lists this version has copied since its last fork,
+        # so owns privately; any other list may be shared with a fork
+        # and is copied before its first append.
+        self._owned_tokens: Set[str] = set()
         if database is not None:
             self.build(database)
 
@@ -85,7 +87,7 @@ class InvertedIndex:
         self._postings.clear()
         self._table_meta.clear()
         self._column_meta.clear()
-        self._shared_tokens.clear()
+        self._owned_tokens.clear()
         self._database = database
 
         for table in database.tables():
@@ -126,6 +128,8 @@ class InvertedIndex:
         key_columns = (
             set() if self.index_key_columns else _key_columns(table_obj.schema)
         )
+        postings = self._postings
+        owned = self._owned_tokens
         added: List[str] = []
         for column in table_obj.schema.text_columns():
             if column.name in key_columns:
@@ -134,18 +138,12 @@ class InvertedIndex:
             if value is None:
                 continue
             for token in tokenize(value):
-                if token in self._shared_tokens:
-                    # The list is shared with a fork: copy before
-                    # append.  (A removal may already have dropped or
-                    # replaced the entry — then there is nothing
-                    # shared left to copy.)
-                    existing = self._postings.get(token)
-                    if existing is not None:
-                        self._postings[token] = list(existing)
-                    self._shared_tokens.discard(token)
-                self._postings.setdefault(token, []).append(
-                    Posting(table, rid, column.name)
-                )
+                if token not in owned:
+                    # Possibly shared with a fork: copy before the
+                    # first append.
+                    postings[token] = list(postings.get(token, ()))
+                    owned.add(token)
+                postings[token].append(Posting(table, rid, column.name))
                 added.append(token)
         return tuple(added)
 
@@ -180,8 +178,10 @@ class InvertedIndex:
                     removed.append(token)
                 if kept:
                     self._postings[token] = kept
+                    self._owned_tokens.add(token)
                 else:
                     del self._postings[token]
+                    self._owned_tokens.discard(token)
         return tuple(removed)
 
     def fork(self, database: Optional[Database] = None) -> "InvertedIndex":
@@ -192,16 +192,15 @@ class InvertedIndex:
         Postings lists are copied only when a mutation appends to them
         (removal already replaces lists wholesale); metadata tables
         describe the schema, which is fixed while serving, and stay
-        shared outright.
+        shared outright.  Cost: one shallow copy of the token map; the
+        owned-list sets restart empty on both sides.
         """
         child = InvertedIndex(index_key_columns=self.index_key_columns)
         child._database = database if database is not None else self._database
         child._table_meta = self._table_meta
         child._column_meta = self._column_meta
         child._postings = dict(self._postings)
-        shared = set(self._postings)
-        child._shared_tokens = shared
-        self._shared_tokens = set(shared)
+        self._owned_tokens = set()
         return child
 
     def restricted_to(self, nodes: Set[RID]) -> "InvertedIndex":

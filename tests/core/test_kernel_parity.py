@@ -189,6 +189,76 @@ class TestForkedOverlay:
         )
         assert answers
 
+    def test_deleted_then_reinserted_nodes(self):
+        """A removed node added back takes a fresh dense id past the
+        frozen spine, whether it was a base node or an appended one;
+        the kernel must still match the reference graph given the same
+        removals and re-adds."""
+        base = IncrementalBANKS(synth_bibliography(800)[0])
+        live = base.fork()
+        appended = live.insert("writes", ["sa000017", "S000003"])
+        reference = BANKS(live.database.fork(), freeze=False).graph
+        overlay = live.graph
+        author = min(live.resolve("albrecht")[0])
+        writes = next(s for s, _w in reference.predecessors(author))
+        paper = next(t for t, _w in reference.successors(writes) if t[0] == "paper")
+        readded = (author, writes, paper, appended, ("author", 17))
+        for node in readded:
+            for graph in (reference, overlay):
+                weight = graph.node_weight(node)
+                successors = graph.successors(node)
+                predecessors = graph.predecessors(node)
+                graph.remove_node(node)
+                graph.add_node(node, weight)
+                for target, edge_weight in successors:
+                    graph.add_edge(node, target, edge_weight)
+                for source, edge_weight in predecessors:
+                    graph.add_edge(source, node, edge_weight)
+        assert all(
+            overlay.index_of(node) >= overlay.base.num_nodes for node in readded
+        )
+        assert overlay.tombstone_count == len(readded)
+
+        config = replace(live.search_config, max_results=5)
+        for query, _lanes in SHAPES.values():
+            assert_parity(reference, overlay, live, query, config)
+        answers, _counters = assert_parity(
+            reference, overlay, live, "albrecht 17", config
+        )
+        assert any(author in keyword_nodes for _r, _s, _o, keyword_nodes, _k in answers)
+
+    def test_keyword_nodes_and_trees_on_appended_nodes(self):
+        """Every keyword node of the query, and the trees joining them,
+        exist only past the frozen spine."""
+        base = IncrementalBANKS(synth_bibliography(800)[0])
+        reference = BANKS(base.database.fork(), freeze=False).graph
+        overlay = base.graph.fork()
+        live = base.fork()
+        live.begin_delta_capture()
+        live.insert("author", ["sa900001", "Quokka Zephyr 900001"])
+        live.insert("author", ["sa900002", "Quokka Wombat 900002"])
+        live.insert("paper", ["S900001", "Quokka Overlay Trees"])
+        live.insert("paper", ["S900002", "Wombat Spine Sharing"])
+        live.insert("writes", ["sa900001", "S900001"])
+        live.insert("writes", ["sa900002", "S900001"])
+        live.insert("writes", ["sa900002", "S900002"])
+        live.insert("writes", ["sa900001", "S000003"])
+        live.insert("cites", ["S900002", "S900001"])
+        for delta in live.end_delta_capture():
+            apply_graph_delta(reference, delta)
+            apply_graph_delta(overlay, delta)
+        live._refresh_stats()
+
+        config = replace(live.search_config, max_results=5)
+        for query in ("900001 900002", "quokka wombat", "zephyr spine"):
+            answers, _counters = assert_parity(reference, overlay, live, query, config)
+            assert answers
+            for root, _score, _order, keyword_nodes, _tree in answers:
+                assert not overlay.base.has_node(root)
+                assert not any(overlay.base.has_node(k) for k in keyword_nodes)
+        for query, _lanes in SHAPES.values():
+            assert_parity(reference, overlay, live, query, config)
+
 
 class TestDemoBatteries:
     @pytest.mark.parametrize(

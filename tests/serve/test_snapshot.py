@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import tracemalloc
 
@@ -322,6 +323,71 @@ class TestVersionRetention:
         # The store's current version, plus the facade it was built on.
         assert len(live) <= 2
         assert growth / 50 < 100 * 1024
+
+
+def twenty_publishes(size: int) -> IncrementalBANKS:
+    """``synth:size`` after the same 20 single-row publishes: inserts
+    that append graph nodes, updates, and deletes of appended nodes."""
+    store = SnapshotStore(IncrementalBANKS(synth_bibliography(size)[0]))
+    for k in range(5):
+        store.mutate(lambda f, k=k: f.insert("author", [f"na{k}", f"new author {k}"]))
+        store.mutate(lambda f, k=k: f.insert("paper", [f"NP{k}", f"fresh topic {k}"]))
+        writes = store.mutate(lambda f, k=k: f.insert("writes", [f"na{k}", f"NP{k}"]))
+        if k % 2:
+            store.mutate(lambda f, writes=writes: f.delete(writes))
+        else:
+            store.mutate(
+                lambda f, k=k: f.update(
+                    ("paper", f.database.table("paper").lookup_pk_rid((f"NP{k}",))),
+                    {"title": f"renamed {k}"},
+                )
+            )
+    return store.current().facade
+
+
+def traced_bytes(make):
+    """Bytes still allocated after ``make()``, with its result alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestForkCost:
+    """A publish forks the graph, the database and the index; each fork
+    must cost what the writes touched, not what the graph holds."""
+
+    @pytest.fixture(scope="class")
+    def published(self):
+        return {size: twenty_publishes(size) for size in (800, 3200)}
+
+    def test_graph_fork_does_not_grow_with_the_graph(self, published):
+        small, large = (
+            traced_bytes(published[size].graph.fork)[0] for size in (800, 3200)
+        )
+        assert published[3200].graph.num_nodes > 3.5 * published[800].graph.num_nodes
+        assert large <= 1.25 * small
+
+    def test_database_and_index_forks_copy_each_map_once(self, published):
+        facade = published[3200]
+
+        def fork_both():
+            database = facade.database.fork()
+            return database, facade.index.fork(database)
+
+        allocated, (database, index) = traced_bytes(fork_both)
+        # One shallow copy of each map; no set of their keys.
+        maps = (
+            sys.getsizeof(database._tables)
+            + sys.getsizeof(database._reverse_refs)
+            + sys.getsizeof(database._indeg)
+            + sys.getsizeof(index._postings)
+        )
+        assert allocated <= 1.1 * maps
 
 
 class TestEngineCopyMetrics:

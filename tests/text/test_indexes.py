@@ -68,6 +68,33 @@ class TestInvertedIndex:
         index.add_row("author", rid[1])
         assert index.lookup("brand")
 
+    def test_fork_copies_a_postings_list_before_its_first_append(
+        self, figure1_db
+    ):
+        """Either side of a fork may write first; neither sees the
+        other's postings, including a token one side drops and re-adds."""
+        parent = InvertedIndex(figure1_db)
+        first = figure1_db.insert("author", ["NewA", "Mining First"])
+        parent.add_row("author", first[1])  # the parent now owns "mining"
+        database = figure1_db.fork()
+        child = parent.fork(database)
+        parent_rid = figure1_db.insert("paper", ["P2", "Mining Parent"])
+        parent.add_row("paper", parent_rid[1])
+        rid = database.insert("author", ["NewC", "Mining Surprising"])
+        child.add_row("author", rid[1])
+        # "surprising" loses every posting, then comes back.
+        child.remove_row("paper", 0)
+        child.remove_row("author", rid[1])
+        assert "surprising" not in child
+        child.add_row("paper", 0)
+        assert {p.node for p in child.lookup("mining")} == {("paper", 0), first}
+        assert {p.node for p in child.lookup("surprising")} == {("paper", 0)}
+        assert {p.node for p in parent.lookup("mining")} == {
+            ("paper", 0),
+            first,
+            parent_rid,
+        }
+
     def test_contains_and_len(self, figure1_db):
         index = InvertedIndex(figure1_db)
         assert "mining" in index
