@@ -10,16 +10,18 @@ ids and contiguous adjacency arrays:
 * a keyword-node lane is sparse and lazily started: at set-up it is its
   ``(offset, origin)`` pair and one multiplexer entry; its first
   multiplexer pop materialises a ``node -> distance`` dict, a
-  ``node -> (parent, parent_weight)`` dict, a settled set and a heap,
-  which then hold only the nodes the lane touches — a lane costs what
-  it settles, never |V|;
+  ``node -> parent`` dict and a heap, which then hold only the nodes
+  the lane touches — a lane costs what it settles, never |V|.  There is
+  no settled set: a heap entry is stale iff ``dist[node] < distance``;
 * flat two-tuple heap entries ``(distance, counter * N + node)`` for
   both the per-lane heaps and the multiplexer (the packed int
   reproduces the reference ``(distance, counter, origin)`` tie-break
   exactly, since counters are unique);
-* candidate trees are built as int parent maps and scored from the
-  parent-edge weights captured during relaxation — no
-  ``graph.edge_weight`` probes, no :class:`AnswerTree` allocation for
+* visits are recorded per term (``node -> origins``); a settled node is
+  a candidate root only once the terms its origin does not match have
+  all reached it — until then settling records the visit, nothing else;
+* candidate trees are built as int parent maps, each edge weight read
+  back from the row relaxation read — no :class:`AnswerTree` allocation for
   the overwhelming majority of candidates that the single-child-root
   rule or the output heap discards.  Trees materialise to real
   :class:`AnswerTree` objects only at emission, in the same dict
@@ -138,8 +140,10 @@ def csr_backward_search(
     lane_of: Dict[int, int] = {origin: lane for lane, origin in enumerate(origins)}
     offsets: List[float] = []
     dists: List[Optional[Dict[int, float]]] = [None] * lane_count
-    links: List[Optional[Dict[int, Tuple[int, float]]]] = [None] * lane_count
-    settleds: List[Optional[Set[int]]] = [None] * lane_count
+    links: List[Optional[Dict[int, int]]] = [None] * lane_count
+    # Per started lane: the visit maps of the terms its origin does not
+    # match (none when partial answers are allowed).
+    waits: List[Optional[Tuple[Dict[int, List[int]], ...]]] = [None] * lane_count
     heaps: List[Optional[List[Tuple[float, int]]]] = [None] * lane_count
     counters: List[int] = [1] * lane_count
     multiplexer: List[Tuple[float, int]] = []
@@ -217,7 +221,8 @@ def csr_backward_search(
         )
 
     # -- dedup + output heap (identical machinery, int keys) ---------------
-    visit_lists: Dict[int, List[List[int]]] = {}
+    # Per term: node -> the origins (matching that term) that settled it.
+    visits: List[Dict[int, List[int]]] = [{} for _ in range(term_count)]
     output = _OutputHeap(config.output_heap_size)
     emitted_keys: Set[FrozenSet] = set()
     emitted_count = 0
@@ -278,21 +283,23 @@ def csr_backward_search(
         # valid, and nothing touches the lane in between — so the top
         # (or, on the first pop, the origin itself) settles unchecked.
         heap = heaps[lane]
+        origin = origins[lane]
         if heap is None:
-            v = origins[lane]
+            v = origin
             d0 = offsets[lane]
             heap = heaps[lane] = []
             dist = dists[lane] = {v: d0}
             link = links[lane] = {}
-            settled = settleds[lane] = {v}
+            matched = terms_of_origin[v] if require_all else range(term_count)
+            waits[lane] = tuple(
+                visits[t] for t in range(term_count) if t not in matched
+            )
             count = 1
             if profile is not None:
                 profile.lanes_started += 1
         else:
             d0, packed0 = heappop(heap)
             v = packed0 % n_total
-            settled = settleds[lane]
-            settled.add(v)
             dist = dists[lane]
             link = links[lane]
             count = counters[lane]
@@ -312,7 +319,7 @@ def csr_backward_search(
                 known = dist.get(neighbor)
                 if known is None or candidate < known:
                     dist[neighbor] = candidate
-                    link[neighbor] = (v, weight)
+                    link[neighbor] = v
                     heappush(heap, (candidate, count * n_total + neighbor))
                     count += 1
         elif row:
@@ -323,17 +330,19 @@ def csr_backward_search(
                 known = dist.get(neighbor)
                 if known is None or candidate < known:
                     dist[neighbor] = candidate
-                    link[neighbor] = (v, weight)
+                    link[neighbor] = v
                     heappush(heap, (candidate, count * n_total + neighbor))
                     count += 1
         counters[lane] = count
         if profile is not None:
             profile.nodes_expanded += 1
 
-        # re-arm the multiplexer with the lane's next distance
+        # Re-arm the multiplexer with the lane's next distance.  An entry
+        # is stale iff dist fell below it: a push lowers dist strictly
+        # and nothing lowers a settled node's, so the live one is equal.
         while heap:
             head_distance, head_packed = heap[0]
-            if head_packed % n_total in settled:
+            if dist[head_packed % n_total] < head_distance:
                 heappop(heap)
                 continue
             if max_distance is not None and head_distance > max_distance:
@@ -343,35 +352,37 @@ def csr_backward_search(
             mcount += 1
             break
 
-        lists = visit_lists.get(v)
-        if lists is None:
-            lists = [[] for _ in range(term_count)]
-            visit_lists[v] = lists
+        # v can root a tree only once every term the origin does not
+        # match has reached it; until then the visit is all there is.
+        may_root = True
+        for seen in waits[lane]:
+            if v not in seen:
+                may_root = False
+                break
+        if may_root:
+            if v < base_n:
+                node_id = base_ids[v]
+                table = base_tables[v]
+            else:
+                node_id = app_ids[v - base_n]
+                table = _node_table(node_id)
+            may_root = (
+                table not in excluded_tables
+                and node_id not in excluded_nodes
+                and (allowed_nodes is None or node_id in allowed_nodes)
+            )
+            path_cache: Dict[int, List[int]] = {}
 
-        if v < base_n:
-            node_id = base_ids[v]
-            table = base_tables[v]
-        else:
-            node_id = app_ids[v - base_n]
-            table = _node_table(node_id)
-        root_allowed = (
-            table not in excluded_tables
-            and node_id not in excluded_nodes
-            and (allowed_nodes is None or node_id in allowed_nodes)
-        )
-
-        origin = origins[lane]
-        path_cache: Dict[int, List[int]] = {}
         for term_index in terms_of_origin[origin]:
-            if root_allowed:
-                pools: Optional[List[List[Optional[int]]]] = []
+            if may_root:
+                pools: Optional[List[Sequence[Optional[int]]]] = []
                 for other_term in range(term_count):
                     if other_term == term_index:
                         continue
-                    pool: List[Optional[int]] = list(lists[other_term])
+                    pool: Sequence[Optional[int]] = visits[other_term].get(v, ())
                     if not require_all:
-                        pool.append(None)
-                    if not pool:
+                        pool = [*pool, None]
+                    elif not pool:
                         pools = None
                         break
                     pools.append(pool)
@@ -386,7 +397,7 @@ def csr_backward_search(
                                 assignment.append(next(combo_iter))
                         # Pre-graft discard (Fig. 3 "duplicate result"):
                         # the grafted tree's root children are a subset
-                        # of the raw first hops {links[lane][v][0]}, and
+                        # of the raw first hops {links[lane][v]}, and
                         # the subset is exact when it has at most one
                         # element (the first grafted path always keeps
                         # its first hop) — so most discards need no tree
@@ -402,7 +413,7 @@ def csr_backward_search(
                             if hop is None:
                                 root_is_keyword = True
                             else:
-                                first_hops.add(hop[0])
+                                first_hops.add(hop)
                         if len(first_hops) == 1 and not root_is_keyword:
                             continue
                         tree = _build_int_tree(
@@ -411,6 +422,7 @@ def csr_backward_search(
                             lane_of,
                             links,
                             path_cache,
+                            graph,
                         )
                         if len(first_hops) > 1 and (
                             _discard_single_child_root_int(tree)
@@ -423,7 +435,7 @@ def csr_backward_search(
                             yield emission
                             if emitted_count >= max_results:
                                 return
-            lists[term_index].append(origin)
+            visits[term_index].setdefault(v, []).append(origin)
 
     # Drain: remaining buffered trees in decreasing relevance.
     while len(output) and emitted_count < max_results:
@@ -441,13 +453,15 @@ def _build_int_tree(
     lane_of: Dict[int, int],
     links: List,
     path_cache: Dict[int, List[int]],
+    graph: CSRGraph,
 ) -> _IntTree:
     """Union-of-paths graft, int edition of :meth:`AnswerTree.from_paths`.
 
-    Edge weights come from the lanes' ``(parent, parent_weight)`` links
-    captured at relaxation time (the exact float ``graph.edge_weight``
-    would return), and dict insertion order replicates the reference
-    graft order so the eventual ``AnswerTree.weight`` sums identically.
+    Paths follow the lanes' ``node -> parent`` links; each edge weight
+    is read back from the predecessor row relaxation read (the exact
+    float ``graph.edge_weight`` would return), and dict insertion order
+    replicates the reference graft order so the eventual
+    ``AnswerTree.weight`` sums identically.
     """
     parent: Dict[int, int] = {}
     in_tree = {root}
@@ -463,8 +477,8 @@ def _build_int_tree(
             path = [root]
             hop = link.get(root)
             while hop is not None:
-                path.append(hop[0])
-                hop = link.get(hop[0])
+                path.append(hop)
+                hop = link.get(hop)
             path_cache[origin] = path
         keyword_nodes.append(path[-1])
         graft = 0
@@ -478,7 +492,7 @@ def _build_int_tree(
                 raise GraphError(f"path re-enters the tree at {target!r}")
             parent[target] = source
             in_tree.add(target)
-            edge_weights[(source, target)] = link[source][1]
+            edge_weights[(source, target)] = graph.raw_predecessors(target)[source]
     return (root, parent, tuple(keyword_nodes), edge_weights)
 
 

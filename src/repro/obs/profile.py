@@ -86,7 +86,11 @@ class SearchProfile:
         return profile
 
     def render(self) -> str:
-        """One human line: the counters an operator scans first."""
+        """One human line: the counters an operator scans first, then
+        the kernel's cost per heap pop (what point queries are bound by;
+        the benchmark reports the same ratio as ``core.kernel.us_per_pop``)."""
+        pops = self.heap_pops
+        us_per_pop = self.expansion_seconds * 1e6 / pops if pops else 0.0
         return (
             f"heap_pops={self.heap_pops} "
             f"nodes_expanded={self.nodes_expanded} "
@@ -96,7 +100,8 @@ class SearchProfile:
             f"answers={self.answers_emitted} "
             f"iterators={self.iterators} "
             f"lanes_started={self.lanes_started} "
-            f"expansion_ms={self.expansion_seconds * 1000.0:.2f}"
+            f"expansion_ms={self.expansion_seconds * 1000.0:.2f} "
+            f"us_per_pop={us_per_pop:.2f}"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -25,6 +25,11 @@ from repro.obs import SearchProfile
 #: What one dense lane held per graph node: three 8-byte arrays + 1 byte.
 DENSE_LANE_BYTES_PER_NODE = 25
 
+#: Traced peak per heap pop of a point search on ``synth:1600``.  A
+#: settled set, ``(parent, weight)`` link tuples and per-node lists for
+#: every term cost 680-810 B; without them it is 380-530 B.
+POINT_BYTES_PER_POP = 600
+
 
 @pytest.fixture(scope="module")
 def banks():
@@ -51,6 +56,15 @@ class TestLaneMemory:
         dense = profile.iterators * banks.graph.num_nodes * DENSE_LANE_BYTES_PER_NODE
         assert dense > 45_000_000
         assert peak < dense / 10
+
+    @pytest.mark.parametrize("query", ["3 11", "17 250", "5 400"])
+    def test_point_search_bytes_per_pop(self, banks, query):
+        """Settling a node keeps its distance, its parent id and its
+        heap entry; a visit no tree can root at yet is one list entry."""
+        profile = SearchProfile()
+        peak = traced_peak(lambda: banks.search(query, profile=profile))
+        assert profile.iterators == 2 and profile.heap_pops > 2000
+        assert peak < POINT_BYTES_PER_POP * profile.heap_pops
 
     def test_dijkstra_construction_is_constant_size(self, banks):
         graph = banks.graph

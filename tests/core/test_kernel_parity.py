@@ -27,6 +27,7 @@ from repro.datasets import (
     synth_bibliography,
 )
 from repro.graph.csr import CSROverlayGraph, freeze_graph
+from repro.graph.dijkstra import DijkstraIterator
 from repro.obs import SearchProfile
 from repro.store.delta import apply_graph_delta
 
@@ -57,13 +58,19 @@ SHAPES = {
 #: ``SearchConfig`` overrides on top of ``max_results=5``.  Author
 #: prestige is low, so ``offset_past_radius`` leaves most author lanes
 #: with a starting distance beyond ``max_distance``: they must never
-#: enter the multiplexer, in either kernel.
+#: enter the multiplexer, in either kernel.  ``max_visited`` stops the
+#: ``name``, ``half``, ``point3`` and ``title_words`` expansions midway
+#: (they run 1.2k-4.2k pops unbudgeted); ``excluded_root_tables``
+#: narrows the facade's default ``{"cites", "writes"}`` to the paper's own
+#: example, so ``cites`` tuples may root answers.
 VARIANTS = {
     "default": {},
     "origin_offsets": {"origin_distance_scale": 0.5},
     "radius": {"max_distance": 2.0},
     "offset_past_radius": {"origin_distance_scale": 4.0, "max_distance": 3.9},
     "partial_answers": {"require_all_keywords": False},
+    "max_visited": {"max_visited": 1000},
+    "excluded_root_tables": {"excluded_root_tables": frozenset({"writes"})},
 }
 
 
@@ -149,6 +156,34 @@ class TestSynthShapes:
         assert counters["lanes_started"] < counters["iterators"]
         # ...and not for want of pops: the started lanes ran to their radius.
         assert counters["heap_pops"] > counters["iterators"]
+
+    def test_visit_budget_stops_mid_expansion(self, synth):
+        facade, frozen = synth
+        config = replace(
+            facade.search_config, max_results=5, **VARIANTS["max_visited"]
+        )
+        answers, counters = assert_parity(
+            facade.graph, frozen, facade, "alice albrecht", config
+        )
+        assert counters["heap_pops"] == config.max_visited
+        assert answers  # drained from the output heap after the break
+
+    def test_excluded_table_roots_no_answer(self, synth):
+        """With every relation allowed a ``writes`` tuple roots the best
+        ``alice 17`` answer; barring the relation (the paper's example)
+        drops those candidates in both kernels alike."""
+        facade, frozen = synth
+        roots = {}
+        for excluded in (frozenset(), frozenset({"writes"})):
+            config = replace(
+                facade.search_config, max_results=5, excluded_root_tables=excluded
+            )
+            answers, _counters = assert_parity(
+                facade.graph, frozen, facade, "alice 17", config
+            )
+            roots[excluded] = {root[0] for root, *_ in answers}
+        assert "writes" in roots[frozenset()]
+        assert "writes" not in roots[frozenset({"writes"})]
 
 
 class TestForkedOverlay:
@@ -258,6 +293,72 @@ class TestForkedOverlay:
                 assert not any(overlay.base.has_node(k) for k in keyword_nodes)
         for query, _lanes in SHAPES.values():
             assert_parity(reference, overlay, live, query, config)
+
+    def test_reweighed_edge_on_an_emitted_tree(self):
+        """Lanes keep only parent ids; a tree's edge weights are read
+        back at build from the row relaxation read.  Re-weigh an edge of
+        the best answer in an overlay fork: the frozen row beneath still
+        holds the old weight, and only the overlay row is right."""
+        facade = BANKS(synth_bibliography(800)[0], freeze=False)
+        reference = facade.graph
+        overlay = freeze_graph(reference)
+        config = replace(facade.search_config, max_results=5)
+        keyword_node_sets = facade.resolve("3 11")
+        best = next(
+            _reference_backward_search(
+                reference, keyword_node_sets, facade.scorer, config
+            )
+        ).tree
+        # The edge into the first keyword node: its row is the one the
+        # keyword's lane relaxes first.
+        keyword = best.keyword_nodes[0]
+        source = best.parent[keyword]
+        weight = reference.edge_weight(source, keyword) / 2
+        for graph in (reference, overlay):
+            graph.add_edge(source, keyword, weight)
+        assert overlay.base.edge_weight(source, keyword) == 2 * weight
+
+        assert_parity(reference, overlay, facade, "3 11", config)
+        weights = [
+            scored.tree.edge_weight(source, keyword)
+            for scored in csr_backward_search(
+                overlay, keyword_node_sets, facade.scorer, config
+            )
+            if (source, keyword) in scored.tree.edges
+        ]
+        assert weights and set(weights) == {weight}
+
+
+class TestSettleLoopInvariants:
+    @pytest.mark.parametrize("query", ["0 17", "albrecht 0"])
+    def test_trees_through_dense_id_zero(self, synth, query):
+        """A lane link is a bare parent id, and ``("author", 0)`` has
+        dense id 0 — falsy, yet a parent like any other: where a path
+        ends, and as the first hop from the ``writes`` roots beside it
+        (every relation may root here)."""
+        facade, frozen = synth
+        author = ("author", 0)
+        assert frozen.index_of(author) == 0
+        config = replace(
+            facade.search_config, max_results=5, excluded_root_tables=frozenset()
+        )
+        answers, _counters = assert_parity(facade.graph, frozen, facade, query, config)
+        assert answers
+        assert all(author in keyword_nodes for _r, _s, _o, keyword_nodes, _k in answers)
+
+    def test_tie_heavy_expansion(self, synth):
+        """``synth`` draws its edge weights from a handful of values, so
+        equal distances are the norm: a stale-entry rule that let a tie
+        through would settle a node twice or drop a live entry."""
+        facade, frozen = synth
+        distances = [
+            visit.distance
+            for visit in DijkstraIterator(facade.graph, ("author", 3), reverse=True)
+        ]
+        assert len(distances) > 50 * len(set(distances))
+        config = replace(facade.search_config, max_results=50)
+        _answers, counters = assert_parity(facade.graph, frozen, facade, "3 11", config)
+        assert counters["heap_pops"] > 2500
 
 
 class TestDemoBatteries:

@@ -236,6 +236,13 @@ class TestSearchProfile:
         assert "heap_pops=12" in text
         assert "expansion_ms=0.00" in text
 
+    def test_render_reports_microseconds_per_pop(self):
+        profile = SearchProfile()
+        assert profile.render().endswith(" us_per_pop=0.00")  # no pops
+        profile.heap_pops = 400
+        profile.expansion_seconds = 0.0018
+        assert profile.render().endswith(" expansion_ms=1.80 us_per_pop=4.50")
+
 
 class TestEventLog:
     def test_emits_json_lines(self):

@@ -104,6 +104,7 @@ class TestCommands:
         assert "search.kernel" in output
         assert "profile: heap_pops=" in output
         assert " lanes_started=" in output
+        assert " us_per_pop=" in output
         assert "answer(s) via engine" in output
 
     def test_trace_sharded_topology(self):
