@@ -9,8 +9,6 @@
 * :mod:`repro.core.scoring` — the eight edge/node/combination scoring
   variants of Sec. 2.3;
 * :mod:`repro.core.search` — the backward expanding search of Fig. 3;
-* :mod:`repro.core.bidirectional` — the Sec. 7 optimisation (search
-  forward from selective keywords);
 * :mod:`repro.core.query` — query-string parsing (keywords,
   ``attribute:keyword``, ``approx(N)``);
 * :mod:`repro.core.summarize` — grouping answers by tree structure;

@@ -22,7 +22,6 @@ from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Set, Union
 
 from repro.core.answer import AnswerTree
-from repro.core.bidirectional import bidirectional_search
 from repro.core.model import build_data_graph, link_tables
 from repro.core.query import ParsedQuery, parse_query, resolve_query
 from repro.core.scoring import Scorer, ScoringConfig
@@ -185,9 +184,8 @@ class BANKS:
         computed.  :meth:`search` and the SSE streaming tier are both
         built on this.
 
-        Args: as :meth:`search`, minus ``bidirectional`` (that kernel
-        produces its list at once — nothing to stream) and
-        ``on_answer`` (the iterator *is* the stream).
+        Args: as :meth:`search`, minus ``on_answer`` (the iterator
+        *is* the stream).
         """
         resolve_span = (
             trace.begin("search.resolve", parent_id=trace_parent)
@@ -207,9 +205,7 @@ class BANKS:
             self.scorer if scoring is None else self.scorer.with_config(scoring)
         )
         kernel_span = (
-            trace.begin(
-                "search.kernel", parent_id=trace_parent, bidirectional=False
-            )
+            trace.begin("search.kernel", parent_id=trace_parent)
             if trace is not None
             else None
         )
@@ -241,7 +237,6 @@ class BANKS:
         query: Union[str, ParsedQuery],
         max_results: Optional[int] = None,
         scoring: Optional[ScoringConfig] = None,
-        bidirectional: bool = False,
         trace=None,
         trace_parent=None,
         profile=None,
@@ -250,13 +245,15 @@ class BANKS:
     ) -> List[Answer]:
         """Answer a keyword query.
 
+        The answer-iterator protocol (:meth:`search_iter`), drained:
+        each answer reaches ``on_answer`` while the expansion is still
+        running — the hook the SSE streaming tier hangs off.
+
         Args:
             query: query string (or pre-parsed query).
             max_results: override the configured result count.
             scoring: override the scoring parameters for this query
                 (the evaluation sweep uses this).
-            bidirectional: use the Sec. 7 forward-from-selective-terms
-                strategy instead of pure backward search.
             trace: optional :class:`repro.obs.Trace` collector; the
                 kernel invocation is recorded as a ``search.kernel``
                 span under ``trace_parent``.
@@ -267,76 +264,25 @@ class BANKS:
                 :class:`Answer` as the backward expanding search emits
                 it — strictly before the full top-k completes.  The
                 streamed answers equal the returned list, in order.
-                (The bidirectional kernel produces its list at once, so
-                there the callback fires per answer only after the
-                kernel returns.)
             **config_overrides: any :class:`SearchConfig` field.
 
         Returns:
             Ranked answers (rank 0 = best).
         """
-        if not bidirectional:
-            # The backward path is the answer-iterator protocol, drained:
-            # each answer reaches the callback while the expansion is
-            # still running — the hook the SSE streaming tier hangs off.
-            answers: List[Answer] = []
-            for answer in self.search_iter(
-                query,
-                max_results=max_results,
-                scoring=scoring,
-                trace=trace,
-                trace_parent=trace_parent,
-                profile=profile,
-                **config_overrides,
-            ):
-                if on_answer is not None:
-                    on_answer(answer)
-                answers.append(answer)
-            return answers
-
-        resolve_span = (
-            trace.begin("search.resolve", parent_id=trace_parent)
-            if trace is not None
-            else None
-        )
-        keyword_node_sets = self.resolve(query)
-        if resolve_span is not None:
-            resolve_span.attrs["terms"] = len(keyword_node_sets)
-            trace.end(resolve_span)
-        config = self.search_config
-        if max_results is not None:
-            config_overrides["max_results"] = max_results
-        if config_overrides:
-            config = replace(config, **config_overrides)
-        scorer = self.scorer if scoring is None else self.scorer.with_config(scoring)
-
-        kernel_span = (
-            trace.begin(
-                "search.kernel", parent_id=trace_parent, bidirectional=True
-            )
-            if trace is not None
-            else None
-        )
-        kernel_start = perf_counter() if profile is not None else 0.0
-        scored = bidirectional_search(
-            self.graph, keyword_node_sets, scorer, config, profile=profile
-        )
-        if on_answer is not None:
-            for rank, s in enumerate(scored):
-                on_answer(Answer(s.tree, s.relevance, rank, self))
-        if profile is not None:
-            profile.expansion_seconds += perf_counter() - kernel_start
-        if kernel_span is not None:
-            kernel_span.attrs["answers"] = len(scored)
-            if profile is not None:
-                kernel_span.attrs["heap_pops"] = profile.heap_pops
-                kernel_span.attrs["nodes_expanded"] = profile.nodes_expanded
-                kernel_span.attrs["edges_relaxed"] = profile.edges_relaxed
-            trace.end(kernel_span)
-        return [
-            Answer(s.tree, s.relevance, rank, self)
-            for rank, s in enumerate(scored)
-        ]
+        answers: List[Answer] = []
+        for answer in self.search_iter(
+            query,
+            max_results=max_results,
+            scoring=scoring,
+            trace=trace,
+            trace_parent=trace_parent,
+            profile=profile,
+            **config_overrides,
+        ):
+            if on_answer is not None:
+                on_answer(answer)
+            answers.append(answer)
+        return answers
 
     def search_summarized(
         self, query: Union[str, ParsedQuery], **kwargs

@@ -139,7 +139,6 @@ class CachedBanks(BANKS):
         query,
         max_results=None,
         scoring=None,
-        bidirectional=False,
         trace=None,
         trace_parent=None,
         profile=None,
@@ -152,7 +151,6 @@ class CachedBanks(BANKS):
                 query,
                 max_results=max_results,
                 scoring=scoring,
-                bidirectional=bidirectional,
                 trace=trace,
                 trace_parent=trace_parent,
                 profile=profile,
@@ -161,12 +159,7 @@ class CachedBanks(BANKS):
             )
         # Tracing/profiling does not affect ranking, so it stays out of
         # the cache key: traced and untraced requests share entries.
-        key = (
-            _query_key(query),
-            max_results,
-            _scoring_key(scoring),
-            bidirectional,
-        )
+        key = (_query_key(query), max_results, _scoring_key(scoring))
         cached = self.cache.get(key)
         if cached is not None:
             if trace is not None:
@@ -184,7 +177,6 @@ class CachedBanks(BANKS):
             query,
             max_results=max_results,
             scoring=scoring,
-            bidirectional=bidirectional,
             trace=trace,
             trace_parent=trace_parent,
             profile=profile,

@@ -32,23 +32,13 @@ writes to:
   new id.  A fork references the frozen base, never its parent, so a
   published version does not keep the versions before it alive.
 
-* :class:`CSRDijkstra` — the lazy Dijkstra iterator rewritten for the
-  arrays: adjacency read from the contiguous rows by dense int id, a
-  flat two-tuple heap (``(distance, counter*N + node)`` packs the
-  tie-break counter and node into one machine int, halving per-pop
-  allocation), and sparse per-iterator state keyed by touched node, so
-  construction is O(1) whatever |V|.  It reproduces
-  :class:`~repro.graph.dijkstra.DijkstraIterator` exactly — same
-  relaxation order, same tie-breaks, same float arithmetic — which is
-  what ``tests/graph/test_csr.py`` pins visit by visit and the
-  ``benchmarks/e2e`` oracle check re-proves end-to-end.
+The search kernel that reads these arrays is :mod:`repro.core.csrkernel`.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from heapq import heappop as _heappop, heappush as _heappush
 from itertools import chain as _chain
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
@@ -58,10 +48,8 @@ from repro.errors import UnknownNodeError as _UnknownNodeError
 Node = Hashable
 
 __all__ = [
-    "CSRDijkstra",
     "CSRGraph",
     "CSROverlayGraph",
-    "dijkstra_for",
     "freeze_graph",
 ]
 
@@ -709,227 +697,3 @@ def freeze_graph(graph) -> CSROverlayGraph:
     the facade-facing idiom (search reads the arrays, feedback and
     delta replay write the overlay)."""
     return CSRGraph.freeze(graph).overlay()
-
-
-class CSRDijkstra:
-    """Lazy Dijkstra over a :class:`CSRGraph`'s adjacency arrays (or overlay).
-
-    Drop-in behavioural twin of
-    :class:`~repro.graph.dijkstra.DijkstraIterator`: one settlement per
-    :meth:`next`, :meth:`peek` exposes the next distance, parents spell
-    the path back to the source.  State is sparse — a distance dict, a
-    ``node -> (parent, parent_weight)`` dict and a settled set holding
-    only the nodes the iterator has touched — and the heap holds
-    ``(distance, counter * N + node)`` two-tuples whose packed second
-    element reproduces the reference ``(distance, counter, node)``
-    ordering exactly (counters are unique, so the node never decides).
-    ``parent_weight`` is the weight of each node's parent edge captured
-    at relaxation time, which lets tree construction skip the
-    edge-weight lookup entirely.
-    """
-
-    __slots__ = (
-        "_graph",
-        "source",
-        "_reverse",
-        "_max_distance",
-        "_n",
-        "_dist",
-        "_link",
-        "_settled",
-        "_heap",
-        "_counter",
-        "relaxations",
-    )
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        source: Node,
-        reverse: bool = False,
-        initial_distance: float = 0.0,
-        max_distance: Optional[float] = None,
-    ):
-        self._graph = graph
-        self.source = source
-        self._reverse = reverse
-        self._max_distance = max_distance
-        self._n = graph._slot_count()
-        source_index = graph.index_of(source)
-        self._dist: Dict[int, float] = {source_index: initial_distance}
-        self._link: Dict[int, Tuple[int, float]] = {}
-        self._settled: set = set()
-        self._heap: List[Tuple[float, int]] = [
-            (initial_distance, source_index)
-        ]
-        self._counter = 1
-        self.relaxations = 0
-
-    # -- iteration ----------------------------------------------------------
-
-    def _skim(self) -> None:
-        heap = self._heap
-        settled = self._settled
-        n = self._n
-        max_distance = self._max_distance
-        while heap:
-            distance, packed = heap[0]
-            if packed % n in settled:
-                _heappop(heap)
-                continue
-            if max_distance is not None and distance > max_distance:
-                heap.clear()
-                continue
-            return
-
-    def peek(self) -> Optional[float]:
-        self._skim()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def next_index(self) -> int:
-        """Settle and return the nearest unsettled node's dense index,
-        or ``-1`` when exhausted — the kernel-facing fast path (no
-        :class:`Visit` allocation, no id translation)."""
-        self._skim()
-        heap = self._heap
-        if not heap:
-            return -1
-        n = self._n
-        distance, packed = _heappop(heap)
-        index = packed % n
-        self._settled.add(index)
-        graph = self._graph
-        over = graph._over_pred if self._reverse else graph._over_succ
-        row = over.get(index)
-        dist = self._dist
-        link = self._link
-        counter = self._counter
-        if row is None and index < len(graph._succ_off) - 1:
-            if self._reverse:
-                offsets, to, weights = (
-                    graph._pred_off,
-                    graph._pred_to,
-                    graph._pred_w,
-                )
-            else:
-                offsets, to, weights = (
-                    graph._succ_off,
-                    graph._succ_to,
-                    graph._succ_w,
-                )
-            # No settled probe: weights are non-negative, so a settled
-            # neighbour already has dist <= distance <= candidate and
-            # the strict comparison fails on its own.
-            lo, hi = offsets[index], offsets[index + 1]
-            self.relaxations += hi - lo
-            for position in range(lo, hi):
-                neighbor = to[position]
-                weight = weights[position]
-                candidate = distance + weight
-                known = dist.get(neighbor)
-                if known is None or candidate < known:
-                    dist[neighbor] = candidate
-                    link[neighbor] = (index, weight)
-                    _heappush(heap, (candidate, counter * n + neighbor))
-                    counter += 1
-        elif row:
-            self.relaxations += len(row)
-            for neighbor, weight in row.items():
-                candidate = distance + weight
-                known = dist.get(neighbor)
-                if known is None or candidate < known:
-                    dist[neighbor] = candidate
-                    link[neighbor] = (index, weight)
-                    _heappush(heap, (candidate, counter * n + neighbor))
-                    counter += 1
-        self._counter = counter
-        return index
-
-    def next(self):
-        """Settle and return the nearest unsettled node as a
-        :class:`~repro.graph.dijkstra.Visit`, or ``None``."""
-        from repro.graph.dijkstra import Visit
-
-        index = self.next_index()
-        if index < 0:
-            return None
-        id_of = self._graph.id_of
-        hop = self._link.get(index)
-        parent = None if hop is None else id_of(hop[0])
-        return Visit(id_of(index), self._dist[index], parent)
-
-    def __iter__(self):
-        while True:
-            visit = self.next()
-            if visit is None:
-                return
-            yield visit
-
-    # -- queries over settled state -----------------------------------------
-
-    def settled_distance(self, node: Node) -> Optional[float]:
-        index = self._graph.index_of(node)
-        if index not in self._settled:
-            return None
-        return self._dist[index]
-
-    def path_indexes(self, index: int) -> List[int]:
-        """Dense-index path ``index -> ... -> source`` along parents."""
-        if index not in self._settled:
-            raise KeyError(f"node index {index} not settled yet")
-        link = self._link
-        path = [index]
-        hop = link.get(index)
-        while hop is not None:
-            path.append(hop[0])
-            hop = link.get(hop[0])
-        return path
-
-    def path_to_source(self, node: Node) -> List[Node]:
-        graph = self._graph
-        index = graph.index_of(node)
-        if index not in self._settled:
-            raise KeyError(f"node {node!r} not settled yet")
-        id_of = graph.id_of
-        return [id_of(i) for i in self.path_indexes(index)]
-
-    def parent_weight(self, index: int) -> float:
-        """Weight of the edge to ``index``'s parent, captured when the
-        winning relaxation happened (``0.0`` for the source and for
-        nodes not reached yet)."""
-        hop = self._link.get(index)
-        return 0.0 if hop is None else hop[1]
-
-    @property
-    def exhausted(self) -> bool:
-        return self.peek() is None
-
-
-def dijkstra_for(
-    graph,
-    source: Node,
-    reverse: bool = False,
-    initial_distance: float = 0.0,
-    max_distance: Optional[float] = None,
-):
-    """The right Dijkstra for the representation: array-backed on a
-    frozen/overlay graph, the reference dict iterator otherwise."""
-    if isinstance(graph, CSRGraph):
-        return CSRDijkstra(
-            graph,
-            source,
-            reverse=reverse,
-            initial_distance=initial_distance,
-            max_distance=max_distance,
-        )
-    from repro.graph.dijkstra import DijkstraIterator
-
-    return DijkstraIterator(
-        graph,
-        source,
-        reverse=reverse,
-        initial_distance=initial_distance,
-        max_distance=max_distance,
-    )

@@ -14,9 +14,8 @@ lag instead of guessed at from two quantiles on ``/metrics``.
   engine owns: sampling knobs + store + event log).
 * :mod:`repro.obs.profile` — :class:`SearchProfile`, the kernel
   counter block (heap pops, nodes expanded, edges relaxed, answers
-  emitted, expansion wall time) the backward/bidirectional searchers
-  fill at near-zero cost when disabled; the baseline evidence the CSR
-  kernel rewrite will be gated against.
+  emitted, expansion wall time) the backward expanding search fills
+  at near-zero cost when disabled.
 * :mod:`repro.obs.events` — :class:`EventLog`, the stdlib-``logging``
   JSON-lines emitter with trace-id correlation (slow queries land
   here at WARNING).

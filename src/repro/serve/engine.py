@@ -543,7 +543,7 @@ class QueryEngine:
         """
         if not self.config.dedup:
             return None
-        recognised = {"max_results", "scoring", "bidirectional"}
+        recognised = {"max_results", "scoring"}
         if set(search_kwargs) - recognised:
             return None
         try:
@@ -556,7 +556,6 @@ class QueryEngine:
             deadline,
             search_kwargs.get("max_results"),
             _scoring_key(search_kwargs.get("scoring")),
-            search_kwargs.get("bidirectional", False),
         )
 
     def _abort_trace(self, trace, request_span, originated, admitted, query,

@@ -276,8 +276,8 @@ class InvertedIndex:
         return sorted(self._postings)
 
     def document_frequency(self, term: str) -> int:
-        """Number of distinct tuples containing ``term`` — the
-        selectivity signal the bidirectional search uses."""
+        """Number of distinct tuples containing ``term`` (the
+        term's selectivity)."""
         return len({p.node for p in self._postings.get(normalize(term), ())})
 
     def __contains__(self, term: str) -> bool:

@@ -1,9 +1,8 @@
-"""Integration tests for the BANKS facade (and bidirectional search)."""
+"""Integration tests for the BANKS facade."""
 
 import pytest
 
-from repro import BANKS, ScoringConfig, SearchConfig
-from repro.core.bidirectional import bidirectional_search
+from repro import BANKS, ScoringConfig
 from repro.errors import EmptyQueryError
 
 
@@ -84,39 +83,23 @@ class TestFacade:
 
 
 class TestBidirectional:
-    def test_agrees_with_backward_on_selective_queries(self, figure1_banks):
-        # All-selective queries fall back to backward search.
-        backward = figure1_banks.search("soumen sunita")
-        bidirectional = figure1_banks.search(
-            "soumen sunita", bidirectional=True
-        )
-        assert backward[0].tree.undirected_key() == (
-            bidirectional[0].tree.undirected_key()
-        )
+    """Backward expanding search on the Sec. 7 metadata queries;
+    ``bidirectional`` is not a search option."""
 
     def test_metadata_query_bidirectional(self, biblio_banks_session,
                                           bibliography_session):
         _db, anecdotes = bibliography_session
-        answers = biblio_banks_session.search(
-            "author sudarshan", bidirectional=True
-        )
+        answers = biblio_banks_session.search("author sudarshan")
         assert answers
         assert answers[0].tree.root == anecdotes.sudarshan
 
     def test_answers_valid_trees(self, biblio_banks_session):
-        answers = biblio_banks_session.search(
-            "mohan recovery", bidirectional=True, max_results=5
-        )
+        answers = biblio_banks_session.search("mohan recovery", max_results=5)
+        assert answers
         for answer in answers:
             answer.tree.validate()
             assert 0.0 <= answer.relevance <= 1.0
 
-    def test_empty_groups_return_no_answers(self, biblio_banks_session):
-        sets_ = biblio_banks_session.resolve("xylophone mohan")
-        result = bidirectional_search(
-            biblio_banks_session.graph,
-            sets_,
-            biblio_banks_session.scorer,
-            SearchConfig(),
-        )
-        assert result == []
+    def test_option_is_rejected(self, figure1_banks):
+        with pytest.raises(TypeError, match="bidirectional"):
+            figure1_banks.search("soumen sunita", **{"bidirectional": True})

@@ -2,8 +2,8 @@
 
 A dense lane (distance, parent, parent-weight and settled arrays) costs
 25 bytes per graph node per matching keyword node whether the lane ever
-runs or not; the kernel's sparse lanes and :class:`CSRDijkstra` cost
-nothing until they settle something.  These tests pin that with
+runs or not; the kernel's sparse lanes cost nothing until they settle
+something.  These tests pin that with
 ``tracemalloc`` — allocation counts, no timing — and check the
 configuration in which the dense layout hurt most: several engine
 workers answering broad queries at once.
@@ -19,7 +19,6 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.banks import BANKS
 from repro.datasets import synth_bibliography
-from repro.graph.csr import CSRDijkstra
 from repro.obs import SearchProfile
 
 #: What one dense lane held per graph node: three 8-byte arrays + 1 byte.
@@ -65,18 +64,6 @@ class TestLaneMemory:
         peak = traced_peak(lambda: banks.search(query, profile=profile))
         assert profile.iterators == 2 and profile.heap_pops > 2000
         assert peak < POINT_BYTES_PER_POP * profile.heap_pops
-
-    def test_dijkstra_construction_is_constant_size(self, banks):
-        graph = banks.graph
-        source = next(iter(graph.nodes()))
-        iterators = []
-        peak = traced_peak(
-            lambda: iterators.extend(
-                CSRDijkstra(graph, source, reverse=True) for _ in range(500)
-            )
-        )
-        assert len(iterators) == 500
-        assert peak < 1_000_000  # dense: 500 x 8,748 x 25 B = 109 MB
 
 
 class TestConcurrentBroadQueries:

@@ -1,9 +1,9 @@
-"""Frozen CSR graph: freeze semantics, overlay COW, Dijkstra parity.
+"""Frozen CSR graph: freeze semantics, overlay COW, search parity.
 
 The representation contract: freezing a :class:`DiGraph` and searching
 through the arrays must be *invisible* — same read API answers, same
-Dijkstra visit order and tie-breaks, same mutation semantics through
-the overlay — because every ranking downstream ties on these.
+search answers and tie-breaks, same mutation semantics through the
+overlay — because every ranking downstream ties on these.
 """
 
 from __future__ import annotations
@@ -17,15 +17,8 @@ from repro.core.model import GraphStats
 from repro.core.scoring import Scorer
 from repro.core.search import SearchConfig, backward_expanding_search
 from repro.errors import GraphError
-from repro.graph.csr import (
-    CSRDijkstra,
-    CSRGraph,
-    CSROverlayGraph,
-    dijkstra_for,
-    freeze_graph,
-)
+from repro.graph.csr import CSRGraph, CSROverlayGraph, freeze_graph
 from repro.graph.digraph import DiGraph
-from repro.graph.dijkstra import DijkstraIterator
 from repro.shard.stitch import graphs_equal
 
 
@@ -196,45 +189,6 @@ class TestOverlay:
             overlay.add_edge("a", "b", -1.0)  # negative weight
         with pytest.raises(GraphError):
             overlay.remove_edge("d", "a")  # absent edge
-
-
-class TestCSRDijkstraParity:
-    @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_visit_sequence_matches_reference(self, seed, reverse):
-        graph = random_graph(seed)
-        frozen = CSRGraph.freeze(graph)
-        for source in list(graph.nodes())[:5]:
-            reference = DijkstraIterator(graph, source, reverse=reverse)
-            compact = CSRDijkstra(frozen, source, reverse=reverse)
-            while True:
-                expected = reference.next()
-                actual = compact.next()
-                if expected is None:
-                    assert actual is None
-                    break
-                assert actual is not None
-                assert actual.node == expected.node
-                assert actual.distance == expected.distance
-                assert actual.parent == expected.parent
-                assert compact.path_to_source(
-                    actual.node
-                ) == reference.path_to_source(expected.node)
-            assert compact.relaxations == reference.relaxations
-
-    def test_max_distance_bound(self):
-        graph = random_graph(3)
-        frozen = CSRGraph.freeze(graph)
-        source = next(iter(graph.nodes()))
-        reference = DijkstraIterator(graph, source, max_distance=3.0)
-        compact = CSRDijkstra(frozen, source, max_distance=3.0)
-        assert [v.node for v in reference] == [v.node for v in compact]
-
-    def test_dijkstra_for_dispatches_on_representation(self):
-        graph = small_graph()
-        frozen = freeze_graph(graph)
-        assert isinstance(dijkstra_for(graph, "a"), DijkstraIterator)
-        assert isinstance(dijkstra_for(frozen, "a"), CSRDijkstra)
 
 
 # -- property: freeze -> fork -> replay deltas == plain DiGraph ------------------

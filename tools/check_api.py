@@ -106,10 +106,8 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "open_source",
     ),
     "repro.graph.csr": (
-        "CSRDijkstra",
         "CSRGraph",
         "CSROverlayGraph",
-        "dijkstra_for",
         "freeze_graph",
     ),
     "repro.serve": (
