@@ -21,6 +21,7 @@ attributable to the model, not the engine.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Union
 
 from repro.core.banks import BANKS
@@ -32,6 +33,7 @@ from repro.core.search import (
     SearchConfig,
     backward_expanding_search,
 )
+from repro.graph.csr import freeze_graph
 from repro.graph.digraph import DiGraph
 from repro.relational.database import Database
 from repro.text.inverted_index import InvertedIndex
@@ -75,7 +77,7 @@ class DataSpotSearch:
     ):
         self.database = database
         self.include_metadata = include_metadata
-        self.graph = build_hyperbase(database)
+        self.graph = freeze_graph(build_hyperbase(database))
         self.index = InvertedIndex(database)
         stats = GraphStats(
             min_edge_weight=1.0,
@@ -102,8 +104,6 @@ class DataSpotSearch:
         )
         config = self.config
         if max_results is not None and max_results != config.max_results:
-            from dataclasses import replace
-
             config = replace(config, max_results=max_results)
         return list(
             backward_expanding_search(

@@ -9,6 +9,7 @@
 * :mod:`repro.core.scoring` — the eight edge/node/combination scoring
   variants of Sec. 2.3;
 * :mod:`repro.core.search` — the backward expanding search of Fig. 3;
+* :mod:`repro.core.oracle` — its reference and the answer relations;
 * :mod:`repro.core.query` — query-string parsing (keywords,
   ``attribute:keyword``, ``approx(N)``);
 * :mod:`repro.core.summarize` — grouping answers by tree structure;

@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional, Set, Union
 
 from repro.core.answer import AnswerTree
 from repro.core.model import build_data_graph, link_tables
+from repro.core.oracle import reference_search
 from repro.core.query import ParsedQuery, parse_query, resolve_query
 from repro.core.scoring import Scorer, ScoringConfig
 from repro.core.search import (
@@ -112,13 +113,11 @@ class BANKS:
             paper's "selected set" restriction, derived automatically
             from the catalog.
         freeze: snapshot the built graph into the compact CSR form
-            (:mod:`repro.graph.csr`) and search through the array
-            kernel.  The facade's graph becomes a
-            :class:`~repro.graph.csr.CSROverlayGraph` — same read and
-            mutation surface as :class:`~repro.graph.digraph.DiGraph`,
-            answers bit-identical, roughly half the latency.  Pass
-            ``False`` to keep the dict-of-dicts reference
-            representation (the kernel parity tests do).
+            (:mod:`repro.graph.csr`), a
+            :class:`~repro.graph.csr.CSROverlayGraph`, and search it
+            with the kernel.  ``False`` makes the facade the oracle:
+            it keeps the dict-of-dicts graph and searches it with
+            :func:`repro.core.oracle.reference_search`.
     """
 
     def __init__(
@@ -147,10 +146,16 @@ class BANKS:
         self.graph, self.stats = build_data_graph(database, self.weight_policy)
         if freeze:
             self.graph = freeze_graph(self.graph)
+        self._oracle = not freeze
         self.index = InvertedIndex(database)
         self.scorer = Scorer(self.stats, self.scoring)
 
     # -- query answering ------------------------------------------------------
+
+    def _search(self, keyword_node_sets, scorer, config, profile=None):
+        # Looked up per call: a wrapper on the module global sees it all.
+        search = reference_search if self._oracle else backward_expanding_search
+        return search(self.graph, keyword_node_sets, scorer, config, profile=profile)
 
     def resolve(self, query: Union[str, ParsedQuery]) -> List[Set[RID]]:
         """Node sets ``S_i`` for each term of ``query``."""
@@ -212,10 +217,7 @@ class BANKS:
         kernel_start = perf_counter() if profile is not None else 0.0
         emitted = 0
         try:
-            for s in backward_expanding_search(
-                self.graph, keyword_node_sets, scorer, config,
-                profile=profile,
-            ):
+            for s in self._search(keyword_node_sets, scorer, config, profile):
                 yield Answer(s.tree, s.relevance, emitted, self)
                 emitted += 1
         finally:
@@ -339,9 +341,7 @@ class BANKS:
             **config_overrides,
         )
         matches: List[Answer] = []
-        for scored in backward_expanding_search(
-            self.graph, keyword_node_sets, self.scorer, config
-        ):
+        for scored in self._search(keyword_node_sets, self.scorer, config):
             if structure_signature(scored.tree) != signature:
                 continue
             matches.append(

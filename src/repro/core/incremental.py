@@ -45,9 +45,9 @@ side.
 
 The facade's graph is always frozen: a
 :class:`~repro.graph.csr.CSROverlayGraph`, the one mutable graph
-representation.  ``BANKS(database, freeze=False)`` keeps the
-dict-of-dicts graph as a read-only reference oracle; this class takes
-no ``freeze`` option, so passing one is a ``TypeError``.
+representation.  ``BANKS(database, freeze=False)`` is the oracle (see
+:mod:`repro.core.oracle`); this class takes no ``freeze`` option, so
+passing one is a ``TypeError``.
 
 Limitations: prestige mode ``"pagerank"`` is global by nature and not
 maintained incrementally (construction refuses it); scoring

@@ -32,32 +32,53 @@ Extensions (all optional, off by default):
 * ``origin_distance_scale`` adds a node-weight-derived offset to each
   keyword node's starting distance ("the distance measure can be
   extended to include node weights of nodes matching keywords").
+
+The kernel reads the frozen :class:`repro.graph.csr.CSRGraph` and
+matches :func:`repro.core.oracle.reference_search`, the dict-of-dicts
+reference, answer for answer: roots, float scores, emission order and
+``SearchProfile`` counters.  Its hot loops run on dense int node ids and
+contiguous adjacency arrays:
+
+* a keyword-node lane is sparse and lazily started: at set-up it is its
+  ``(offset, origin)`` pair and one multiplexer entry; its first
+  multiplexer pop materialises a ``node -> distance`` dict, a
+  ``node -> parent`` dict and a heap, which then hold only the nodes
+  the lane touches — a lane costs what it settles, never |V|.  There is
+  no settled set: a heap entry is stale iff ``dist[node] < distance``;
+* flat two-tuple heap entries ``(distance, counter * N + node)`` for
+  both the per-lane heaps and the multiplexer (the packed int
+  reproduces the reference ``(distance, counter, origin)`` tie-break
+  exactly, since counters are unique);
+* visits are recorded per term (``node -> origins``); a settled node is
+  a candidate root only once the terms its origin does not match have
+  all reached it — until then settling records the visit, nothing else;
+* candidate trees are int parent maps, each edge weight read back from
+  the row relaxation read; most are discarded (single-child root, output
+  heap) without an :class:`AnswerTree` allocation.  Trees materialise
+  only at emission, in the reference's dict insertion order
+  (``AnswerTree.weight`` sums in that order, so the floats match);
+* edge/node score normalisations are memoised per query, seeded from
+  the snapshot's precomputed ``log2(1 + w/w_min)`` table whenever the
+  live normaliser still equals the frozen one.
+
+Overlay rows (:class:`repro.graph.csr.CSROverlayGraph`) are read before
+the arrays, so a forked, delta-mutated graph searches without
+re-freezing, at dict speed only for the touched rows; nodes an overlay
+appended (ids from the base's ``n`` up) resolve through its own list.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import EmptyQueryError, QueryError
+from repro.errors import EmptyQueryError, GraphError, QueryError
 from repro.core.answer import AnswerTree
 from repro.core.scoring import Scorer
-from repro.graph.digraph import DiGraph
-from repro.graph.dijkstra import DijkstraIterator
-
-Node = Hashable
+from repro.graph.csr import CSRGraph, _node_table
 
 
 @dataclass(frozen=True)
@@ -147,12 +168,12 @@ class _OutputHeap:
     def add(self, key: FrozenSet, tree: AnswerTree, relevance: float) -> None:
         entry = [-relevance, next(self._counter), tree, True, key]
         self._by_key[key] = entry
-        heapq.heappush(self._heap, (entry[0], entry[1], entry))
+        heappush(self._heap, (entry[0], entry[1], entry))
         self._size += 1
 
     def pop_best(self) -> Tuple[FrozenSet, AnswerTree, float]:
         while self._heap:
-            neg_relevance, _tiebreak, entry = heapq.heappop(self._heap)
+            neg_relevance, _tiebreak, entry = heappop(self._heap)
             if entry[3]:
                 key = entry[4]
                 del self._by_key[key]
@@ -161,42 +182,23 @@ class _OutputHeap:
         raise KeyError("pop from empty output heap")
 
 
-def _node_table(node: Node) -> Optional[str]:
-    """Table name of a data-graph node (``(table, rid)``), else ``None``."""
-    if isinstance(node, tuple) and len(node) == 2 and isinstance(node[0], str):
-        return node[0]
-    return None
-
-
-def _discard_single_child_root(tree: AnswerTree) -> bool:
-    """The Fig. 3 discard rule: a root with a single child is redundant
-    because the tree minus the root is generated separately and scores
-    better — *unless* the root itself matches a keyword, in which case
-    removing it would break coverage and no better duplicate exists."""
-    if tree.size() <= 1 or tree.root_child_count() != 1:
-        return False
-    return tree.root not in set(tree.keyword_nodes)
+#: An unscored candidate: (root, child -> parent, keyword nodes,
+#: (parent, child) -> weight) — all dense int node ids.
+_IntTree = Tuple[int, Dict[int, int], Tuple[Optional[int], ...], Dict]
 
 
 def backward_expanding_search(
-    graph: DiGraph,
-    keyword_node_sets: Sequence[Set[Node]],
+    graph: CSRGraph,
+    keyword_node_sets: Sequence[Set],
     scorer: Scorer,
     config: Optional[SearchConfig] = None,
     profile=None,
 ) -> Iterator[ScoredAnswer]:
     """Generate answers incrementally, approximately best-first.
 
-    Dispatches on the graph representation: a frozen
-    :class:`~repro.graph.csr.CSRGraph` (or its mutable overlay) runs
-    the array kernel (:mod:`repro.core.csrkernel`); a dict-of-dicts
-    :class:`DiGraph` runs the reference implementation below.  The two
-    are answer-for-answer identical — ``tests/core/test_kernel_parity.py``
-    gates exact equality of roots, scores, emission order and profile
-    counters — so callers never need to know which one they got.
-
     Args:
-        graph: the data graph (forward + backward edges, weighted).
+        graph: the frozen data graph (forward + backward edges,
+            weighted), a :class:`~repro.graph.csr.CSRGraph` or overlay.
         keyword_node_sets: for each search term, the set of nodes
             relevant to it (``S_i`` in the paper).
         scorer: relevance scorer (carries the parameter setting).
@@ -212,116 +214,179 @@ def backward_expanding_search(
         next emission, so a satisfied top-k consumer simply stops
         iterating and the remaining frontier is never explored.
     """
-    from repro.graph.csr import CSRGraph
-
-    if isinstance(graph, CSRGraph):
-        from repro.core.csrkernel import csr_backward_search
-
-        return csr_backward_search(
-            graph, keyword_node_sets, scorer, config, profile=profile
-        )
-    return _reference_backward_search(
-        graph, keyword_node_sets, scorer, config, profile=profile
-    )
-
-
-def _reference_backward_search(
-    graph: DiGraph,
-    keyword_node_sets: Sequence[Set[Node]],
-    scorer: Scorer,
-    config: Optional[SearchConfig] = None,
-    profile=None,
-) -> Iterator[ScoredAnswer]:
-    """The dict-of-dicts implementation — the parity reference the CSR
-    kernel is gated against, and the path non-frozen graphs take."""
     config = config or SearchConfig()
     term_count = len(keyword_node_sets)
     if term_count == 0:
         raise EmptyQueryError("no search terms")
-    keyword_node_sets = [
-        {node for node in group if graph.has_node(node)}
+
+    # The frozen spine's lists, read directly; ids from ``base_n`` up
+    # were appended by an overlay (none on a read-only facade).
+    id_of = graph.id_of
+    base_ids = graph._ids
+    base_reprs = graph._reprs
+    base_tables = graph._tables
+    app_ids = graph._app_ids
+    base_n = len(base_ids)
+    lookup = graph._lookup if app_ids or graph._removed else graph._index.get
+    if app_ids:
+
+        def repr_of(i: int) -> str:
+            return base_reprs[i] if i < base_n else repr(app_ids[i - base_n])
+
+    else:
+        repr_of = base_reprs.__getitem__
+
+    groups = [
+        {node for node in group if lookup(node) is not None}
         for group in keyword_node_sets
     ]
-    if config.require_all_keywords and any(
-        not group for group in keyword_node_sets
-    ):
+    if config.require_all_keywords and any(not group for group in groups):
         return  # some keyword matches nothing: no complete answer exists
 
-    # Terms covered by each distinct origin node.  Origins are visited
-    # in sorted order so iterator creation (and hence all heap
-    # tie-breaking) is deterministic across processes — set iteration
-    # order varies with string-hash randomisation.
-    terms_of_origin: Dict[Node, List[int]] = {}
-    for term_index, group in enumerate(keyword_node_sets):
+    # Same origin ordering as the reference: per term, sorted by repr;
+    # dict insertion order then fixes lane numbering and every heap
+    # tie-break downstream.
+    terms_of_origin: Dict[int, List[int]] = {}
+    for term_index, group in enumerate(groups):
         for node in sorted(group, key=repr):
-            terms_of_origin.setdefault(node, []).append(term_index)
-
+            terms_of_origin.setdefault(lookup(node), []).append(term_index)
     if not terms_of_origin:
         return
+
+    over_nw = graph._over_nw
+    base_nw = graph._node_weights
+    if over_nw:
+
+        def nw(i: int) -> float:
+            weight = over_nw.get(i)
+            return base_nw[i] if weight is None else weight
+
+    else:
+        nw = base_nw.__getitem__
 
     max_node_weight = graph.max_node_weight() if graph.num_nodes else 1.0
     if max_node_weight <= 0:
         max_node_weight = 1.0
 
-    iterators: Dict[Node, DijkstraIterator] = {}
-    iterator_heap: List[Tuple[float, int, Node]] = []
-    counter = itertools.count()
-    for origin in terms_of_origin:
+    n_total = base_n + len(app_ids)
+    over_pred = graph._over_pred
+    pred_off = graph._pred_off
+    pred_to = graph._pred_to
+    pred_w = graph._pred_w
+    max_distance = config.max_distance
+
+    # -- lanes: one sparse Dijkstra per origin, started on first pop -------
+    # Until its multiplexer entry is first popped a lane is only its
+    # (offset, origin) pair; the per-lane state lists hold None.
+    origins: List[int] = list(terms_of_origin)
+    lane_count = len(origins)
+    lane_of: Dict[int, int] = {origin: lane for lane, origin in enumerate(origins)}
+    offsets: List[float] = []
+    dists: List[Optional[Dict[int, float]]] = [None] * lane_count
+    links: List[Optional[Dict[int, int]]] = [None] * lane_count
+    # Per started lane: the visit maps of the terms its origin does not
+    # match (none when partial answers are allowed).
+    waits: List[Optional[Tuple[Dict[int, List[int]], ...]]] = [None] * lane_count
+    heaps: List[Optional[List[Tuple[float, int]]]] = [None] * lane_count
+    counters: List[int] = [1] * lane_count
+    multiplexer: List[Tuple[float, int]] = []
+    mcount = 0
+    scale = config.origin_distance_scale
+    for lane, origin in enumerate(origins):
         offset = 0.0
-        if config.origin_distance_scale > 0.0:
-            prestige = graph.node_weight(origin) / max_node_weight
-            offset = config.origin_distance_scale * (1.0 - prestige)
-        iterator = DijkstraIterator(
-            graph,
-            origin,
-            reverse=True,
-            initial_distance=offset,
-            max_distance=config.max_distance,
-        )
-        iterators[origin] = iterator
-        peek = iterator.peek()
-        if peek is not None:
-            heapq.heappush(iterator_heap, (peek, next(counter), origin))
+        if scale > 0.0:
+            prestige = nw(origin) / max_node_weight
+            offset = scale * (1.0 - prestige)
+        offsets.append(offset)
+        # initial peek (reference: iterator.peek() before first push)
+        if max_distance is None or offset <= max_distance:
+            heappush(multiplexer, (offset, mcount * lane_count + lane))
+            mcount += 1
     if profile is not None:
-        profile.iterators += len(iterators)
+        profile.iterators += lane_count
 
-    # v -> per-term lists of origins whose iterators have visited v.
-    visit_lists: Dict[Node, List[List[Node]]] = {}
+    # -- per-query score memos ---------------------------------------------
+    if (
+        scorer.config.edge_log
+        and scorer.stats.min_edge_weight == graph.frozen_min_edge_weight
+    ):
+        esn_memo: Dict[float, float] = dict(graph.frozen_edge_norms)
+    else:
+        esn_memo = {}
+    edge_score_norm = scorer.edge_score_norm
+    nsn_memo: Dict[int, float] = {}
+    node_score_norm = scorer.node_score_norm
+    require_all = config.require_all_keywords
 
+    def relevance_of(tree: _IntTree) -> float:
+        root, _parent, keyword_nodes, edge_weights = tree
+        total = 0
+        if edge_weights:
+            pairs = [
+                ("(%s, %s)" % (repr_of(s), repr_of(t)), w)
+                for (s, t), w in edge_weights.items()
+            ]
+            pairs.sort(key=itemgetter(0))
+            for _key, weight in pairs:
+                norm = esn_memo.get(weight)
+                if norm is None:
+                    norm = edge_score_norm(weight)
+                    esn_memo[weight] = norm
+                total = total + norm
+        norms = nsn_memo.get(root)
+        if norms is None:
+            norms = node_score_norm(nw(root))
+            nsn_memo[root] = norms
+        scores = [norms]
+        covered = 0
+        for keyword_node in keyword_nodes:
+            if keyword_node is None:
+                scores.append(0.0)
+            else:
+                covered += 1
+                norm = nsn_memo.get(keyword_node)
+                if norm is None:
+                    norm = node_score_norm(nw(keyword_node))
+                    nsn_memo[keyword_node] = norm
+                scores.append(norm)
+        score = scorer.relevance_parts(total, scores)
+        if not require_all and term_count:
+            score *= (covered / term_count) ** 2
+        return score
+
+    def materialize(tree: _IntTree) -> AnswerTree:
+        root, parent, keyword_nodes, edge_weights = tree
+        return AnswerTree(
+            id_of(root),
+            {id_of(c): id_of(p) for c, p in parent.items()},
+            tuple(None if k is None else id_of(k) for k in keyword_nodes),
+            {(id_of(s), id_of(t)): w for (s, t), w in edge_weights.items()},
+        )
+
+    # -- dedup + output heap (identical machinery, int keys) ---------------
+    # Per term: node -> the origins (matching that term) that settled it.
+    visits: List[Dict[int, List[int]]] = [{} for _ in range(term_count)]
     output = _OutputHeap(config.output_heap_size)
     emitted_keys: Set[FrozenSet] = set()
     emitted_count = 0
     visited_budget = config.max_visited
+    max_results = config.max_results
+    excluded_tables = config.excluded_root_tables
+    excluded_nodes = config.excluded_root_nodes
+    allowed_nodes = config.allowed_root_nodes
 
-    def build_tree(
-        root: Node, assignment: Sequence[Optional[Node]]
-    ) -> AnswerTree:
-        paths: List[Optional[List[Node]]] = []
-        for origin in assignment:
-            if origin is None:
-                paths.append(None)
-            else:
-                paths.append(iterators[origin].path_to_source(root))
-        return AnswerTree.from_paths(graph, root, paths)
-
-    def relevance_of(tree: AnswerTree) -> float:
-        score = scorer.relevance(tree, graph)
-        if not config.require_all_keywords and term_count:
-            # Quadratic coverage penalty: complete answers dominate
-            # partial ones unless the complete connection is very large.
-            score *= (tree.covered_terms() / term_count) ** 2
-        return score
-
-    def consider(tree: AnswerTree) -> Optional[ScoredAnswer]:
-        """Dedup + output-heap insertion; returns an emission, if any."""
+    def consider(tree: _IntTree):
         nonlocal emitted_count
         if profile is not None:
             profile.trees_considered += 1
-        key = tree.undirected_key()
+        root, parent, _keyword_nodes, _edge_weights = tree
+        key = frozenset(
+            (
+                frozenset(parent) | {root},
+                frozenset(frozenset(pair) for pair in _edge_weights),
+            )
+        )
         if key in emitted_keys:
-            # "In fact, a duplicate of the result might have already been
-            # output; in that case we discard the new result even if its
-            # relevance is higher."
             if profile is not None:
                 profile.duplicate_trees += 1
             return None
@@ -331,97 +396,261 @@ def _reference_backward_search(
             if relevance <= existing:
                 return None
             output.remove(key)
-        emission: Optional[ScoredAnswer] = None
+        emission = None
         if output.full:
             best_key, best_tree, best_relevance = output.pop_best()
             emitted_keys.add(best_key)
-            emission = ScoredAnswer(best_tree, best_relevance, emitted_count)
+            emission = ScoredAnswer(
+                materialize(best_tree), best_relevance, emitted_count
+            )
             emitted_count += 1
         output.add(key, tree, relevance)
         return emission
 
-    while iterator_heap and emitted_count < config.max_results:
+    # -- main loop ---------------------------------------------------------
+    product = itertools.product
+    first_hops: Set[int] = set()
+    while multiplexer and emitted_count < max_results:
         if visited_budget is not None:
             if visited_budget <= 0:
                 break
             visited_budget -= 1
 
-        _distance, _tiebreak, origin = heapq.heappop(iterator_heap)
-        iterator = iterators[origin]
+        _distance, packed = heappop(multiplexer)
+        lane = packed % lane_count
         if profile is not None:
             profile.heap_pops += 1
-            relaxed_before = iterator.relaxations
-        visit = iterator.next()
-        if profile is not None:
-            profile.edges_relaxed += iterator.relaxations - relaxed_before
-            if visit is not None:
-                profile.nodes_expanded += 1
-                if visit.parent is None:  # the origin: first next()
-                    profile.lanes_started += 1
-        if visit is None:
-            continue
-        peek = iterator.peek()
-        if peek is not None:
-            heapq.heappush(iterator_heap, (peek, next(counter), origin))
 
-        v = visit.node
-        lists = visit_lists.get(v)
-        if lists is None:
-            lists = [[] for _ in range(term_count)]
-            visit_lists[v] = lists
-
-        table = _node_table(v)
-        root_allowed = (
-            table not in config.excluded_root_tables
-            and v not in config.excluded_root_nodes
-            and (
-                config.allowed_root_nodes is None
-                or v in config.allowed_root_nodes
+        # Settle the lane's next node.  A lane has at most one
+        # multiplexer entry, pushed when its heap top was last skimmed
+        # valid, and nothing touches the lane in between — so the top
+        # (or, on the first pop, the origin itself) settles unchecked.
+        heap = heaps[lane]
+        origin = origins[lane]
+        if heap is None:
+            v = origin
+            d0 = offsets[lane]
+            heap = heaps[lane] = []
+            dist = dists[lane] = {v: d0}
+            link = links[lane] = {}
+            matched = terms_of_origin[v] if require_all else range(term_count)
+            waits[lane] = tuple(
+                visits[t] for t in range(term_count) if t not in matched
             )
-        )
+            count = 1
+            if profile is not None:
+                profile.lanes_started += 1
+        else:
+            d0, packed0 = heappop(heap)
+            v = packed0 % n_total
+            dist = dists[lane]
+            link = links[lane]
+            count = counters[lane]
+        # No settled probe while relaxing: weights are non-negative, so
+        # a settled neighbour already has dist <= d0 <= candidate and
+        # the strict comparison fails on its own.
+        row = over_pred.get(v)
+        if row is None and v < base_n:
+            lo = pred_off[v]
+            hi = pred_off[v + 1]
+            if profile is not None:
+                profile.edges_relaxed += hi - lo
+            for position in range(lo, hi):
+                neighbor = pred_to[position]
+                weight = pred_w[position]
+                candidate = d0 + weight
+                known = dist.get(neighbor)
+                if known is None or candidate < known:
+                    dist[neighbor] = candidate
+                    link[neighbor] = v
+                    heappush(heap, (candidate, count * n_total + neighbor))
+                    count += 1
+        elif row:
+            if profile is not None:
+                profile.edges_relaxed += len(row)
+            for neighbor, weight in row.items():
+                candidate = d0 + weight
+                known = dist.get(neighbor)
+                if known is None or candidate < known:
+                    dist[neighbor] = candidate
+                    link[neighbor] = v
+                    heappush(heap, (candidate, count * n_total + neighbor))
+                    count += 1
+        counters[lane] = count
+        if profile is not None:
+            profile.nodes_expanded += 1
+
+        # Re-arm the multiplexer with the lane's next distance.  An entry
+        # is stale iff dist fell below it: a push lowers dist strictly
+        # and nothing lowers a settled node's, so the live one is equal.
+        while heap:
+            head_distance, head_packed = heap[0]
+            if dist[head_packed % n_total] < head_distance:
+                heappop(heap)
+                continue
+            if max_distance is not None and head_distance > max_distance:
+                heap.clear()
+                continue
+            heappush(multiplexer, (head_distance, mcount * lane_count + lane))
+            mcount += 1
+            break
+
+        # v can root a tree only once every term the origin does not
+        # match has reached it; until then the visit is all there is.
+        may_root = True
+        for seen in waits[lane]:
+            if v not in seen:
+                may_root = False
+                break
+        if may_root:
+            if v < base_n:
+                node_id = base_ids[v]
+                table = base_tables[v]
+            else:
+                node_id = app_ids[v - base_n]
+                table = _node_table(node_id)
+            may_root = (
+                table not in excluded_tables
+                and node_id not in excluded_nodes
+                and (allowed_nodes is None or node_id in allowed_nodes)
+            )
+            path_cache: Dict[int, List[int]] = {}
 
         for term_index in terms_of_origin[origin]:
-            if root_allowed:
-                pools: Optional[List[List[Optional[Node]]]] = []
+            if may_root:
+                pools: Optional[List[Sequence[Optional[int]]]] = []
                 for other_term in range(term_count):
                     if other_term == term_index:
                         continue
-                    pool: List[Optional[Node]] = list(lists[other_term])
-                    if not config.require_all_keywords:
-                        pool.append(None)
-                    if not pool:
+                    pool: Sequence[Optional[int]] = visits[other_term].get(v, ())
+                    if not require_all:
+                        pool = [*pool, None]
+                    elif not pool:
                         pools = None
                         break
                     pools.append(pool)
                 if pools is not None:
-                    for combo in itertools.product(*pools):
-                        assignment: List[Optional[Node]] = []
+                    for combo in product(*pools):
+                        assignment: List[Optional[int]] = []
                         combo_iter = iter(combo)
                         for position in range(term_count):
                             if position == term_index:
                                 assignment.append(origin)
                             else:
                                 assignment.append(next(combo_iter))
-                        if all(a is None for a in assignment):
+                        # Pre-graft discard (Fig. 3 "duplicate result"):
+                        # the grafted tree's root children are a subset
+                        # of the raw first hops {links[lane][v]}, and
+                        # the subset is exact when it has at most one
+                        # element (the first grafted path always keeps
+                        # its first hop) — so most discards need no tree
+                        # build.  Two or more distinct hops can still
+                        # collapse to one root child during grafting, so
+                        # that case falls through to the exact check.
+                        first_hops.clear()
+                        root_is_keyword = False
+                        for member in assignment:
+                            if member is None:
+                                continue
+                            hop = links[lane_of[member]].get(v)
+                            if hop is None:
+                                root_is_keyword = True
+                            else:
+                                first_hops.add(hop)
+                        if len(first_hops) == 1 and not root_is_keyword:
                             continue
-                        tree = build_tree(v, assignment)
-                        if _discard_single_child_root(tree):
-                            continue  # Fig. 3: "duplicate result"
+                        tree = _build_int_tree(
+                            v,
+                            assignment,
+                            lane_of,
+                            links,
+                            path_cache,
+                            graph,
+                        )
+                        if len(first_hops) > 1 and (
+                            _discard_single_child_root_int(tree)
+                        ):
+                            continue
                         emission = consider(tree)
                         if emission is not None:
                             if profile is not None:
                                 profile.answers_emitted += 1
                             yield emission
-                            if emitted_count >= config.max_results:
+                            if emitted_count >= max_results:
                                 return
-            lists[term_index].append(origin)
+            visits[term_index].setdefault(v, []).append(origin)
 
-    # Drain: "when all answers have been generated, the remaining trees
-    # in the heap are output in decreasing order of relevance."
-    while len(output) and emitted_count < config.max_results:
+    # Drain: remaining buffered trees in decreasing relevance.
+    while len(output) and emitted_count < max_results:
         key, tree, relevance = output.pop_best()
         emitted_keys.add(key)
         if profile is not None:
             profile.answers_emitted += 1
-        yield ScoredAnswer(tree, relevance, emitted_count)
+        yield ScoredAnswer(materialize(tree), relevance, emitted_count)
         emitted_count += 1
+
+
+def _build_int_tree(
+    root: int,
+    assignment: Sequence[Optional[int]],
+    lane_of: Dict[int, int],
+    links: List,
+    path_cache: Dict[int, List[int]],
+    graph: CSRGraph,
+) -> _IntTree:
+    """Union-of-paths graft, int edition of :meth:`AnswerTree.from_paths`.
+
+    Paths follow the lanes' ``node -> parent`` links; each edge weight
+    is read back from the predecessor row relaxation read (the exact
+    float ``graph.edge_weight`` would return), and dict insertion order
+    replicates the reference graft order so the eventual
+    ``AnswerTree.weight`` sums identically.
+    """
+    parent: Dict[int, int] = {}
+    in_tree = {root}
+    edge_weights: Dict[Tuple[int, int], float] = {}
+    keyword_nodes: List[Optional[int]] = []
+    for origin in assignment:
+        if origin is None:
+            keyword_nodes.append(None)
+            continue
+        link = links[lane_of[origin]]
+        path = path_cache.get(origin)
+        if path is None:
+            path = [root]
+            hop = link.get(root)
+            while hop is not None:
+                path.append(hop)
+                hop = link.get(hop)
+            path_cache[origin] = path
+        keyword_nodes.append(path[-1])
+        graft = 0
+        for position in range(len(path) - 1, -1, -1):
+            if path[position] in in_tree:
+                graft = position
+                break
+        for position in range(graft, len(path) - 1):
+            source, target = path[position], path[position + 1]
+            if target in in_tree:
+                raise GraphError(f"path re-enters the tree at {target!r}")
+            parent[target] = source
+            in_tree.add(target)
+            edge_weights[(source, target)] = graph.raw_predecessors(target)[source]
+    return (root, parent, tuple(keyword_nodes), edge_weights)
+
+
+def _discard_single_child_root_int(tree: _IntTree) -> bool:
+    """The Fig. 3 discard rule on int trees (see
+    :func:`repro.core.oracle._discard_single_child_root`)."""
+    root, parent, keyword_nodes, _edge_weights = tree
+    if not parent:
+        return False
+    children_of_root = 0
+    for node_parent in parent.values():
+        if node_parent == root:
+            children_of_root += 1
+            if children_of_root > 1:
+                return False
+    if children_of_root != 1:
+        return False
+    return root not in set(keyword_nodes)

@@ -31,6 +31,7 @@ from repro.core.search import SearchConfig, backward_expanding_search
 from repro.core.weights import WeightPolicy
 from repro.errors import FederationError
 from repro.federate.links import ExternalLink, FederatedNode, TupleLink
+from repro.graph.csr import freeze_graph
 from repro.graph.digraph import DiGraph
 from repro.relational.database import Database
 from repro.text.inverted_index import InvertedIndex
@@ -288,7 +289,8 @@ class FederatedBanks:
         self.scoring = scoring or ScoringConfig()
         self.include_metadata = include_metadata
         self.pool = pool
-        self.graph, self.stats = federation.build_graph()
+        graph, self.stats = federation.build_graph()
+        self.graph = freeze_graph(graph)
         self.scorer = Scorer(self.stats, self.scoring)
         self._indexes: Dict[str, InvertedIndex] = {
             name: InvertedIndex(federation.member(name))

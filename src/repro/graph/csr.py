@@ -2,11 +2,10 @@
 
 The dict-of-dicts :class:`~repro.graph.digraph.DiGraph` is the right
 shape for *building* the data graph — idempotent edge merges, tombstoned
-removals — but the search kernel only ever reads it, and pays dict-probe
-and tuple-churn costs on every relaxation.  So ``DiGraph`` is the
-build-time builder (and the reference the parity tests compare
-against), and this module holds everything a facade serves from and
-writes to:
+removals — but a search only ever reads the graph, and on dicts pays
+dict-probe and tuple-churn costs on every relaxation.  So ``DiGraph`` is
+the build-time builder (and the oracle's graph), and this module holds
+everything a facade serves from and writes to:
 
 * :class:`CSRGraph` — an immutable compressed-sparse-row snapshot.
   :meth:`CSRGraph.freeze` densely renumbers the live nodes (tombstone
@@ -32,7 +31,8 @@ writes to:
   new id.  A fork references the frozen base, never its parent, so a
   published version does not keep the versions before it alive.
 
-The search kernel that reads these arrays is :mod:`repro.core.csrkernel`.
+The search kernel that reads these arrays is
+:func:`repro.core.search.backward_expanding_search`.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ in each direction.
 :func:`repro.graph.csr.freeze_graph` snapshots it into the array form
 every facade serves from and writes to
 (:class:`~repro.graph.csr.CSROverlayGraph`).  It keeps its mutators
-because it is also the reference representation the parity tests
-mutate as ground truth, and ``BANKS(database, freeze=False)`` searches
-it as the read-only oracle.
+because it is also the oracle's graph: the parity tests mutate it as
+ground truth, and :func:`repro.core.oracle.reference_search` searches it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Kernel profiling counters: what one search actually did.
 
 A :class:`SearchProfile` is a mutable counter block the backward
-expanding search (:func:`repro.core.search.backward_expanding_search`
-and the CSR kernel it dispatches to,
-:func:`repro.core.csrkernel.csr_backward_search`) fills while it runs.
+expanding search (:func:`repro.core.search.backward_expanding_search`,
+or the oracle's reference twin) fills while it runs.
 The contract with the hot loop is strict: every increment is guarded by
 ``if profile is not None`` at the call site, so a search without
 profiling pays one ``None`` check per counted event and

@@ -20,6 +20,7 @@ from repro.core.query import ParsedQuery, QueryTerm, parse_query
 from repro.core.scoring import Scorer, ScoringConfig
 from repro.core.search import SearchConfig, backward_expanding_search
 from repro.core.answer import AnswerTree
+from repro.graph.csr import freeze_graph
 from repro.text.fuzzy import numbers_near
 from repro.xmlkw.document import XMLDocument, XMLElement
 from repro.xmlkw.model import (
@@ -94,9 +95,8 @@ class XMLBanks:
         self.search_config = search_config or SearchConfig()
         self.excluded_root_tags = frozenset(excluded_root_tags)
 
-        self.graph, self.stats = build_xml_graph(
-            self.documents, self.graph_config
-        )
+        graph, self.stats = build_xml_graph(self.documents, self.graph_config)
+        self.graph = freeze_graph(graph)
         self.index = XMLIndex(self.documents)
         self.scorer = Scorer(self.stats, self.scoring)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, QueryRequest, QueryResult
 from repro.core.banks import BANKS
+from repro.core.oracle import same
 from repro.errors import ClusterError
 
 
@@ -14,10 +15,6 @@ def university():
     from repro.datasets import generate_university
 
     return generate_university()[0]
-
-
-def _signature(answers):
-    return [(a.tree.root, round(a.relevance, 9)) for a in answers]
 
 
 class TestSingleTopology:
@@ -32,7 +29,7 @@ class TestSingleTopology:
             assert result.latency > 0
             # Parity with a bare facade.
             plain = BANKS(university).search("alice seminar", max_results=3)
-            assert _signature(result.answers) == _signature(plain)
+            assert same(result.answers, plain)
 
     def test_submit_resolves_to_the_same_result(self, university):
         with Cluster(ClusterSpec(), database=university.fork()) as cluster:
@@ -100,7 +97,7 @@ class TestShardedTopology:
             assert result.shards  # at least the root's shard
             assert all(0 <= s < 3 for s in result.shards)
             plain = BANKS(university).search("alice seminar", max_results=3)
-            assert _signature(result.answers) == _signature(plain)
+            assert same(result.answers, plain)
 
     def test_mutations_route_and_advance_the_epoch(self, university):
         spec = ClusterSpec(
@@ -187,7 +184,7 @@ class TestReplicatedTopology:
             assert result.replica in (0, 1)
             assert result.shards and all(0 <= s < 2 for s in result.shards)
             plain = BANKS(university).search("alice seminar", max_results=3)
-            assert _signature(result.answers) == _signature(plain)
+            assert same(result.answers, plain)
 
 
 class TestBrowseAppIntegration:

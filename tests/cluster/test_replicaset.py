@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, QueryRequest
+from repro.core.oracle import same
 from repro.errors import ClusterError
 
 
@@ -24,10 +25,6 @@ def _thread_cluster(database, replicas=2, **spec_overrides):
         **spec_overrides,
     )
     return Cluster(spec, database=database.fork())
-
-
-def _signature(answers):
-    return [(a.tree.root, round(a.relevance, 9)) for a in answers]
 
 
 class TestBalancing:
@@ -59,16 +56,12 @@ class TestBalancing:
             cluster.insert("student", ["S801", "Parity Probe", "BIGDEPT"])
             replica_set.sync()
             for query in ("alice seminar", "parity probe"):
-                primary = _signature(
-                    cluster.query(
-                        QueryRequest(query, k=5, consistency="primary")
-                    ).answers
-                )
+                primary = cluster.query(
+                    QueryRequest(query, k=5, consistency="primary")
+                ).answers
                 for index in range(2):
-                    replica = _signature(
-                        replica_set.search_on(index, query, max_results=5)
-                    )
-                    assert replica == primary
+                    replica = replica_set.search_on(index, query, max_results=5)
+                    assert same(replica, primary)
 
 
 class TestStalenessExclusion:
@@ -121,16 +114,14 @@ class TestFailover:
         with _thread_cluster(university, replicas=2) as cluster:
             replica_set = cluster.backend
             app = BrowseApp(cluster=cluster)
-            baseline = _signature(
-                cluster.query(
-                    QueryRequest("alice seminar", k=3, consistency="primary")
-                ).answers
-            )
+            baseline = cluster.query(
+                QueryRequest("alice seminar", k=3, consistency="primary")
+            ).answers
             replica_set.kill_replica(0)
             # Mid-load: every read keeps being served, parity intact.
             for _step in range(4):
                 result = cluster.query("alice seminar", k=3)
-                assert _signature(result.answers) == baseline
+                assert same(result.answers, baseline)
                 assert result.replica in (1, None)
             # History keeps accumulating while the replica is down.
             cluster.insert("student", ["S830", "Heal Probe", "BIGDEPT"])
@@ -177,15 +168,13 @@ class TestFailover:
         with Cluster(spec, database=university.fork()) as cluster:
             replica_set = cluster.backend
             assert replica_set.backend == "process"
-            baseline = _signature(
-                cluster.query(
-                    QueryRequest("alice seminar", k=3, consistency="primary")
-                ).answers
-            )
+            baseline = cluster.query(
+                QueryRequest("alice seminar", k=3, consistency="primary")
+            ).answers
             replica_set.kill_replica(1)
             for _step in range(3):
                 result = cluster.query("alice seminar", k=3)
-                assert _signature(result.answers) == baseline
+                assert same(result.answers, baseline)
             assert replica_set.heal() == 1
             assert replica_set.replica_status()[1]["state"] == "active"
 

@@ -1,6 +1,6 @@
 """CSR kernel vs the dict reference, kernel to kernel.
 
-``csr_backward_search`` promises the reference search's answers exactly:
+``backward_expanding_search`` promises the reference search's answers exactly:
 same roots, same float relevances, same emission order, same work.  The
 facade-level tests see that promise through one or two queries; this
 module calls both kernels directly on the same keyword node sets and
@@ -17,9 +17,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.banks import BANKS
-from repro.core.csrkernel import csr_backward_search
 from repro.core.incremental import IncrementalBANKS
-from repro.core.search import _reference_backward_search
+from repro.core.oracle import reference_search
+from repro.core.search import backward_expanding_search
 from repro.datasets import (
     DEMO_QUERY_SETS,
     generate_bibliography,
@@ -79,8 +79,8 @@ def run_both(reference_graph, frozen_graph, keyword_node_sets, scorer, config):
     assert isinstance(frozen_graph, CSROverlayGraph)
     outcomes = []
     for kernel, graph in (
-        (_reference_backward_search, reference_graph),
-        (csr_backward_search, frozen_graph),
+        (reference_search, reference_graph),
+        (backward_expanding_search, frozen_graph),
     ):
         profile = SearchProfile()
         answers = [
@@ -159,9 +159,7 @@ class TestSynthShapes:
 
     def test_visit_budget_stops_mid_expansion(self, synth):
         facade, frozen = synth
-        config = replace(
-            facade.search_config, max_results=5, **VARIANTS["max_visited"]
-        )
+        config = replace(facade.search_config, max_results=5, **VARIANTS["max_visited"])
         answers, counters = assert_parity(
             facade.graph, frozen, facade, "alice albrecht", config
         )
@@ -249,9 +247,7 @@ class TestForkedOverlay:
                     graph.add_edge(node, target, edge_weight)
                 for source, edge_weight in predecessors:
                     graph.add_edge(source, node, edge_weight)
-        assert all(
-            overlay.index_of(node) >= overlay.base.num_nodes for node in readded
-        )
+        assert all(overlay.index_of(node) >= overlay.base.num_nodes for node in readded)
         assert overlay.tombstone_count == len(readded)
 
         config = replace(live.search_config, max_results=5)
@@ -305,9 +301,7 @@ class TestForkedOverlay:
         config = replace(facade.search_config, max_results=5)
         keyword_node_sets = facade.resolve("3 11")
         best = next(
-            _reference_backward_search(
-                reference, keyword_node_sets, facade.scorer, config
-            )
+            reference_search(reference, keyword_node_sets, facade.scorer, config)
         ).tree
         # The edge into the first keyword node: its row is the one the
         # keyword's lane relaxes first.
@@ -321,7 +315,7 @@ class TestForkedOverlay:
         assert_parity(reference, overlay, facade, "3 11", config)
         weights = [
             scored.tree.edge_weight(source, keyword)
-            for scored in csr_backward_search(
+            for scored in backward_expanding_search(
                 overlay, keyword_node_sets, facade.scorer, config
             )
             if (source, keyword) in scored.tree.edges

@@ -17,6 +17,7 @@ from repro.core.search import (
     _OutputHeap,
     backward_expanding_search,
 )
+from repro.graph.csr import freeze_graph
 from repro.graph.digraph import DiGraph
 
 
@@ -84,7 +85,7 @@ class TestEmittedDuplicateRule:
         scorer = Scorer(stats, ScoringConfig())
         answers = list(
             backward_expanding_search(
-                graph,
+                freeze_graph(graph),
                 [{"k1"}, {"k2"}],
                 scorer,
                 SearchConfig(max_results=20, output_heap_size=2),

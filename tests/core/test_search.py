@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import GraphStats
+from repro.core.oracle import reference_search
 from repro.core.scoring import Scorer, ScoringConfig
 from repro.core.search import SearchConfig, backward_expanding_search
 from repro.errors import EmptyQueryError, QueryError
+from repro.graph.csr import freeze_graph
 from repro.graph.digraph import DiGraph
 from repro.graph.steiner import steiner_tree
 
@@ -24,10 +26,24 @@ def make_scorer(graph: DiGraph) -> Scorer:
 
 
 def run_search(graph, groups, **config_kwargs):
+    """The kernel's answers on ``graph`` frozen, after checking them
+    against the reference search on ``graph`` itself: same roots, ``==``
+    relevances, order, parent maps and keyword nodes."""
     config = SearchConfig(**config_kwargs) if config_kwargs else SearchConfig()
-    return list(
-        backward_expanding_search(graph, groups, make_scorer(graph), config)
+    scorer = make_scorer(graph)
+    answers = list(
+        backward_expanding_search(freeze_graph(graph), groups, scorer, config)
     )
+    expected = list(reference_search(graph, groups, scorer, config))
+    assert [_shape(answer) for answer in answers] == [
+        _shape(answer) for answer in expected
+    ]
+    return answers
+
+
+def _shape(answer):
+    tree = answer.tree
+    return tree.root, answer.relevance, answer.order, tree.parent, tree.keyword_nodes
 
 
 def bidirected(edges):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import GraphStats
+from repro.core.oracle import reference_search
 from repro.core.scoring import Scorer
 from repro.core.search import SearchConfig, backward_expanding_search
 from repro.errors import GraphError
@@ -261,9 +262,7 @@ def test_property_overlay_replay_matches_digraph(seed, mutations):
     live = list(plain.nodes())
     keyword_node_sets = [{live[0]}, {live[len(live) // 2], live[-1]}]
     config = SearchConfig(max_results=5)
-    expected = list(
-        backward_expanding_search(plain, keyword_node_sets, scorer, config)
-    )
+    expected = list(reference_search(plain, keyword_node_sets, scorer, config))
     actual = list(
         backward_expanding_search(overlay, keyword_node_sets, scorer, config)
     )

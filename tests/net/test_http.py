@@ -13,6 +13,7 @@ import http.client
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, QueryRequest
+from repro.core.oracle import same
 from repro.datasets import DEMO_QUERY_SETS
 from repro.errors import NetError
 from repro.net import BanksClient, HttpServer, NetConfig
@@ -41,15 +42,9 @@ def client(server):
     return BanksClient(server.url, token=TOKEN)
 
 
-def _signature(answers):
-    return [(list(a.tree.root), round(a.relevance, 9)) for a in answers]
-
-
-def _wire_signature(document):
-    return [
-        (list(a["root"]), round(a["relevance"], 9))
-        for a in document["answers"]
-    ]
+def _wire_answers(document):
+    """Decoded ``(root, relevance)`` pairs; JSON turns root tuples into lists."""
+    return [(tuple(a["root"]), a["relevance"]) for a in document["answers"]]
 
 
 class TestAuth:
@@ -102,18 +97,16 @@ class TestQueryParity:
         """The acceptance gate: /v1/query returns parity-identical
         roots and scores to Cluster.query for every demo query."""
         for query in DEMO_QUERIES:
-            local = _signature(
-                cluster.query(QueryRequest(query, k=5)).answers
-            )
-            wire = _wire_signature(client.query(query, k=5))
-            assert wire == local, query
+            local = cluster.query(QueryRequest(query, k=5)).answers
+            wire = _wire_answers(client.query(query, k=5))
+            assert same(wire, local), query
 
     def test_pagination_slices_the_same_ranking(self, client):
         query = DEMO_QUERIES[0]
         full = client.query(query, k=10)
         page = client.query(query, k=2, offset=1)
         assert page["offset"] == 1 and page["k"] == 2
-        assert _wire_signature(page) == _wire_signature(full)[1:3]
+        assert same(_wire_answers(page), _wire_answers(full)[1:3])
         ranks = [a["rank"] for a in page["answers"]]
         assert ranks == list(range(1, 1 + len(ranks)))
 
@@ -130,7 +123,7 @@ class TestQueryParity:
         document = json.loads(response.read())
         connection.close()
         assert response.status == 200
-        assert _wire_signature(document) == _wire_signature(posted)
+        assert same(_wire_answers(document), _wire_answers(posted))
 
 
 class TestStreaming:
@@ -156,9 +149,7 @@ class TestStreaming:
         query = DEMO_QUERIES[2]
         events = list(client.query_stream(query, k=5))
         result = [data for name, data in events if name == "result"][0]
-        assert _wire_signature(result) == _wire_signature(
-            client.query(query, k=5)
-        )
+        assert same(_wire_answers(result), _wire_answers(client.query(query, k=5)))
 
     def test_stream_rejects_bad_consistency_before_streaming(self, client):
         # Validation fails before SSE headers go out, so the refusal

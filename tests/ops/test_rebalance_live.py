@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.core.oracle import never_worse, same_up_to_ties
 from repro.datasets import generate_bibliography
 from repro.ops.faults import FaultInjected, FaultInjector
 from repro.ops.rebalance import REBALANCE_STEPS, drain_plan, plan_rebalance
@@ -38,11 +39,6 @@ PROBE_QUERIES = (
 )
 
 
-def tie_signature(answers):
-    ranked = sorted(answers, key=lambda a: (-a.relevance, repr(a.tree.root)))
-    return [(a.tree.root, round(a.relevance, 9)) for a in ranked]
-
-
 def disjoint_cover(router) -> bool:
     owned: set = set()
     total = 0
@@ -63,15 +59,13 @@ class TestDrainUnderLoad:
             papers=150, authors=80, seed=11
         )
         reference = IncrementalBANKS(database.fork())
-        reference_sigs = {
-            query: tie_signature(reference.search(query, max_results=5))
-            for query in PROBE_QUERIES
+        reference_top = {
+            query: reference.search(query, max_results=5) for query in PROBE_QUERIES
         }
         router = ShardRouter(database.fork(), shards=SHARDS, backend="thread")
         with router:
             before = {
-                query: tie_signature(router.search(query, max_results=5))
-                for query in PROBE_QUERIES
+                query: router.search(query, max_results=5) for query in PROBE_QUERIES
             }
             observed = [[] for _ in range(3)]
             errors = []
@@ -81,14 +75,7 @@ class TestDrainUnderLoad:
                 while not stop.is_set():
                     for query in PROBE_QUERIES:
                         try:
-                            out.append(
-                                (
-                                    query,
-                                    tie_signature(
-                                        router.search(query, max_results=5)
-                                    ),
-                                )
-                            )
+                            out.append((query, router.search(query, max_results=5)))
                         except Exception as error:  # noqa: BLE001 - recorded
                             errors.append(error)
                             return
@@ -110,24 +97,17 @@ class TestDrainUnderLoad:
             assert outcome["applied"] > 0 and outcome["skipped"] == 0
             assert not router.partition.shard_nodes[SHARDS - 1]
             assert disjoint_cover(router)
-            after = {
-                query: tie_signature(router.search(query, max_results=5))
-                for query in PROBE_QUERIES
-            }
-            assert after == before
+            for query in PROBE_QUERIES:
+                after = router.search(query, max_results=5)
+                assert same_up_to_ties(after, before[query]), query
 
             probes = sum(len(out) for out in observed)
             assert probes > 0
             for out in observed:
-                for query, signature in out:
-                    roots = [root for root, _score in signature]
+                for query, answers in out:
+                    roots = [answer.tree.root for answer in answers]
                     assert len(roots) == len(set(roots)), query
-                    want = reference_sigs[query]
-                    assert len(signature) >= len(want), query
-                    for (_root, score), (_ref_root, ref_score) in zip(
-                        signature, want
-                    ):
-                        assert score >= ref_score - 1e-9, query
+                    assert never_worse(answers, reference_top[query]), query
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_process_backend_drain_keeps_exact_parity(self):
@@ -141,7 +121,7 @@ class TestDrainUnderLoad:
                 router.insert("paper", row)
                 facade.insert("paper", row)
             before = {
-                query: tie_signature(router.search(query, max_results=5))
+                query: router.search(query, max_results=5)
                 for query in ("grace", "drain study", "abstraction")
             }
             outcome = router.rebalance(drain_plan(router, 1))
@@ -149,12 +129,8 @@ class TestDrainUnderLoad:
             assert not router.partition.shard_nodes[1]
             assert disjoint_cover(router)
             for query, want in before.items():
-                assert (
-                    tie_signature(router.search(query, max_results=5)) == want
-                ), query
-                assert (
-                    tie_signature(facade.search(query, max_results=5)) == want
-                ), query
+                assert same_up_to_ties(router.search(query, max_results=5), want), query
+                assert same_up_to_ties(facade.search(query, max_results=5), want), query
 
 
 class TestFaultMidDrain:
@@ -166,10 +142,7 @@ class TestFaultMidDrain:
         router = ShardRouter(make_db(), shards=SHARDS, backend="thread")
         with router:
             queries = ("grace", "abstraction", "compiling")
-            before = {
-                query: tie_signature(router.search(query, max_results=5))
-                for query in queries
-            }
+            before = {query: router.search(query, max_results=5) for query in queries}
             ownership_before = [
                 set(nodes) for nodes in router.partition.shard_nodes
             ]
@@ -192,10 +165,8 @@ class TestFaultMidDrain:
             )
             assert moved == 1
             for query in queries:
-                assert (
-                    tie_signature(router.search(query, max_results=5))
-                    == before[query]
-                ), query
+                after = router.search(query, max_results=5)
+                assert same_up_to_ties(after, before[query]), query
 
             # The drain is resumable: re-planning finishes the job.
             router.rebalance(drain_plan(router, SHARDS - 1))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.core.oracle import same
 from repro.errors import IntegrityError
 from repro.relational import Database, execute_script
 from repro.serve.snapshot import SnapshotStore
@@ -34,10 +35,6 @@ def make_db(name: str = "shardmut") -> Database:
     database = Database(name)
     execute_script(database, SCHEMA)
     return database
-
-
-def signatures(answers):
-    return [(a.tree.root, round(a.relevance, 9)) for a in answers]
 
 
 MUTATIONS = (
@@ -79,9 +76,9 @@ class TestRoutedMutations:
             drive(router)
             drive(facade)
             for query in QUERIES:
-                routed = signatures(router.search(query, max_results=5))
-                single = signatures(facade.search(query, max_results=5))
-                assert routed == single, query
+                routed = router.search(query, max_results=5)
+                single = facade.search(query, max_results=5)
+                assert same(routed, single), query
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_search_parity_after_mutations_process_backend(self):
@@ -91,9 +88,9 @@ class TestRoutedMutations:
             drive(router)
             drive(facade)
             for query in QUERIES:
-                routed = signatures(router.search(query, max_results=5))
-                single = signatures(facade.search(query, max_results=5))
-                assert routed == single, query
+                routed = router.search(query, max_results=5)
+                single = facade.search(query, max_results=5)
+                assert same(routed, single), query
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_route_dispatch_serves_mutations_from_workers(self):
@@ -108,9 +105,9 @@ class TestRoutedMutations:
             drive(router)
             drive(facade)
             for query in QUERIES:
-                routed = signatures(router.search(query, max_results=5))
-                single = signatures(facade.search(query, max_results=5))
-                assert routed == single, query
+                routed = router.search(query, max_results=5)
+                single = facade.search(query, max_results=5)
+                assert same(routed, single), query
 
     def test_only_owning_shard_engine_republished(self):
         router = ShardRouter(make_db(), shards=3, backend="thread")
@@ -191,9 +188,10 @@ class TestRoutedMutations:
             assert router.epoch == 4
             facade = store.current().facade
             for query in ("dataflow", "jack dataflow", "clu"):
-                assert signatures(
-                    router.search(query, max_results=5)
-                ) == signatures(facade.search(query, max_results=5)), query
+                assert same(
+                    router.search(query, max_results=5),
+                    facade.search(query, max_results=5),
+                ), query
 
     def test_concurrent_searches_and_mutations_thread_backend(self):
         """The router's search gate: thread-backed searchers share one

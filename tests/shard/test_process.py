@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.oracle import same_up_to_ties
 from repro.errors import ShardError
 from repro.shard import ShardRouter, fork_available
 
@@ -20,22 +21,12 @@ def university_db():
     return database
 
 
-def _signature(answers):
-    ranked = sorted(
-        answers, key=lambda a: (-a.relevance, repr(a.tree.root))
-    )
-    return [(a.tree.root, round(a.relevance, 9)) for a in ranked]
-
-
 def test_process_backend_matches_thread_backend(university_db):
     queries = ("alice bob", "seminar rare")
     with ShardRouter(
         university_db, shards=3, backend="thread"
     ) as thread_router:
-        expected = {
-            q: _signature(thread_router.search(q, max_results=5))
-            for q in queries
-        }
+        expected = {q: thread_router.search(q, max_results=5) for q in queries}
     with ShardRouter(
         university_db, shards=3, backend="process"
     ) as process_router:
@@ -43,9 +34,9 @@ def test_process_backend_matches_thread_backend(university_db):
         for worker in process_router._workers:
             assert worker.alive
         for q in queries:
-            assert _signature(
-                process_router.search(q, max_results=5)
-            ) == expected[q]
+            assert same_up_to_ties(
+                process_router.search(q, max_results=5), expected[q]
+            )
 
 
 def test_auto_backend_prefers_processes(university_db):

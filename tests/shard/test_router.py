@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.oracle import never_worse, same_up_to_ties
 from repro.datasets.bibliography import DEMO_QUERIES as BIBLIOGRAPHY_QUERIES
 from repro.datasets.tpcd import DEMO_QUERIES as TPCD_QUERIES
 from repro.errors import ShardError
@@ -20,13 +21,6 @@ PARITY_QUERIES = BIBLIOGRAPHY_QUERIES
 TPCD_SCORE_GAP = "steel bolt"
 
 
-def _signature(answers):
-    ranked = sorted(
-        answers, key=lambda a: (-a.relevance, repr(a.tree.root))
-    )
-    return [(a.tree.root, round(a.relevance, 9)) for a in ranked]
-
-
 @pytest.fixture(scope="module")
 def biblio_router(bibliography_session):
     database, _anecdotes = bibliography_session
@@ -39,41 +33,34 @@ class TestParity:
         self, biblio_router, biblio_banks_session
     ):
         for query in PARITY_QUERIES:
-            sharded = _signature(biblio_router.search(query, max_results=5))
-            single = _signature(
-                biblio_banks_session.search(query, max_results=5)
-            )
-            assert sharded == single, query
+            sharded = biblio_router.search(query, max_results=5)
+            single = biblio_banks_session.search(query, max_results=5)
+            assert same_up_to_ties(sharded, single), query
 
     @pytest.fixture(scope="class")
-    def tpcd_scores(self):
+    def tpcd_answers(self):
         """Per TPC-D demo query: the (gathered, single-engine) top-5
-        relevance sequences at 4 shards."""
+        answers at 4 shards."""
         from repro import BANKS
         from repro.datasets import generate_tpcd
-
-        def scores(engine, query):
-            answers = engine.search(query, max_results=5)
-            return [score for _root, score in _signature(answers)]
 
         database = generate_tpcd()[0]
         single = BANKS(database)
         with ShardRouter(database, shards=4, backend="thread") as router:
             return {
-                query: (scores(router, query), scores(single, query))
+                query: (
+                    router.search(query, max_results=5),
+                    single.search(query, max_results=5),
+                )
                 for query in TPCD_QUERIES
             }
 
-    def test_tpcd_gather_is_never_worse(self, tpcd_scores):
+    def test_tpcd_gather_is_never_worse(self, tpcd_answers):
         """Interchangeable ``lineitem`` rows make strict root parity
         ill-defined on TPC-D; what gather must never do is lose
         relevance at any rank."""
-        for query, (sharded, single) in tpcd_scores.items():
-            assert len(sharded) >= len(single), query
-            assert all(
-                ours >= theirs - 1e-9
-                for ours, theirs in zip(sharded, single)
-            ), query
+        for query, (sharded, single) in tpcd_answers.items():
+            assert never_worse(sharded, single), query
 
     @pytest.mark.parametrize(
         "query",
@@ -91,9 +78,10 @@ class TestParity:
             for query in TPCD_QUERIES
         ],
     )
-    def test_tpcd_gather_is_score_equal(self, tpcd_scores, query):
-        sharded, single = tpcd_scores[query]
-        assert sharded == single
+    def test_tpcd_gather_is_score_equal(self, tpcd_answers, query):
+        sharded, single = tpcd_answers[query]
+        # Never worse both ways: the same scores, rank for rank.
+        assert never_worse(sharded, single) and never_worse(single, sharded)
 
     def test_single_shard_router_matches_single_engine(
         self, bibliography_session, biblio_banks_session
@@ -101,8 +89,9 @@ class TestParity:
         database, _ = bibliography_session
         with ShardRouter(database, shards=1, backend="thread") as router:
             query = PARITY_QUERIES[0]
-            assert _signature(router.search(query, max_results=5)) == (
-                _signature(biblio_banks_session.search(query, max_results=5))
+            assert same_up_to_ties(
+                router.search(query, max_results=5),
+                biblio_banks_session.search(query, max_results=5),
             )
 
     def test_resolution_union_matches_unsharded(
@@ -179,11 +168,9 @@ class TestRouteDispatch:
         # among exact-score ties is not preserved — roots and scores
         # of the top-5 are.
         for query in PARITY_QUERIES:
-            routed = _signature(route_router.search(query, max_results=5))
-            single = _signature(
-                biblio_banks_session.search(query, max_results=5)
-            )
-            assert routed == single, query
+            routed = route_router.search(query, max_results=5)
+            single = biblio_banks_session.search(query, max_results=5)
+            assert same_up_to_ties(routed, single), query
 
     def test_routing_spreads_queries_across_shards(self, route_router):
         for query in PARITY_QUERIES:

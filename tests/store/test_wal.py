@@ -10,6 +10,7 @@ import shutil
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.core.oracle import same, signature
 from repro.errors import ServeError, StoreError, WalError
 from repro.relational import Database, execute_script
 from repro.serve.engine import EngineConfig, QueryEngine
@@ -52,14 +53,9 @@ def epoch(n: int) -> Epoch:
     return Epoch(n, (delta(n),))
 
 
-def signatures(facade, queries=QUERIES):
-    return [
-        [
-            (a.tree.root, round(a.relevance, 9))
-            for a in facade.search(q, max_results=5)
-        ]
-        for q in queries
-    ]
+def top5(facade):
+    """Each query's top five answers, as ``(root, relevance)`` pairs."""
+    return [signature(facade.search(q, max_results=5)) for q in QUERIES]
 
 
 def mutate_battery(store: SnapshotStore, rounds: int = 6) -> None:
@@ -369,7 +365,7 @@ class TestRecovery:
 
         recovered = IncrementalBANKS.recover(base.fork, wal)
         assert recovered.applied_epoch == store.epoch
-        assert signatures(recovered) == signatures(live)
+        assert all(map(same, top5(recovered), top5(live)))
 
     def test_recover_stops_at_torn_tail(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -419,7 +415,7 @@ class TestReplicaFollower:
         assert follower.poll() == store.epoch
         assert follower.lag_epochs() == 0
         assert follower.poll() == 0  # idempotent when caught up
-        assert signatures(replica) == signatures(store.current().facade)
+        assert all(map(same, top5(replica), top5(store.current().facade)))
 
     def test_incremental_tailing(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -435,7 +431,7 @@ class TestReplicaFollower:
             )
             assert follower.poll() == 1
             assert follower.applied_epoch == store.epoch
-        assert signatures(replica) == signatures(store.current().facade)
+        assert all(map(same, top5(replica), top5(store.current().facade)))
 
     def test_engine_target_publishes_versions(self, tmp_path):
         wal, base, store = self._primary(tmp_path)
@@ -452,9 +448,7 @@ class TestReplicaFollower:
             # One poll batch = one atomically published version.
             assert engine.snapshots.version == 1
             assert registry.snapshot()["replica_lag_epochs"] == 0
-            assert signatures(engine.facade) == signatures(
-                store.current().facade
-            )
+            assert all(map(same, top5(engine.facade), top5(store.current().facade)))
         finally:
             engine.stop()
 
@@ -466,15 +460,8 @@ class TestReplicaFollower:
             assert follower.lag_epochs() == 0
             live = store.current().facade
             for query in QUERIES:
-                got = [
-                    (a.tree.root, round(a.relevance, 9))
-                    for a in router.search(query, max_results=5)
-                ]
-                want = [
-                    (a.tree.root, round(a.relevance, 9))
-                    for a in live.search(query, max_results=5)
-                ]
-                assert got == want
+                got = router.search(query, max_results=5)
+                assert same(got, live.search(query, max_results=5)), query
 
     def test_background_thread_tails(self, tmp_path):
         wal, base, store = self._primary(tmp_path)
@@ -505,16 +492,16 @@ class TestReplicaFollower:
             replica = IncrementalBANKS(base.fork())
             follower = ReplicaFollower(wal, replica)
             follower.catch_up(store.epoch, timeout=30.0)
-            child_end.send((follower.lag_epochs(), signatures(replica)))
+            child_end.send((follower.lag_epochs(), top5(replica)))
             child_end.close()
 
         process = context.Process(target=probe, daemon=True)
         process.start()
         child_end.close()
-        lag, replica_signatures = parent_end.recv()
+        lag, replica_answers = parent_end.recv()
         process.join(timeout=10.0)
         assert lag == 0
-        assert replica_signatures == signatures(live)
+        assert all(map(same, replica_answers, top5(live)))
 
 
 class TestEngineWalSurface:
