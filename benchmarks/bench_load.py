@@ -2,8 +2,9 @@
 
 The paper: "The graph currently takes about 2 minutes to load initially"
 for ~100K nodes / 300K edges (Java, untuned).  This bench builds the
-BANKS graph + keyword index at three scales and reports wall time, so
-EXPERIMENTS.md can put measured numbers next to the paper's.
+BANKS graph (laid straight into the CSR arrays the facade serves from)
++ keyword index at three scales and reports wall time, so the numbers
+can sit next to the paper's.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def test_graph_load(benchmark, label, papers, authors):
     )
 
     def build():
-        graph, stats = build_data_graph(database)
+        _graph, stats = build_data_graph(database)
         index = InvertedIndex(database)
         return stats, len(index)
 

@@ -2,8 +2,9 @@
 
 The paper: "For a bibliographic database with 100K nodes and 300K
 edges, memory utilization was around 120 MB.  Java implementations are
-notorious for wasting space."  This bench deep-measures the Python graph
-at several scales and reports MB plus derived per-node / per-edge byte
+notorious for wasting space."  This bench deep-measures the CSR graph
+``build_data_graph`` returns (the arrays every facade serves from) at
+several scales and reports MB plus derived per-node / per-edge byte
 costs (the claim to preserve: the graph of a moderately large database
 fits comfortably in memory).
 """

@@ -112,11 +112,11 @@ class BANKS:
             (``writes``, ``cites``, ...) as information nodes — the
             paper's "selected set" restriction, derived automatically
             from the catalog.
-        freeze: snapshot the built graph into the compact CSR form
-            (:mod:`repro.graph.csr`), a
-            :class:`~repro.graph.csr.CSROverlayGraph`, and search it
-            with the kernel.  ``False`` makes the facade the oracle:
-            it keeps the dict-of-dicts graph and searches it with
+        freeze: serve the built CSR graph (:mod:`repro.graph.csr`)
+            through a :class:`~repro.graph.csr.CSROverlayGraph` and
+            search it with the kernel.  ``False`` makes the facade the
+            oracle: it searches a row-for-row dict-of-dicts copy
+            (:meth:`~repro.graph.csr.CSRGraph.thaw`) with
             :func:`repro.core.oracle.reference_search`.
     """
 
@@ -143,9 +143,8 @@ class BANKS:
                 excluded_root_tables=link_tables(database),
             )
 
-        self.graph, self.stats = build_data_graph(database, self.weight_policy)
-        if freeze:
-            self.graph = freeze_graph(self.graph)
+        graph, self.stats = build_data_graph(database, self.weight_policy)
+        self.graph = freeze_graph(graph) if freeze else graph.thaw()
         self._oracle = not freeze
         self.index = InvertedIndex(database)
         self.scorer = Scorer(self.stats, self.scoring)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Union
 
 from repro.core.banks import BANKS, Answer
-from repro.core.model import GraphStats
+from repro.core.model import stats_of
 from repro.core.scoring import Scorer
 from repro.errors import QueryError
 from repro.relational.database import Database, RID
@@ -180,15 +180,7 @@ class FeedbackBanks(BANKS):
             boost = self.feedback_scale * activation.get(node, 0.0)
             self.graph.set_node_weight(node, base + boost)
         # Prestige changed: refresh the scoring normaliser.
-        max_node = (
-            self.graph.max_node_weight() if self.graph.num_nodes else 1.0
-        )
-        self.stats = GraphStats(
-            min_edge_weight=self.stats.min_edge_weight,
-            max_node_weight=max(max_node, 1.0e-12),
-            num_nodes=self.stats.num_nodes,
-            num_edges=self.stats.num_edges,
-        )
+        self.stats = stats_of(self.graph)
         self.scorer = Scorer(self.stats, self.scoring)
         return activation
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.core.banks import BANKS
-from repro.core.model import GraphStats
+from repro.core.model import stats_of
 from repro.core.scoring import Scorer
 from repro.core.weights import WeightPolicy
 from repro.errors import GraphError, StoreError
@@ -104,15 +104,7 @@ class IncrementalBANKS(BANKS):
     def _refresh_stats(self) -> None:
         if not self._stats_dirty:
             return
-        graph = self.graph
-        min_edge = graph.min_edge_weight() if graph.num_edges else 1.0
-        max_node = graph.max_node_weight() if graph.num_nodes else 1.0
-        self.stats = GraphStats(
-            min_edge_weight=min_edge,
-            max_node_weight=max(max_node, 1.0e-12),
-            num_nodes=graph.num_nodes,
-            num_edges=graph.num_edges,
-        )
+        self.stats = stats_of(self.graph)
         self.scorer = Scorer(self.stats, self.scoring)
         self._stats_dirty = False
 

@@ -99,7 +99,7 @@ class SearchConfig:
         allowed_root_nodes: when not ``None``, only these nodes may
             serve as information nodes (on top of the exclusions).  The
             shard router partitions the answer space with this: each
-            shard searches the same stitched graph but emits only
+            shard searches the same built graph but emits only
             answers rooted in its own partition, so the union of the
             per-shard emissions covers every answer exactly once.
         max_distance: per-iterator expansion radius; ``None`` unbounded.

@@ -103,7 +103,7 @@ class FederationError(ReproError):
 
 class ShardError(ReproError):
     """The shard subsystem is misconfigured or a shard failed (bad
-    partition strategy, lossy stitch, dead shard worker process, ...)."""
+    partition strategy, dead shard worker process, ...)."""
 
 
 class StoreError(ReproError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.model import GraphStats, build_data_graph, link_tables
+from repro.core.model import GraphStats, build_data_graph, link_tables, stats_of
 from repro.core.answer import AnswerTree
 from repro.core.query import ParsedQuery, parse_query, resolve_term
 from repro.core.scoring import Scorer, ScoringConfig
@@ -185,21 +185,13 @@ class Federation:
                     f"external link endpoint missing from graph: "
                     f"{source} -> {target}"
                 )
-            _offer_min(graph, source, target, weight)
+            offer_min_edge(graph, source, target, weight)
             backward = weight * max(1, cross_indegree.get(target, 1))
-            _offer_min(graph, target, source, backward)
+            offer_min_edge(graph, target, source, backward)
             # Cross-database inlinks confer prestige, like FK inlinks.
             graph.set_node_weight(target, graph.node_weight(target) + 1.0)
 
-        min_edge = graph.min_edge_weight() if graph.num_edges else 1.0
-        max_node = graph.max_node_weight() if graph.num_nodes else 1.0
-        stats = GraphStats(
-            min_edge_weight=min_edge,
-            max_node_weight=max(max_node, 1.0e-12),
-            num_nodes=graph.num_nodes,
-            num_edges=graph.num_edges,
-        )
-        return graph, stats
+        return graph, stats_of(graph)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -213,17 +205,10 @@ def offer_min_edge(graph: DiGraph, source, target, weight: float) -> None:
 
     The Eq. 1 merge rule for a directed pair that receives several
     candidate weights (mutually referencing relations, duplicate links).
-    Shared by federation graph construction and the shard stitcher, so
-    a graph reassembled from parts merges edges exactly as a graph
-    built in one piece does.
     """
     if graph.has_edge(source, target):
         weight = min(weight, graph.edge_weight(source, target))
     graph.add_edge(source, target, weight)
-
-
-#: Backward-compatible private alias (pre-shard name).
-_offer_min = offer_min_edge
 
 
 @dataclass

@@ -1,21 +1,25 @@
-"""Frozen CSR snapshot of the data graph, plus COW overlay forks.
+"""Frozen CSR data graph, plus COW overlay forks.
 
-The dict-of-dicts :class:`~repro.graph.digraph.DiGraph` is the right
-shape for *building* the data graph — idempotent edge merges, tombstoned
-removals — but a search only ever reads the graph, and on dicts pays
-dict-probe and tuple-churn costs on every relaxation.  So ``DiGraph`` is
-the build-time builder (and the oracle's graph), and this module holds
-everything a facade serves from and writes to:
+A search only ever reads the graph, and on dicts pays dict-probe and
+tuple-churn costs on every relaxation, so the data graph is built
+straight into arrays: :func:`repro.core.model.build_data_graph` hands
+its Eq. 1 edges to :meth:`CSRGraph.from_edges`, and no dict graph
+exists on a serving path.  The dict-of-dicts
+:class:`~repro.graph.digraph.DiGraph` is the oracle's graph
+(:meth:`CSRGraph.thaw`) and the builder of the XML, federated and
+hyperbase graphs.  This module holds everything a facade serves from
+and writes to:
 
-* :class:`CSRGraph` — an immutable compressed-sparse-row snapshot.
-  :meth:`CSRGraph.freeze` densely renumbers the live nodes (tombstone
-  slots are skipped, insertion order is preserved — adjacency order
-  feeds Dijkstra tie-breaking, so freeze/thaw must not reshuffle it)
-  and lays successor *and* predecessor adjacency out as contiguous
-  ``array`` triples ``(offsets, targets, weights)``.  Node weights,
-  the scoring normalisers and the normalised log-scaled edge scores
-  (``log2(1 + w/w_min)``, the paper's *EdgeLog* form) are precomputed
-  at freeze time.
+* :class:`CSRGraph` — an immutable compressed-sparse-row snapshot with
+  successor *and* predecessor adjacency laid out as contiguous
+  ``array`` triples ``(offsets, targets, weights)``.  It is built from
+  an edge list (:meth:`CSRGraph.from_edges`) or from any DiGraph-shaped
+  graph (:meth:`CSRGraph.freeze`, which densely renumbers the live
+  nodes: tombstone slots are skipped, insertion order is preserved —
+  adjacency order feeds Dijkstra tie-breaking, so freeze/thaw must not
+  reshuffle it).  Node weights, the scoring normalisers and the
+  normalised log-scaled edge scores (``log2(1 + w/w_min)``, the paper's
+  *EdgeLog* form) are precomputed when the arrays are laid out.
 
 * :class:`CSROverlayGraph` — the one mutable graph representation: a
   copy-on-write view over a frozen base.  Delta-touched adjacency rows
@@ -39,8 +43,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import accumulate
 from itertools import chain as _chain
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import GraphError as _GraphError
 from repro.errors import UnknownNodeError as _UnknownNodeError
@@ -54,19 +60,59 @@ __all__ = [
 ]
 
 
+#: One adjacency direction: ``(offsets, neighbour ids, weights)``.
+Rows = Tuple[array, array, array]
+
+
 def _node_table(node: Node) -> Optional[str]:
     if isinstance(node, tuple) and len(node) == 2 and isinstance(node[0], str):
         return node[0]
     return None
 
 
+def _rows_of(
+    ids: Sequence[Node],
+    index: Mapping[Node, int],
+    neighbours: Callable[[Node], Iterable[Tuple[Node, float]]],
+) -> Rows:
+    """CSR rows read node by node, each in ``neighbours``' order."""
+    offsets, to, weights = array("q", [0]), array("q"), array("d")
+    for node in ids:
+        for neighbor, weight in neighbours(node):
+            to.append(index[neighbor])
+            weights.append(weight)
+        offsets.append(len(to))
+    return offsets, to, weights
+
+
+def _sorted_rows(
+    n: int, keys: array, values: array, weights: Iterable[float]
+) -> Rows:
+    """CSR rows grouping ``values``/``weights`` by ``keys``: a stable
+    counting sort, so each row keeps its entries in input order, and
+    nothing is allocated beyond the output arrays."""
+    counts = [0] * (n + 1)
+    for key in keys:
+        counts[key + 1] += 1
+    offsets = array("q", accumulate(counts))
+    free = array("q", offsets)  # each row's next free slot
+    to = array("q", [0]) * len(keys)
+    row_weights = array("d", [0.0]) * len(keys)
+    for key, value, weight in zip(keys, values, weights):
+        slot = free[key]
+        free[key] = slot + 1
+        to[slot] = value
+        row_weights[slot] = weight
+    return offsets, to, row_weights
+
+
 class CSRGraph:
-    """An immutable CSR snapshot of a :class:`DiGraph`-shaped graph.
+    """An immutable CSR data graph.
 
     Exposes the full read API of :class:`~repro.graph.digraph.DiGraph`
-    (``index_of``/``successors``/``edges``/...), so scorers, stitch
-    parity checks and browse pages work unchanged.  Mutators raise:
-    call :meth:`overlay` to get a writable copy-on-write view.
+    (``index_of``/``successors``/``edges``/...), so scorers, the shard
+    partitioner and browse pages work unchanged.  Mutators raise: call
+    :meth:`overlay` to get a writable copy-on-write view.
     """
 
     __slots__ = (
@@ -95,10 +141,40 @@ class CSRGraph:
 
     def __init__(self) -> None:
         raise _GraphError(
-            "CSRGraph is built by CSRGraph.freeze(graph), not constructed"
+            "CSRGraph is built by CSRGraph.from_edges or CSRGraph.freeze, "
+            "not constructed"
         )
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def from_edges(
+        cls,
+        ids: List[Node],
+        index: Dict[Node, int],
+        node_weights: Iterable[float],
+        edges: Mapping[Tuple[int, int], float],
+    ) -> "CSRGraph":
+        """Lay a graph out from its nodes and its edge map.
+
+        ``index`` maps each node to its position in ``ids``; ``edges``
+        maps ``(source id, target id)`` pairs to weights, in insertion
+        order.  Successor rows are a stable sort of that order by
+        source, predecessor rows a stable sort by target: exactly the
+        rows ``DiGraph.add_edge`` in that order followed by
+        :meth:`freeze` produces, without the dict graph in between.
+        """
+        sources = array("q", (source for source, _target in edges))
+        targets = array("q", (target for _source, target in edges))
+        weight_array = array("d", node_weights)
+        return cls._assemble(
+            ids,
+            index,
+            weight_array,
+            _sorted_rows(len(ids), sources, targets, edges.values()),
+            _sorted_rows(len(ids), targets, sources, edges.values()),
+            max(weight_array) if ids else None,
+        )
 
     @classmethod
     def freeze(cls, graph) -> "CSRGraph":
@@ -110,58 +186,52 @@ class CSRGraph:
         order — both feed heap tie-breaking, so preserving them keeps
         rankings bit-identical across freeze/thaw.
         """
-        snapshot = cls.__new__(cls)
         ids: List[Node] = list(graph.nodes())
         index: Dict[Node, int] = {node: i for i, node in enumerate(ids)}
+        # Delegate the node normaliser to the source graph: its max
+        # scans tombstone slots as 0.0, and scoring parity demands the
+        # exact same float the dict representation would have produced.
+        return cls._assemble(
+            ids,
+            index,
+            array("d", (graph.node_weight(node) for node in ids)),
+            _rows_of(ids, index, graph.successors),
+            _rows_of(ids, index, graph.predecessors),
+            graph.max_node_weight() if ids else None,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        ids: List[Node],
+        index: Dict[Node, int],
+        node_weights: array,
+        succ: Rows,
+        pred: Rows,
+        max_node: Optional[float],
+    ) -> "CSRGraph":
+        snapshot = cls.__new__(cls)
         snapshot._ids = ids
         snapshot._index = index
         snapshot._reprs = [repr(node) for node in ids]
         snapshot._tables = [_node_table(node) for node in ids]
-        snapshot._node_weights = array(
-            "d", (graph.node_weight(node) for node in ids)
-        )
-
-        succ_off = array("q", [0])
-        succ_to = array("q")
-        succ_w = array("d")
-        for node in ids:
-            for neighbor, weight in graph.successors(node):
-                succ_to.append(index[neighbor])
-                succ_w.append(weight)
-            succ_off.append(len(succ_to))
-        pred_off = array("q", [0])
-        pred_to = array("q")
-        pred_w = array("d")
-        for node in ids:
-            for neighbor, weight in graph.predecessors(node):
-                pred_to.append(index[neighbor])
-                pred_w.append(weight)
-            pred_off.append(len(pred_to))
-        snapshot._succ_off, snapshot._succ_to, snapshot._succ_w = (
-            succ_off,
-            succ_to,
-            succ_w,
-        )
-        snapshot._pred_off, snapshot._pred_to, snapshot._pred_w = (
-            pred_off,
-            pred_to,
-            pred_w,
-        )
-        snapshot._edge_count = len(succ_to)
-
-        # Delegate the node normaliser to the source graph: its max
-        # scans tombstone slots as 0.0, and scoring parity demands the
-        # exact same float the dict representation would have produced.
+        snapshot._node_weights = node_weights
+        snapshot._succ_off, snapshot._succ_to, snapshot._succ_w = succ
+        snapshot._pred_off, snapshot._pred_to, snapshot._pred_w = pred
+        succ_w = succ[2]
+        snapshot._edge_count = len(succ_w)
         snapshot._min_edge = min(succ_w) if succ_w else None
-        snapshot._max_node = graph.max_node_weight() if ids else None
-        edge_norms: Dict[float, float] = {}
-        if snapshot._min_edge is not None and snapshot._min_edge > 0:
-            for weight in succ_w:
-                if weight not in edge_norms:
-                    edge_norms[weight] = math.log2(
-                        1.0 + weight / snapshot._min_edge
-                    )
-        snapshot._edge_norms = edge_norms
+        snapshot._max_node = max_node
+        if snapshot._min_edge is not None and snapshot._min_edge < 0:
+            raise _GraphError(
+                f"negative edge weight rejected: {snapshot._min_edge!r}"
+            )
+        low = snapshot._min_edge
+        snapshot._edge_norms = (
+            {weight: math.log2(1.0 + weight / low) for weight in set(succ_w)}
+            if low
+            else {}
+        )
 
         # Empty on the frozen base; CSROverlayGraph populates them.
         # Present here so the kernels read one shape for both classes.
@@ -176,6 +246,30 @@ class CSRGraph:
     def overlay(self) -> "CSROverlayGraph":
         """A mutable copy-on-write view over this snapshot."""
         return CSROverlayGraph._over(self)
+
+    def thaw(self):
+        """A :class:`~repro.graph.digraph.DiGraph` copy, row for row:
+        the live nodes in id order, every adjacency row in both
+        directions in this graph's order.  It is the oracle's graph,
+        so its ties break exactly as the kernel's do."""
+        from repro.graph.digraph import DiGraph
+
+        graph = DiGraph()
+        renumber: Dict[int, int] = {}
+        for index in range(self._slot_count()):
+            node = self.id_of(index)
+            if node is not None:
+                renumber[index] = graph.add_node(node, self.node_weight(node))
+        for old, new in renumber.items():
+            graph.raw_successors(new).update(
+                (renumber[t], w) for t, w in self._succ_row(old).items()
+            )
+            graph.raw_predecessors(new).update(
+                (renumber[s], w) for s, w in self._pred_row(old).items()
+            )
+        # The rows were filled in place, bypassing add_edge's count.
+        graph._edge_count = self.num_edges
+        return graph
 
     @property
     def frozen_min_edge_weight(self) -> Optional[float]:
@@ -323,10 +417,22 @@ class CSRGraph:
         return len(self._pred_row(self.index_of(node)))
 
     def edges(self) -> Iterator[Tuple[Node, Node, float]]:
-        id_of = self.id_of
+        # Untouched rows are read straight off the arrays, and with
+        # nothing appended or removed an id is a plain spine index: the
+        # shard partitioner walks every edge of the built graph.
+        plain = not (self._app_ids or self._removed)
+        id_of = self._ids.__getitem__ if plain else self.id_of
+        over, offsets = self._over_succ, self._succ_off
+        targets, weights = self._succ_to, self._succ_w
         for source_index in range(self._slot_count()):
+            row = over.get(source_index)
+            if row is None:
+                lo, hi = offsets[source_index], offsets[source_index + 1]
+                pairs = zip(targets[lo:hi], weights[lo:hi])
+            else:
+                pairs = row.items()
             source = id_of(source_index)
-            for target_index, weight in self._succ_row(source_index).items():
+            for target_index, weight in pairs:
                 yield (source, id_of(target_index), weight)
 
     # -- aggregates ---------------------------------------------------------
@@ -342,30 +448,6 @@ class CSRGraph:
         return self._max_node
 
     # -- utilities ----------------------------------------------------------
-
-    def subgraph(self, nodes: Iterable[Node]):
-        from repro.graph.digraph import DiGraph
-
-        wanted = set(nodes)
-        result = DiGraph()
-        for node in self.nodes():
-            if node in wanted:
-                result.add_node(node, self.node_weight(node))
-        for node in result.nodes():
-            for neighbor, weight in self.successors(node):
-                if neighbor in wanted:
-                    result.add_edge(node, neighbor, weight)
-        return result
-
-    def reversed(self):
-        from repro.graph.digraph import DiGraph
-
-        result = DiGraph()
-        for node in self.nodes():
-            result.add_node(node, self.node_weight(node))
-        for source, target, weight in self.edges():
-            result.add_edge(target, source, weight)
-        return result
 
     def __contains__(self, node: Node) -> bool:
         return self._lookup(node) is not None
@@ -693,7 +775,11 @@ class CSROverlayGraph(CSRGraph):
 
 
 def freeze_graph(graph) -> CSROverlayGraph:
-    """Freeze ``graph`` and return a mutable overlay view over it —
-    the facade-facing idiom (search reads the arrays, feedback and
-    delta replay write the overlay)."""
-    return CSRGraph.freeze(graph).overlay()
+    """A mutable overlay view over a frozen ``graph`` — the
+    facade-facing idiom (search reads the arrays, feedback and delta
+    replay write the overlay).  A frozen :class:`CSRGraph`, which is
+    what :func:`repro.core.model.build_data_graph` returns, is wrapped
+    as it is; anything else (a DiGraph, an overlay) is frozen first."""
+    if type(graph) is not CSRGraph:
+        graph = CSRGraph.freeze(graph)
+    return graph.overlay()

@@ -9,13 +9,15 @@ amounts of memory"* — this representation stores, per node, only its id,
 weight and adjacency, and per edge a single ``(neighbor, weight)`` pair
 in each direction.
 
-``DiGraph`` is the build-time builder:
-:func:`repro.core.model.build_data_graph` fills one, and
-:func:`repro.graph.csr.freeze_graph` snapshots it into the array form
-every facade serves from and writes to
-(:class:`~repro.graph.csr.CSROverlayGraph`).  It keeps its mutators
-because it is also the oracle's graph: the parity tests mutate it as
-ground truth, and :func:`repro.core.oracle.reference_search` searches it.
+``DiGraph`` is the oracle's graph, not the serving one:
+:func:`repro.core.model.build_data_graph` lays the data graph straight
+into the CSR arrays every facade serves from
+(:class:`~repro.graph.csr.CSRGraph`), and
+:meth:`~repro.graph.csr.CSRGraph.thaw` copies it into a ``DiGraph``
+row for row, which :func:`repro.core.oracle.reference_search` searches
+and the parity tests mutate as ground truth.  The XML, federated and
+hyperbase graphs are still built here and frozen with
+:func:`repro.graph.csr.freeze_graph`.
 """
 
 from __future__ import annotations
@@ -227,8 +229,7 @@ class DiGraph:
         """The induced subgraph on ``nodes`` (copies weights).
 
         Nodes and edges are inserted in *this* graph's insertion order
-        (not the hash order of ``nodes``), so a subgraph — and anything
-        reassembled from subgraphs, like the shard stitcher — iterates
+        (not the hash order of ``nodes``), so a subgraph iterates
         deterministically across processes and hash seeds.  Adjacency
         order feeds Dijkstra tie-breaking; hash-ordered insertion would
         make equal-weight path choices differ run to run.

@@ -13,7 +13,7 @@ node, re-slices the per-shard inverted indexes, and passes a synthetic
 ``update`` :class:`~repro.store.delta.Delta` carrying the node's
 incident edges through :meth:`~repro.shard.partition.Partition.
 apply_delta`, which re-points the cut-edge ``TupleLink`` records.  The
-stitched graph itself never changes (no edge or weight moves — only
+graph itself never changes (no edge or weight moves — only
 ownership does), which is why search parity across a rebalance is an
 invariant rather than an aspiration: ``tests/ops`` asserts it under
 random interleavings and under live query load.

@@ -395,63 +395,19 @@ class Database:
         """Yield ``(source_rid, fk, target_rid)`` for every resolved
         foreign-key reference out of ``table_name``'s rows, in
         row-major, FK-declaration order — exactly what calling
-        :meth:`references_of` per row produces, with the per-row
-        schema work (column positions, PK checks, target-table
-        lookups) hoisted out of the loop.  Bulk consumers (graph
-        construction over the whole database) iterate this; point
-        queries keep :meth:`references_of`.
+        :meth:`references_of` per row produces, through the same
+        :meth:`_resolve`.  Bulk consumers (graph construction over the
+        whole database) iterate this; point queries keep
+        :meth:`references_of`.
         """
         table = self.table(table_name)
-        schema = table.schema
-        if not schema.foreign_keys:
+        plan = self._fk_plan(table_name)
+        if not plan:
             return
-        prepared = []
-        for fk in schema.foreign_keys:
-            source_positions = tuple(
-                schema.column_position(c) for c in fk.source_columns
-            )
-            target_table = self.table(fk.target_table)
-            if tuple(target_table.schema.primary_key) == tuple(
-                fk.target_columns
-            ):
-                target_positions = None  # PK lookup
-            else:
-                target_positions = tuple(
-                    target_table.schema.column_position(c)
-                    for c in fk.target_columns
-                )
-            prepared.append((fk, source_positions, target_table, target_positions))
         for slot in table.rids():
-            values = table.row(slot).values
-            for fk, source_positions, target_table, target_positions in prepared:
-                key = tuple(values[p] for p in source_positions)
-                if any(part is None for part in key):
-                    continue
-                if target_positions is None:
-                    target_row = target_table.lookup_pk(key)
-                else:
-                    target_row = None
-                    for candidate in target_table.scan():
-                        if (
-                            tuple(
-                                candidate.values[p] for p in target_positions
-                            )
-                            == key
-                        ):
-                            target_row = candidate
-                            break
-                if target_row is None:
-                    if self._deferred:
-                        continue
-                    raise IntegrityError(
-                        f"foreign key violation: {fk.name} has no target "
-                        f"for {key!r}"
-                    )
-                yield (
-                    (table_name, slot),
-                    fk,
-                    (fk.target_table, target_row.rid),
-                )
+            source = (table_name, slot)
+            for fk, target in self._resolve(plan, table.values_at(slot)):
+                yield source, fk, target
 
     def referencing(self, rid: RID) -> List[Tuple[ForeignKey, RID]]:
         """Incoming references: tuples that point to ``rid``."""

@@ -1,6 +1,7 @@
 """``repro.shard`` — sharded scatter-gather keyword search.
 
-Partition the BANKS data graph across N shards, scatter each keyword
+Partition the one built BANKS data graph across N shards (ownership
+only: every shard searches that same graph), scatter each keyword
 query to per-shard :class:`~repro.serve.engine.QueryEngine`-backed
 searchers, and gather the per-shard answer trees into one global top-k
 ranked by the paper's answer-relevance score:
@@ -8,8 +9,8 @@ ranked by the paper's answer-relevance score:
 * :mod:`repro.shard.partition` — :class:`GraphPartitioner` and the
   pluggable placement strategies; records cut edges as federation
   tuple links;
-* :mod:`repro.shard.stitch` — lossless reassembly of the global search
-  graph from shard subgraphs plus cut links;
+* :mod:`repro.shard.stitch` — the partition-losslessness helpers
+  (:func:`graphs_equal`, and :func:`stats_of` re-exported);
 * :mod:`repro.shard.searcher` — one shard's partitioned inverted index
   and root-restricted search;
 * :mod:`repro.shard.process` — forked worker processes, one per shard
@@ -47,7 +48,7 @@ from repro.shard.process import (
 )
 from repro.shard.router import ShardAnswer, ShardRouter
 from repro.shard.searcher import ShardSearcher
-from repro.shard.stitch import graphs_equal, stats_of, stitch_graph
+from repro.shard.stitch import graphs_equal, stats_of
 
 __all__ = [
     "CutEdge",
@@ -63,6 +64,5 @@ __all__ = [
     "hash_strategy",
     "round_robin_strategy",
     "stats_of",
-    "stitch_graph",
     "table_strategy",
 ]

@@ -2,11 +2,11 @@
 
 A partition assigns every graph node — every ``(table, rid)`` tuple —
 to exactly one shard and records the *cut edges*: directed edges whose
-endpoints live on different shards.  The induced per-shard subgraphs
-plus the recorded cut edges are a lossless decomposition of the data
-graph; :func:`repro.shard.stitch.stitch_graph` reassembles them and the
-router searches the reassembled graph, so a partitioner bug shows up as
-a search-parity failure, not a silent answer loss.
+endpoints live on different shards.  It runs in place on the one built
+data graph and copies nothing of it: the shards own answer roots and
+index slices, while every shard searches that same graph.  The shard
+node sets are a disjoint cover and the intra-shard edges plus the cut
+edges are exactly the graph's edges (``tests/shard/test_stitch.py``).
 
 Cut edges are recorded as :class:`repro.federate.links.TupleLink`
 records — the federation layer's explicit tuple-to-tuple link — with
@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Set, Union
 
 from repro.errors import ShardError
 from repro.federate.links import TupleLink
-from repro.graph.digraph import DiGraph
 from repro.relational.database import RID
 
 #: A placement rule: node -> shard index in ``range(shards)``.
@@ -143,7 +142,7 @@ class Partition:
         re-classified: its old cut record (if any) is dropped, and a
         fresh :class:`CutEdge` is recorded when the new edge crosses
         the partition — so ``cut_links()`` keeps describing exactly
-        the stitched graph's federation links.
+        the graph's federation links.
         """
         if delta.kind == "insert" and delta.node not in self._assignment:
             if not 0 <= owner < self.shards:
@@ -212,12 +211,8 @@ class Partition:
         return source
 
     def cut_links(self) -> List[TupleLink]:
-        """The cut edges as federation tuple links (stitching input)."""
+        """The cut edges as federation tuple links."""
         return [edge.to_tuple_link() for edge in self.cut_edges]
-
-    def induced_subgraphs(self, graph: DiGraph) -> List[DiGraph]:
-        """Per-shard induced subgraphs of ``graph`` (weights copied)."""
-        return [graph.subgraph(nodes) for nodes in self.shard_nodes]
 
     # -- reporting ------------------------------------------------------------
 
@@ -225,7 +220,7 @@ class Partition:
     def num_nodes(self) -> int:
         return len(self._assignment)
 
-    def cut_fraction(self, graph: DiGraph) -> float:
+    def cut_fraction(self, graph) -> float:
         """Share of directed edges that cross the partition."""
         if not graph.num_edges:
             return 0.0
@@ -278,8 +273,9 @@ class GraphPartitioner:
             self.strategy = factory(shards)
             self.strategy_name = strategy
 
-    def partition(self, graph: DiGraph) -> Partition:
-        """Assign every node of ``graph``; record every cut edge."""
+    def partition(self, graph) -> Partition:
+        """Assign every node of ``graph``; record every cut edge.  The
+        graph itself is only read."""
         assignment: Dict[RID, int] = {}
         for node in graph.nodes():
             shard = self.strategy(node)

@@ -4,7 +4,7 @@ Pure-Python graph search does not parallelise across threads — the GIL
 serialises every shard's CPU work, making a threaded scatter a work
 *multiplier*, not a speedup.  This module runs each
 :class:`~repro.shard.searcher.ShardSearcher` inside a forked child
-process: the parent builds the partition, the stitched graph and every
+process: the parent builds the graph, the partition and every
 searcher first, then forks, so each child inherits the whole read-only
 state copy-on-write and no per-shard serialisation or rebuild happens.
 

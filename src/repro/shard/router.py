@@ -9,18 +9,18 @@ Query protocol (two scatter phases through the serving machinery):
    tuple's postings live on exactly one shard).
 2. **search scatter** — the query plus the gathered global keyword node
    sets go to every shard's :class:`~repro.serve.engine.QueryEngine`;
-   each shard runs the backward expanding search over the *stitched*
-   graph but emits only answers rooted in its own partition, fetching
+   each shard runs the backward expanding search over the *whole*
+   data graph but emits only answers rooted in its own partition, fetching
    ``max_results + overfetch`` candidates.
 3. **gather** — per-shard answer trees merge into a global top-k by the
    paper's answer-relevance score
    (:func:`repro.core.topk.merge_scored_answers`), deduplicating
    re-rootings of the same undirected tree.
 
-Cross-shard answers need no completion step: the stitched graph already
-contains every recorded cut edge, so a shard's trees freely cross into
-other shards' territory — only the *root* is partitioned.  Against the
-same database, the gathered top-k therefore matches single-engine
+Cross-shard answers need no completion step: every shard searches the
+one built graph, cut edges included, so a shard's trees freely cross
+into other shards' territory — only the *root* is partitioned.  Against
+the same database, the gathered top-k therefore matches single-engine
 search scores to within float reproducibility (exactly, in practice:
 both run the same arithmetic on the same graph).
 
@@ -33,12 +33,12 @@ Dispatch policies — the throughput finding, measured honestly:
   lower bound routinely costs as much as the single engine's whole
   early-stopping search (measured 0.65x–3.6x of it per query on the
   bibliography battery).  Gather is the mode whose mechanics —
-  partitioned index, partitioned answer space, cut-edge stitching —
+  partitioned index, partitioned answer space, cut-edge records —
   carry over to a true memory-partitioned deployment, where per-shard
   search *is* 1/N of the work; on one box it buys semantics, not QPS.
 * ``dispatch="route"``: each query goes whole to one shard worker,
   chosen by query hash (repeat queries keep shard affinity).  Every
-  forked worker holds the stitched graph copy-on-write, so the worker
+  forked worker holds the built graph copy-on-write, so the worker
   computes exactly the single-engine answer list, and N workers answer
   N queries concurrently — throughput scales with cores.  Memory does
   not shrink; this is the policy when the graph fits and the GIL is
@@ -51,7 +51,7 @@ whole-facade copy.  :meth:`ShardRouter.insert` / :meth:`delete` /
 :meth:`update` derive the delta against the router's own replica;
 :meth:`ShardRouter.apply` accepts deltas produced elsewhere (e.g. a
 :class:`~repro.serve.snapshot.SnapshotStore` delta log).  Either way
-the same O(delta) work happens everywhere it must: the shared stitched
+the same O(delta) work happens everywhere it must: the shared
 graph absorbs the edge re-weighs once (thread mode) or each forked
 worker replays them into its private copy (process mode); the owning
 shard's index slice and ownership set move; the partition's cut-edge
@@ -74,7 +74,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Union
 
 from repro.core.answer import AnswerTree
 from repro.core.banks import node_label
-from repro.core.model import build_data_graph
+from repro.core.model import build_data_graph, stats_of
 from repro.core.query import ParsedQuery, parse_query
 from repro.core.scoring import ScoringConfig
 from repro.core.search import ScoredAnswer, SearchConfig
@@ -91,7 +91,6 @@ from repro.serve.pool import WorkerPool
 from repro.shard.partition import GraphPartitioner, Partition
 from repro.shard.process import ProcessShardWorker, fork_available
 from repro.shard.searcher import ShardSearcher
-from repro.shard.stitch import stats_of, stitch_graph
 from repro.store.delta import (
     Delta,
     apply_graph_delta,
@@ -110,7 +109,7 @@ class _SearchGate:
     """Writer-preferring reader/writer gate between searches and
     routed mutations.
 
-    Thread-backed searchers share one stitched graph, database and
+    Thread-backed searchers share one graph, database and
     index; applying a delta while a Dijkstra iterator walks those
     dicts would crash or corrupt scores.  Searches therefore enter as
     *readers* (concurrent with each other — the per-shard engines do
@@ -270,24 +269,17 @@ class ShardRouter:
         self._gate = _SearchGate()
         self._stats_dirty = False
 
-        # Build once, slice per shard.
-        graph, _stats = build_data_graph(database, self.weight_policy)
+        # Build once and partition in place: the partition copies no
+        # graph, it assigns owners.  Every shard searcher searches the
+        # built arrays (thread mode shares them by reference, forked
+        # workers inherit them), and delta routing writes through the
+        # overlay dicts.
+        graph, self.stats = build_data_graph(database, self.weight_policy)
         full_index = InvertedIndex(database)
         self.full_index = full_index
         self.partitioner = GraphPartitioner(shards, strategy)
         self.partition: Partition = self.partitioner.partition(graph)
-        # The searchers run on the *stitched* graph — reassembled from
-        # the shard subgraphs plus the recorded cut edges — so a lossy
-        # partition fails loudly as a parity break, never silently.
-        self.graph = stitch_graph(
-            self.partition.induced_subgraphs(graph),
-            self.partition.cut_links(),
-        )
-        # Freeze the stitched graph into CSR form: every shard searcher
-        # shares the same arrays (thread mode shares them by reference),
-        # and delta routing keeps writing through the overlay dicts.
-        self.graph = freeze_graph(self.graph)
-        self.stats = stats_of(self.graph)
+        self.graph = freeze_graph(graph)
         self._searchers = [
             ShardSearcher(
                 shard_id,
@@ -693,8 +685,8 @@ class ShardRouter:
     def _admit(self, delta: Delta, owner: int, started: float) -> None:
         """Propagate an already-derived delta through the shard state.
 
-        The router's shared structures (database, full index, stitched
-        graph, owner's index slice) are updated by the caller; what
+        The router's shared structures (database, full index, graph,
+        owner's index slice) are updated by the caller; what
         remains is the partition bookkeeping, the per-searcher
         ownership/normaliser notes, the per-worker replay in process
         mode, and republishing the owning shard's engine state.
@@ -733,7 +725,7 @@ class ShardRouter:
         index slice, forked workers' private replicas), both affected
         engines republish, and the router epoch advances — so a query
         admitted between moves always sees a disjoint ownership cover
-        and exact answer parity (the stitched graph never changes).
+        and exact answer parity (the graph never changes).
 
         ``faults`` (a :class:`~repro.ops.faults.FaultInjector`) gets
         every step of :data:`~repro.ops.rebalance.REBALANCE_STEPS`

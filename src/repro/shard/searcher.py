@@ -1,6 +1,6 @@
 """One shard's searcher: partitioned index, root-restricted search.
 
-Answer-space partitioning: every shard searches the same stitched
+Answer-space partitioning: every shard searches the same built data
 graph, but a shard only *emits* answers whose information node (the
 tree root) it owns — :attr:`SearchConfig.allowed_root_nodes` carries
 the owned set into the backward expanding search.  Since every node is
@@ -27,7 +27,7 @@ from dataclasses import replace
 from time import perf_counter
 from typing import AbstractSet, List, Optional, Sequence, Set, Union
 
-from repro.core.model import GraphStats, link_tables
+from repro.core.model import GraphStats, link_tables, stats_of
 from repro.core.query import ParsedQuery, parse_query, resolve_term
 from repro.core.scoring import Scorer, ScoringConfig
 from repro.core.search import (
@@ -35,10 +35,9 @@ from repro.core.search import (
     SearchConfig,
     backward_expanding_search,
 )
-from repro.graph.digraph import DiGraph
+from repro.graph.csr import CSROverlayGraph
 from repro.obs import SearchProfile, Trace
 from repro.relational.database import Database, RID
-from repro.shard.stitch import stats_of
 from repro.store.delta import Delta, apply_graph_delta, replay_delta
 from repro.text.inverted_index import InvertedIndex
 
@@ -50,8 +49,8 @@ class ShardSearcher:
         shard_id: this shard's index in the partition.
         database: the (shared, read-only) database — needed for
             metadata expansion during resolution.
-        graph: the stitched global search graph.
-        stats: the stitched graph's scoring normalisers.
+        graph: the global search graph, shared by every shard.
+        stats: its scoring normalisers.
         owned_nodes: the nodes this shard owns (allowed answer roots).
         full_index: the database-wide inverted index to restrict; the
             router builds it once and every shard slices it.
@@ -65,7 +64,7 @@ class ShardSearcher:
         self,
         shard_id: int,
         database: Database,
-        graph: DiGraph,
+        graph: CSROverlayGraph,
         stats: GraphStats,
         owned_nodes: AbstractSet[RID],
         full_index: InvertedIndex,
@@ -102,7 +101,7 @@ class ShardSearcher:
 
         Called inside a forked worker process (each worker holds
         private fork-inherited copies of the database, the indexes and
-        the stitched graph).  The relational + index part replays in
+        the graph).  The relational + index part replays in
         the canonical order; the graph part applies idempotently; the
         ownership and normaliser bookkeeping follows.  In thread mode
         the router updates the shared structures itself and calls only
@@ -120,7 +119,7 @@ class ShardSearcher:
         """Follow one rebalance move: ownership and index-slice
         maintenance for this searcher's side of it.
 
-        The stitched graph, the database and the full index are
+        The graph, the database and the full index are
         untouched — a move changes *ownership*, nothing else.  Gaining
         the node means adding its postings to this shard's index slice
         and (process mode, where the ownership set is a private copy)
@@ -150,7 +149,7 @@ class ShardSearcher:
     def _refresh_stats(self) -> None:
         """Re-derive the scoring normalisers after mutations (lazy,
         O(E) — mirrors :class:`~repro.core.incremental.IncrementalBANKS`).
-        Delegates to :func:`repro.shard.stitch.stats_of`, the one
+        Delegates to :func:`repro.core.model.stats_of`, the one
         normaliser implementation score parity depends on."""
         if not self._stats_dirty:
             return
@@ -256,7 +255,7 @@ class ShardSearcher:
         on_answer=None,
         **config_overrides,
     ) -> List[ScoredAnswer]:
-        """Answers scored on the stitched graph.
+        """Answers scored on the shared global graph.
 
         Default (gather dispatch): answers rooted in this shard only.
         With ``keyword_node_sets`` (the router's scatter phase passes

@@ -1,79 +1,23 @@
-"""Reassembling the global search graph from shard subgraphs.
+"""Helpers that prove a partition lossless.
 
-The scatter-gather search needs cross-shard answers to score *exactly*
-as they do on the unsharded graph (the acceptance bar is score equality
-to 1e-9), so the per-shard searchers do not search their bare subgraphs
-— they search the *stitched* graph: the union of every shard's induced
-subgraph plus the partition's recorded cut edges, re-applied through
-the federation layer's :class:`~repro.federate.links.TupleLink` records
-with the same min-merge rule federated graph construction uses.
-
-Stitching is the load-bearing proof that the partition is lossless: the
-router builds its search graph this way (never reusing the original),
-so a partitioner that dropped or mis-weighted a cut edge would surface
-immediately as a parity failure against single-engine search.
+The router partitions the one built data graph in place: every shard
+searches that graph, and only answer roots are partitioned.  What must
+hold is that the partition covers the graph — the shard node sets are a
+disjoint cover and the intra-shard edges plus the recorded cut edges
+are exactly the graph's edges — which ``tests/shard/test_stitch.py``
+checks; :func:`graphs_equal` is the structural comparison the parity
+tests share.  :func:`stats_of` lives in :mod:`repro.core.model` and is
+re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from repro.core.model import stats_of
 
-from repro.core.model import GraphStats
-from repro.errors import ShardError
-from repro.federate.federation import offer_min_edge
-from repro.federate.links import TupleLink
-from repro.graph.digraph import DiGraph
+__all__ = ["graphs_equal", "stats_of"]
 
 
-def stitch_graph(
-    subgraphs: Sequence[DiGraph],
-    cut_links: Iterable[TupleLink],
-) -> DiGraph:
-    """Union the shard subgraphs, then re-apply the cut edges.
-
-    Raises:
-        ShardError: when a cut link references a node absent from every
-            subgraph, or two subgraphs claim the same node (a partition
-            must be disjoint).
-    """
-    graph = DiGraph()
-    for subgraph in subgraphs:
-        for node in subgraph.nodes():
-            if graph.has_node(node):
-                raise ShardError(
-                    f"node {node!r} appears in more than one shard subgraph"
-                )
-            graph.add_node(node, subgraph.node_weight(node))
-        for source, target, weight in subgraph.edges():
-            graph.add_edge(source, target, weight)
-    for link in cut_links:
-        if not graph.has_node(link.source) or not graph.has_node(link.target):
-            raise ShardError(
-                f"cut link endpoint missing from stitched graph: "
-                f"{link.source} -> {link.target}"
-            )
-        offer_min_edge(graph, link.source, link.target, link.weight)
-    return graph
-
-
-def stats_of(graph: DiGraph) -> GraphStats:
-    """Scoring normalisers of a stitched graph.
-
-    Mirrors :func:`repro.core.model.build_data_graph` exactly — the
-    normalisers feed every relevance score, so any drift here would
-    break score parity with the unsharded engine.
-    """
-    min_edge = graph.min_edge_weight() if graph.num_edges else 1.0
-    max_node = graph.max_node_weight() if graph.num_nodes else 1.0
-    return GraphStats(
-        min_edge_weight=min_edge,
-        max_node_weight=max(max_node, 1.0e-12),
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-    )
-
-
-def graphs_equal(left: DiGraph, right: DiGraph) -> bool:
+def graphs_equal(left, right) -> bool:
     """Structural equality: same nodes, weights and weighted edges."""
     if left.num_nodes != right.num_nodes or left.num_edges != right.num_edges:
         return False

@@ -374,7 +374,7 @@ def apply_graph_delta(graph: DiGraph, delta: Delta) -> None:
     """Apply the graph part of ``delta`` — idempotently.
 
     Idempotence matters because the thread-backed shard layer shares
-    one stitched graph between several searchers: broadcasting a delta
+    one graph between several searchers: broadcasting a delta
     to each of them must not corrupt the shared state.  Edge adds
     re-assign the same weight; removals are guarded; node removal
     drops incident edges exactly once.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.model import GraphStats
+from repro.core.model import GraphStats, stats_of
 from repro.errors import XMLError
 from repro.graph.digraph import DiGraph
 from repro.text.tokenizer import normalize, tokenize, tokenize_identifier
@@ -161,15 +161,7 @@ def build_xml_graph(
                 node, float(reference_indegree.get(node, 0))
             )
 
-    min_edge = graph.min_edge_weight() if graph.num_edges else 1.0
-    max_node = graph.max_node_weight() if graph.num_nodes else 1.0
-    stats = GraphStats(
-        min_edge_weight=min_edge,
-        max_node_weight=max(max_node, 1.0e-12),
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-    )
-    return graph, stats
+    return graph, stats_of(graph)
 
 
 def _offer_min(

@@ -1,0 +1,194 @@
+"""The data-graph builder, pinned against a naive reference.
+
+The kernel searches the built CSR arrays and the oracle searches their
+row-for-row thaw, so kernel-versus-oracle parity says nothing about the
+build itself.  Here the data graph is rebuilt the slow, obvious way —
+dicts filled reference by reference through the point lookup
+``Database.references_of`` — and ``build_data_graph`` must match it
+row for row, adjacency order included (the order feeds tie-breaking).
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from repro.core.banks import BANKS
+from repro.core.model import build_data_graph
+from repro.core.weights import WeightPolicy
+from repro.datasets import generate_bibliography, synth_bibliography
+from repro.graph.csr import CSRGraph, freeze_graph
+from repro.graph.digraph import DiGraph
+from repro.graph.pagerank import pagerank
+from repro.relational import Database, execute_script
+
+#: Traced peak of ``BANKS(synth:1600)`` construction before the builder
+#: laid the arrays out directly (dict graph, then a frozen copy of it):
+#: 10.56-10.67 MB on CPython 3.11.  The direct build peaks at ~6.5 MB.
+DICT_BUILD_PEAK_BYTES = 10_560_000
+
+
+def naive_rows(database, policy):
+    """``(nodes, weights, succ, pred)`` of the data graph (Sec. 2, Eq. 1)."""
+    nodes = [(t.schema.name, rid) for t in database.tables() for rid in t.rids()]
+    edges, forward_only = {}, DiGraph()
+    for node in nodes:
+        forward_only.add_node(node)
+        for fk, target in database.references_of(node):
+            if target == node:
+                continue
+            forward_only.add_edge(node, target, 1.0)
+            tables = (fk.source_table, fk.target_table)
+            indegree = database.indegree_from(target, fk.source_table)
+            for pair, weight in (
+                ((node, target), policy.forward_similarity(*tables)),
+                ((target, node), policy.backward_weight(*tables, indegree)),
+            ):
+                if pair in edges:
+                    weight = policy.merge(edges[pair], weight)
+                edges[pair] = weight
+    succ = {node: {} for node in nodes}
+    pred = {node: {} for node in nodes}
+    for (source, target), weight in edges.items():
+        succ[source][target] = weight
+        pred[target][source] = weight
+    if policy.prestige == "none":
+        weights = dict.fromkeys(nodes, 1.0)
+    elif policy.prestige == "indegree":
+        weights = {node: float(database.indegree(node)) for node in nodes}
+    else:
+        weights = pagerank(forward_only, damping=policy.pagerank_damping)
+    return nodes, weights, succ, pred
+
+
+def assert_rows_match(graph, database, policy):
+    nodes, weights, succ, pred = naive_rows(database, policy)
+    assert list(graph.nodes()) == nodes
+    for node in nodes:
+        assert graph.node_weight(node) == weights[node]
+        assert graph.successors(node) == list(succ[node].items())
+        assert graph.predecessors(node) == list(pred[node].items())
+    assert graph.num_edges == sum(len(row) for row in succ.values())
+
+
+def script_db(sql, deferred=False):
+    database = Database("rows", deferred_fk_check=deferred)
+    execute_script(database, sql)
+    return database
+
+
+EMPLOYEES = """
+CREATE TABLE emp (id TEXT PRIMARY KEY, boss TEXT REFERENCES emp(id));
+INSERT INTO emp VALUES ('ceo', 'ceo');
+INSERT INTO emp VALUES ('cto', 'ceo');
+INSERT INTO emp VALUES ('dev', 'cto');
+INSERT INTO emp VALUES ('temp', NULL);
+"""
+
+SPOUSES = """
+CREATE TABLE person (id TEXT PRIMARY KEY, spouse TEXT REFERENCES person(id));
+INSERT INTO person VALUES ('a', 'b');
+INSERT INTO person VALUES ('b', 'a');
+INSERT INTO person VALUES ('c', 'a');
+"""
+
+DANGLING = """
+CREATE TABLE paper (id TEXT PRIMARY KEY);
+CREATE TABLE cites (src TEXT REFERENCES paper(id), dst TEXT REFERENCES paper(id));
+INSERT INTO paper VALUES ('p1');
+INSERT INTO paper VALUES ('p2');
+INSERT INTO cites VALUES ('p1', 'p2');
+INSERT INTO cites VALUES ('p2', 'gone');
+"""
+
+
+def spouses_db():
+    database = script_db(SPOUSES, deferred=True)
+    database.check_integrity()
+    return database
+
+
+DATABASES = {
+    "selfref_and_null_fk": lambda: script_db(EMPLOYEES),
+    "mutual_references": spouses_db,
+    "deferred_missing_target": lambda: script_db(DANGLING, deferred=True),
+    "bibliography": lambda: generate_bibliography()[0],
+    "synth_800": lambda: synth_bibliography(800)[0],
+}
+
+POLICIES = {
+    "indegree": WeightPolicy(),
+    "none": WeightPolicy(prestige="none"),
+    "pagerank": WeightPolicy(prestige="pagerank"),
+}
+
+
+@pytest.mark.parametrize("prestige", sorted(POLICIES))
+def test_figure1_rows(figure1_db, prestige):
+    graph, _stats = build_data_graph(figure1_db, POLICIES[prestige])
+    assert_rows_match(graph, figure1_db, POLICIES[prestige])
+
+
+@pytest.mark.parametrize("prestige", sorted(POLICIES))
+@pytest.mark.parametrize("name", sorted(DATABASES))
+def test_rows_match_naive_reference(name, prestige):
+    database = DATABASES[name]()
+    graph, stats = build_data_graph(database, POLICIES[prestige])
+    assert isinstance(graph, CSRGraph)
+    assert_rows_match(graph, database, POLICIES[prestige])
+    assert stats.num_nodes == graph.num_nodes == database.total_rows()
+
+
+@pytest.mark.parametrize("merge_rule", ["min", "parallel"])
+def test_eq1_merge_of_mutual_references(merge_rule):
+    """a -> b gets forward 3.0 (a references b) and backward 2.0 (b
+    references a, which two persons reference) candidates."""
+    policy = WeightPolicy(
+        similarities={("person", "person"): 3.0}, merge_rule=merge_rule
+    )
+    database = spouses_db()
+    graph, _stats = build_data_graph(database, policy)
+    assert_rows_match(graph, database, policy)
+    merged = 2.0 if merge_rule == "min" else 1.2
+    assert graph.edge_weight(("person", 0), ("person", 1)) == merged
+
+
+def test_selfref_null_and_dangling_make_no_edges():
+    graph, _stats = build_data_graph(script_db(EMPLOYEES))
+    assert not graph.has_edge(("emp", 0), ("emp", 0))
+    assert graph.out_degree(("emp", 3)) == graph.in_degree(("emp", 3)) == 0
+    graph, stats = build_data_graph(script_db(DANGLING, deferred=True))
+    assert stats.num_edges == 6  # cites 0 <-> p1, p2; cites 1 <-> p2 only
+    assert graph.successors(("cites", 1)) == [(("paper", 1), 1.0)]
+
+
+@pytest.mark.parametrize("name", ["bibliography", "synth_800", "mutual_references"])
+def test_thaw_round_trips(name):
+    graph, _stats = build_data_graph(DATABASES[name]())
+    thawed = graph.thaw()
+    assert isinstance(thawed, DiGraph)
+    again = CSRGraph.freeze(thawed)
+    for field in CSRGraph.__slots__:
+        assert getattr(again, field) == getattr(graph, field), field
+    assert_rows_match(thawed, DATABASES[name](), WeightPolicy())
+
+
+def test_freeze_graph_wraps_the_build_without_copying(figure1_db):
+    graph, _stats = build_data_graph(figure1_db)
+    overlay = freeze_graph(graph)
+    assert overlay.base is graph
+    assert overlay._succ_to is graph._succ_to
+
+
+def test_banks_construction_peak_memory():
+    """No dict graph on the way: the construction peak is at most 0.7x
+    what building a dict graph and freezing it cost."""
+    database = synth_bibliography(1600)[0]
+    tracemalloc.start()
+    try:
+        BANKS(database)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * DICT_BUILD_PEAK_BYTES

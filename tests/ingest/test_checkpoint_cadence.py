@@ -21,6 +21,7 @@ import os
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.core.oracle import same
 from repro.datasets import (
     DEMO_QUERY_SETS,
     synth_bibliography_base,
@@ -121,10 +122,7 @@ def test_recovery_from_checkpoint_plus_tail_matches_live(tmp_path):
     assert recovered.applied_epoch == store.epoch
     queries = DEMO_QUERY_SETS["synth_bibliography"][:3]
     for query in queries:
-        assert [
-            (a.tree.root, round(a.relevance, 9))
-            for a in recovered.search(query, max_results=5)
-        ] == [
-            (a.tree.root, round(a.relevance, 9))
-            for a in live.search(query, max_results=5)
-        ], query
+        assert same(
+            recovered.search(query, max_results=5),
+            live.search(query, max_results=5),
+        ), query

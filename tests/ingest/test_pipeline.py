@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.core.oracle import same
 from repro.datasets import (
     DEMO_QUERY_SETS,
     synth_bibliography,
@@ -50,12 +51,11 @@ def make_job(registry, job_id="job", chunk_size=37):
 
 
 def top5(facade, queries=QUERIES):
+    """``((query, root), relevance)`` of each query's top five, in order."""
     return [
-        [
-            (a.tree.root, round(a.relevance, 9))
-            for a in facade.search(query, max_results=5)
-        ]
+        ((query, a.tree.root), a.relevance)
         for query in queries
+        for a in facade.search(query, max_results=5)
     ]
 
 
@@ -74,7 +74,7 @@ def test_ingest_matches_direct_build(tmp_path):
 
     ingested = store.current().facade
     direct = IncrementalBANKS(direct_db)
-    assert top5(ingested) == top5(direct)
+    assert same(top5(ingested), top5(direct))
     for table in ("author", "paper", "writes", "cites"):
         assert len(ingested.database.table(table)) == len(
             direct_db.table(table)
@@ -184,7 +184,7 @@ def test_resume_after_failure_completes(tmp_path):
     )
     assert resumed.state == "done"
     direct = IncrementalBANKS(synth_bibliography(N_PAPERS, seed=SEED)[0])
-    assert top5(store.current().facade) == top5(direct)
+    assert same(top5(store.current().facade), top5(direct))
 
 
 def test_state_discipline(tmp_path):
@@ -246,7 +246,7 @@ def test_router_target_ingests_in_lockstep(tmp_path):
         )
         facade = store.current().facade
         # Structural lockstep: every chunk's deltas reached the router,
-        # so its replica database and stitched graph match the store's
+        # so its replica database and graph match the store's
         # exactly.  (Scatter-gather answer parity is the shard layer's
         # own guarantee, proven in tests/shard on its workloads.)
         for table in ("author", "paper", "writes", "cites"):

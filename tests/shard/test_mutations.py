@@ -195,7 +195,7 @@ class TestRoutedMutations:
 
     def test_concurrent_searches_and_mutations_thread_backend(self):
         """The router's search gate: thread-backed searchers share one
-        stitched graph, so routed mutations must never overlap an
+        graph, so routed mutations must never overlap an
         in-flight search (dict-changed-during-iteration, half-applied
         deltas).  Hammer both paths concurrently and require zero
         errors plus a consistent end state."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.oracle import never_worse, same_up_to_ties
+from repro.core.oracle import never_worse, same, same_up_to_ties
 from repro.datasets.bibliography import DEMO_QUERIES as BIBLIOGRAPHY_QUERIES
 from repro.datasets.tpcd import DEMO_QUERIES as TPCD_QUERIES
 from repro.errors import ShardError
@@ -163,14 +163,12 @@ class TestRouteDispatch:
     def test_routed_answers_match_single_engine(
         self, route_router, biblio_banks_session
     ):
-        # Relevance-sorted comparison: the stitched graph's adjacency
-        # order differs from the original build's, so *emission* order
-        # among exact-score ties is not preserved — roots and scores
-        # of the top-5 are.
+        # The worker searches the very graph the single engine built,
+        # so even the emission order among exact-score ties is kept.
         for query in PARITY_QUERIES:
             routed = route_router.search(query, max_results=5)
             single = biblio_banks_session.search(query, max_results=5)
-            assert same_up_to_ties(routed, single), query
+            assert same(routed, single), query
 
     def test_routing_spreads_queries_across_shards(self, route_router):
         for query in PARITY_QUERIES:

@@ -1,13 +1,17 @@
-"""The stitch must reassemble the data graph losslessly."""
+"""The partition must cover the data graph losslessly.
+
+The router partitions the one built graph in place and every shard
+searches that graph, so what has to hold is a cover: the shard node
+sets are disjoint and span every node, and the intra-shard edges plus
+the recorded cut edges are exactly the graph's edges, weights included.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.model import build_data_graph
-from repro.errors import ShardError
-from repro.graph.digraph import DiGraph
-from repro.shard import GraphPartitioner, graphs_equal, stats_of, stitch_graph
+from repro.shard import GraphPartitioner, stats_of
 
 
 @pytest.fixture(scope="module")
@@ -18,60 +22,46 @@ def university_build():
     return build_data_graph(database)
 
 
+def split_edges(graph, partition):
+    """``(intra-shard edges, cut edges)`` as ``(source, target, weight)``."""
+    intra = [
+        (source, target, weight)
+        for source, target, weight in graph.edges()
+        if partition.shard_of(source) == partition.shard_of(target)
+    ]
+    cut = [(edge.source, edge.target, edge.weight) for edge in partition.cut_edges]
+    return intra, cut
+
+
 @pytest.mark.parametrize("strategy", ["hash", "table", "round_robin"])
 @pytest.mark.parametrize("shards", [1, 2, 5])
 def test_stitch_reassembles_exactly(university_build, strategy, shards):
+    """Shard node sets plus intra-shard and cut edges rebuild the graph."""
     graph, stats = university_build
     partition = GraphPartitioner(shards, strategy=strategy).partition(graph)
-    stitched = stitch_graph(
-        partition.induced_subgraphs(graph), partition.cut_links()
-    )
-    assert graphs_equal(stitched, graph)
-    assert stats_of(stitched) == stats
+
+    owned = [node for nodes in partition.shard_nodes for node in nodes]
+    assert len(owned) == len(set(owned)) == graph.num_nodes
+    assert set(owned) == set(graph.nodes())
+    for shard, nodes in enumerate(partition.shard_nodes):
+        assert all(partition.shard_of(node) == shard for node in nodes)
+
+    intra, cut = split_edges(graph, partition)
+    assert sorted(intra + cut) == sorted(graph.edges())
+    for edge in partition.cut_edges:
+        assert edge.source_shard == partition.shard_of(edge.source)
+        assert edge.target_shard == partition.shard_of(edge.target)
+        assert edge.source_shard != edge.target_shard
+    links = partition.cut_links()
+    assert [(link.source, link.target, link.weight) for link in links] == cut
+    assert stats_of(graph) == stats
 
 
 def test_stitch_without_cut_links_is_lossy(university_build):
+    """The cut edges are load-bearing: without them edges go missing."""
     graph, _stats = university_build
     partition = GraphPartitioner(3).partition(graph)
     assert partition.cut_edges  # hash split cuts something
-    crippled = stitch_graph(partition.induced_subgraphs(graph), [])
-    assert not graphs_equal(crippled, graph)
-    assert crippled.num_edges == graph.num_edges - len(partition.cut_edges)
-
-
-def test_overlapping_subgraphs_rejected(university_build):
-    graph, _stats = university_build
-    partition = GraphPartitioner(2).partition(graph)
-    subgraphs = partition.induced_subgraphs(graph)
-    with pytest.raises(ShardError):
-        stitch_graph([subgraphs[0], subgraphs[0]], [])
-
-
-def test_dangling_cut_link_rejected(university_build):
-    graph, _stats = university_build
-    partition = GraphPartitioner(2).partition(graph)
-    subgraphs = partition.induced_subgraphs(graph)
-    from repro.federate.links import TupleLink
-
-    bogus = TupleLink(
-        source_db="shard0",
-        source=("ghost", 1),
-        target_db="shard1",
-        target=("ghost", 2),
-        weight=1.0,
-    )
-    with pytest.raises(ShardError):
-        stitch_graph(subgraphs, [bogus])
-
-
-def test_duplicate_cut_links_merge_by_min():
-    graph = DiGraph()
-    graph.add_node(("a", 0), weight=1.0)
-    graph.add_node(("b", 0), weight=1.0)
-    graph.add_edge(("a", 0), ("b", 0), 3.0)
-    partition = GraphPartitioner(
-        2, strategy=lambda node: 0 if node[0] == "a" else 1
-    ).partition(graph)
-    links = partition.cut_links() + partition.cut_links()
-    stitched = stitch_graph(partition.induced_subgraphs(graph), links)
-    assert stitched.edge_weight(("a", 0), ("b", 0)) == 3.0
+    intra, _cut = split_edges(graph, partition)
+    assert len(intra) == graph.num_edges - len(partition.cut_edges)
+    assert sorted(intra) != sorted(graph.edges())

@@ -124,7 +124,7 @@ class TestReplay:
         assert len(deltas) == 4
         replica = make_db()
         replica_index = InvertedIndex(replica)
-        replica_graph, _stats = build_data_graph(replica)
+        replica_graph = build_data_graph(replica)[0].thaw()
         for delta in deltas:
             replay_delta(replica, [replica_index], delta)
             apply_graph_delta(replica_graph, delta)

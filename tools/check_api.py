@@ -136,7 +136,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "hash_strategy",
         "round_robin_strategy",
         "stats_of",
-        "stitch_graph",
         "table_strategy",
     ),
     "repro.store": (
