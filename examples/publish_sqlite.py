@@ -7,7 +7,8 @@ relational data which would otherwise remain invisible to the Web."
 This example builds a sqlite product-catalog database (standing in for
 any database you already have), loads it with the sqlite adapter —
 schema, keys and all, no programming — and serves a browsable,
-keyword-searchable site over it.
+keyword-searchable site over it: one ``Cluster`` and the one HTTP
+server that serves both the pages and the JSON API.
 
 Run::
 
@@ -19,8 +20,9 @@ import sqlite3
 import sys
 import tempfile
 
-from repro import BANKS
 from repro.browse import BrowseApp
+from repro.cluster import Cluster, ClusterSpec
+from repro.net import HttpServer, NetConfig
 from repro.relational.sqlite_adapter import load_sqlite
 
 CATALOG_SQL = """
@@ -75,31 +77,27 @@ def main() -> None:
 
     # The whole "integration": one call.
     database = load_sqlite(sqlite_path, name="catalog")
-    app = BrowseApp(BANKS(database))
+    with Cluster(ClusterSpec(), database=database) as cluster:
+        if "--serve" in sys.argv:
+            print("serving http://127.0.0.1:8947/ (Ctrl-C to stop)")
+            HttpServer(cluster, NetConfig(port=8947)).serve_forever()
+            return
 
-    if "--serve" in sys.argv:
-        from wsgiref.simple_server import make_server
+        # Smoke mode: render key pages and a search, print sizes.
+        app = BrowseApp(cluster)
+        for path, query_string in [
+            ("/", ""),
+            ("/schema", ""),
+            ("/table/product", ""),
+            ("/search", "q=camera+mumbai"),
+        ]:
+            status, html = app.handle(path, query_string)
+            print(f"{path:<18} {status} {len(html)} bytes")
 
-        port = 8947
-        print(f"serving http://localhost:{port}/ (Ctrl-C to stop)")
-        make_server("localhost", port, app).serve_forever()
-        return
-
-    # Smoke mode: render key pages and a search, print sizes.
-    for path, query_string in [
-        ("/", ""),
-        ("/schema", ""),
-        ("/table/product", ""),
-        ("/search", "q=camera+mumbai"),
-    ]:
-        status, html = app.handle(path, query_string)
-        print(f"{path:<18} {status} {len(html)} bytes")
-
-    print("\nkeyword search 'camera mumbai' (joins stock/store implicitly):")
-    banks = app.banks
-    for answer in banks.search("camera mumbai", max_results=2):
-        print(f"--- rank {answer.rank}  relevance {answer.relevance:.3f}")
-        print(answer.render())
+        print("\nkeyword search 'camera mumbai' (joins stock/store implicitly):")
+        for answer in cluster.query("camera mumbai", k=2).answers:
+            print(f"--- rank {answer.rank}  relevance {answer.relevance:.3f}")
+            print(answer.render())
 
 
 if __name__ == "__main__":

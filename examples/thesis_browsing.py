@@ -13,8 +13,8 @@ Run::
 
 import os
 
-from repro import BANKS
 from repro.browse import BrowseApp, BrowseState
+from repro.cluster import Cluster, ClusterSpec
 from repro.datasets import generate_thesis_db
 
 OUT_DIR = "/tmp/banks_browse"
@@ -30,8 +30,12 @@ def save(name: str, html: str) -> None:
 def main() -> None:
     os.makedirs(OUT_DIR, exist_ok=True)
     database, _anecdotes = generate_thesis_db()
-    app = BrowseApp(BANKS(database))
+    with Cluster(ClusterSpec(engine=False), database=database) as cluster:
+        session(BrowseApp(cluster))
 
+
+def session(app: BrowseApp) -> None:
+    """The browsing session, page by page."""
     print("Fig. 4 style session: student JOIN thesis, drop columns")
     # student is foreign-keyed from thesis; join in the reverse
     # direction from student (roll number -> thesis) like the paper.

@@ -7,9 +7,9 @@ programming or user intervention is required."
 
 Everything here is headless and pure: functions from database +
 browse-state to HTML strings, so the whole subsystem is unit-testable
-without a web server.  ``examples/publish_sqlite.py`` wires it to a
-stdlib ``wsgiref`` server for the paper's "near zero-effort Web
-publishing" workflow.
+without a web server.  :class:`repro.net.HttpServer` serves the pages
+(``banks serve``; ``examples/publish_sqlite.py`` for the paper's "near
+zero-effort Web publishing" workflow).
 
 * :mod:`repro.browse.hyperlink` — URL scheme and browse-state encoding;
 * :mod:`repro.browse.html` — minimal escaped-HTML builder;
@@ -20,7 +20,8 @@ publishing" workflow.
 * :mod:`repro.browse.charts` — SVG bar/line/pie with drill-down links;
 * :mod:`repro.browse.templates` — crosstab / group-by hierarchy /
   folder / chart templates, stored in the database and composable;
-* :mod:`repro.browse.app` — a WSGI application tying it together.
+* :mod:`repro.browse.app` — :class:`BrowseApp`, the routes tying it
+  together over one :class:`~repro.cluster.api.Cluster`.
 """
 
 from repro.browse.app import BrowseApp

@@ -1,4 +1,4 @@
-"""A WSGI application exposing search + browsing over one database.
+"""The browse + search pages over one :class:`~repro.cluster.api.Cluster`.
 
 This is the reproduction of the paper's servlet front end: point it at
 any :class:`~repro.relational.database.Database` (e.g. one loaded from
@@ -6,22 +6,18 @@ sqlite) and every relation becomes browsable and keyword-searchable with
 zero programming — the paper's "near zero-effort Web publishing of
 relational data".
 
-The app is framework-free: :meth:`BrowseApp.handle` maps
-``(path, query_string)`` to ``(status, html)`` as a pure function (unit
-tested directly), and ``__call__`` adapts it to WSGI for
-``wsgiref.simple_server`` (see ``examples/publish_sqlite.py``).
+The app is framework-free: :meth:`BrowseApp.handle_full` maps
+``(path, query_string)`` to ``(status, body, content_type)`` as a pure
+function (unit tested directly).  :class:`repro.net.HttpServer` serves
+it: every GET outside ``/v1/`` and ``/metrics`` lands here, behind the
+same token auth and rate limit as the JSON API.
 
-When constructed with a :class:`~repro.serve.engine.QueryEngine`,
-searches route through the engine (worker pool, admission control,
-single-flight dedup) instead of calling the facade inline, and the
-engine's metrics registry is exposed as plaintext at ``/metrics``.
-
-``/mutate`` is the write surface (the paper's live "Web publishing of
-organisational data"): it applies an insert, delete or update through
-whichever write path the deployment has — the shard router's delta
-routing, the engine's snapshot store, or a bare
-:class:`~repro.core.incremental.IncrementalBANKS` facade — and reports
-the resulting epoch.  Parameters::
+Searches run through :meth:`Cluster.query <repro.cluster.api.Cluster.query>`
+— the engine's worker pool, admission control and single-flight dedup,
+and the same trace root as ``/v1/query``.  ``/mutate`` is the write
+surface (the paper's live "Web publishing of organisational data"): it
+applies an insert, delete or update through the cluster's write path
+and reports the resulting epoch.  Parameters::
 
     /mutate?op=insert&table=paper&v=p9&v=Some+Title
     /mutate?op=delete&table=paper&rid=3
@@ -31,7 +27,7 @@ the resulting epoch.  Parameters::
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Tuple
+from typing import Tuple
 from urllib.parse import parse_qs, unquote
 
 from repro.browse.html import el, link, page
@@ -44,70 +40,31 @@ from repro.errors import ReproError
 
 
 class BrowseApp:
-    """Search + browse application over one BANKS instance.
+    """Search + browse pages over one :class:`~repro.cluster.api.Cluster`.
 
     Args:
-        banks: the facade (browsing pages read its live database).
-        engine: optional :class:`~repro.serve.engine.QueryEngine`;
-            when given, ``/search`` dispatches through it and
-            ``/metrics`` serves the engine's metrics.
-        read_only: refuse ``/mutate`` even over a mutable facade.  A
-            WAL follower (``banks serve --follow``) serves one: its
-            state is owned by the primary's epoch log, and a local
-            write would silently diverge from it.
-        cluster: a :class:`~repro.cluster.api.Cluster` to serve —
-            the preferred construction: the facade, engine and
-            read-only flag all derive from the cluster's spec, so the
-            app cannot desync from the deployment.  Mutually exclusive
-            with the explicit arguments.
+        cluster: the deployment to serve.  Searches run through
+            :meth:`~repro.cluster.api.Cluster.query`, the read path and
+            trace root ``/v1/query`` uses; ``/mutate`` writes through the
+            cluster's insert/delete/update; the pages read the current
+            snapshot's facade.
     """
 
-    def __init__(
-        self,
-        banks: BANKS = None,
-        engine=None,
-        read_only: bool = False,
-        cluster=None,
-    ):
-        if cluster is not None:
-            if banks is not None or engine is not None:
-                raise ReproError(
-                    "pass either cluster= or banks/engine, not both"
-                )
-            banks = cluster.banks
-            engine = cluster.backend
-            read_only = cluster.read_only
-        if banks is None:
-            raise ReproError("BrowseApp needs a facade or a cluster")
+    def __init__(self, cluster):
         self.cluster = cluster
-        self._banks = banks
-        self.engine = engine
-        self.read_only = read_only
-        self.templates = TemplateRegistry(banks.database)
+        self.templates = TemplateRegistry(cluster.banks.database)
 
     @property
     def banks(self) -> BANKS:
-        """The facade to read from: under an engine, the *current*
-        snapshot — so browse pages and row links reflect every
-        published mutation, matching what searches see."""
-        if self.engine is not None:
-            facade = getattr(self.engine, "facade", None)
-            if facade is not None:
-                return facade
-        return self._banks
+        """The facade to read from: the backend's *current* snapshot
+        when it publishes one, so browse pages and row links reflect
+        every published mutation, matching what searches see."""
+        facade = getattr(self.cluster.backend, "facade", None)
+        return facade if facade is not None else self.cluster.banks
 
     @property
     def database(self):
         return self.banks.database
-
-    @property
-    def obs(self):
-        """The deployment's :class:`repro.obs.Observability` bundle, or
-        ``None``: the cluster's when one was passed (the surface that
-        originates traces), otherwise the engine's own."""
-        if self.cluster is not None:
-            return getattr(self.cluster, "obs", None)
-        return getattr(self.engine, "obs", None)
 
     # -- pages -------------------------------------------------------------
 
@@ -147,10 +104,7 @@ class BrowseApp:
         if not query.strip():
             return page("Search", el("p", None, "Empty query."))
         try:
-            if self.engine is not None:
-                answers = self.engine.search(query, max_results=max_results)
-            else:
-                answers = self.banks.search(query, max_results=max_results)
+            answers = self.cluster.query(query, k=max_results).answers
         except ReproError as error:
             return page("Search", el("p", None, f"Error: {error}"))
         blocks = []
@@ -160,7 +114,7 @@ class BrowseApp:
                 node for node in answer.tree.keyword_nodes if node is not None
             }
             # Label nodes against the facade that produced the answer
-            # (the pinned snapshot under the engine), so labels stay
+            # (the snapshot the read pinned), so labels stay
             # consistent with the result even if a newer version has
             # been published since this search was admitted.
             labeler = getattr(answer, "_banks", self.banks).node_label
@@ -198,8 +152,9 @@ class BrowseApp:
 
     def shards_page(self) -> str:
         """Partition layout and per-shard counters of a shard router."""
-        info = self.engine.describe()
-        snapshot = self.engine.metrics.snapshot()
+        router = self.cluster.backend
+        info = router.describe()
+        snapshot = router.metrics.snapshot()
         facts = el(
             "ul",
             None,
@@ -231,13 +186,9 @@ class BrowseApp:
                 el("th", None, "engine epoch"),
             )
         ]
-        engines = getattr(self.engine, "engines", [])
         for shard_id, nodes in enumerate(info["shard_nodes"]):
             searches = snapshot.get(f"shard{shard_id}_searches_total", 0)
-            if shard_id < len(engines):
-                engine_epoch = engines[shard_id].snapshots.version
-            else:  # pragma: no cover - defensive
-                engine_epoch = 0
+            engine_epoch = router.engines[shard_id].snapshots.version
             rows.append(
                 el(
                     "tr",
@@ -256,8 +207,9 @@ class BrowseApp:
 
     def replicas_page(self) -> str:
         """Replica-set layout: balancing, per-replica state and lag."""
-        info = self.engine.describe()
-        snapshot = self.engine.metrics.snapshot()
+        replica_set = self.cluster.backend
+        info = replica_set.describe()
+        snapshot = replica_set.metrics.snapshot()
         facts = el(
             "ul",
             None,
@@ -315,7 +267,7 @@ class BrowseApp:
 
     def trace_page(self) -> str:
         """Recent sampled traces, newest first, with store stats."""
-        obs = self.obs
+        obs = self.cluster.obs
         stats = obs.store.stats()
         facts = el(
             "ul",
@@ -377,7 +329,7 @@ class BrowseApp:
 
     def trace_detail_page(self, trace_id: str) -> str:
         """One trace, rendered as the ASCII span tree."""
-        record = self.obs.store.get(trace_id)
+        record = self.cluster.obs.store.get(trace_id)
         if record is None:
             return page(
                 "Trace",
@@ -397,7 +349,7 @@ class BrowseApp:
 
     def debug_slow_json(self) -> str:
         """``GET /debug/slow`` — the slow-query ring as JSON."""
-        obs = self.obs
+        obs = self.cluster.obs
         return json.dumps(
             {
                 "stats": obs.store.stats(),
@@ -409,70 +361,26 @@ class BrowseApp:
 
     # -- the write surface ----------------------------------------------------
 
-    def _writer(self):
-        """The object carrying insert/delete/update, or ``None``.
-
-        Preference order: the engine itself (a shard router routes
-        deltas), an engine wrapping a mutable facade (snapshot-store
-        write path), then a bare mutable facade.  A read-only
-        deployment (a WAL replica) has no writer at all.
-        """
-        if self.read_only:
-            return None
-        engine = self.engine
-        if engine is not None and callable(getattr(engine, "insert", None)):
-            return engine
-        if engine is not None and callable(getattr(engine, "mutate", None)):
-            facade = getattr(engine, "facade", None)
-            if callable(getattr(facade, "insert", None)):
-                return engine  # mutate-capable engine over a live facade
-        if callable(getattr(self._banks, "insert", None)):
-            return self._banks
-        return None
-
-    def _current_epoch(self) -> int:
-        engine = self.engine
-        if engine is None:
-            return 0
-        epoch = getattr(engine, "epoch", None)
-        if epoch is not None:
-            return int(epoch)
-        snapshots = getattr(engine, "snapshots", None)
-        if snapshots is not None:
-            return int(snapshots.epoch)
-        return 0
-
     def mutate_page(self, query_string: str) -> str:
-        """Apply one mutation and report the published epoch."""
-        writer = self._writer()
-        if writer is None:
-            return page(
-                "Mutate",
-                el(
-                    "p",
-                    None,
-                    "This deployment is read-only: serve a live facade "
-                    "(banks serve --live) or a shard router to enable "
-                    "mutations.  A WAL follower (banks serve --follow) "
-                    "follows the primary's epochs and never writes "
-                    "locally.",
-                ),
-            )
+        """Apply one mutation through the cluster and report the
+        published epoch.  A deployment without a write path (an
+        immutable facade, a WAL follower) refuses with the cluster's
+        own message."""
         params = parse_qs(query_string)
         op = params.get("op", [""])[0]
         table = params.get("table", [""])[0]
         try:
-            outcome = self._apply_mutation(writer, op, table, params)
+            outcome = self._apply_mutation(op, table, params)
         except ReproError as error:
             return page("Mutate", el("p", None, f"Error: {error}"))
         return page(
             "Mutate",
             el("p", None, outcome),
-            el("p", None, f"epoch: {self._current_epoch()}"),
+            el("p", None, f"epoch: {self.cluster.epoch}"),
             el("p", None, link("/", "home")),
         )
 
-    def _apply_mutation(self, writer, op: str, table: str, params) -> str:
+    def _apply_mutation(self, op: str, table: str, params) -> str:
         values = params.get("v", [])
         rid_param = params.get("rid", [None])[0]
         sets = {}
@@ -481,25 +389,15 @@ class BrowseApp:
             if not column:
                 raise ReproError(f"malformed set parameter {pair!r}")
             sets[column] = value
-        through_engine = writer is self.engine and not callable(
-            getattr(writer, "insert", None)
-        )
         if op == "insert":
             if not table or not values:
                 raise ReproError("insert needs table= and one v= per column")
-            if through_engine:
-                rid = writer.mutate(lambda f: f.insert(table, values))
-            else:
-                rid = writer.insert(table, values)
+            rid = self.cluster.insert(table, values)
             return f"inserted {rid[0]}:{rid[1]}"
         if op == "delete":
             if not table or rid_param is None:
                 raise ReproError("delete needs table= and rid=")
-            node = (table, int(rid_param))
-            if through_engine:
-                writer.mutate(lambda f: f.delete(node))
-            else:
-                writer.delete(node)
+            self.cluster.delete((table, int(rid_param)))
             return f"deleted {table}:{rid_param}"
         if op == "update":
             if not table or rid_param is None or not sets:
@@ -507,11 +405,7 @@ class BrowseApp:
                     "update needs table=, rid= and one set=column=value "
                     "per change"
                 )
-            node = (table, int(rid_param))
-            if through_engine:
-                writer.mutate(lambda f: f.update(node, sets))
-            else:
-                writer.update(node, sets)
+            self.cluster.update((table, int(rid_param)), sets)
             return f"updated {table}:{rid_param} ({', '.join(sorted(sets))})"
         raise ReproError(
             f"unknown mutation op {op!r} (use insert, delete or update)"
@@ -521,7 +415,6 @@ class BrowseApp:
 
     #: Content types emitted by the router.
     _HTML = "text/html; charset=utf-8"
-    _PLAINTEXT = "text/plain; version=0.0.4; charset=utf-8"
     _JSON = "application/json; charset=utf-8"
 
     def handle(self, path: str, query_string: str = "") -> Tuple[str, str]:
@@ -534,10 +427,11 @@ class BrowseApp:
     ) -> Tuple[str, str, str]:
         """Route one request; returns ``(status, body, content_type)``.
 
-        The single place routing is decided — ``handle`` and the WSGI
-        adapter both delegate here, so the body and its content type
+        The single place routing is decided — ``handle`` and the HTTP
+        server both delegate here, so the body and its content type
         cannot desync.
         """
+        backend = self.cluster.backend
         try:
             parts = [unquote(p) for p in path.strip("/").split("/") if p]
             if not parts:
@@ -550,33 +444,15 @@ class BrowseApp:
                 return "200 OK", self.search_page(query), self._HTML
             if parts == ["mutate"]:
                 return "200 OK", self.mutate_page(query_string), self._HTML
-            if parts == ["trace"] and self.obs is not None:
+            if parts == ["trace"]:
                 return "200 OK", self.trace_page(), self._HTML
-            if (
-                parts[0] == "trace"
-                and len(parts) == 2
-                and self.obs is not None
-            ):
+            if parts[0] == "trace" and len(parts) == 2:
                 return "200 OK", self.trace_detail_page(parts[1]), self._HTML
-            if parts == ["debug", "slow"] and self.obs is not None:
+            if parts == ["debug", "slow"]:
                 return "200 OK", self.debug_slow_json(), self._JSON
-            if parts == ["metrics"] and self.engine is not None:
-                return (
-                    "200 OK",
-                    self.engine.metrics.render_text(),
-                    self._PLAINTEXT,
-                )
-            if (
-                parts == ["shards"]
-                and self.engine is not None
-                and hasattr(self.engine, "partition")
-            ):
+            if parts == ["shards"] and hasattr(backend, "partition"):
                 return "200 OK", self.shards_page(), self._HTML
-            if (
-                parts == ["replicas"]
-                and self.engine is not None
-                and hasattr(self.engine, "replica_status")
-            ):
+            if parts == ["replicas"] and hasattr(backend, "replica_status"):
                 return "200 OK", self.replicas_page(), self._HTML
             if parts[0] == "table" and len(parts) == 2:
                 state = BrowseState.from_query(parts[1], query_string)
@@ -611,21 +487,3 @@ class BrowseApp:
             page("Not found", el("p", None, f"No route for {path!r}")),
             self._HTML,
         )
-
-    # -- WSGI adapter ----------------------------------------------------------
-
-    def __call__(
-        self, environ: dict, start_response: Callable
-    ) -> Iterable[bytes]:
-        status, body, content_type = self.handle_full(
-            environ.get("PATH_INFO", "/"), environ.get("QUERY_STRING", "")
-        )
-        payload = body.encode("utf-8")
-        start_response(
-            status,
-            [
-                ("Content-Type", content_type),
-                ("Content-Length", str(len(payload))),
-            ],
-        )
-        return [payload]

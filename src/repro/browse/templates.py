@@ -51,12 +51,29 @@ class TemplateInstance:
 
 
 class TemplateRegistry:
-    """Stores and renders template instances for one database."""
+    """Stores and renders template instances for one database.
+
+    The ``_banks_templates`` table is created by the first :meth:`save`:
+    opening a registry over a served database changes nothing in it.
+    """
 
     def __init__(self, database: Database):
         self.database = database
-        if not database.schema.has_table(TEMPLATE_TABLE):
-            database.create_table(
+
+    def _table(self):
+        """The template table, or ``None`` before the first save."""
+        if not self.database.schema.has_table(TEMPLATE_TABLE):
+            return None
+        return self.database.table(TEMPLATE_TABLE)
+
+    # -- storage -----------------------------------------------------------
+
+    def save(self, name: str, kind: str, spec: Dict[str, Any]) -> None:
+        if kind not in _KINDS:
+            raise BrowseError(f"unknown template kind {kind!r}")
+        table = self._table()
+        if table is None:
+            table = self.database.create_table(
                 TableSchema(
                     TEMPLATE_TABLE,
                     [
@@ -67,13 +84,6 @@ class TemplateRegistry:
                     primary_key=("name",),
                 )
             )
-
-    # -- storage -----------------------------------------------------------
-
-    def save(self, name: str, kind: str, spec: Dict[str, Any]) -> None:
-        if kind not in _KINDS:
-            raise BrowseError(f"unknown template kind {kind!r}")
-        table = self.database.table(TEMPLATE_TABLE)
         existing = table.lookup_pk([name])
         if existing is not None:
             table.delete(existing.rid)
@@ -82,15 +92,17 @@ class TemplateRegistry:
         )
 
     def load(self, name: str) -> TemplateInstance:
-        row = self.database.table(TEMPLATE_TABLE).lookup_pk([name])
+        table = self._table()
+        row = None if table is None else table.lookup_pk([name])
         if row is None:
             raise BrowseError(f"no template named {name!r}")
         return TemplateInstance(name, row["kind"], json.loads(row["spec"]))
 
     def names(self) -> List[str]:
-        return sorted(
-            row["name"] for row in self.database.table(TEMPLATE_TABLE).scan()
-        )
+        table = self._table()
+        if table is None:
+            return []
+        return sorted(row["name"] for row in table.scan())
 
     # -- rendering -----------------------------------------------------------
 

@@ -24,11 +24,12 @@ Commands::
                                        across every serving layer plus
                                        the kernel's SearchProfile
     banks sweep DB                     the Figure 5 lambda x EdgeLog grid
-    banks serve DB [--port P]          the browsing/search Web app
-    banks serve DB --http              the versioned JSON API with SSE
-                                       streaming (/v1/query,
-                                       /v1/query/stream, /v1/health)
-    banks client URL QUERY...          query a --http server; --stream
+    banks serve DB [--port P]          one HTTP server: the browse and
+                                       search pages plus the versioned
+                                       JSON API with SSE streaming
+                                       (/v1/query, /v1/query/stream,
+                                       /v1/health, /metrics)
+    banks client URL QUERY...          query a serve process; --stream
                                        prints each answer as the remote
                                        kernel finds it
     banks recover DB --wal PATH        replay a durable epoch log onto DB
@@ -49,10 +50,13 @@ Commands::
 :class:`~repro.cluster.spec.ClusterSpec`, every conflicting
 combination fails through its single validation path, and the
 :class:`~repro.cluster.api.Cluster` facade owns composition and
-lifecycle.  Searches dispatch through the concurrent serving engine
-(:mod:`repro.serve`): a worker pool with admission control,
-single-flight deduplication and a result cache, with metrics exposed
-at ``/metrics``.  Tuning knobs:
+lifecycle.  One asyncio server (:mod:`repro.net`) serves the browse
+pages and the JSON API; searches from either dispatch through the
+concurrent serving engine (:mod:`repro.serve`): a worker pool with
+admission control, single-flight deduplication and a result cache,
+with metrics exposed at ``/metrics``.  ``--check`` binds a free port,
+fetches ``/v1/health``, ``/metrics``, ``/`` and the topology's pages
+over a real socket, and exits (1 on any non-200).  Tuning knobs:
 
     --workers N        worker threads executing searches (default 4)
     --queue-bound N    admitted-but-not-running requests before load
@@ -112,17 +116,16 @@ at ``/metrics``.  Tuning knobs:
                        500); slow queries are always kept, logged, and
                        served as JSON at /debug/slow
     --trace-buffer N   traces retained in the ring buffer (default 256)
-    --http             serve the versioned JSON/SSE API (repro.net)
-                       instead of the browse app
-    --token T          with --http: accepted bearer token (repeatable;
-                       none = open server)
-    --rate-limit QPS   with --http: per-client token-bucket admission
-                       in front of the engine's own load shedding
+    --token T          accepted bearer token for every route but
+                       /v1/health (repeatable; none = open server)
+    --rate-limit QPS   per-client token-bucket admission on every route
+                       but /v1/health, in front of the engine's own load
+                       shedding
     --spec FILE        load the whole deployment from a ClusterSpec
                        JSON file (ClusterSpec.to_json) instead of flags
-    --remote-replica U balance reads over a remote ``--http`` replica
-                       at URL U (repeatable; the front end reads each
-                       replica's applied epoch from /v1/health)
+    --remote-replica U balance reads over the remote ``banks serve``
+                       replica at URL U (repeatable; the front end reads
+                       each replica's applied epoch from /v1/health)
     --remote-token T   bearer token presented to --remote-replica
                        servers
 
@@ -137,8 +140,8 @@ A three-replica set in one process::
 
 Two networked followers behind one replicated front end::
 
-    banks serve demo:bibliography --follow --wal /wal --http --port 8001
-    banks serve demo:bibliography --follow --wal /wal --http --port 8002
+    banks serve demo:bibliography --follow --wal /wal --port 8001
+    banks serve demo:bibliography --follow --wal /wal --port 8002
     banks serve demo:bibliography --wal /wal \\
         --remote-replica http://127.0.0.1:8001 \\
         --remote-replica http://127.0.0.1:8002
@@ -347,55 +350,38 @@ def _serve_mode(cluster) -> str:
     return mode
 
 
-def _serve_http(args: argparse.Namespace, cluster, database, out) -> int:
-    """``banks serve --http``: the v1 JSON/SSE API instead of the
-    browse app.  ``--check`` binds an ephemeral port, probes
-    ``/v1/health`` and ``/metrics`` through a real socket, and exits."""
-    from repro.net import BanksClient, HttpServer, NetConfig
+def _self_check(server, cluster, token: Optional[str], out) -> int:
+    """``banks serve --check``: fetch the API probes and the topology's
+    pages from the bound server over a real socket; 1 on any non-200."""
+    from repro.errors import NetError
+    from repro.net import BanksClient
 
-    tokens = tuple(getattr(args, "tokens", None) or ())
-    config = NetConfig(
-        host=args.host,
-        port=0 if args.check else args.port,
-        tokens=tokens,
-        rate=float(getattr(args, "rate_limit", 0.0) or 0.0),
-    )
-    server = HttpServer(cluster, config)
-    if args.check:
-        server.start_background()
+    spec = cluster.spec
+    probes = ["/v1/health", "/metrics", "/"]
+    if cluster.backend is not None:
+        probes += ["/trace", "/debug/slow"]
+    if spec.topology == "sharded":
+        probes.append("/shards")
+    if spec.replicated:
+        probes.append("/replicas")
+    if spec.live or spec.shards or spec.replicated:
+        probes.append("/mutate")
+    client = BanksClient(server.url, token=token)
+    for probe in probes:
         try:
-            client = BanksClient(
-                server.url, token=tokens[0] if tokens else None
-            )
-            health = client.health()
-            print(
-                f"self-check: GET /v1/health -> {health['status']} "
-                f"(topology {health['topology']}, epoch {health['epoch']}, "
-                f"auth {health['auth']})",
-                file=out,
-            )
-            lines = len(client.metrics().splitlines())
-            print(f"self-check: GET /metrics -> {lines} lines", file=out)
-        finally:
-            server.stop()
-        return 0
-    cluster.start()
-    admission = "token auth" if tokens else "open"
-    if config.rate:
-        admission += f", {config.rate:g} req/s per client"
-    print(
-        f"serving {database.name} v1 HTTP API on "
-        f"http://{args.host}:{args.port}/v1/query "
-        f"({_serve_mode(cluster)}; {admission})",
-        file=out,
-    )
-    server.serve_forever()
+            client.get(probe)
+            status = 200
+        except NetError as error:
+            status = error.status or str(error)
+        print(f"self-check: GET {probe} -> {status}", file=out)
+        if status != 200:
+            return 1
     return 0
 
 
 def _command_serve(args: argparse.Namespace, out) -> int:
-    from repro.browse.app import BrowseApp
     from repro.cluster import Cluster, ClusterSpec
+    from repro.net import HttpServer, NetConfig
 
     # One validation path: every conflicting flag combination fails
     # here, with the same message a programmatic caller would get.
@@ -429,51 +415,32 @@ def _command_serve(args: argparse.Namespace, out) -> int:
                 f"epoch(s) applied, lag {cluster.follower.lag_epochs()}",
                 file=out,
             )
-        if getattr(args, "http", False):
-            return _serve_http(args, cluster, database, out)
-        app = BrowseApp(cluster=cluster)
+        tokens = tuple(args.tokens or ())
+        config = NetConfig(
+            host=args.host,
+            port=0 if args.check else args.port,
+            tokens=tokens,
+            rate=args.rate_limit,
+        )
+        server = HttpServer(cluster, config)
         if args.check:
-            status, _html = app.handle("/", "")
-            print(f"self-check: GET / -> {status}", file=out)
-            if cluster.backend is not None:
-                probes = ["/metrics", "/trace", "/debug/slow"]
-                if spec.topology == "sharded":
-                    probes.append("/shards")
-                if spec.replicated:
-                    probes.append("/replicas")
-                if spec.live or spec.shards or spec.replicated:
-                    probes.append("/mutate")
-                for probe in probes:
-                    probe_status, _body = app.handle(probe, "")
-                    print(
-                        f"self-check: GET {probe} -> {probe_status}", file=out
-                    )
-                    if not probe_status.startswith("200"):
-                        return 1
-            return 0 if status.startswith("200") else 1
-        from socketserver import ThreadingMixIn
-        from wsgiref.simple_server import WSGIServer, make_server
-
-        class ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-            """One thread per HTTP request, so concurrent clients
-            actually reach the engine's admission queue concurrently
-            (the stock WSGIServer serialises at the socket)."""
-
-            daemon_threads = True
-
-        with make_server(
-            args.host, args.port, app, server_class=ThreadingWSGIServer
-        ) as server:
-            print(
-                f"serving {database.name} on http://{args.host}:{args.port}/ "
-                f"({_serve_mode(cluster)})",
-                file=out,
-            )
-            cluster.start()
+            server.start_background()
             try:
-                server.serve_forever()
-            except KeyboardInterrupt:  # pragma: no cover - interactive
-                print("shutting down", file=out)
+                token = tokens[0] if tokens else None
+                return _self_check(server, cluster, token, out)
+            finally:
+                server.stop()
+        cluster.start()
+        admission = "token auth" if tokens else "open"
+        if config.rate:
+            admission += f", {config.rate:g} req/s per client"
+        print(
+            f"serving {database.name} on http://{args.host}:{args.port}/ "
+            f"({_serve_mode(cluster)}; {admission})",
+            file=out,
+        )
+        server.serve_forever()
+        print("shutting down", file=out)
         return 0
     finally:
         cluster.close()
@@ -776,7 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("db")
     sweep.set_defaults(run=_command_sweep)
 
-    serve = commands.add_parser("serve", help="run the Web front end")
+    serve = commands.add_parser(
+        "serve", help="run the HTTP server: browse pages + JSON API"
+    )
     serve.add_argument(
         "db", nargs="?", default=None, help="database specifier (optional "
         "with --spec FILE naming one)"
@@ -786,23 +755,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--check",
         action="store_true",
-        help="render the home page and exit (no server); with --http, "
-        "probe /v1/health over a real socket and exit",
-    )
-    serve.add_argument(
-        "--http",
-        action="store_true",
-        help="serve the versioned JSON/SSE API (/v1/query, "
-        "/v1/query/stream, /v1/health, /metrics) instead of the "
-        "browse app",
+        help="bind a free port, fetch /v1/health, /metrics, / and the "
+        "topology's pages over a real socket, and exit (1 on any non-200)",
     )
     serve.add_argument(
         "--token",
         action="append",
         dest="tokens",
         metavar="TOKEN",
-        help="with --http: accepted bearer token (repeatable; none = "
-        "open server)",
+        help="accepted bearer token for every route but /v1/health "
+        "(repeatable; none = open server)",
     )
     serve.add_argument(
         "--rate-limit",
@@ -810,8 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         dest="rate_limit",
         metavar="QPS",
-        help="with --http: per-client sustained requests/second "
-        "(0 = unlimited); engine admission control still applies",
+        help="per-client sustained requests/second on every route but "
+        "/v1/health (0 = unlimited); engine admission control still "
+        "applies",
     )
     serve.add_argument(
         "--spec",
@@ -825,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="remote_replicas",
         metavar="URL",
-        help="balance reads over this remote 'banks serve --http' "
+        help="balance reads over this remote 'banks serve' "
         "replica (repeatable; conflicts with --replicas)",
     )
     serve.add_argument(
@@ -1083,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     client = commands.add_parser(
         "client",
-        help="query a 'banks serve --http' server (add --stream to "
+        help="query a 'banks serve' server (add --stream to "
         "watch answers arrive)",
     )
     client.add_argument("url", help="server base URL, e.g. http://127.0.0.1:8000")

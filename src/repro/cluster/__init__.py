@@ -27,9 +27,8 @@ contract:
 :class:`~repro.serve.engine.QueryEngine`,
 :class:`~repro.shard.router.ShardRouter` and
 :class:`~repro.store.wal.ReplicaFollower` remain the internal layers
-the cluster composes; constructing them directly still works but is
-deprecated (see :mod:`repro.deprecation` and ``docs/API.md``, which
-carries the migration table).
+the cluster composes; constructing them directly is for their own
+unit tests (``docs/API.md`` carries the migration table).
 """
 
 from repro.cluster.api import Cluster, QueryRequest, QueryResult

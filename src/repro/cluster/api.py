@@ -50,7 +50,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.deprecation import internal_construction
 from repro.errors import ClusterError
 from repro.obs import Observability, SearchProfile, TraceRecord
 from repro.relational.database import Database, RID
@@ -180,8 +179,7 @@ class Cluster:
         self._pool = None
         self._started = False
         self._closed = False
-        with internal_construction():
-            self._build()
+        self._build()
 
     @staticmethod
     def _resolve_database(spec: ClusterSpec, database) -> Database:
@@ -607,8 +605,9 @@ class Cluster:
         if spec.live:
             return self.backend
         raise ClusterError(
-            f"topology {self.spec.topology!r} serves an immutable facade; "
-            "set live=True (or a replicated topology) for a write path"
+            f"topology {self.spec.topology!r} is read-only (an immutable "
+            "facade); set live=True (or a replicated topology) for a write "
+            "path"
         )
 
     # -- introspection ---------------------------------------------------------

@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.core.incremental import IncrementalBANKS
-from repro.deprecation import internal_construction
 from repro.errors import (
     ClusterError,
     EngineStoppedError,
@@ -423,27 +422,26 @@ class ReplicaSet:
 
         if spec.remote_replicas:
             self.backend = "remote"
-        with internal_construction():
-            # Replica workers first: the process backend must fork
-            # before the primary engine starts any thread.
-            self._handles: List[_ReplicaHandle] = [
-                _ReplicaHandle(index, self._build_worker(index))
-                for index in range(spec.replica_count)
-            ]
-            self.primary = QueryEngine(
-                self._primary_facade(),
-                EngineConfig(
-                    workers=spec.workers,
-                    queue_bound=spec.queue_bound,
-                    default_deadline=spec.deadline,
-                    dedup=spec.dedup,
-                    copy_mode=spec.copy_mode,
-                    wal_path=self._wal_dir,
-                    wal_fsync=spec.wal_fsync,
-                    checkpoint_every=spec.checkpoint_every,
-                    checkpoint_path=spec.checkpoint_path,
-                ),
-            )
+        # Replica workers first: the process backend must fork
+        # before the primary engine starts any thread.
+        self._handles: List[_ReplicaHandle] = [
+            _ReplicaHandle(index, self._build_worker(index))
+            for index in range(spec.replica_count)
+        ]
+        self.primary = QueryEngine(
+            self._primary_facade(),
+            EngineConfig(
+                workers=spec.workers,
+                queue_bound=spec.queue_bound,
+                default_deadline=spec.deadline,
+                dedup=spec.dedup,
+                copy_mode=spec.copy_mode,
+                wal_path=self._wal_dir,
+                wal_fsync=spec.wal_fsync,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_path=spec.checkpoint_path,
+            ),
+        )
         self.reader = WalReader(self._wal_dir)
         if not spec.remote_replicas:
             for handle in self._handles:
@@ -662,8 +660,7 @@ class ReplicaSet:
         for handle in self._handles:
             if handle.alive:
                 continue
-            with internal_construction():
-                handle.worker = self._build_worker(handle.index)
+            handle.worker = self._build_worker(handle.index)
             if not self.spec.remote_replicas:
                 handle.follower = ReplicaFollower(self._wal_dir, handle.worker)
                 handle.follower.catch_up(

@@ -7,13 +7,16 @@ end): a zero-dependency asyncio HTTP server over
 :class:`~repro.cluster.replicaset.ReplicaSet` balance over serving
 processes on other machines.
 
-* :class:`HttpServer` / :class:`NetConfig` — ``/v1/query`` (JSON,
-  paginated), ``/v1/query/stream`` (SSE, each answer tree flushed the
-  moment the backward expansion emits it), ``/v1/health``,
-  ``/metrics``; bearer-token auth and per-client rate limiting in
-  front of the engine's own admission control.
+* :class:`HttpServer` / :class:`NetConfig` — the one server behind
+  ``banks serve``: ``/v1/query`` (JSON, paginated),
+  ``/v1/query/stream`` (SSE, each answer tree flushed the moment the
+  backward expansion emits it), ``/v1/health``, ``/metrics``, and the
+  browse pages (:class:`~repro.browse.app.BrowseApp`) on every other
+  GET; bearer-token auth and per-client rate limiting on every route
+  but ``/v1/health``, in front of the engine's own admission control.
 * :class:`BanksClient` — blocking stdlib client; ``query_stream``
-  yields ``(event, data)`` pairs as the remote kernel produces them.
+  yields ``(event, data)`` pairs as the remote kernel produces them,
+  ``get`` fetches ``/metrics`` or any page as text.
 * :class:`RemoteReplica` — the worker-interface adapter behind
   ``ClusterSpec(remote_replicas=...)``.
 """

@@ -10,7 +10,7 @@ them.
 
 :class:`RemoteReplica` adapts that client to the worker interface
 :class:`~repro.cluster.replicaset.ReplicaSet` dispatches to — the
-piece that turns N ``banks serve --http`` processes into one
+piece that turns N ``banks serve`` processes into one
 replicated front end.  Replication inverts versus local workers: the
 front end does **not** push WAL epochs (the remote process tails its
 own log); ``applied_epoch`` is read back from ``/v1/health`` (briefly
@@ -46,7 +46,7 @@ def _query_text(query: Any) -> str:
 
 
 class BanksClient:
-    """Talk to one ``banks serve --http`` process.
+    """Talk to one ``banks serve`` process.
 
     Args:
         url: base URL, e.g. ``http://127.0.0.1:8754``.
@@ -129,20 +129,21 @@ class BanksClient:
     def health(self) -> Dict[str, Any]:
         return self._request("GET", "/v1/health")
 
-    def metrics(self) -> str:
+    def get(self, path: str) -> str:
+        """GET ``path`` and return the body as text: ``/metrics``, a
+        browse page, any route.  Anything but a 200 raises
+        :class:`~repro.errors.NetError` carrying the status."""
         connection = self._connect()
         try:
             try:
-                connection.request(
-                    "GET", "/metrics", headers=self._headers()
-                )
+                connection.request("GET", path, headers=self._headers())
                 response = connection.getresponse()
                 raw = response.read()
             except (OSError, http.client.HTTPException) as error:
                 raise NetError(f"cannot reach {self.url}: {error}")
-            if response.status >= 400:
+            if response.status != 200:
                 raise NetError(
-                    f"HTTP {response.status} from {self.url}/metrics",
+                    f"HTTP {response.status} from {self.url}{path}",
                     status=response.status,
                 )
             return raw.decode("utf-8")

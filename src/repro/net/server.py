@@ -10,7 +10,7 @@ coroutine drains it into SSE frames — each answer tree is flushed the
 moment the kernel emits it, so the client's time-to-first-answer is
 the kernel's, not the full top-k latency.
 
-Routes (all JSON, all carrying ``"version": "v1"``):
+Routes (the ``/v1/`` ones JSON, carrying ``"version": "v1"``):
 
 ========================  =====================================================
 ``GET /v1/health``        liveness + topology + applied epoch (no auth — load
@@ -20,17 +20,25 @@ Routes (all JSON, all carrying ``"version": "v1"``):
 ``POST /v1/query``        one request document in, one result document out
 ``POST /v1/query/stream`` same request, ``text/event-stream`` out: ``answer``
                           events as found, one final ``result`` event
+``GET`` anything else     the browse + search pages
+                          (:class:`~repro.browse.app.BrowseApp`): ``/``,
+                          ``/search``, ``/table/…``, ``/row/…``, ``/mutate``,
+                          ``/trace``, ``/shards``, ``/replicas``, …
 ========================  =====================================================
 
 ``/v1/query`` and ``/v1/query/stream`` also accept GET with URL query
 parameters (``?q=...&k=...``) for curl-friendliness; POST bodies are
-the canonical form.
+the canonical form.  Every route but ``/v1/health`` — the pages
+included — passes the same token auth and per-client rate limit.
 
 Failure mapping is explicit: 401 unauthenticated, 429 client rate
 limit *or* engine admission (:class:`~repro.errors.EngineOverloadedError`
 — the body's ``error`` field says which), 504 deadline, 503 stopped
-engine, 400 malformed request, 500 anything else.  Every error body is
-``{"version", "error", "status", "trace_id"}``.
+engine, 400 malformed request, 413 oversized request, 404 unknown
+``/v1/`` route, 500 anything else.  Every error body is
+``{"version", "error", "status", "trace_id"}``; a request that cannot
+be parsed gets its error with ``Connection: close``.  An unknown page
+is the browse app's own HTML 404.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
+from repro.browse.app import BrowseApp
 from repro.cluster import Cluster, QueryRequest
 from repro.errors import (
     ClusterError,
@@ -135,6 +144,9 @@ class HttpServer:
         self.config = config or NetConfig()
         self.auth = TokenAuth(self.config.tokens)
         self.limiter = RateLimiter(self.config.rate, self.config.burst)
+        #: The browse + search pages, served for every GET outside
+        #: ``/v1/`` and ``/metrics``.
+        self.browse = BrowseApp(cluster)
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -217,7 +229,14 @@ class HttpServer:
         peer = writer.get_extra_info("peername") or ("?",)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except NetError as error:
+                    # An unparseable request still gets its answer; the
+                    # connection's framing is lost, so it ends here.
+                    self._send_error(writer, error, None, keep_alive=False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer, str(peer[0]))
@@ -265,7 +284,10 @@ class HttpServer:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", 0) or 0)
+        length_text = headers.get("content-length", "0")
+        length = int(length_text) if length_text.isdecimal() else -1
+        if length < 0:
+            raise NetError(f"bad Content-Length {length_text!r}", status=400)
         if length > _MAX_BODY_BYTES:
             raise NetError("request body too large", status=413)
         if length:
@@ -312,18 +334,25 @@ class HttpServer:
                 wire = self._wire_query(method, url, request["body"], trace_id)
                 await self._stream_query(writer, wire)
                 return False  # SSE responses end the connection
-            raise NetError(f"no route for {path}", status=404)
+            if path == "/v1" or path.startswith("/v1/"):
+                raise NetError(f"no route for {path}", status=404)
+            self._require_method(method, ("GET",))
+            loop = asyncio.get_running_loop()
+            status, page, content_type = await loop.run_in_executor(
+                None, self.browse.handle_full, url.path, url.query
+            )
+            self._send(
+                writer,
+                int(status.split()[0]),
+                content_type,
+                page.encode("utf-8"),
+                keep_alive,
+            )
+            return keep_alive
         except BaseException as error:  # every failure is a JSON response
             if isinstance(error, (ConnectionError, asyncio.CancelledError)):
                 raise
-            status = _error_status(error)
-            body = {
-                "version": WIRE_VERSION,
-                "error": str(error) or type(error).__name__,
-                "status": status,
-                "trace_id": trace_id,
-            }
-            self._send_json(writer, status, body, keep_alive)
+            status = self._send_error(writer, error, trace_id, keep_alive)
             return keep_alive and status < 500
 
     # -- response writing ------------------------------------------------------
@@ -348,6 +377,24 @@ class HttpServer:
                 lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
+
+    def _send_error(
+        self,
+        writer: asyncio.StreamWriter,
+        error: BaseException,
+        trace_id: Optional[str],
+        keep_alive: bool,
+    ) -> int:
+        """Write the JSON error body for ``error``; returns its status."""
+        status = _error_status(error)
+        body = {
+            "version": WIRE_VERSION,
+            "error": str(error) or type(error).__name__,
+            "status": status,
+            "trace_id": trace_id,
+        }
+        self._send_json(writer, status, body, keep_alive)
+        return status
 
     def _send_json(
         self,

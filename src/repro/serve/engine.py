@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.core.cache import _query_key, _scoring_key
-from repro.deprecation import warn_direct_construction
 from repro.errors import (
     DeadlineExceededError,
     EngineOverloadedError,
@@ -234,10 +233,6 @@ class QueryEngine:
         metrics: Optional[MetricsRegistry] = None,
         obs: Optional[Observability] = None,
     ):
-        warn_direct_construction(
-            "QueryEngine",
-            "topology='single', workers=..., live=..., wal_path=...",
-        )
         self.config = config or EngineConfig()
         self.obs = obs or Observability(
             sample=self.config.trace_sample,

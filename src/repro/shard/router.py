@@ -80,7 +80,6 @@ from repro.core.scoring import ScoringConfig
 from repro.core.search import ScoredAnswer, SearchConfig
 from repro.core.topk import merge_scored_answers
 from repro.core.weights import WeightPolicy
-from repro.deprecation import internal_construction, warn_direct_construction
 from repro.errors import ShardError
 from repro.graph.csr import freeze_graph
 from repro.obs import Observability, SearchProfile
@@ -240,11 +239,6 @@ class ShardRouter:
         metrics: Optional[MetricsRegistry] = None,
         obs: Optional[Observability] = None,
     ):
-        warn_direct_construction(
-            "ShardRouter",
-            "topology='sharded', shards=..., dispatch=..., "
-            "shard_backend=...",
-        )
         if backend not in _BACKENDS:
             raise ShardError(
                 f"unknown shard backend {backend!r} "
@@ -313,10 +307,7 @@ class ShardRouter:
             dedup=False,
             metrics_window=base.metrics_window,
         )
-        with internal_construction():
-            self.engines = [
-                QueryEngine(worker, per_shard) for worker in self._workers
-            ]
+        self.engines = [QueryEngine(worker, per_shard) for worker in self._workers]
         self.pool = WorkerPool(
             workers=max(2, shards), queue_bound=0, name="shard-router"
         )

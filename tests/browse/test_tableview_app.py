@@ -1,8 +1,9 @@
-"""Tests for table/tuple pages, the schema browser, and the WSGI app."""
+"""Tests for table/tuple pages, the schema browser, and the browse app."""
 
 import pytest
 
 from repro.browse.app import BrowseApp
+from repro.cluster import Cluster, ClusterSpec
 from repro.browse.hyperlink import BrowseState
 from repro.browse.schema_browser import render_schema
 from repro.browse.tableview import build_relation, render_row_page, render_table_page
@@ -10,8 +11,20 @@ from repro.relational import Database, execute_script
 
 
 @pytest.fixture
-def app(figure1_banks):
-    return BrowseApp(figure1_banks)
+def app(figure1_db):
+    with Cluster(ClusterSpec(engine=False), database=figure1_db) as cluster:
+        yield BrowseApp(cluster)
+
+
+@pytest.fixture
+def live_app(figure1_db):
+    spec = ClusterSpec(live=True, workers=1)
+    with Cluster(spec, database=figure1_db) as cluster:
+        yield BrowseApp(cluster)
+
+
+def _published(app) -> int:
+    return app.cluster.backend.snapshots.version
 
 
 class TestBuildRelation:
@@ -118,114 +131,82 @@ class TestApp:
         assert app.handle("/row/author/999", "")[0] == "404 Not Found"
         assert app.handle("/row/author/NaN", "")[0] == "404 Not Found"
 
-    def test_wsgi_contract(self, app):
-        captured = {}
-
-        def start_response(status, headers):
-            captured["status"] = status
-            captured["headers"] = dict(headers)
-
-        body = b"".join(
-            app({"PATH_INFO": "/", "QUERY_STRING": ""}, start_response)
-        )
-        assert captured["status"] == "200 OK"
-        assert captured["headers"]["Content-Type"].startswith("text/html")
-        assert int(captured["headers"]["Content-Length"]) == len(body)
-
 
 class TestMutateEndpoint:
-    def live_app(self, figure1_db):
-        from repro.core.incremental import IncrementalBANKS
-        from repro.serve import EngineConfig, QueryEngine
-
-        banks = IncrementalBANKS(figure1_db)
-        engine = QueryEngine(banks, EngineConfig(workers=1))
-        return BrowseApp(banks, engine=engine), engine
-
-    def test_read_only_deployment_reports_itself(self, figure1_banks):
-        app = BrowseApp(figure1_banks)
+    def test_read_only_deployment_reports_itself(self, app):
         status, html = app.handle("/mutate", "op=insert&table=paper&v=x&v=y")
         assert status == "200 OK"
         assert "read-only" in html
 
     def test_read_only_flag_refuses_writes_over_mutable_facade(
-        self, figure1_db
+        self, figure1_db, tmp_path
     ):
-        """A WAL replica serves a mutable IncrementalBANKS, but its
-        state is owned by the primary's log: read_only=True must
-        refuse /mutate even though a writer exists."""
-        app, engine = self.live_app(figure1_db)
-        app.read_only = True
-        try:
+        """A WAL follower serves a mutable IncrementalBANKS, but its
+        state is owned by the primary's log: /mutate must refuse even
+        though the facade could write."""
+        wal = str(tmp_path / "wal")
+        primary = ClusterSpec(live=True, wal_path=wal)
+        with Cluster(primary, database=figure1_db.fork()):
+            pass
+        follower = ClusterSpec(follow=True, wal_path=wal)
+        with Cluster(follower, database=figure1_db) as cluster:
+            app = BrowseApp(cluster)
             status, html = app.handle(
                 "/mutate", "op=insert&table=paper&v=x&v=y"
             )
             assert status == "200 OK"
             assert "read-only" in html
-            assert engine.snapshots.version == 0  # nothing published
-        finally:
-            engine.stop()
+            assert _published(app) == 0  # nothing published
 
-    def test_insert_through_engine_bumps_epoch(self, figure1_db):
-        app, engine = self.live_app(figure1_db)
-        try:
-            status, html = app.handle(
-                "/mutate",
-                "op=insert&table=paper&v=NewP99&v=Epoch+Based+Reclamation",
-            )
+    def test_insert_through_engine_bumps_epoch(self, live_app):
+        app = live_app
+        status, html = app.handle(
+            "/mutate",
+            "op=insert&table=paper&v=NewP99&v=Epoch+Based+Reclamation",
+        )
+        assert status == "200 OK"
+        assert "inserted paper:" in html
+        assert "epoch: 1" in html
+        assert _published(app) == 1
+        # The published version is what /search now reads.
+        status, html = app.handle("/search", "q=reclamation")
+        assert "Epoch Based Reclamation" in html
+
+    def test_update_and_delete_round_trip(self, live_app):
+        app = live_app
+        _status, html = app.handle(
+            "/mutate", "op=insert&table=paper&v=TmpP&v=Doomed+Title"
+        )
+        rid = html.split("inserted paper:")[1].split("<")[0].strip()
+        _status, html = app.handle(
+            "/mutate",
+            f"op=update&table=paper&rid={rid}&set=title%3DRenamed+Title",
+        )
+        assert f"updated paper:{rid}" in html
+        _status, html = app.handle(
+            "/mutate", f"op=delete&table=paper&rid={rid}"
+        )
+        assert f"deleted paper:{rid}" in html
+        assert _published(app) == 3
+
+    def test_malformed_requests_render_errors(self, live_app):
+        app = live_app
+        for query_string in (
+            "",
+            "op=explode",
+            "op=insert&table=paper",
+            "op=update&table=paper&rid=0",
+            "op=delete&table=ghost&rid=0",
+        ):
+            status, html = app.handle("/mutate", query_string)
             assert status == "200 OK"
-            assert "inserted paper:" in html
-            assert "epoch: 1" in html
-            assert engine.snapshots.version == 1
-            # The published version is what /search now reads.
-            status, html = app.handle("/search", "q=reclamation")
-            assert "Epoch Based Reclamation" in html
-        finally:
-            engine.stop()
-
-    def test_update_and_delete_round_trip(self, figure1_db):
-        app, engine = self.live_app(figure1_db)
-        try:
-            _status, html = app.handle(
-                "/mutate", "op=insert&table=paper&v=TmpP&v=Doomed+Title"
-            )
-            rid = html.split("inserted paper:")[1].split("<")[0].strip()
-            _status, html = app.handle(
-                "/mutate",
-                f"op=update&table=paper&rid={rid}&set=title%3DRenamed+Title",
-            )
-            assert f"updated paper:{rid}" in html
-            _status, html = app.handle(
-                "/mutate", f"op=delete&table=paper&rid={rid}"
-            )
-            assert f"deleted paper:{rid}" in html
-            assert engine.snapshots.version == 3
-        finally:
-            engine.stop()
-
-    def test_malformed_requests_render_errors(self, figure1_db):
-        app, engine = self.live_app(figure1_db)
-        try:
-            for query_string in (
-                "",
-                "op=explode",
-                "op=insert&table=paper",
-                "op=update&table=paper&rid=0",
-                "op=delete&table=ghost&rid=0",
-            ):
-                status, html = app.handle("/mutate", query_string)
-                assert status == "200 OK"
-                assert "Error" in html or "needs" in html
-            assert engine.snapshots.version == 0
-        finally:
-            engine.stop()
+            assert "Error" in html or "needs" in html
+        assert _published(app) == 0
 
     def test_shard_router_mutations_via_endpoint(self, figure1_db):
-        from repro.shard import ShardRouter
-
-        router = ShardRouter(figure1_db, shards=2, backend="thread")
-        app = BrowseApp(router, engine=router)
-        with router:
+        spec = ClusterSpec(topology="sharded", shards=2, shard_backend="thread")
+        with Cluster(spec, database=figure1_db) as cluster:
+            app = BrowseApp(cluster)
             status, html = app.handle(
                 "/mutate",
                 "op=insert&table=paper&v=ShardP&v=Routed+Mutation+Study",

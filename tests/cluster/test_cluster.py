@@ -197,12 +197,10 @@ class TestBrowseAppIntegration:
             topology="replicated", replicas=2, replica_backend="thread"
         )
         with Cluster(spec, database=university.fork()) as cluster:
-            app = BrowseApp(cluster=cluster)
+            app = BrowseApp(cluster)
             status, body = app.handle("/replicas", "")
             assert status.startswith("200")
             assert "staleness bound" in body
-            status, _ = app.handle("/metrics", "")
-            assert status.startswith("200")
             # /mutate routes to the primary through the replica set.
             status, body = app.handle(
                 "/mutate", "op=insert&table=student&v=S907&v=Web+Write&v=BIGDEPT"
@@ -210,9 +208,11 @@ class TestBrowseAppIntegration:
             assert status.startswith("200") and "epoch: 1" in body
 
     def test_app_refuses_cluster_plus_explicit_parts(self, university):
+        """One constructor: the cluster is the only argument."""
         from repro.browse.app import BrowseApp
-        from repro.errors import ReproError
 
         with Cluster(ClusterSpec(), database=university.fork()) as cluster:
-            with pytest.raises(ReproError):
+            with pytest.raises(TypeError):
                 BrowseApp(BANKS(university), cluster=cluster)
+            with pytest.raises(TypeError):
+                BrowseApp(cluster, engine=cluster.backend)

@@ -1,4 +1,4 @@
-"""Deprecation policy: old constructors warn; removed flags reject."""
+"""Removed serve flags: the parser rejects them outright."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import warnings
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec
 from repro.cli import main
-
-
-@pytest.fixture(scope="module")
-def university():
-    from repro.datasets import generate_university
-
-    return generate_university()[0]
 
 
 def run_cli(*argv: str):
@@ -24,83 +16,10 @@ def run_cli(*argv: str):
     return status, out.getvalue()
 
 
-class TestDirectConstructionWarns:
-    def test_query_engine_warns_and_names_the_replacement(self, university):
-        from repro.core.cache import CachedBanks
-        from repro.serve import QueryEngine
-
-        with pytest.warns(
-            DeprecationWarning, match="constructing QueryEngine directly"
-        ) as caught:
-            engine = QueryEngine(CachedBanks(university.fork()))
-        engine.stop()
-        message = next(
-            str(w.message)
-            for w in caught
-            if "constructing QueryEngine directly" in str(w.message)
-        )
-        assert "ClusterSpec" in message
-
-    def test_shard_router_warns_and_names_the_replacement(self, university):
-        from repro.shard import ShardRouter
-
-        with pytest.warns(
-            DeprecationWarning, match="constructing ShardRouter directly"
-        ) as caught:
-            router = ShardRouter(
-                university.fork(), shards=2, backend="thread"
-            )
-        router.stop()
-        message = next(
-            str(w.message)
-            for w in caught
-            if "constructing ShardRouter directly" in str(w.message)
-        )
-        assert "topology='sharded'" in message
-
-    def test_cluster_construction_is_warning_free(self, university):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with Cluster(
-                ClusterSpec(), database=university.fork()
-            ) as cluster:
-                cluster.query("alice", k=1)
-            with Cluster(
-                ClusterSpec(
-                    topology="sharded", shards=2, shard_backend="thread"
-                ),
-                database=university.fork(),
-            ) as cluster:
-                cluster.query("alice", k=1)
-            with Cluster(
-                ClusterSpec(
-                    topology="replicated",
-                    replicas=2,
-                    replica_backend="thread",
-                ),
-                database=university.fork(),
-            ) as cluster:
-                cluster.query("alice", k=1)
-
-    def test_direct_construction_still_works(self, university):
-        """The shim is a warning, not a break: old code keeps running
-        with parity-equal results."""
-        from repro.core.banks import BANKS
-        from repro.serve import QueryEngine
-
-        plain = BANKS(university).search("alice seminar", max_results=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with QueryEngine(BANKS(university.fork())) as engine:
-                engined = engine.search("alice seminar", max_results=3)
-        assert [
-            (a.tree.root, round(a.relevance, 9)) for a in plain
-        ] == [(a.tree.root, round(a.relevance, 9)) for a in engined]
-
-
 class TestRemovedServeFlags:
-    """The one-release shims (--replica, --no-engine) are gone: the
-    parser rejects them outright instead of warning."""
+    """The one-release shims (--replica, --no-engine) and the second
+    server's --http are gone: the parser rejects them outright instead
+    of warning."""
 
     def test_replica_flag_is_rejected(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -114,6 +33,11 @@ class TestRemovedServeFlags:
     def test_no_engine_flag_is_rejected(self):
         with pytest.raises(SystemExit) as caught:
             run_cli("serve", "demo:university", "--check", "--no-engine")
+        assert caught.value.code == 2
+
+    def test_http_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as caught:
+            run_cli("serve", "demo:university", "--check", "--http")
         assert caught.value.code == 2
 
     def test_replacement_flags_serve(self, tmp_path):

@@ -113,7 +113,7 @@ class TestFailover:
 
         with _thread_cluster(university, replicas=2) as cluster:
             replica_set = cluster.backend
-            app = BrowseApp(cluster=cluster)
+            app = BrowseApp(cluster)
             baseline = cluster.query(
                 QueryRequest("alice seminar", k=3, consistency="primary")
             ).answers
@@ -132,7 +132,7 @@ class TestFailover:
             served = {cluster.query("heal probe", k=2).replica for _ in range(4)}
             assert 0 in served
             # The event is on /metrics (and the /replicas page).
-            _status, metrics_text = app.handle("/metrics", "")
+            metrics_text = cluster.metrics.render_text()
             assert "banks_replicaset_replica_deaths_total 1" in metrics_text
             assert (
                 "banks_replicaset_replica_readmitted_total 1" in metrics_text

@@ -66,9 +66,9 @@ class TestAuth:
 
     def test_metrics_needs_token(self, server, client):
         with pytest.raises(NetError) as caught:
-            BanksClient(server.url).metrics()
+            BanksClient(server.url).get("/metrics")
         assert caught.value.status == 401
-        assert "banks_engine_requests_total" in client.metrics()
+        assert "banks_engine_requests_total" in client.get("/metrics")
 
 
 class TestRateLimit:

@@ -146,7 +146,7 @@ class TestBrowseSurfaces:
         )
         with Cluster(spec, database=database) as cluster:
             result = cluster.query(QueryRequest(QUERY, k=3))
-            app = BrowseApp(cluster=cluster)
+            app = BrowseApp(cluster)
             status, body, ctype = app.handle_full("/trace")
             assert status.startswith("200")
             assert ctype.startswith("text/html")
@@ -164,16 +164,3 @@ class TestBrowseSurfaces:
             payload = json.loads(body)
             assert payload["stats"]["slow_stored"] >= 1
             assert payload["slow"][0]["profile"]["heap_pops"] > 0
-
-    def test_engine_owned_obs_without_cluster(self, biblio_banks_session):
-        # A bare engine app: /trace resolves through engine.obs.
-        from repro.obs import Observability
-        from repro.serve import QueryEngine
-
-        obs = Observability(sample="always")
-        with QueryEngine(biblio_banks_session, obs=obs) as engine:
-            engine.search(QUERY, max_results=3)
-            app = BrowseApp(banks=biblio_banks_session, engine=engine)
-            status, body, _ = app.handle_full("/trace")
-            assert status.startswith("200")
-            assert engine.obs.store.recent()

@@ -402,45 +402,54 @@ class TestMetricsIntegration:
 
 
 class TestBrowseAppIntegration:
-    def make_app(self):
-        from repro.browse.app import BrowseApp
-        from repro.core.banks import BANKS
+    def make_cluster(self, **spec):
+        from repro.cluster import Cluster, ClusterSpec
 
-        database = make_database()
-        engine = QueryEngine(CachedBanks(database))
-        return BrowseApp(BANKS(database), engine=engine), engine
+        return Cluster(ClusterSpec(**spec), database=make_database())
 
     def test_search_routes_through_engine(self):
-        app, engine = self.make_app()
-        with engine:
+        from repro.browse.app import BrowseApp
+
+        with self.make_cluster() as cluster:
+            app = BrowseApp(cluster)
             status, html = app.handle("/search", "q=ada+engines")
             assert status == "200 OK"
             assert "relevance" in html
-            assert engine.metrics.snapshot()["completed_total"] == 1
+            assert cluster.metrics.snapshot()["completed_total"] == 1
 
     def test_metrics_endpoint(self):
-        app, engine = self.make_app()
-        with engine:
-            app.handle("/search", "q=ada")
-            status, text = app.handle("/metrics", "")
-            assert status == "200 OK"
-            assert "banks_engine_completed_total 1" in text
+        """A page search and the server's /metrics read one registry."""
+        from repro.net import BanksClient, HttpServer
+
+        with self.make_cluster() as cluster:
+            server = HttpServer(cluster).start_background()
+            try:
+                client = BanksClient(server.url)
+                assert "relevance" in client.get("/search?q=ada")
+                text = client.get("/metrics")
+                assert "banks_engine_completed_total 1" in text
+            finally:
+                server.stop()
 
     def test_metrics_content_type_is_plaintext(self):
-        app, engine = self.make_app()
-        with engine:
-            seen = {}
+        import http.client
 
-            def start_response(status, headers):
-                seen["status"] = status
-                seen["headers"] = dict(headers)
+        from repro.net import HttpServer
 
-            body = b"".join(
-                app({"PATH_INFO": "/metrics", "QUERY_STRING": ""},
-                    start_response)
-            )
-            assert seen["status"] == "200 OK"
-            assert seen["headers"]["Content-Type"].startswith("text/plain")
+        with self.make_cluster() as cluster:
+            server = HttpServer(cluster).start_background()
+            try:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", server.port
+                )
+                connection.request("GET", "/metrics")
+                response = connection.getresponse()
+                body = response.read()
+                connection.close()
+            finally:
+                server.stop()
+            assert response.status == 200
+            assert response.getheader("Content-Type").startswith("text/plain")
             assert b"banks_engine_requests_total" in body
 
     def test_browse_pages_follow_published_snapshots(self):
@@ -448,12 +457,9 @@ class TestBrowseAppIntegration:
         browse side can render: browse reads the current snapshot."""
         from repro.browse.app import BrowseApp
 
-        facade = IncrementalBANKS(make_database())
-        with QueryEngine(facade) as engine:
-            app = BrowseApp(facade, engine=engine)
-            engine.mutate(
-                lambda f: f.insert("paper", ["p2", "fresh snapshot study"])
-            )
+        with self.make_cluster(live=True) as cluster:
+            app = BrowseApp(cluster)
+            cluster.insert("paper", ["p2", "fresh snapshot study"])
             status, html = app.handle("/search", "q=fresh+snapshot")
             assert status == "200 OK"
             assert "fresh snapshot study" in html
@@ -466,12 +472,14 @@ class TestBrowseAppIntegration:
             assert "fresh snapshot study" in row_html
 
     def test_no_engine_no_metrics_route(self):
+        """The app has no /metrics of its own: the server renders the
+        registry, whatever the topology."""
         from repro.browse.app import BrowseApp
-        from repro.core.banks import BANKS
 
-        app = BrowseApp(BANKS(make_database()))
-        status, _html = app.handle("/metrics", "")
-        assert status.startswith("404")
+        for spec in ({"engine": False}, {}):
+            with self.make_cluster(**spec) as cluster:
+                status, _html = BrowseApp(cluster).handle("/metrics", "")
+                assert status.startswith("404")
 
 
 class TestCliIntegration:
@@ -493,7 +501,9 @@ class TestCliIntegration:
             "serve", "demo:university", "--check", "--inline"
         )
         assert status == 0
-        assert "metrics" not in output
+        assert "GET / -> 200" in output
+        # Inline dispatch has no engine: the engine pages are not probed.
+        assert "/trace" not in output
 
 
 class TestFederationFanout:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import BANKS, WeightPolicy
 from repro.browse.app import BrowseApp
+from repro.cluster import Cluster, ClusterSpec
 from repro.datasets import generate_tpcd, generate_university
 from repro.eval.baselines import uniform_backedge_policy
 from repro.relational.sqlite_adapter import load_sqlite
@@ -55,8 +56,10 @@ class TestSqliteToSearchPipeline:
         assert "friendship" in sqlite_banks.search_config.excluded_root_tables
 
     def test_browse_over_imported_database(self, sqlite_banks):
-        app = BrowseApp(sqlite_banks)
-        status, html = app.handle("/table/person", "")
+        spec = ClusterSpec(engine=False)
+        with Cluster(spec, database=sqlite_banks.database) as cluster:
+            app = BrowseApp(cluster)
+            status, html = app.handle("/table/person", "")
         assert status == "200 OK"
         assert "Asha Kulkarni" in html
 
