@@ -66,11 +66,8 @@ over a real socket, and exits (1 on any non-200).  Tuning knobs:
     --inline           call the facade inline (the pre-engine behaviour)
     --live             serve an IncrementalBANKS facade so ``/mutate``
                        can apply inserts/deletes/updates; snapshots
-                       publish through the delta-log write path
+                       publish as O(delta) forks, one epoch each
                        (:mod:`repro.store`)
-    --copy-mode M      snapshot capture mode for mutations: auto
-                       (default), delta (O(delta) copy-on-write fork +
-                       delta log) or deep (the O(data) deepcopy path)
     --shards N         partition the data graph into N shards and serve
                        searches through the scatter-gather ShardRouter
                        (:mod:`repro.shard`); shard stats at ``/shards``;
@@ -576,7 +573,7 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
             )
         )
         facade = IncrementalBANKS(load_database(args.db))
-    store = SnapshotStore(facade, copy_mode="delta", wal=args.wal)
+    store = SnapshotStore(facade, wal=args.wal)
     pipeline = IngestPipeline(registry, StoreTarget(store))
     start = time.perf_counter()
     job = pipeline.run(job, source, resume=args.resume)
@@ -825,14 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve a mutable facade: /mutate applies inserts, deletes "
         "and updates through the snapshot store",
-    )
-    serve.add_argument(
-        "--copy-mode",
-        choices=("auto", "delta", "deep"),
-        default="auto",
-        dest="copy_mode",
-        help="snapshot capture mode for mutations (delta = O(delta) "
-        "copy-on-write fork + delta log; deep = O(data) deepcopy)",
     )
     serve.add_argument(
         "--shards",

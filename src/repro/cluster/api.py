@@ -289,7 +289,6 @@ class Cluster:
         self.backend = QueryEngine(
             self.banks,
             self._engine_config(
-                copy_mode=spec.copy_mode,
                 wal_path=spec.wal_path,
                 wal_fsync=spec.wal_fsync,
                 checkpoint_every=spec.checkpoint_every,
@@ -410,7 +409,7 @@ class Cluster:
                 ).result()
                 answers = outcome.answers
                 if self.follower is not None:
-                    # The follower's local delta log renumbers per poll
+                    # The follower's local store renumbers per poll
                     # batch; the primary's WAL epoch is the one that means
                     # something to the operator.
                     replica, epoch = None, self.follower.applied_epoch

@@ -276,7 +276,6 @@ class _ThreadReplica:
                 queue_bound=spec.queue_bound,
                 default_deadline=spec.deadline,
                 dedup=False,
-                copy_mode="delta",
             ),
         )
 
@@ -435,7 +434,6 @@ class ReplicaSet:
                 queue_bound=spec.queue_bound,
                 default_deadline=spec.deadline,
                 dedup=spec.dedup,
-                copy_mode=spec.copy_mode,
                 wal_path=self._wal_dir,
                 wal_fsync=spec.wal_fsync,
                 checkpoint_every=spec.checkpoint_every,

@@ -4,16 +4,16 @@ Four PRs of scaling work left the repo with four parallel construction
 idioms: ``QueryEngine(facade, EngineConfig(...))``,
 ``ShardRouter(database, shards, backend, dispatch)``,
 ``ReplicaFollower(wal, over_engine=...)`` and
-``SnapshotStore(copy_mode=..., wal=...)`` — each with its own kwargs
+``SnapshotStore(facade, wal=...)`` — each with its own kwargs
 and its own hand-rolled flag conflicts in ``banks serve``.  The spec
 replaces all of that with one frozen dataclass: *what* to stand up
 (the topology), *how* it serves (worker/admission knobs), *how* it
-writes (copy mode + WAL), and *how* replicas behave (balancing policy,
+writes (WAL + checkpoints), and *how* replicas behave (balancing policy,
 staleness bound).
 
 Validation is centralised: every conflicting combination — the old
 ``--replica`` + ``--shards``/``--live``/``--no-engine`` matrix, a
-WAL-less follower, a durable log over the deep-copy write path, … —
+WAL-less follower, a WAL on a topology that publishes no epochs, … —
 fails through :class:`~repro.errors.ClusterError` with one message
 format (``invalid cluster spec: <detail>``), at construction time,
 before any engine exists.
@@ -60,7 +60,6 @@ CONSISTENCY_LEVELS = (
     "primary",
 )
 
-_COPY_MODES = ("auto", "delta", "deep")
 _FSYNC_POLICIES = ("always", "rotate", "never")
 _DISPATCHES = ("gather", "route")
 _BACKENDS = ("thread", "process", "auto")
@@ -96,8 +95,6 @@ class ClusterSpec:
         live: serve a mutable :class:`IncrementalBANKS` facade (single
             topology; replicated topologies are always live — the
             primary owns the write path).
-        copy_mode: snapshot capture mode for mutations (``"auto"`` |
-            ``"delta"`` | ``"deep"``).
         wal_path: durable epoch-log directory.  Required with
             ``follow``; optional for replicated topologies (an
             ephemeral log is created when omitted); with
@@ -154,7 +151,6 @@ class ClusterSpec:
     engine: bool = True
     # write path
     live: bool = False
-    copy_mode: str = "auto"
     wal_path: Optional[str] = None
     wal_fsync: str = "always"
     follow: bool = False
@@ -205,11 +201,6 @@ class ClusterSpec:
             raise _invalid(
                 f"unknown balance policy {self.balance!r} "
                 f"(choose from {', '.join(BALANCE_POLICIES)})"
-            )
-        if self.copy_mode not in _COPY_MODES:
-            raise _invalid(
-                f"unknown copy mode {self.copy_mode!r} "
-                f"(choose from {', '.join(_COPY_MODES)})"
             )
         if self.wal_fsync not in _FSYNC_POLICIES:
             raise _invalid(
@@ -348,17 +339,6 @@ class ClusterSpec:
                     "primary (live=True with wal_path) or a replicated "
                     "topology"
                 )
-        if self.copy_mode == "deep" and self.wal_path:
-            raise _invalid(
-                "wal_path needs the delta write path; copy_mode='deep' "
-                "captures no deltas to serialise"
-            )
-        if self.copy_mode == "deep" and replicated:
-            raise _invalid(
-                "replicated topologies need the delta write path "
-                "(replicas follow the primary's epochs); drop "
-                "copy_mode='deep'"
-            )
         if self.remote_replicas:
             if self.topology != "replicated":
                 raise _invalid(
@@ -484,65 +464,49 @@ class ClusterSpec:
         This is where the old flag surface funnels into the one
         validation path: any conflicting combination raises
         :class:`~repro.errors.ClusterError` from the spec constructor,
-        with the same message a programmatic caller would get.
+        with the same message a programmatic caller would get.  Only
+        an unset flag (``None``) takes the default; an explicit value,
+        zero included, reaches validation as given.
         """
-        follow = bool(getattr(args, "follow", False))
-        inline = bool(getattr(args, "inline", False))
-        shards = int(getattr(args, "shards", 0) or 0)
-        replicas = int(getattr(args, "replicas", 0) or 0)
-        remote_replicas = tuple(getattr(args, "remote_replicas", ()) or ())
-        if remote_replicas:
-            topology = "replicated"
-            return cls(
-                topology=topology,
-                db=getattr(args, "db", None),
-                workers=getattr(args, "workers", 4),
-                queue_bound=getattr(args, "queue_bound", 64),
-                deadline=getattr(args, "deadline", None),
-                wal_path=getattr(args, "wal", None),
-                wal_fsync=getattr(args, "wal_fsync", "always"),
-                checkpoint_every=int(
-                    getattr(args, "checkpoint_every", 0) or 0
-                ),
-                checkpoint_path=getattr(args, "checkpoint_path", None),
-                balance=getattr(args, "balance", "round_robin"),
-                max_lag=getattr(args, "max_lag", 8),
-                remote_replicas=remote_replicas,
-                remote_token=getattr(args, "remote_token", None),
-                trace_sample=getattr(args, "trace_sample", None) or "always",
-                slow_query_ms=getattr(args, "slow_query_ms", None) or 500.0,
-                trace_buffer=getattr(args, "trace_buffer", None) or 256,
-            )
+
+        def arg(name: str, default: Any) -> Any:
+            value = getattr(args, name, None)
+            return default if value is None else value
+
+        shards = int(arg("shards", 0))
+        replicas = int(arg("replicas", 0))
+        remote_replicas = tuple(arg("remote_replicas", ()))
         if shards and replicas:
             topology = "sharded_replicated"
         elif shards:
             topology = "sharded"
-        elif replicas:
+        elif replicas or remote_replicas:
             topology = "replicated"
         else:
             topology = "single"
         return cls(
             topology=topology,
-            db=getattr(args, "db", None),
+            db=arg("db", None),
             shards=shards,
             replicas=replicas,
-            workers=getattr(args, "workers", 4),
-            queue_bound=getattr(args, "queue_bound", 64),
-            deadline=getattr(args, "deadline", None),
-            engine=not inline,
-            live=bool(getattr(args, "live", False)),
-            copy_mode=getattr(args, "copy_mode", "auto"),
-            wal_path=getattr(args, "wal", None),
-            wal_fsync=getattr(args, "wal_fsync", "always"),
-            follow=follow,
-            checkpoint_every=int(getattr(args, "checkpoint_every", 0) or 0),
-            checkpoint_path=getattr(args, "checkpoint_path", None),
-            shard_backend=getattr(args, "shard_backend", "auto"),
-            dispatch=getattr(args, "dispatch", "gather"),
-            replica_backend=getattr(args, "replica_backend", "auto"),
-            balance=getattr(args, "balance", "round_robin"),
-            max_lag=getattr(args, "max_lag", 8),
-            trace_sample=getattr(args, "trace_sample", None) or "always",
-            slow_query_ms=getattr(args, "slow_query_ms", None) or 500.0,
-            trace_buffer=getattr(args, "trace_buffer", None) or 256,
+            workers=arg("workers", 4),
+            queue_bound=arg("queue_bound", 64),
+            deadline=arg("deadline", None),
+            engine=not arg("inline", False),
+            live=bool(arg("live", False)),
+            wal_path=arg("wal", None),
+            wal_fsync=arg("wal_fsync", "always"),
+            follow=bool(arg("follow", False)),
+            checkpoint_every=int(arg("checkpoint_every", 0)),
+            checkpoint_path=arg("checkpoint_path", None),
+            shard_backend=arg("shard_backend", "auto"),
+            dispatch=arg("dispatch", "gather"),
+            replica_backend=arg("replica_backend", "auto"),
+            balance=arg("balance", "round_robin"),
+            max_lag=arg("max_lag", 8),
+            remote_replicas=remote_replicas,
+            remote_token=arg("remote_token", None),
+            trace_sample=arg("trace_sample", "always"),
+            slow_query_ms=arg("slow_query_ms", 500.0),
+            trace_buffer=arg("trace_buffer", 256),
         )

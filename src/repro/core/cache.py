@@ -7,9 +7,11 @@ the expensive step.  :class:`ResultCache` is a small LRU keyed by the
 affects ranking — and :class:`CachedBanks` wires it into the facade.
 
 The cache is deliberately conservative: any knob it does not recognise
-bypasses caching rather than risking a stale or mismatched entry, and
-a single :meth:`ResultCache.clear` drops everything after data changes
-(the incremental layer calls it on every mutation when composed).
+bypasses caching rather than risking a stale or mismatched entry.  The
+serving layer never writes under it: a :class:`CachedBanks` cannot
+fork, so the snapshot store (:mod:`repro.serve.snapshot`) serves it
+read-only.  A caller that changes the database directly drops every
+entry with :meth:`CachedBanks.invalidate`.
 
 The cache is thread-safe: the serving engine
 (:mod:`repro.serve.engine`) hits one :class:`CachedBanks` from a whole
@@ -90,16 +92,6 @@ class ResultCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def __deepcopy__(self, memo) -> "ResultCache":
-        """Deep copies start empty.
-
-        The snapshot store (:mod:`repro.serve.snapshot`) deep-copies a
-        facade precisely because the data is about to change, so every
-        cached answer list would be stale — and locks cannot be copied
-        anyway.
-        """
-        return ResultCache(self.capacity)
 
 
 def _query_key(query: Union[str, ParsedQuery]) -> Tuple:

@@ -18,19 +18,21 @@ methods that apply *deltas*:
   the changed text.
 
 The delta arithmetic itself lives in :mod:`repro.store.delta` — one
-derivation shared with the serving layer's delta-log write path and
+derivation shared with the serving layer's write path and
 the shard router's delta routing.  Two capabilities build on that:
 
 * **delta capture** — between :meth:`begin_delta_capture` and
   :meth:`end_delta_capture` every mutation also *records* its
   :class:`~repro.store.delta.Delta`; the serving layer publishes those
-  records through a :class:`~repro.store.log.DeltaLog` so downstream
-  consumers (shard routers, replicas) can follow along;
+  records as one :class:`~repro.store.log.Epoch` per snapshot, appended
+  to the WAL, so downstream consumers (shard routers, replicas) can
+  follow along;
 * **copy-on-write forking** — :meth:`fork` returns a facade sharing
   all storage structurally (the frozen graph arrays and overlay rows,
   postings lists, table heaps); mutating the fork copies only what it
   touches.  This is what makes publishing a snapshot O(delta) adjacency
-  work instead of O(data);
+  work instead of O(data), and it is the only way the serving layer
+  captures a writable snapshot;
 * **replication and recovery** — :meth:`apply_delta` /
   :meth:`apply_epochs` absorb *externally derived* deltas (a replica
   following a primary's epochs), and :meth:`recover` rebuilds the
@@ -40,8 +42,8 @@ the shard router's delta routing.  Two capabilities build on that:
 Equivalence to a full rebuild — identical node set, edge set, weights,
 prestige and scoring normalisers — is asserted by a hypothesis property
 test over random mutation sequences (``tests/core/test_incremental.py``),
-which also drives the delta-log and deep-copy snapshot paths side by
-side.
+which also drives the same sequence through the serving layer's
+snapshot store.
 
 The facade's graph is always frozen: a
 :class:`~repro.graph.csr.CSROverlayGraph`, the one mutable graph

@@ -107,8 +107,8 @@ class ShardError(ReproError):
 
 
 class StoreError(ReproError):
-    """The delta-log write path failed (reclaimed epoch requested,
-    replica divergence on replay, bad log configuration, ...)."""
+    """The delta write path failed (pruned epoch requested, replica
+    divergence on replay, bad log configuration, ...)."""
 
 
 class WalError(StoreError):
@@ -160,8 +160,8 @@ class ClusterError(ReproError):
     """The cluster layer refused a spec or a request.
 
     Every invalid :class:`~repro.cluster.spec.ClusterSpec` — conflicting
-    topology flags, a follower without a WAL, a durable log over the
-    deep-copy write path, ... — fails through this one error type with
+    topology flags, a follower without a WAL, a WAL on a topology that
+    publishes no epochs, ... — fails through this one error type with
     one message format (``invalid cluster spec: <detail>``), replacing
     the per-flag checks ``banks serve`` used to hand-roll.  Runtime
     cluster misuse (mutating a read-only follower, an unknown

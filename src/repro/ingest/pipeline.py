@@ -81,7 +81,9 @@ class StoreTarget:
 
 class RouterTarget(StoreTarget):
     """Commit chunks through a store *and* scatter each published
-    epoch's deltas into a :class:`~repro.shard.router.ShardRouter`.
+    epoch's deltas into a :class:`~repro.shard.router.ShardRouter`
+    (the store's :attr:`~repro.serve.snapshot.SnapshotStore.published`
+    epoch, so the pipeline must be the store's only writer).
 
     The store (over its own derivation facade) stays the durable
     epoch spine — WAL, resume arithmetic, checkpoint cadence all
@@ -97,9 +99,9 @@ class RouterTarget(StoreTarget):
         self.router = router
 
     def commit(self, chunk: List[Record]) -> None:
-        before = self.store.epoch
         super().commit(chunk)
-        self.router.apply_epochs(self.store.log.entries_since(before))
+        if chunk:  # an empty batch publishes no epoch
+            self.router.apply_epochs([self.store.published])
 
 
 class IngestPipeline:

@@ -13,12 +13,12 @@ in-memory engine.  The subsystem contract:
 * :mod:`repro.serve.snapshot` — :class:`SnapshotStore`, the
   single-writer / many-reader MVCC boundary: readers pin an immutable
   version wait-free; :meth:`~SnapshotStore.mutate` applies a batch to
-  a private copy and publishes atomically.  ``copy_mode="delta"``
-  captures O(delta) copy-on-write forks and publishes each batch as a
-  :class:`~repro.store.log.DeltaLog` epoch; with a WAL attached
-  (``wal=`` / ``EngineConfig.wal_path``) every epoch is durable before
-  readers see it — the write-ahead contract behind ``banks recover``
-  and :class:`~repro.store.wal.ReplicaFollower` replicas.
+  an O(delta) copy-on-write fork and publishes it atomically as one
+  :class:`~repro.store.log.Epoch`; with a WAL attached (``wal=`` /
+  ``EngineConfig.wal_path``) every epoch is durable before readers see
+  it — the write-ahead contract behind ``banks recover`` and
+  :class:`~repro.store.wal.ReplicaFollower` replicas.  A facade that
+  cannot fork is served read-only.
 * :mod:`repro.serve.metrics` — the engine-level
   :class:`MetricsRegistry` (counters, gauges, latency windows,
   Prometheus-style histograms) rendered at ``/metrics``; every series
@@ -33,7 +33,7 @@ from repro.serve.engine import EngineConfig, QueryEngine, QueryOutcome
 from repro.serve.metrics import Histogram, MetricsRegistry
 from repro.serve.pool import WorkerPool
 from repro.serve.singleflight import SingleFlight
-from repro.serve.snapshot import Snapshot, SnapshotStore, supports_delta
+from repro.serve.snapshot import Snapshot, SnapshotStore
 
 __all__ = [
     "EngineConfig",
@@ -45,5 +45,4 @@ __all__ = [
     "Snapshot",
     "SnapshotStore",
     "WorkerPool",
-    "supports_delta",
 ]

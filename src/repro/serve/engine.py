@@ -103,14 +103,10 @@ class EngineConfig:
             makes ``submit`` wait for a queue slot (back-pressure).
         dedup: share one computation among identical in-flight queries.
         metrics_window: sliding window (seconds) for QPS / quantiles.
-        copy_mode: how :meth:`QueryEngine.mutate` captures a writable
-            snapshot — ``"auto"`` (delta-log when the facade supports
-            it), ``"delta"`` or ``"deep"`` (see
-            :class:`~repro.serve.snapshot.SnapshotStore`).
         wal_path: directory for the durable epoch log; every published
             mutation epoch is appended there before readers see it
             (crash recovery + cross-process replicas, see
-            :mod:`repro.store.wal`).  Delta mode only.
+            :mod:`repro.store.wal`).  Needs a facade that can fork.
         wal_fsync: the WAL's durability policy (``"always"`` |
             ``"rotate"`` | ``"never"``).
         checkpoint_every: write a checkpoint every N published epochs
@@ -137,7 +133,6 @@ class EngineConfig:
     shed_policy: str = "reject"
     dedup: bool = True
     metrics_window: float = 60.0
-    copy_mode: str = "auto"
     wal_path: Optional[str] = None
     wal_fsync: str = "always"
     checkpoint_every: int = 0
@@ -151,11 +146,6 @@ class EngineConfig:
             raise ServeError(
                 f"unknown shed policy {self.shed_policy!r} "
                 f"(choose from {', '.join(_SHED_POLICIES)})"
-            )
-        if self.copy_mode not in ("auto", "deep", "delta"):
-            raise ServeError(
-                f"unknown copy mode {self.copy_mode!r} "
-                "(choose from auto, deep, delta)"
             )
         if self.wal_fsync not in ("always", "rotate", "never"):
             raise ServeError(
@@ -263,7 +253,6 @@ class QueryEngine:
             )
         self.snapshots = SnapshotStore(
             facade,
-            copy_mode=self.config.copy_mode,
             wal=wal,
             checkpoints=checkpoints,
         )
@@ -298,13 +287,10 @@ class QueryEngine:
         m.gauge("snapshot_copy_seconds_total",
                 "seconds spent capturing facade snapshots",
                 fn=lambda: self.snapshots.copy_seconds)
-        m.gauge("snapshot_epoch", "delta-log epoch of the current version",
+        m.gauge("snapshot_epoch", "epoch of the current version",
                 fn=lambda: self.snapshots.epoch)
-        m.gauge("snapshot_deltas_total", "deltas published through the log",
+        m.gauge("snapshot_deltas_total", "deltas published in epochs",
                 fn=lambda: self.snapshots.deltas_published)
-        m.gauge("snapshot_epochs_reclaimed_total",
-                "delta-log epochs reclaimed",
-                fn=lambda: self.snapshots.epochs_reclaimed)
         m.gauge("wal_epochs_written",
                 "epochs appended to the durable log (0 = no WAL)",
                 fn=lambda: self.snapshots.wal_epochs_written)
@@ -472,19 +458,21 @@ class QueryEngine:
     def mutate(self, fn: Callable[[Any], Any]) -> Any:
         """Apply a mutation batch and publish a new snapshot.
 
-        ``fn`` receives a private copy of the current facade (use
+        ``fn`` receives a private fork of the current facade (use
         :class:`~repro.core.incremental.IncrementalBANKS` methods on
         it); in-flight and later searches each see exactly one
-        consistent version.  Returns ``fn``'s result.
+        consistent version.  Returns ``fn``'s result.  A facade that
+        cannot fork is read-only: this raises
+        :class:`~repro.errors.ServeError` and ``fn`` never runs.
         """
         result = self.snapshots.mutate(fn)
         self._mutations.inc()
         return result
 
     def mutate_batch(self, operations) -> Any:
-        """Apply a sequence of mutation operations under one snapshot
-        copy (:meth:`SnapshotStore.mutate_batch`); an empty sequence is
-        free — no copy, no new version, no metrics noise."""
+        """Apply a sequence of mutation operations under one fork
+        (:meth:`SnapshotStore.mutate_batch`); an empty sequence is
+        free — no fork, no new version, no metrics noise."""
         operations = list(operations)
         results = self.snapshots.mutate_batch(operations)
         if operations:

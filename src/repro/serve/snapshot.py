@@ -14,23 +14,20 @@ control with a single writer:
   writable version of the newest facade; when the function returns,
   that version is published as the next snapshot.
 
-How the private version is produced is the ``copy_mode``:
+There is one write path.  The private version is a copy-on-write
+*fork* (:meth:`~repro.core.incremental.IncrementalBANKS.fork`): all
+graph adjacency, postings lists and table heaps are shared
+structurally and only what the batch touches is copied — writes are
+O(delta).  Every mutation's :class:`~repro.store.delta.Delta` is
+captured, and each publish becomes one :class:`~repro.store.log.Epoch`,
+appended to the WAL (when one is attached) before readers see it.  The
+store keeps only the newest epoch in memory; the WAL is the history
+(see :mod:`repro.store`).
 
-* ``"delta"`` — the facade is *forked* copy-on-write
-  (:meth:`~repro.core.incremental.IncrementalBANKS.fork`): all graph
-  adjacency, postings lists and table heaps are shared structurally
-  and only what the batch touches is copied — writes are O(delta).
-  Every mutation's :class:`~repro.store.delta.Delta` is captured and
-  published to the store's :class:`~repro.store.log.DeltaLog` as one
-  **epoch** per publish, for consumers that follow history (shard
-  routers, replicas).  See :mod:`repro.store` for the epoch /
-  reclamation model.
-* ``"deep"`` — the original ``copy.deepcopy`` path, O(data) per
-  batch; kept as the fallback for facades that cannot fork and as the
-  reference implementation the hypothesis equivalence test
-  (``tests/core/test_incremental.py``) checks the delta path against.
-* ``"auto"`` (default) — ``"delta"`` when the facade supports forking
-  and delta capture, else ``"deep"``.
+A facade that cannot fork (``BANKS``, ``CachedBanks``, a shard worker)
+is served read-only: searches and :meth:`SnapshotStore.republish`
+work, :meth:`SnapshotStore.mutate` raises
+:class:`~repro.errors.ServeError`.
 
 A reader admitted before a publish keeps its old version until it
 finishes; structural sharing makes old versions cheap to keep alive.
@@ -39,25 +36,17 @@ Writers are serialised by a lock, so versions advance linearly.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import BatchMutationError, ServeError
-from repro.store.log import DeltaLog
+from repro.store.log import Epoch
 from repro.store.wal import open_wal
 
-_COPY_MODES = ("auto", "deep", "delta")
-
-#: Methods a facade must offer for the delta-log write path.
-_DELTA_PROTOCOL = ("fork", "begin_delta_capture", "end_delta_capture")
-
-
-def supports_delta(facade: Any) -> bool:
-    """Whether ``facade`` can serve the delta-log write path."""
-    return all(callable(getattr(facade, name, None)) for name in _DELTA_PROTOCOL)
+#: Methods a facade must offer to be written through the store.
+_FORK_PROTOCOL = ("fork", "begin_delta_capture", "end_delta_capture")
 
 
 @dataclass(frozen=True)
@@ -71,24 +60,24 @@ class Snapshot:
 class SnapshotStore:
     """Single-writer / many-reader versioned store of BANKS facades.
 
-    The snapshot capture (fork or deep copy) dominates write cost, so
-    the store meters it: :attr:`copies` counts captures taken and
-    :attr:`copy_seconds` accumulates the time spent inside them — the
-    engine surfaces both through its metrics registry (plus a
-    histogram via :attr:`copy_observer`), making the write price
-    visible before anyone tunes batch sizes against it.
+    The fork dominates write cost, so the store meters it:
+    :attr:`copies` counts forks taken and :attr:`copy_seconds`
+    accumulates the time spent inside them — the engine surfaces both
+    through its metrics registry (plus a histogram via
+    :attr:`copy_observer`), making the write price visible before
+    anyone tunes batch sizes against it.
 
     Args:
-        facade: the version-0 facade (never mutated by the store).
-        copy_mode: ``"auto"``, ``"deep"`` or ``"delta"`` (see module
-            docstring).
-        retain: delta-log retention window (delta mode only).
-        wal: durable epoch log (delta mode only) — a
+        facade: the version-0 facade (never mutated by the store).  A
+            facade without ``fork`` and delta capture is read-only.
+        wal: durable epoch log — a
             :class:`~repro.store.wal.WalWriter` or a directory path;
             every published epoch is appended before it becomes
-            visible, making the store the durable write path behind
+            visible, and epoch numbering resumes from the WAL's last
+            record, making the store the durable write path behind
             ``banks serve --live --wal`` (recovery and replicas read
-            it back; see :mod:`repro.store.wal`).
+            it back; see :mod:`repro.store.wal`).  Needs a facade
+            that can fork.
         checkpoints: optional
             :class:`~repro.ops.checkpoint.CheckpointManager`; after
             each publish the store offers the new facade to
@@ -98,31 +87,14 @@ class SnapshotStore:
             fail the publish — it is already durable in the WAL.
     """
 
-    def __init__(
-        self,
-        facade: Any,
-        copy_mode: str = "auto",
-        retain: int = 256,
-        wal: Any = None,
-        checkpoints: Any = None,
-    ):
-        if copy_mode not in _COPY_MODES:
+    def __init__(self, facade: Any, wal: Any = None, checkpoints: Any = None):
+        self.writable = all(
+            callable(getattr(facade, name, None)) for name in _FORK_PROTOCOL
+        )
+        if wal is not None and not self.writable:
             raise ServeError(
-                f"unknown copy mode {copy_mode!r} "
-                f"(choose from {', '.join(_COPY_MODES)})"
-            )
-        if copy_mode == "delta" and not supports_delta(facade):
-            raise ServeError(
-                "copy_mode='delta' needs a facade with fork() and delta "
-                "capture (IncrementalBANKS); got "
-                f"{type(facade).__name__}"
-            )
-        if copy_mode == "auto":
-            copy_mode = "delta" if supports_delta(facade) else "deep"
-        if wal is not None and copy_mode != "delta":
-            raise ServeError(
-                "a WAL needs the delta-log write path: copy_mode='deep' "
-                "captures no deltas to serialise"
+                "a WAL needs a facade that can fork and capture deltas "
+                f"(IncrementalBANKS); {type(facade).__name__} is read-only"
             )
         if checkpoints is not None and wal is None:
             raise ServeError(
@@ -130,18 +102,21 @@ class SnapshotStore:
                 "drop the checkpoint manager"
             )
         self.checkpoints = checkpoints
-        self.copy_mode = copy_mode
-        self.log: Optional[DeltaLog] = (
-            DeltaLog(retain=retain, wal=open_wal(wal))
-            if copy_mode == "delta"
-            else None
-        )
+        #: The attached :class:`~repro.store.wal.WalWriter` (or None).
+        self.wal = open_wal(wal)
+        #: The newest published epoch number (0 = nothing published);
+        #: resumes from the WAL, so a restart continues the sequence.
+        self.epoch = self.wal.last_epoch if self.wal is not None else 0
+        #: The newest published :class:`~repro.store.log.Epoch` — the
+        #: only one held in memory (None until the first publish).
+        self.published: Optional[Epoch] = None
+        self.deltas_published = 0
         self._current = Snapshot(0, facade)
         self._write_lock = threading.Lock()
         self.copies = 0
         self.copy_seconds = 0.0
-        #: Optional per-capture cost observer (the engine points this
-        #: at a metrics histogram).
+        #: Optional per-fork cost observer (the engine points this at
+        #: a metrics histogram).
         self.copy_observer: Optional[Callable[[float], None]] = None
 
     def current(self) -> Snapshot:
@@ -153,50 +128,12 @@ class SnapshotStore:
         return self._current.version
 
     @property
-    def epoch(self) -> int:
-        """The delta-log epoch (advances with :attr:`version` in delta
-        mode, offset by any epochs a resumed WAL already held; falls
-        back to the version when no log exists)."""
-        return self.log.epoch if self.log is not None else self.version
-
-    @property
-    def deltas_published(self) -> int:
-        return self.log.deltas_total if self.log is not None else 0
-
-    @property
-    def epochs_reclaimed(self) -> int:
-        return self.log.reclaimed_total if self.log is not None else 0
-
-    @property
-    def wal(self):
-        """The attached :class:`~repro.store.wal.WalWriter` (or None)."""
-        return self.log.wal if self.log is not None else None
-
-    @property
     def wal_epochs_written(self) -> int:
-        wal = self.wal
-        return wal.epochs_written if wal is not None else 0
+        return self.wal.epochs_written if self.wal is not None else 0
 
     @property
     def wal_bytes(self) -> int:
-        wal = self.wal
-        return wal.bytes_written if wal is not None else 0
-
-    # -- capture ----------------------------------------------------------------
-
-    def _writable_clone(self) -> Any:
-        """A private writable version of the newest facade, metered."""
-        started = time.perf_counter()
-        if self.copy_mode == "delta":
-            clone = self._current.facade.fork()
-        else:
-            clone = copy.deepcopy(self._current.facade)
-        elapsed = time.perf_counter() - started
-        self.copy_seconds += elapsed
-        self.copies += 1
-        if self.copy_observer is not None:
-            self.copy_observer(elapsed)
-        return clone
+        return self.wal.bytes_written if self.wal is not None else 0
 
     # -- the write path ----------------------------------------------------------
 
@@ -209,25 +146,29 @@ class SnapshotStore:
         number of them — the whole batch becomes visible atomically.
         If ``fn`` raises, nothing is published (the private version is
         discarded) and the exception propagates.
+
+        Raises:
+            ServeError: the facade cannot fork (``fn`` never runs).
         """
+        self._require_writable()
         with self._write_lock:
-            clone = self._capture_begin()
+            clone = self._fork()
             try:
                 result = fn(clone)
             except BaseException:
-                self._capture_abort(clone)
+                clone.end_delta_capture()
                 raise
-            self._publish(clone)
+            self._publish_fork(clone)
             return result
 
     def mutate_batch(self, operations: Sequence[Callable[[Any], Any]]) -> List[Any]:
-        """Apply a batch of mutation operations under *one* capture.
+        """Apply a batch of mutation operations under *one* fork.
 
-        The batch form exists because the capture is the dominant
-        cost: N operations through :meth:`mutate` pay N captures, a
-        batch pays one — and an **empty batch pays none**: no capture,
-        no published version, readers completely undisturbed.
-        Returns the operations' results, in order.
+        The batch form exists because the fork is the dominant cost:
+        N operations through :meth:`mutate` pay N forks, a batch pays
+        one — and an **empty batch pays none**: no fork, no published
+        version, readers completely undisturbed.  Returns the
+        operations' results, in order.
 
         One batch is **one epoch**.  Everything downstream counts in
         epochs, so a bulk loader chunking records through this method
@@ -245,6 +186,7 @@ class SnapshotStore:
         ``tests/ingest/test_checkpoint_cadence.py``.
 
         Raises:
+            ServeError: the facade cannot fork (no operation runs).
             BatchMutationError: operation *k* raised.  The batch is
                 rolled back explicitly — the private version (holding
                 the effects of operations ``0..k-1``) is discarded,
@@ -252,100 +194,88 @@ class SnapshotStore:
                 failing index plus the original exception as its
                 cause.
         """
+        self._require_writable()
         operations = list(operations)
         if not operations:
             return []
         with self._write_lock:
-            clone = self._capture_begin()
+            clone = self._fork()
             results: List[Any] = []
             for position, operation in enumerate(operations):
                 try:
                     results.append(operation(clone))
                 except BaseException as error:
-                    self._capture_abort(clone)
+                    clone.end_delta_capture()
                     raise BatchMutationError(position, error) from error
-            self._publish(clone)
+            self._publish_fork(clone)
             return results
 
-    def republish(self, facade: Optional[Any] = None) -> Snapshot:
-        """Publish a new version *without* capturing a copy.
+    def republish(self) -> Snapshot:
+        """Publish a new version of the *same* facade, without a fork.
 
         The shard layer uses this to advance a shard engine's version
         after routing a delta into the worker's own state: the facade
-        object is unchanged (or externally replaced), but readers —
-        and the single-flight dedup keyed on the version — must see a
-        new epoch.
+        object is unchanged, but readers — and the single-flight dedup
+        keyed on the version — must see a new epoch.
         """
         with self._write_lock:
-            current = self._current
-            # Log (and WAL-append) first: the version must never be
-            # visible before its epoch is durable.
-            if self.log is not None:
-                self.log.publish(())
-            self._current = Snapshot(
-                current.version + 1,
-                current.facade if facade is None else facade,
-            )
-            self._offer_checkpoint()
+            self._publish(self._current.facade, ())
             return self._current
 
     # -- internals ---------------------------------------------------------------
 
-    def _capture_begin(self) -> Any:
-        clone = self._writable_clone()
-        if self.copy_mode == "delta":
-            clone.begin_delta_capture()
-        return clone
-
-    def _capture_abort(self, clone: Any) -> None:
-        """Explicit rollback: stop any capture and drop the private
-        version (its copy-on-write state simply falls away — shared
-        structure was never mutated)."""
-        if self.copy_mode == "delta":
-            clone.end_delta_capture()
-
-    def _publish(self, clone: Any) -> None:
-        deltas = (
-            clone.end_delta_capture() if self.copy_mode == "delta" else None
-        )
-        self._seal(clone)
-        # Write-ahead: the epoch reaches the log (and, with a WAL, the
-        # disk) *before* the snapshot swap makes it visible.  A reader
-        # can never observe an epoch a crash would lose, and a failed
-        # WAL append aborts the publish — the mutate raises and the
-        # clone is discarded, keeping live state and log in lockstep.
-        if self.log is not None:
-            self.log.publish(deltas or ())
-        self._current = Snapshot(self._current.version + 1, clone)
-        self._offer_checkpoint()
-
-    def _offer_checkpoint(self) -> None:
-        """Give the checkpoint manager its shot at the just-published
-        version (still under the write lock: the facade it pickles is
-        exactly the state at :attr:`epoch`, and no later publish can
-        interleave)."""
-        if self.checkpoints is not None:
-            self.checkpoints.maybe_checkpoint(
-                self._current.facade, epoch=self.epoch
+    def _require_writable(self) -> None:
+        if not self.writable:
+            raise ServeError(
+                f"{type(self._current.facade).__name__} cannot fork, so "
+                "this store is read-only; serve an IncrementalBANKS "
+                "facade to write"
             )
 
-    @staticmethod
-    def _seal(facade: Any) -> None:
-        """Make the new version read-only in practice before publication.
+    def _fork(self) -> Any:
+        """A private writable version of the newest facade, metered,
+        with delta capture running."""
+        started = time.perf_counter()
+        clone = self._current.facade.fork()
+        elapsed = time.perf_counter() - started
+        self.copy_seconds += elapsed
+        self.copies += 1
+        if self.copy_observer is not None:
+            self.copy_observer(elapsed)
+        clone.begin_delta_capture()
+        return clone
 
-        ``IncrementalBANKS`` recomputes scoring normalisers lazily on
-        the first search after a mutation — a hidden write that would
-        race between concurrent readers.  Forcing the refresh here means
-        a published snapshot's searches touch no shared mutable state.
-        Result caches deep-copy as empty (see
-        :meth:`repro.core.cache.ResultCache.__deepcopy__`), so no stale
-        answers survive the copy either.
-        """
-        refresh = getattr(facade, "_refresh_stats", None)
+    def _publish_fork(self, clone: Any) -> None:
+        deltas = clone.end_delta_capture()
+        # Make the new version read-only in practice: IncrementalBANKS
+        # recomputes scoring normalisers lazily on the first search
+        # after a mutation — a hidden write that would race between
+        # concurrent readers, so force it before publication.
+        refresh = getattr(clone, "_refresh_stats", None)
         if callable(refresh):
             refresh()
+        self._publish(clone, deltas)
+
+    def _publish(self, facade: Any, deltas: Sequence[Any]) -> None:
+        """Number the epoch, make it durable, then swap the snapshot.
+
+        Write-ahead: the epoch reaches the WAL *before* the swap makes
+        it visible.  A reader can never observe an epoch a crash would
+        lose, and a failed WAL append aborts the publish — the write
+        raises and the fork is discarded, keeping live state and WAL in
+        lockstep.  Called under the write lock.
+        """
+        epoch = Epoch(self.epoch + 1, tuple(deltas))
+        if self.wal is not None:
+            self.wal.append(epoch)
+        self.epoch = epoch.number
+        self.published = epoch
+        self.deltas_published += len(epoch.deltas)
+        self._current = Snapshot(self._current.version + 1, facade)
+        if self.checkpoints is not None:
+            # Still under the write lock: the facade the manager
+            # pickles is exactly the state at this epoch.
+            self.checkpoints.maybe_checkpoint(facade, epoch=self.epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SnapshotStore(version={self.version}, mode={self.copy_mode})"
-        )
+        return f"SnapshotStore(version={self.version}, epoch={self.epoch})"

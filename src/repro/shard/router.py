@@ -49,8 +49,9 @@ routes every :class:`~repro.store.delta.Delta` to its **owning shard**
 (the shard the affected node hashes to) instead of republishing a
 whole-facade copy.  :meth:`ShardRouter.insert` / :meth:`delete` /
 :meth:`update` derive the delta against the router's own replica;
-:meth:`ShardRouter.apply` accepts deltas produced elsewhere (e.g. a
-:class:`~repro.serve.snapshot.SnapshotStore` delta log).  Either way
+:meth:`ShardRouter.apply` accepts deltas produced elsewhere (e.g. the
+epochs a :class:`~repro.serve.snapshot.SnapshotStore` publishes, or a
+WAL).  Either way
 the same O(delta) work happens everywhere it must: the shared
 graph absorbs the edge re-weighs once (thread mode) or each forked
 worker replays them into its private copy (process mode); the owning
@@ -630,8 +631,8 @@ class ShardRouter:
             self._admit(delta, owner, started)
 
     def apply(self, delta: Delta) -> int:
-        """Route one externally derived delta (e.g. from a
-        :class:`~repro.serve.snapshot.SnapshotStore` delta log) to its
+        """Route one externally derived delta (e.g. from an epoch a
+        :class:`~repro.serve.snapshot.SnapshotStore` published) to its
         owning shard; returns the owner.
 
         The router's replica replays the relational + index part and

@@ -1,8 +1,8 @@
-"""``repro.store``: the delta-log write path.
+"""``repro.store``: the delta write path.
 
 BANKS targets live Web publishing of organisational data (Sec. 5.2),
 so the write path matters as much as the read path.  Before this
-subsystem existed, every mutation batch paid ``copy.deepcopy`` of the
+subsystem existed, every mutation batch paid a deep copy of the
 whole facade — O(data) writes on a graph the paper says should absorb
 updates incrementally.  This package makes writes O(delta):
 
@@ -28,48 +28,34 @@ updates incrementally.  This package makes writes O(delta):
   nodes appended and removed since the freeze.  A fork references
   the frozen base, never its parent, so old versions are reclaimed as
   soon as no reader holds them.
-* :class:`~repro.store.log.DeltaLog` — the publication record.  Every
+* :class:`~repro.store.log.Epoch` — the publication record.  Every
   published snapshot is an **epoch**: a monotone number plus the tuple
   of deltas that produced it.
-* :mod:`repro.store.wal` — the durable half:
+* :mod:`repro.store.wal` — the durable history:
   :class:`~repro.store.wal.WalWriter` appends each published epoch to
-  a segmented, checksummed on-disk log (``DeltaLog(wal=...)`` wires it
-  in), :class:`~repro.store.wal.WalReader` replays it —
+  a segmented, checksummed on-disk log,
+  :class:`~repro.store.wal.WalReader` replays it —
   :meth:`~repro.core.incremental.IncrementalBANKS.recover` rebuilds
   the exact pre-crash facade from a base snapshot — and
   :class:`~repro.store.wal.ReplicaFollower` tails it from another
   process to keep a read-only replica (a facade behind an engine, or
   a whole shard router) caught up by epoch.
 
-The epoch / reclamation model
------------------------------
+One write path, one history
+---------------------------
 
-Publishing is one reference assignment, exactly as in the deep-copy
-path, so readers stay wait-free.  What changes is lifetime management:
-
-* A reader that only needs a consistent facade keeps doing what it
-  always did — grab the current snapshot and hold the reference; the
-  interpreter's refcounting keeps that version alive.  Structural
-  sharing makes this cheap: ten live versions share all untouched
-  adjacency dicts, postings lists and table heaps.
-* A consumer that needs to *catch up on history* (a shard router
-  replaying deltas, a replica, a dashboard) calls
-  :meth:`~repro.store.log.DeltaLog.pin` to mark the epoch it has seen,
-  reads :meth:`~repro.store.log.DeltaLog.entries_since`, then drops
-  the pin with :meth:`~repro.store.log.DeltaLog.release`.
-* The log retains a bounded window of epochs (``retain``).  On every
-  publish it reclaims entries older than both the window and the
-  oldest pin — deliberate epoch-based reclamation instead of the
-  refcount-by-accident the deep-copy path relied on.  A consumer that
-  sleeps past the window gets :class:`~repro.errors.StoreError` from
-  ``entries_since`` and must rebuild, rather than silently missing
-  updates.
-
-:class:`~repro.serve.snapshot.SnapshotStore` drives all of this under
-``copy_mode="delta"`` (the default when the facade supports forking);
-``copy_mode="deep"`` keeps the original deep-copy path as a fallback,
-asserted equivalent by the hypothesis property test in
-``tests/core/test_incremental.py``.
+:class:`~repro.serve.snapshot.SnapshotStore` forks the newest facade,
+captures the batch's deltas, numbers the epoch, appends it to the WAL
+and only then swaps the snapshot in — one reference assignment, so
+readers stay wait-free.  A reader that only needs a consistent facade
+grabs the current snapshot and holds the reference; structural sharing
+makes ten live versions cost little more than one, and a version is
+reclaimed as soon as no reader holds it.  The store keeps only the
+newest epoch in memory.  A consumer that follows *history* (a replica,
+a recovering process, a shard router catching up) reads the WAL with
+:meth:`~repro.store.wal.WalReader.entries_since`; a WAL pruned past
+the consumer's position raises :class:`~repro.errors.StoreError`
+rather than silently skipping epochs.
 
 The full mutation data flow (derivation → capture → epoch → WAL →
 recovery/replica) is drawn in ``docs/ARCHITECTURE.md``; the operator
@@ -86,7 +72,7 @@ from repro.store.delta import (
     derive_update,
     replay_delta,
 )
-from repro.store.log import DeltaLog, Epoch
+from repro.store.log import Epoch
 from repro.store.wal import (
     ReplicaFollower,
     WalReader,
@@ -96,7 +82,6 @@ from repro.store.wal import (
 
 __all__ = [
     "Delta",
-    "DeltaLog",
     "Epoch",
     "ReplicaFollower",
     "WalReader",

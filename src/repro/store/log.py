@@ -1,41 +1,23 @@
-"""The :class:`DeltaLog`: epochs, pins, and deliberate reclamation.
+"""The :class:`Epoch`: one published snapshot version, as data.
 
-Every published snapshot version is an **epoch**: a monotone number
-plus the tuple of :class:`~repro.store.delta.Delta` records that
-produced it.  The log exists for consumers that follow *history*
-rather than just reading the newest state — a shard router replaying
-deltas into its partition, a replica catching up, a dashboard counting
-writes.
+Every version a :class:`~repro.serve.snapshot.SnapshotStore` publishes
+is an **epoch**: a monotone number plus the tuple of
+:class:`~repro.store.delta.Delta` records that produced it.  The store
+appends each epoch to its WAL (:mod:`repro.store.wal`) before readers
+see it and keeps only the newest one in memory; the WAL is the one
+epoch history that recovery, replicas and shard routers read back
+(:meth:`~repro.store.wal.WalReader.entries_since`).
 
-Lifetime management is explicit (the ROADMAP called the old scheme
-"refcount-by-accident"):
-
-* :meth:`pin` marks the epoch a consumer has fully consumed and
-  returns it; :meth:`entries_since` yields everything published after
-  a given epoch; :meth:`release` drops the pin.
-* the log retains at most ``retain`` epochs beyond the oldest pin;
-  :meth:`publish` reclaims eagerly, so an abandoned log never grows
-  without bound.
-* a consumer that sleeps past the retention window gets
-  :class:`~repro.errors.StoreError` from :meth:`entries_since` — a
-  loud "rebuild from the current snapshot" signal instead of silently
-  missing updates.
-
-All methods are thread-safe; publication is O(1) plus reclamation.
-
-The log is in-memory; attach a :class:`~repro.store.wal.WalWriter`
-(``DeltaLog(wal=...)``) to make every published epoch durable — the
-write-ahead half of crash recovery and cross-process replicas (see
-:mod:`repro.store.wal` and ``docs/ARCHITECTURE.md``).
+Every WAL record pickles this class by its path,
+``repro.store.log.Epoch``: moving it would make existing WAL
+directories unreadable.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.errors import StoreError
 from repro.store.delta import Delta
 
 
@@ -48,157 +30,3 @@ class Epoch:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Epoch({self.number}, {len(self.deltas)} delta(s))"
-
-
-class DeltaLog:
-    """Bounded, pinnable record of published epochs.
-
-    The pin/release contract (every history-following consumer must
-    observe it):
-
-    1. call :meth:`pin` *before* reading — it returns the epoch your
-       catch-up will start from and protects everything published
-       after it from reclamation, however long you take;
-    2. read :meth:`entries_since` with that epoch and apply the
-       entries;
-    3. call :meth:`release` with the pinned number (then re-pin at the
-       new position for the next round, or use
-       ``pin(new); release(old)`` to slide forward without a window).
-
-    A consumer that reads *without* pinning races reclamation: if it
-    sleeps past the ``retain`` window, :meth:`entries_since` raises
-    :class:`~repro.errors.StoreError` — a loud "rebuild from the
-    current snapshot" signal, never a silent gap.  A pinned consumer
-    can sleep arbitrarily long; the log holds its epochs (and grows)
-    until the pin is released.  The regression test
-    ``tests/store/test_log.py::TestPinContract`` keeps both halves of
-    the contract honest.
-
-    Args:
-        retain: epochs kept beyond the oldest pin.  The window bounds
-            both memory and how far behind an *unpinned* consumer may
-            fall before it must rebuild.
-        wal: optional :class:`~repro.store.wal.WalWriter`; every
-            published epoch is appended durably before :meth:`publish`
-            returns, and epoch numbering resumes from the WAL's last
-            record (recovery restarts continue the sequence instead of
-            re-issuing epoch 1).  In-memory reclamation is unchanged;
-            WAL retention is the writer's own (segment-granular) knob.
-    """
-
-    def __init__(self, retain: int = 256, wal: Optional[object] = None):
-        if retain < 1:
-            raise StoreError("DeltaLog needs retain >= 1")
-        self.retain = retain
-        self.wal = wal
-        self._entries: List[Epoch] = []
-        self._epoch = wal.last_epoch if wal is not None else 0
-        self._pins: Dict[int, int] = {}
-        self._lock = threading.Lock()
-        self.published_total = 0
-        self.deltas_total = 0
-        self.reclaimed_total = 0
-
-    @property
-    def epoch(self) -> int:
-        """The newest published epoch number (0 = nothing published)."""
-        return self._epoch
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    # -- publication ----------------------------------------------------------
-
-    def publish(self, deltas: Sequence[Delta]) -> Epoch:
-        """Record one published version; reclaim old entries.
-
-        With a WAL attached the epoch is appended (and, under
-        ``fsync="always"``, durable) *before* it becomes visible to
-        in-memory consumers — a reader can never observe an epoch a
-        crash would lose.
-        """
-        with self._lock:
-            entry = Epoch(self._epoch + 1, tuple(deltas))
-            if self.wal is not None:
-                self.wal.append(entry)
-            self._epoch += 1
-            self._entries.append(entry)
-            self.published_total += 1
-            self.deltas_total += len(entry.deltas)
-            self._reclaim_locked()
-            return entry
-
-    # -- consumption ----------------------------------------------------------
-
-    def pin(self, epoch: Optional[int] = None) -> int:
-        """Protect epochs after ``epoch`` (default: the newest) from
-        reclamation until :meth:`release` is called with the returned
-        number."""
-        with self._lock:
-            pinned = self._epoch if epoch is None else epoch
-            self._pins[pinned] = self._pins.get(pinned, 0) + 1
-            return pinned
-
-    def release(self, epoch: int) -> None:
-        """Release one :meth:`pin`; unknown pins raise."""
-        with self._lock:
-            count = self._pins.get(epoch)
-            if not count:
-                raise StoreError(f"epoch {epoch} is not pinned")
-            if count == 1:
-                del self._pins[epoch]
-            else:
-                self._pins[epoch] = count - 1
-            self._reclaim_locked()
-
-    def entries_since(self, epoch: int) -> List[Epoch]:
-        """Every epoch published after ``epoch``, oldest first.
-
-        Raises:
-            StoreError: the request reaches behind the retained window
-                (the consumer must rebuild from the current snapshot).
-        """
-        with self._lock:
-            if epoch > self._epoch:
-                raise StoreError(
-                    f"epoch {epoch} has not been published yet "
-                    f"(newest is {self._epoch})"
-                )
-            oldest_needed = epoch + 1
-            if self._entries:
-                oldest_retained = self._entries[0].number
-            else:
-                oldest_retained = self._epoch + 1
-            if oldest_needed < oldest_retained:
-                raise StoreError(
-                    f"epochs {oldest_needed}..{oldest_retained - 1} were "
-                    "reclaimed; rebuild from the current snapshot"
-                )
-            return [e for e in self._entries if e.number > epoch]
-
-    # -- reclamation ----------------------------------------------------------
-
-    def oldest_pin(self) -> Optional[int]:
-        with self._lock:
-            return min(self._pins) if self._pins else None
-
-    def _reclaim_locked(self) -> None:
-        """Drop entries older than both the retention window and every
-        pin.  A pin at epoch P protects entries > P (the pinned
-        consumer still needs them to catch up)."""
-        horizon = self._epoch - self.retain
-        if self._pins:
-            horizon = min(horizon, min(self._pins))
-        kept = 0
-        while kept < len(self._entries) and self._entries[kept].number <= horizon:
-            kept += 1
-        if kept:
-            del self._entries[:kept]
-            self.reclaimed_total += kept
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DeltaLog(epoch={self._epoch}, {len(self._entries)} retained, "
-            f"{len(self._pins)} pin(s))"
-        )

@@ -1,10 +1,10 @@
 """The durable epoch log: write-ahead segments, recovery, replicas.
 
-:class:`~repro.store.log.DeltaLog` records every published snapshot as
-an epoch, but only in memory — a crash loses the history and a second
-process can never see it.  This module serialises epochs to disk (the
-:class:`~repro.store.delta.Delta` records are plain picklable data)
-and gives the two consumers the ROADMAP promised "for free":
+:class:`~repro.serve.snapshot.SnapshotStore` publishes every
+snapshot as an :class:`~repro.store.log.Epoch` and keeps only the
+newest in memory; this module is the epoch history.  It serialises
+epochs to disk (the :class:`~repro.store.delta.Delta` records are
+plain picklable data) for two consumers:
 
 * **replay-from-disk recovery** —
   :meth:`~repro.core.incremental.IncrementalBANKS.recover` rebuilds
@@ -47,14 +47,13 @@ history is missing (not a torn tail), and raises
 writer repairs a torn tail on open (truncates to the last complete
 record) so appends continue cleanly after a crash.
 
-Retention mirrors :class:`~repro.store.log.DeltaLog`'s reclamation
-window: with ``retain=N`` the writer deletes whole segments whose
-newest epoch is older than ``last_epoch - N`` after each append
-(segment-granular, so the window is a lower bound).  A pruned WAL can
-still feed a replica that is inside the window; a consumer reaching
-behind it gets :class:`~repro.errors.StoreError` from
-:meth:`WalReader.entries_since`, and recovery-from-base refuses it
-outright — both loud, mirroring the in-memory contract.  The default
+Retention is a window: with ``retain=N`` the writer deletes whole
+segments whose newest epoch is older than ``last_epoch - N`` after
+each append (segment-granular, so the window is a lower bound).  A
+pruned WAL can still feed a replica that is inside the window; a
+consumer reaching behind it gets :class:`~repro.errors.StoreError`
+from :meth:`WalReader.entries_since`, and recovery-from-base refuses
+it outright — both loud, never a silent gap.  The default
 ``retain=None`` keeps everything, which is what recovery from a base
 snapshot needs.
 
@@ -405,9 +404,8 @@ class WalWriter:
             overshoot by at most one record).
         fsync: ``"always"`` | ``"rotate"`` | ``"never"`` (see the
             module docstring).
-        retain: epochs kept behind the newest one, mirroring
-            :class:`~repro.store.log.DeltaLog`; pruning drops whole
-            segments only.  ``None`` (default) keeps everything —
+        retain: epochs kept behind the newest one; pruning drops
+            whole segments only.  ``None`` (default) keeps everything —
             required for recovery from a base snapshot.
         checkpoint_path: the checkpoint directory whose manifest sets
             the prune floor (see :func:`checkpoint_floor`); retention
@@ -654,9 +652,10 @@ class ReplicaFollower:
     """Tail a WAL and keep a replica caught up, epoch by epoch.
 
     The follower is the cross-process half of the replication story:
-    the primary publishes epochs through a WAL-attached
-    :class:`~repro.store.log.DeltaLog`; a follower in another process
-    polls the directory and applies every new epoch to its ``target``.
+    the primary's :class:`~repro.serve.snapshot.SnapshotStore`
+    appends every published epoch to a WAL; a follower in another
+    process polls the directory and applies every new epoch to its
+    ``target``.
 
     Args:
         wal: the WAL to tail — a :class:`WalReader` or directory path.
@@ -672,9 +671,8 @@ class ReplicaFollower:
             one, else 0 — the base snapshot).
 
     A follower that sleeps past a pruned writer's retention window
-    gets :class:`~repro.errors.StoreError` from :meth:`poll` — the
-    same "rebuild from a current snapshot" contract as the in-memory
-    :class:`~repro.store.log.DeltaLog`.
+    gets :class:`~repro.errors.StoreError` from :meth:`poll` — a loud
+    "rebuild from a current snapshot" signal, never a silent gap.
     """
 
     def __init__(

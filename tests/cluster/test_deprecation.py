@@ -17,9 +17,9 @@ def run_cli(*argv: str):
 
 
 class TestRemovedServeFlags:
-    """The one-release shims (--replica, --no-engine) and the second
-    server's --http are gone: the parser rejects them outright instead
-    of warning."""
+    """The one-release shims (--replica, --no-engine), the second
+    server's --http and --copy-mode are gone: the parser rejects them
+    outright instead of warning."""
 
     def test_replica_flag_is_rejected(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -40,6 +40,12 @@ class TestRemovedServeFlags:
             run_cli("serve", "demo:university", "--check", "--http")
         assert caught.value.code == 2
 
+    def test_copy_mode_flag_is_rejected(self):
+        """Every write forks; there is no capture mode left to pick."""
+        with pytest.raises(SystemExit) as caught:
+            run_cli("serve", "demo:university", "--check", "--copy-mode", "delta")
+        assert caught.value.code == 2
+
     def test_replacement_flags_serve(self, tmp_path):
         from repro.core.incremental import IncrementalBANKS
         from repro.serve.snapshot import SnapshotStore
@@ -48,7 +54,6 @@ class TestRemovedServeFlags:
         wal = str(tmp_path / "wal")
         store = SnapshotStore(
             IncrementalBANKS(load_database("demo:university")),
-            copy_mode="delta",
             wal=wal,
         )
         store.mutate(

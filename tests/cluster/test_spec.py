@@ -15,7 +15,6 @@ CONFLICTS = [
     # (kwargs, detail fragment)
     ({"topology": "mesh"}, "unknown topology"),
     ({"balance": "fastest"}, "unknown balance policy"),
-    ({"copy_mode": "shallow"}, "unknown copy mode"),
     ({"wal_fsync": "sometimes"}, "unknown wal fsync"),
     ({"dispatch": "broadcast"}, "unknown dispatch policy"),
     ({"shard_backend": "fiber"}, "unknown shard backend"),
@@ -56,15 +55,6 @@ CONFLICTS = [
     (
         {"topology": "sharded", "shards": 2, "wal_path": "/w"},
         "not wired into the plain sharded topology",
-    ),
-    ({"live": True, "wal_path": "/w", "copy_mode": "deep"}, "delta write path"),
-    (
-        {
-            "topology": "replicated",
-            "replicas": 2,
-            "copy_mode": "deep",
-        },
-        "delta write path",
     ),
     # Inline dispatch rules.
     ({"engine": False, "live": True}, "conflicts with live"),
@@ -135,7 +125,6 @@ def _serve_args(**overrides) -> argparse.Namespace:
         deadline=None,
         inline=False,
         live=False,
-        copy_mode="auto",
         shards=0,
         shard_backend="thread",
         dispatch="gather",
@@ -194,12 +183,39 @@ class TestFromServeArgs:
             _serve_args(follow=True, wal=wal, inline=True),
             _serve_args(follow=True, wal=wal, replicas=2),
             _serve_args(wal=wal),  # --wal without a publisher
-            _serve_args(wal=wal, live=True, copy_mode="deep"),
             _serve_args(replicas=2, inline=True),
         ):
             with pytest.raises(ClusterError) as caught:
                 ClusterSpec.from_serve_args(namespace)
             assert str(caught.value).startswith("invalid cluster spec: ")
+
+    def test_explicit_zero_slow_query_ms_is_validated(self):
+        """``--slow-query-ms 0`` is a value, not an unset flag: it
+        reaches validation instead of becoming the 500 ms default."""
+        spec = ClusterSpec.from_serve_args(_serve_args())
+        assert spec.slow_query_ms == 500.0
+        with pytest.raises(ClusterError, match="slow_query_ms"):
+            ClusterSpec.from_serve_args(_serve_args(slow_query_ms=0))
+
+    def test_explicit_zero_trace_buffer_is_validated(self):
+        spec = ClusterSpec.from_serve_args(_serve_args())
+        assert spec.trace_buffer == 256
+        with pytest.raises(ClusterError, match="trace_buffer"):
+            ClusterSpec.from_serve_args(_serve_args(trace_buffer=0))
+
+    def test_remote_replicas_share_the_one_field_list(self, tmp_path):
+        """The networked replica set reads the same flags as every
+        other topology, conflicting ones included."""
+        url = "http://127.0.0.1:8001"
+        spec = ClusterSpec.from_serve_args(
+            _serve_args(remote_replicas=[url], workers=2)
+        )
+        assert spec.topology == "replicated"
+        assert spec.remote_replicas == (url,) and spec.workers == 2
+        with pytest.raises(ClusterError, match="conflicts with replicas"):
+            ClusterSpec.from_serve_args(
+                _serve_args(remote_replicas=[url], replicas=2)
+            )
 
 
 class TestSpecJson:
@@ -248,6 +264,10 @@ class TestSpecJson:
         with pytest.raises(ClusterError) as caught:
             ClusterSpec.from_json('{"db": "demo:university", "shardz": 2}')
         assert "shardz" in str(caught.value)
+
+    def test_copy_mode_is_an_unknown_field(self):
+        with pytest.raises(ClusterError, match="unknown spec field"):
+            ClusterSpec.from_json('{"copy_mode": "delta"}')
 
     def test_non_object_payload_is_refused(self):
         with pytest.raises(ClusterError):

@@ -8,7 +8,6 @@ computation), and survive ``clear()`` racing in-flight queries.
 
 from __future__ import annotations
 
-import copy
 import threading
 
 from repro.core.cache import CachedBanks, ResultCache
@@ -141,17 +140,6 @@ class TestResultCacheUnderThreads:
         stop_timer.cancel()
         assert not errors
         assert len(cache) <= 32
-
-    def test_deepcopy_is_fresh_and_unlocked(self):
-        cache = ResultCache(capacity=16)
-        cache.put("k", "v")
-        cache.get("k")
-        clone = copy.deepcopy(cache)
-        assert len(clone) == 0
-        assert clone.capacity == 16
-        assert clone.stats.requests == 0
-        clone.put("k2", "v2")  # the fresh lock works
-        assert clone.get("k2") == "v2"
 
 
 class TestSingleFlightPlusCache:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.incremental import IncrementalBANKS
 from repro.core.model import build_data_graph
 from repro.core.weights import WeightPolicy
-from repro.errors import BatchMutationError, GraphError, IntegrityError
+from repro.errors import GraphError, IntegrityError
 from repro.graph.csr import CSROverlayGraph
 from repro.relational import Database, execute_script
 
@@ -274,23 +274,21 @@ def test_property_mutations_match_rebuild(operations):
         )
 
 
-# -- property: delta-log, deep-copy and direct paths are one write path ----------
+# -- property: the snapshot store and direct mutation are one write path --------
 
 
 @settings(deadline=None, max_examples=25)
 @given(operations=_operations)
 def test_property_delta_log_deep_copy_and_rebuild_agree(operations):
     """Drive the same random mutation sequence through (a) direct
-    in-place mutation, (b) a delta-mode SnapshotStore and (c) a
-    deep-mode SnapshotStore; all three must converge to identical node
-    sets, edge sets, weights, prestige and top-k answers — and match a
-    full rebuild."""
+    in-place mutation and (b) a SnapshotStore (fork + delta capture per
+    write); both must converge to identical node sets, edge sets,
+    weights, prestige and top-k answers — and match a full rebuild."""
     from repro.serve.snapshot import SnapshotStore
     from repro.shard.stitch import graphs_equal
 
     direct = IncrementalBANKS(make_db())
-    delta_store = SnapshotStore(IncrementalBANKS(make_db()), copy_mode="delta")
-    deep_store = SnapshotStore(IncrementalBANKS(make_db()), copy_mode="deep")
+    store = SnapshotStore(IncrementalBANKS(make_db()))
 
     direct_papers = 1
     for op, argument in operations:
@@ -298,38 +296,29 @@ def test_property_delta_log_deep_copy_and_rebuild_agree(operations):
             direct_papers = _run_operation(direct, op, argument, direct_papers)
         except IntegrityError:
             pass
-        for store in (delta_store, deep_store):
-            # Each store keeps its own paper counter equal to the
-            # direct one by construction (same op sequence, and the
-            # counter only moves on successful insert_paper ops, which
-            # never fail with IntegrityError on this schema).
-            try:
-                store.mutate(
-                    lambda facade, op=op, argument=argument: _run_operation(
-                        facade, op, argument, direct_papers - 1
-                    )
+        # The store's paper counter equals the direct one by
+        # construction (same op sequence, and the counter only moves on
+        # successful insert_paper ops, which never fail with
+        # IntegrityError on this schema).
+        try:
+            store.mutate(
+                lambda facade, op=op, argument=argument: _run_operation(
+                    facade, op, argument, direct_papers - 1
                 )
-            except BatchMutationError:  # pragma: no cover - defensive
-                raise
-            except IntegrityError:
-                pass
+            )
+        except IntegrityError:
+            pass
 
-    delta_facade = delta_store.current().facade
-    deep_facade = deep_store.current().facade
-    for facade in (delta_facade, deep_facade):
-        assert graphs_equal(direct.graph, facade.graph)
-        direct._refresh_stats()
-        facade._refresh_stats()
-        assert direct.stats == facade.stats
-        assert set(direct.index.vocabulary()) == set(facade.index.vocabulary())
-    assert_matches_rebuild(delta_facade)
+    facade = store.current().facade
+    assert graphs_equal(direct.graph, facade.graph)
+    direct._refresh_stats()
+    facade._refresh_stats()
+    assert direct.stats == facade.stats
+    assert set(direct.index.vocabulary()) == set(facade.index.vocabulary())
+    assert_matches_rebuild(facade)
     for query in ("title", "renamed word3", "ada", "computing"):
         expected = [
             (a.tree.root, round(a.relevance, 9)) for a in direct.search(query)
         ]
-        for facade in (delta_facade, deep_facade):
-            got = [
-                (a.tree.root, round(a.relevance, 9))
-                for a in facade.search(query)
-            ]
-            assert got == expected, query
+        got = [(a.tree.root, round(a.relevance, 9)) for a in facade.search(query)]
+        assert got == expected, query

@@ -66,7 +66,6 @@ def ingest_with_checkpoints(workdir, retain=None):
     )
     store = SnapshotStore(
         IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
         wal=wal,
         checkpoints=manager,
     )

@@ -38,10 +38,7 @@ def make_source(n_papers=N_PAPERS, seed=SEED):
 
 
 def make_store():
-    return SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
-    )
+    return SnapshotStore(IncrementalBANKS(synth_bibliography_base()))
 
 
 def make_job(registry, job_id="job", chunk_size=37):

@@ -71,7 +71,6 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     registry = JobRegistry(os.path.join(work, "jobs"))
     store = SnapshotStore(
         IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
         wal=wal_dir,
     )
     job = registry.create(
@@ -90,7 +89,7 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     recovered = IncrementalBANKS.recover(
         synth_bibliography_base, wal_dir
     )
-    resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
+    resumed_store = SnapshotStore(recovered, wal=wal_dir)
     resumed = registry.load("prop")
     IngestPipeline(registry, StoreTarget(resumed_store)).run(
         resumed, make_source(), resume=True

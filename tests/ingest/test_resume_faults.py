@@ -59,10 +59,7 @@ def top5(facade):
 @pytest.fixture(scope="module")
 def reference():
     """The uninterrupted ingest: answers plus chunk count."""
-    store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
-    )
+    store = SnapshotStore(IncrementalBANKS(synth_bibliography_base()))
     import tempfile
 
     with tempfile.TemporaryDirectory() as work:
@@ -83,7 +80,6 @@ def crash_recover_resume(tmp_path, step, occurrence):
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
     store = SnapshotStore(
         IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
         wal=wal_dir,
     )
     job = registry.create(
@@ -100,7 +96,7 @@ def crash_recover_resume(tmp_path, step, occurrence):
     recovered = IncrementalBANKS.recover(
         synth_bibliography_base, wal_dir
     )
-    resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
+    resumed_store = SnapshotStore(recovered, wal=wal_dir)
     resumed = registry.load("killed")
     assert resumed.state == "running"  # the stale claim of a dead process
     IngestPipeline(registry, StoreTarget(resumed_store)).run(
@@ -139,7 +135,6 @@ def crash_recover_resume_finish(tmp_path):
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
     store = SnapshotStore(
         IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
         wal=wal_dir,
     )
     job = registry.create(
@@ -156,7 +151,7 @@ def crash_recover_resume_finish(tmp_path):
     recovered = IncrementalBANKS.recover(
         synth_bibliography_base, wal_dir
     )
-    resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
+    resumed_store = SnapshotStore(recovered, wal=wal_dir)
     resumed = registry.load("killed")
     assert resumed.state == "done"  # the cursor save beat the crash
     epoch = resumed_store.epoch
@@ -175,7 +170,6 @@ def test_double_crash_then_resume(tmp_path, reference):
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
     store = SnapshotStore(
         IncrementalBANKS(synth_bibliography_base()),
-        copy_mode="delta",
         wal=wal_dir,
     )
     job = registry.create(
@@ -193,7 +187,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     recovered = IncrementalBANKS.recover(
         synth_bibliography_base, wal_dir
     )
-    resumed_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
+    resumed_store = SnapshotStore(recovered, wal=wal_dir)
     resumed = registry.load("killed")
     faults = FaultInjector().kill_at("ingest.cursor_save", occurrence=2)
     with pytest.raises(FaultInjected):
@@ -206,7 +200,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     recovered = IncrementalBANKS.recover(
         synth_bibliography_base, wal_dir
     )
-    final_store = SnapshotStore(recovered, copy_mode="delta", wal=wal_dir)
+    final_store = SnapshotStore(recovered, wal=wal_dir)
     final = registry.load("killed")
     IngestPipeline(registry, StoreTarget(final_store)).run(
         final, make_source(), resume=True

@@ -75,9 +75,7 @@ def build_history(
         segment_bytes=segment_bytes,
         checkpoint_path=ckpt_dir,
     )
-    store = SnapshotStore(
-        IncrementalBANKS(make_db()), copy_mode="delta", wal=writer
-    )
+    store = SnapshotStore(IncrementalBANKS(make_db()), wal=writer)
 
     def publish(step: int) -> None:
         store.mutate(

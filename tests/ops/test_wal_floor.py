@@ -37,9 +37,7 @@ def build_store(wal_dir: str, ckpt_dir: str, retain: int):
         retain=retain,
         checkpoint_path=ckpt_dir,
     )
-    store = SnapshotStore(
-        IncrementalBANKS(make_db()), copy_mode="delta", wal=writer
-    )
+    store = SnapshotStore(IncrementalBANKS(make_db()), wal=writer)
     return writer, store
 
 

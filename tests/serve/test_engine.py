@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.core.banks import BANKS
 from repro.core.cache import CachedBanks
 from repro.core.incremental import IncrementalBANKS
 from repro.errors import (
@@ -59,12 +60,20 @@ class GatedFacade:
             assert self.gate.wait(timeout=5)
         return [(query, self.tag)]
 
-    def __deepcopy__(self, memo):
-        """Locks cannot be deep-copied; share the gate, fork the state —
-        mirrors what a real facade's copy semantics must provide."""
+    # The snapshot store's write protocol: fork, then capture deltas.
+
+    def fork(self):
+        """Share the gate, copy the state — what a real facade's fork
+        must provide."""
         clone = GatedFacade(self.gate)
         clone.tag = self.tag
         return clone
+
+    def begin_delta_capture(self):
+        pass
+
+    def end_delta_capture(self):
+        return []
 
 
 class TestBasicServing:
@@ -109,6 +118,11 @@ class TestBasicServing:
             EngineConfig(shed_policy="panic")
         with pytest.raises(ServeError):
             EngineConfig(default_deadline=0)
+
+    def test_copy_mode_is_not_a_config_field(self):
+        """Every write forks; there is no capture mode to configure."""
+        with pytest.raises(TypeError):
+            EngineConfig(copy_mode="delta")
 
 
 class TestAdmissionControl:
@@ -342,6 +356,15 @@ class TestSingleFlightDedup:
 
 
 class TestSnapshotIsolation:
+    def test_facade_without_fork_is_read_only(self):
+        called = []
+        with QueryEngine(BANKS(make_database())) as engine:
+            with pytest.raises(ServeError, match="read-only"):
+                engine.mutate(called.append)
+            assert called == []
+            assert engine.snapshots.version == 0
+            assert engine.search("ada", timeout=5)
+
     def test_mutations_publish_new_versions(self):
         facade = IncrementalBANKS(make_database())
         with QueryEngine(facade) as engine:

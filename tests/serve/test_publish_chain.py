@@ -186,7 +186,7 @@ _batches = st.lists(st.lists(_step, min_size=1, max_size=4), min_size=1, max_siz
 @settings(deadline=None, max_examples=100)
 @given(batches=_batches, siblings=st.lists(_step, min_size=2, max_size=6))
 def test_every_pinned_version_equals_its_rebuild(batches, siblings):
-    store = SnapshotStore(IncrementalBANKS(make_db()), copy_mode="delta")
+    store = SnapshotStore(IncrementalBANKS(make_db()))
     pinned = [(store.current().facade, rows_of(store.current().facade))]
     serial = 0
     for batch in batches:

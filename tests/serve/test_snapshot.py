@@ -1,4 +1,4 @@
-"""Tests for snapshot isolation (the MVCC store), in both copy modes."""
+"""Tests for snapshot isolation (the MVCC store) and its one write path."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.datasets import synth_bibliography
 from repro.errors import BatchMutationError, ServeError
 from repro.graph.csr import CSROverlayGraph
 from repro.relational import Database, execute_script
-from repro.serve.snapshot import SnapshotStore, supports_delta
+from repro.serve.snapshot import SnapshotStore
 
 SCHEMA = """
 CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
@@ -182,64 +182,38 @@ class TestBatchMutation:
 
 
 class TestCopyModes:
-    def test_auto_picks_delta_for_incremental_banks(self):
-        store = SnapshotStore(incremental_banks())
-        assert store.copy_mode == "delta"
-        assert store.log is not None
-
-    def test_auto_falls_back_to_deep_for_plain_objects(self):
-        store = SnapshotStore(object())
-        assert store.copy_mode == "deep"
-        assert store.log is None
+    """One capture mode is left: every write forks the newest facade
+    copy-on-write and publishes its captured deltas as one epoch.  A
+    facade that cannot fork is served read-only."""
 
     def test_delta_mode_refuses_incapable_facade(self):
-        with pytest.raises(ServeError):
-            SnapshotStore(object(), copy_mode="delta")
+        from repro.core.banks import BANKS
+
+        called = []
+        for facade in (object(), BANKS(incremental_banks().database)):
+            store = SnapshotStore(facade)
+            with pytest.raises(ServeError, match="read-only"):
+                store.mutate(called.append)
+            with pytest.raises(ServeError, match="read-only"):
+                store.mutate_batch([called.append])
+            assert store.version == store.epoch == 0
+            assert store.current().facade is facade
+        assert called == []
 
     def test_unknown_mode_refused(self):
-        with pytest.raises(ServeError):
-            SnapshotStore(incremental_banks(), copy_mode="shallow")
+        """The ``copy_mode`` keyword is gone: every value is refused."""
+        for mode in ("delta", "deep", "shallow"):
+            with pytest.raises(TypeError):
+                SnapshotStore(incremental_banks(), copy_mode=mode)
 
     def test_supports_delta_protocol(self):
-        assert supports_delta(incremental_banks())
-        assert not supports_delta(object())
-
-    def test_deep_and_delta_publish_identical_states(self):
-        """The deep path is the reference; the delta path must match
-        it node-for-node, edge-for-edge, answer-for-answer."""
-        from repro.shard.stitch import graphs_equal
-
-        operations = [
-            lambda f: f.insert("paper", ["p2", "structural sharing"]),
-            lambda f: f.insert("author", ["a2", "barbara liskov"]),
-            lambda f: f.insert("writes", ["a2", "p2"]),
-            lambda f: f.update(("paper", 0), {"title": "revised title"}),
-            lambda f: f.delete(("writes", 0)),
-        ]
-        deep = SnapshotStore(incremental_banks(), copy_mode="deep")
-        delta = SnapshotStore(incremental_banks(), copy_mode="delta")
-        for operation in operations:
-            deep.mutate(operation)
-            delta.mutate(operation)
-        deep_facade = deep.current().facade
-        delta_facade = delta.current().facade
-        assert graphs_equal(deep_facade.graph, delta_facade.graph)
-        assert deep_facade.stats == delta_facade.stats
-        assert set(deep_facade.index.vocabulary()) == set(
-            delta_facade.index.vocabulary()
-        )
-        for query in ("structural", "barbara", "revised"):
-            assert [
-                (a.tree.root, round(a.relevance, 12))
-                for a in deep_facade.search(query)
-            ] == [
-                (a.tree.root, round(a.relevance, 12))
-                for a in delta_facade.search(query)
-            ]
+        assert SnapshotStore(incremental_banks()).writable
+        assert not SnapshotStore(object()).writable
 
     def test_delta_mode_publishes_epochs_with_deltas(self):
-        store = SnapshotStore(incremental_banks(), copy_mode="delta")
+        store = SnapshotStore(incremental_banks())
         store.mutate(lambda f: f.insert("paper", ["p2", "flow charts"]))
+        first = store.published
         store.mutate_batch(
             [
                 lambda f: f.insert("paper", ["p3", "subroutines"]),
@@ -247,15 +221,14 @@ class TestCopyModes:
             ]
         )
         assert store.epoch == 2
-        entries = store.log.entries_since(0)
-        assert [e.number for e in entries] == [1, 2]
-        assert len(entries[0].deltas) == 1
-        assert len(entries[1].deltas) == 2
-        assert entries[1].deltas[0].kind == "insert"
+        assert (first.number, len(first.deltas)) == (1, 1)
+        assert store.published.number == 2
+        assert len(store.published.deltas) == 2
+        assert store.published.deltas[0].kind == "insert"
         assert store.deltas_published == 3
 
     def test_republish_bumps_version_without_copy(self):
-        store = SnapshotStore(incremental_banks(), copy_mode="delta")
+        store = SnapshotStore(incremental_banks())
         facade = store.current().facade
         store.republish()
         assert store.version == 1
@@ -266,7 +239,7 @@ class TestCopyModes:
     def test_pinned_reader_isolated_under_delta_mode(self):
         """The fork must copy-on-write *everything* a search touches:
         graph adjacency, postings, table heaps, reverse references."""
-        store = SnapshotStore(incremental_banks(), copy_mode="delta")
+        store = SnapshotStore(incremental_banks())
         pinned = store.current()
         store.mutate_batch(
             [

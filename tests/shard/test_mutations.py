@@ -168,11 +168,11 @@ class TestRoutedMutations:
 
     def test_apply_replays_a_snapshot_store_delta_log(self):
         """End-to-end marriage of repro.serve and repro.shard: mutate
-        through a delta-mode SnapshotStore, feed the published epochs
-        to ShardRouter.apply_epochs, and get identical answers."""
-        store = SnapshotStore(IncrementalBANKS(make_db()), copy_mode="delta")
-        seen = store.log.pin()
+        through a SnapshotStore, feed each publish's epoch to
+        ShardRouter.apply_epochs, and get identical answers."""
+        store = SnapshotStore(IncrementalBANKS(make_db()))
         store.mutate(lambda f: f.insert("paper", ["p3", "dataflow machines"]))
+        epochs = [store.published]
         store.mutate_batch(
             [
                 lambda f: f.insert("author", ["a3", "jack dennis"]),
@@ -180,10 +180,10 @@ class TestRoutedMutations:
                 lambda f: f.update(("paper", 1), {"title": "clu abstraction"}),
             ]
         )
+        epochs.append(store.published)
         router = ShardRouter(make_db(), shards=3, backend="thread")
         with router:
-            applied = router.apply_epochs(store.log.entries_since(seen))
-            store.log.release(seen)
+            applied = router.apply_epochs(epochs)
             assert applied == 4
             assert router.epoch == 4
             facade = store.current().facade

@@ -1,139 +1,75 @@
-"""Tests for the DeltaLog: epochs, pins, and reclamation."""
+"""Tests for epoch publication: the store numbers each publish, keeps
+only the newest epoch in memory, and the WAL is the history."""
 
 from __future__ import annotations
 
-import pytest
+import gc
+import weakref
 
-from repro.errors import StoreError
-from repro.store.delta import Delta
-from repro.store.log import DeltaLog
+from repro.core.incremental import IncrementalBANKS
+from repro.relational import Database, execute_script
+from repro.serve.snapshot import SnapshotStore
+from repro.store.log import Epoch
+from repro.store.wal import WalReader
+
+SCHEMA = """
+CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
+CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
+INSERT INTO author VALUES ('a1', 'grace hopper');
+"""
 
 
-def delta(n: int) -> Delta:
-    return Delta(kind="insert", node=("paper", n), row_values=(f"p{n}", "t"))
+def make_store(**kwargs) -> SnapshotStore:
+    database = Database("log")
+    execute_script(database, SCHEMA)
+    return SnapshotStore(IncrementalBANKS(database), **kwargs)
+
+
+def insert_paper(store: SnapshotStore, n: int) -> None:
+    store.mutate(lambda f: f.insert("paper", [f"p{n}", f"title {n}"]))
 
 
 class TestPublication:
     def test_epochs_are_monotone(self):
-        log = DeltaLog()
-        assert log.epoch == 0
-        first = log.publish([delta(1)])
-        second = log.publish([delta(2), delta(3)])
-        assert (first.number, second.number) == (1, 2)
-        assert log.epoch == 2
-        assert log.published_total == 2
-        assert log.deltas_total == 3
-
-    def test_entries_since(self):
-        log = DeltaLog()
-        for n in range(5):
-            log.publish([delta(n)])
-        tail = log.entries_since(3)
-        assert [e.number for e in tail] == [4, 5]
-        assert log.entries_since(5) == []
-
-    def test_entries_since_future_epoch_raises(self):
-        log = DeltaLog()
-        log.publish([delta(1)])
-        with pytest.raises(StoreError):
-            log.entries_since(7)
-
-
-class TestReclamation:
-    def test_window_bounds_unpinned_logs(self):
-        log = DeltaLog(retain=3)
-        for n in range(10):
-            log.publish([delta(n)])
-        assert len(log) == 3
-        assert log.reclaimed_total == 7
-        assert [e.number for e in log.entries_since(7)] == [8, 9, 10]
-
-    def test_reclaimed_epoch_request_fails_loudly(self):
-        log = DeltaLog(retain=2)
-        for n in range(6):
-            log.publish([delta(n)])
-        with pytest.raises(StoreError):
-            log.entries_since(1)
-
-    def test_pin_protects_catchup_window(self):
-        log = DeltaLog(retain=2)
-        pinned = log.pin()  # epoch 0: consumer has seen nothing
-        for n in range(8):
-            log.publish([delta(n)])
-        # Everything after the pin is still replayable.
-        assert [e.number for e in log.entries_since(pinned)] == list(
-            range(1, 9)
+        store = make_store()
+        assert store.epoch == 0 and store.published is None
+        insert_paper(store, 1)
+        first = store.published
+        store.mutate_batch(
+            [
+                lambda f: f.insert("paper", ["p2", "two"]),
+                lambda f: f.insert("paper", ["p3", "three"]),
+            ]
         )
-        log.release(pinned)
-        log.publish([delta(99)])  # reclamation runs on publish
-        assert len(log) == 2
+        second = store.published
+        assert isinstance(first, Epoch) and isinstance(second, Epoch)
+        assert (first.number, second.number) == (1, 2)
+        assert (len(first.deltas), len(second.deltas)) == (1, 2)
+        assert store.epoch == 2
+        assert store.deltas_published == 3
 
-    def test_release_unknown_pin_raises(self):
-        log = DeltaLog()
-        with pytest.raises(StoreError):
-            log.release(3)
-
-    def test_pin_counts_nest(self):
-        log = DeltaLog(retain=1)
-        first = log.pin()
-        second = log.pin()
-        assert first == second == 0
-        for n in range(4):
-            log.publish([delta(n)])
-        log.release(first)
-        for n in range(3):
-            log.publish([delta(n)])
-        assert [e.number for e in log.entries_since(second)][0] == 1
-        log.release(second)
-        log.publish([delta(0)])
-        assert len(log) == 1
-
-    def test_retain_must_be_positive(self):
-        with pytest.raises(StoreError):
-            DeltaLog(retain=0)
+    def test_entries_since(self, tmp_path):
+        """History since an epoch is read from the WAL."""
+        wal = str(tmp_path / "wal")
+        store = make_store(wal=wal)
+        for n in range(5):
+            insert_paper(store, n)
+        reader = WalReader(wal)
+        assert [e.number for e in reader.entries_since(3)] == [4, 5]
+        assert reader.entries_since(5) == []
 
 
-class TestPinContract:
-    """The pin/release contract the :class:`DeltaLog` docstring
-    documents: a pinned consumer survives any amount of pruning; an
-    unpinned one that sleeps past the window fails loudly."""
-
-    def test_pinned_consumer_survives_pruning(self):
-        log = DeltaLog(retain=2)
-        position = log.pin()  # a consumer parks well before the flood
-        for n in range(50):  # 25x the retention window
-            log.publish([delta(n)])
-        # Nothing the consumer still needs was reclaimed: the full
-        # history after the pin replays, in order.
-        tail = log.entries_since(position)
-        assert [e.number for e in tail] == list(range(1, 51))
-        # Sliding the pin forward releases the backlog for reclamation.
-        log.pin(50)
-        log.release(position)
-        log.publish([delta(99)])
-        assert len(log) <= log.retain + 1
-
-    def test_unpinned_consumer_fails_loudly_not_silently(self):
-        log = DeltaLog(retain=2)
-        position = log.epoch  # read, but never pinned
-        for n in range(50):
-            log.publish([delta(n)])
-        # The stale consumer must get an error — not a partial list
-        # that silently skips the reclaimed epochs.
-        with pytest.raises(StoreError) as excinfo:
-            log.entries_since(position)
-        assert "rebuild" in str(excinfo.value)
-
-    def test_same_position_pinned_vs_unpinned(self):
-        """The two halves of the contract, side by side from one
-        shared starting epoch."""
-        pinned_log = DeltaLog(retain=3)
-        unpinned_log = DeltaLog(retain=3)
-        pin = pinned_log.pin()
-        start = unpinned_log.epoch
-        for n in range(20):
-            pinned_log.publish([delta(n)])
-            unpinned_log.publish([delta(n)])
-        assert len(pinned_log.entries_since(pin)) == 20
-        with pytest.raises(StoreError):
-            unpinned_log.entries_since(start)
+class TestNoHistoryInMemory:
+    def test_store_keeps_only_the_newest_epoch(self):
+        """A live store holds no delta history: after 300 publishes
+        every epoch but the newest is garbage."""
+        store = make_store()
+        refs = []
+        for n in range(300):
+            insert_paper(store, n)
+            refs.append(weakref.ref(store.published))
+        gc.collect()
+        alive = [ref() is not None for ref in refs]
+        assert alive == [False] * 299 + [True]
+        assert refs[-1]() is store.published
+        assert store.published.number == store.epoch == 300

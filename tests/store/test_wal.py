@@ -18,7 +18,7 @@ from repro.serve.snapshot import SnapshotStore
 from repro.shard.process import fork_available
 from repro.shard.router import ShardRouter
 from repro.store.delta import Delta
-from repro.store.log import DeltaLog, Epoch
+from repro.store.log import Epoch
 from repro.store.wal import ReplicaFollower, WalReader, WalWriter
 
 SCHEMA = """
@@ -249,42 +249,82 @@ class TestTornTails:
 
 
 class TestDeltaLogIntegration:
+    """The store's publish is the WAL's append: numbering, payload and
+    resume all come from the one write path."""
+
     def test_publish_appends_durably(self, tmp_path):
         writer = WalWriter(str(tmp_path), fsync="never")
-        log = DeltaLog(retain=4, wal=writer)
-        log.publish([delta(1)])
-        log.publish([delta(2), delta(3)])
+        store = SnapshotStore(IncrementalBANKS(make_db()), wal=writer)
+        store.mutate(lambda f: f.insert("paper", ["p8", "one"]))
+        store.mutate_batch(
+            [
+                lambda f: f.insert("paper", ["p9", "two"]),
+                lambda f: f.insert("writes", ["a1", "p9"]),
+            ]
+        )
         replayed = WalReader(str(tmp_path)).read_all()
         assert [e.number for e in replayed] == [1, 2]
         assert len(replayed[1].deltas) == 2
+        assert replayed[1] == store.published
 
     def test_epoch_numbering_resumes_from_wal(self, tmp_path):
         wal = str(tmp_path)
-        log = DeltaLog(wal=WalWriter(wal, fsync="never"))
-        for n in range(3):
-            log.publish([delta(n)])
-        resumed = DeltaLog(wal=WalWriter(wal, fsync="never"))
+        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
+        for _ in range(3):
+            store.republish()
+        resumed = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
         assert resumed.epoch == 3
-        entry = resumed.publish([delta(9)])
-        assert entry.number == 4
+        resumed.republish()
+        assert resumed.published.number == 4
         assert WalReader(wal).last_epoch() == 4
 
-    def test_in_memory_reclamation_unchanged(self, tmp_path):
-        log = DeltaLog(retain=2, wal=WalWriter(str(tmp_path), fsync="never"))
-        for n in range(8):
-            log.publish([delta(n)])
-        with pytest.raises(StoreError):
-            log.entries_since(1)
-        # ...but the durable log kept everything (retain=None default).
-        assert WalReader(str(tmp_path)).first_epoch() == 1
+
+class TestFormatCompatibility:
+    """``fixtures/wal_university`` holds four epochs written by an
+    earlier release over ``generate_university()``: one insert pair, one
+    update, a three-insert batch and one delete.  Every record pickles
+    ``repro.store.log.Epoch`` by path, so that path must keep resolving."""
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "wal_university")
+
+    @staticmethod
+    def expected():
+        from repro.datasets import generate_university
+
+        facade = IncrementalBANKS(generate_university()[0])
+
+        def rid(table, *key):
+            return (table, facade.database.table(table).lookup_pk_rid(key))
+
+        facade.insert("student", ["SCAROL", "Carol Walreplay", "BIGDEPT"])
+        facade.insert("registration", ["SCAROL", "C0000"])
+        facade.update(rid("course", "C0001"), {"title": "Durable Logging Seminar"})
+        facade.insert("course", ["CWAL", "Write Ahead Workshop", "BIGDEPT"])
+        facade.insert("registration", ["SCAROL", "CWAL"])
+        facade.insert("registration", ["SALICE", "CWAL"])
+        facade.delete(rid("registration", "SCAROL", "C0000"))
+        return facade
+
+    def test_recover_replays_an_existing_wal(self):
+        from repro.datasets import generate_university
+        from repro.shard.stitch import graphs_equal
+
+        recovered = IncrementalBANKS.recover(
+            lambda: generate_university()[0], self.FIXTURE
+        )
+        assert recovered.applied_epoch == 4
+        expected = self.expected()
+        assert graphs_equal(recovered.graph, expected.graph)
+        for query in ("carol workshop", "durable alice", "write ahead"):
+            answers = expected.search(query, max_results=5)
+            assert answers
+            assert same(recovered.search(query, max_results=5), answers)
 
 
 class TestSnapshotStoreIntegration:
     def test_store_accepts_path_and_publishes(self, tmp_path):
         wal = str(tmp_path / "wal")
-        store = SnapshotStore(
-            IncrementalBANKS(make_db()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
         mutate_battery(store, rounds=2)
         reader = WalReader(wal)
         assert reader.last_epoch() == store.epoch == 6
@@ -292,18 +332,17 @@ class TestSnapshotStoreIntegration:
         assert store.wal_bytes == reader.size_bytes() > 0
 
     def test_wal_requires_delta_mode(self, tmp_path):
-        with pytest.raises(ServeError):
-            SnapshotStore(
-                IncrementalBANKS(make_db()),
-                copy_mode="deep",
-                wal=str(tmp_path),
-            )
+        """A WAL needs deltas to write, so a facade that cannot fork
+        and capture them is refused at construction."""
+        from repro.core.banks import BANKS
+
+        with pytest.raises(ServeError, match="read-only"):
+            SnapshotStore(BANKS(make_db()), wal=str(tmp_path))
+        assert not os.listdir(tmp_path)
 
     def test_republish_logs_an_empty_epoch(self, tmp_path):
         wal = str(tmp_path)
-        store = SnapshotStore(
-            IncrementalBANKS(make_db()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
         store.republish()
         replayed = WalReader(wal).read_all()
         assert [e.number for e in replayed] == [1]
@@ -316,15 +355,13 @@ class TestWriteAheadOrdering:
         the mutation must not become visible — live state and log
         stay in lockstep."""
         wal = str(tmp_path / "wal")
-        store = SnapshotStore(
-            IncrementalBANKS(make_db()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
         store.mutate(lambda f: f.insert("paper", ["p8", "first epoch"]))
 
         def broken_append(epoch):
             raise WalError("disk full")
 
-        store.log.wal.append = broken_append
+        store.wal.append = broken_append
         before = store.current()
         with pytest.raises(WalError):
             store.mutate(lambda f: f.insert("paper", ["p9", "lost"]))
@@ -357,9 +394,7 @@ class TestRecovery:
     def test_recover_reproduces_the_live_facade(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(
-            IncrementalBANKS(base.fork()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
         mutate_battery(store)
         live = store.current().facade
 
@@ -370,9 +405,7 @@ class TestRecovery:
     def test_recover_stops_at_torn_tail(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(
-            IncrementalBANKS(base.fork()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
         mutate_battery(store, rounds=2)
         # Crash mid-append: chop bytes off the newest segment.
         segments = sorted(os.listdir(wal))
@@ -402,9 +435,7 @@ class TestReplicaFollower:
     def _primary(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(
-            IncrementalBANKS(base.fork()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
         mutate_battery(store)
         return wal, base, store
 
@@ -420,9 +451,7 @@ class TestReplicaFollower:
     def test_incremental_tailing(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(
-            IncrementalBANKS(base.fork()), copy_mode="delta", wal=wal
-        )
+        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
         replica = IncrementalBANKS(base.fork())
         follower = ReplicaFollower(wal, replica)
         for i in range(3):

@@ -152,7 +152,6 @@ class TestWalCommands:
 
         store = SnapshotStore(
             IncrementalBANKS(load_database("demo:university")),
-            copy_mode="delta",
             wal=wal,
         )
         store.mutate(
@@ -220,20 +219,6 @@ class TestWalCommands:
         # --wal without --live/--follow
         assert (
             run_cli("serve", "demo:university", "--check", "--wal", wal)[0]
-            == 1
-        )
-        # --wal with the deep copy mode
-        assert (
-            run_cli(
-                "serve",
-                "demo:university",
-                "--check",
-                "--live",
-                "--wal",
-                wal,
-                "--copy-mode",
-                "deep",
-            )[0]
             == 1
         )
         # recover from a missing WAL directory

@@ -120,7 +120,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "Snapshot",
         "SnapshotStore",
         "WorkerPool",
-        "supports_delta",
     ),
     "repro.shard": (
         "CutEdge",
@@ -140,7 +139,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.store": (
         "Delta",
-        "DeltaLog",
         "Epoch",
         "ReplicaFollower",
         "WalReader",
