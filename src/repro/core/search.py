@@ -223,18 +223,13 @@ def backward_expanding_search(
     # were appended by an overlay (none on a read-only facade).
     id_of = graph.id_of
     base_ids = graph._ids
-    base_reprs = graph._reprs
     base_tables = graph._tables
     app_ids = graph._app_ids
     base_n = len(base_ids)
     lookup = graph._lookup if app_ids or graph._removed else graph._index.get
-    if app_ids:
 
-        def repr_of(i: int) -> str:
-            return base_reprs[i] if i < base_n else repr(app_ids[i - base_n])
-
-    else:
-        repr_of = base_reprs.__getitem__
+    def repr_of(i: int) -> str:
+        return repr(base_ids[i] if i < base_n else app_ids[i - base_n])
 
     groups = [
         {node for node in group if lookup(node) is not None}

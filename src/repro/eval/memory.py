@@ -66,7 +66,6 @@ _DICT_GRAPH_ATTRS = ("_index", "_ids", "_node_weights", "_succ", "_pred")
 _CSR_GRAPH_ATTRS = (
     "_index",
     "_ids",
-    "_reprs",
     "_tables",
     "_node_weights",
     "_succ_off",

@@ -25,7 +25,7 @@ and writes to:
   copy-on-write view over a frozen base.  Delta-touched adjacency rows
   live in per-node overlay dicts consulted *before* the arrays;
   untouched rows are read straight from the shared base.  The frozen
-  node spine (``_index``/``_ids``/``_reprs``/``_tables``) is read-only
+  node spine (``_index``/``_ids``/``_tables``) is read-only
   and shared by every fork; an overlay owns only the nodes appended
   since the freeze (dense ids from the base's ``n`` up), their reverse
   index and the set of removed ids, so forking costs O(appended +
@@ -118,7 +118,6 @@ class CSRGraph:
     __slots__ = (
         "_index",
         "_ids",
-        "_reprs",
         "_tables",
         "_node_weights",
         "_succ_off",
@@ -213,7 +212,6 @@ class CSRGraph:
         snapshot = cls.__new__(cls)
         snapshot._ids = ids
         snapshot._index = index
-        snapshot._reprs = [repr(node) for node in ids]
         snapshot._tables = [_node_table(node) for node in ids]
         snapshot._node_weights = node_weights
         snapshot._succ_off, snapshot._succ_to, snapshot._succ_w = succ
@@ -486,7 +484,6 @@ class CSROverlayGraph(CSRGraph):
         # what the overlay changed about the node set is O(delta).
         view._index = base._index
         view._ids = base._ids
-        view._reprs = base._reprs
         view._tables = base._tables
         view._app_ids = list(base._app_ids)
         view._app_index = dict(base._app_index)

@@ -8,12 +8,10 @@ per-shard size and query counters the router already exports, and
 :meth:`~repro.shard.router.ShardRouter.rebalance` executes it move by
 move while serving.
 
-A move rides the existing delta machinery: the router re-assigns the
-node, re-slices the per-shard inverted indexes, and passes a synthetic
-``update`` :class:`~repro.store.delta.Delta` carrying the node's
-incident edges through :meth:`~repro.shard.partition.Partition.
-apply_delta`, which re-points the cut-edge ``TupleLink`` records.  The
-graph itself never changes (no edge or weight moves — only
+A move rides the router's write gate: the router re-assigns the node
+(:meth:`~repro.shard.partition.Partition.move_node` re-counts the cut
+over the node's incident edges only) and re-slices the per-shard
+inverted indexes.  The graph itself never changes (no edge or weight moves — only
 ownership does), which is why search parity across a rebalance is an
 invariant rather than an aspiration: ``tests/ops`` asserts it under
 random interleavings and under live query load.

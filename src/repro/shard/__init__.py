@@ -7,8 +7,8 @@ searchers, and gather the per-shard answer trees into one global top-k
 ranked by the paper's answer-relevance score:
 
 * :mod:`repro.shard.partition` — :class:`GraphPartitioner` and the
-  pluggable placement strategies; records cut edges as federation
-  tuple links;
+  pluggable placement strategies; counts the cut edges and derives
+  them as federation tuple links on demand;
 * :mod:`repro.shard.stitch` — the partition-losslessness helpers
   (:func:`graphs_equal`, and :func:`stats_of` re-exported);
 * :mod:`repro.shard.searcher` — one shard's partitioned inverted index
@@ -20,7 +20,7 @@ ranked by the paper's answer-relevance score:
 The router also serves a *changing* database: mutations derive
 :class:`~repro.store.delta.Delta` records (see :mod:`repro.store`)
 that are routed to the owning shard — index slice, ownership set,
-cut-edge records and that shard's engine state move; everything else
+cut-edge count and that shard's engine state move; everything else
 stays put.  :meth:`~repro.shard.router.ShardRouter.apply_epochs`
 consumes epochs published elsewhere, which is how a
 :class:`~repro.store.wal.ReplicaFollower` keeps a whole forked router
@@ -34,7 +34,6 @@ documented in ``docs/ARCHITECTURE.md``; the operator knobs
 """
 
 from repro.shard.partition import (
-    CutEdge,
     GraphPartitioner,
     Partition,
     hash_strategy,
@@ -51,7 +50,6 @@ from repro.shard.searcher import ShardSearcher
 from repro.shard.stitch import graphs_equal, stats_of
 
 __all__ = [
-    "CutEdge",
     "GraphPartitioner",
     "Partition",
     "ProcessShardWorker",

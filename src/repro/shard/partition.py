@@ -1,17 +1,22 @@
 """Partitioning the BANKS data graph into shards.
 
 A partition assigns every graph node — every ``(table, rid)`` tuple —
-to exactly one shard and records the *cut edges*: directed edges whose
+to exactly one shard and counts the *cut edges*: directed edges whose
 endpoints live on different shards.  It runs in place on the one built
 data graph and copies nothing of it: the shards own answer roots and
 index slices, while every shard searches that same graph.  The shard
 node sets are a disjoint cover and the intra-shard edges plus the cut
 edges are exactly the graph's edges (``tests/shard/test_stitch.py``).
 
-Cut edges are recorded as :class:`repro.federate.links.TupleLink`
-records — the federation layer's explicit tuple-to-tuple link — with
-the shard name as the member-database name.  A future deployment that
-moves shards onto separate machines can hand those links to a
+The per-shard node sets are the only record of ownership, and the cut
+is kept as a count, not as records: both are what the graph's arrays
+plus the owner sets already imply, and a parent that forks its shard
+workers pays every retained byte once more per worker.
+:meth:`Partition.cut_links` derives the cut edges on demand as
+:class:`repro.federate.links.TupleLink` records — the federation
+layer's explicit tuple-to-tuple link — with the shard name as the
+member-database name.  A future deployment that moves shards onto
+separate machines can hand those links to a
 :class:`~repro.federate.federation.Federation` unchanged.
 
 Strategies are pluggable: any callable ``node -> int`` works.  The
@@ -23,8 +28,7 @@ must never decide placement).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ShardError
 from repro.federate.links import TupleLink
@@ -75,124 +79,103 @@ _NAMED_STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class CutEdge:
-    """One directed edge crossing the partition, weight preserved."""
-
-    source: RID
-    target: RID
-    weight: float
-    source_shard: int
-    target_shard: int
-
-    def to_tuple_link(self) -> TupleLink:
-        """The federation-layer record of this edge."""
-        return TupleLink(
-            source_db=f"shard{self.source_shard}",
-            source=self.source,
-            target_db=f"shard{self.target_shard}",
-            target=self.target,
-            weight=self.weight,
-        )
-
-
 class Partition:
     """One concrete split of a data graph into ``shards`` shards.
 
-    The partition is *live*: :meth:`apply_delta` moves the assignment,
-    per-shard node sets and cut-edge records along with a routed
-    mutation, so a sharded deployment keeps serving a changing
+    The partition is *live*: :meth:`apply_delta` and :meth:`move_node`
+    move the per-shard node sets and the cut-edge count along with a
+    routed mutation or a rebalance move, touching only the edges the
+    write touches, so a sharded deployment keeps serving a changing
     database without rebuilding the split.  The per-shard node sets
     are plain mutable sets shared by reference with each shard's
     searcher — one update is visible everywhere in thread mode.
 
     Attributes:
         shards: the shard count.
-        shard_nodes: per shard, the (mutable) set of owned nodes.
-        cut_edges: every directed edge crossing the partition.
+        shard_nodes: per shard, the (mutable) set of owned nodes — the
+            one record of ownership.
+        cut_edge_count: how many directed edges cross the partition.
     """
 
     def __init__(
-        self,
-        shards: int,
-        assignment: Dict[RID, int],
-        cut_edges: List[CutEdge],
+        self, shards: int, shard_nodes: List[Set[RID]], cut_edge_count: int
     ):
         self.shards = shards
-        self._assignment = assignment
-        self.cut_edges = cut_edges
-        nodes: List[List[RID]] = [[] for _ in range(shards)]
-        for node, shard in assignment.items():
-            nodes[shard].append(node)
-        self.shard_nodes: List[Set[RID]] = [set(group) for group in nodes]
+        self.shard_nodes = shard_nodes
+        self.cut_edge_count = cut_edge_count
+
+    def _owner(self, node: RID) -> Optional[int]:
+        for shard, nodes in enumerate(self.shard_nodes):
+            if node in nodes:
+                return shard
+        return None
 
     def shard_of(self, node: RID) -> int:
         """The shard owning ``node``."""
-        try:
-            return self._assignment[node]
-        except KeyError:
-            raise ShardError(f"node {node!r} is not in the partition") from None
+        shard = self._owner(node)
+        if shard is None:
+            raise ShardError(f"node {node!r} is not in the partition")
+        return shard
 
-    def apply_delta(self, delta, owner: int) -> None:
+    def _crosses(self, source: RID, target: RID) -> bool:
+        """Whether both ends are owned, by different shards."""
+        source_shard = self._owner(source)
+        target_shard = self._owner(target)
+        return (
+            source_shard is not None
+            and target_shard is not None
+            and source_shard != target_shard
+        )
+
+    def apply_delta(self, delta, owner: int, graph) -> None:
         """Follow one routed mutation (see :mod:`repro.store.delta`).
 
-        Inserts assign the new node to ``owner`` before the edge pass
-        (a new cut edge needs both endpoints placed); deletes
-        unassign after it.  Every edge the delta re-weighed is
-        re-classified: its old cut record (if any) is dropped, and a
-        fresh :class:`CutEdge` is recorded when the new edge crosses
-        the partition — so ``cut_links()`` keeps describing exactly
-        the graph's federation links.
+        Call it *before* the graph absorbs ``delta``
+        (:func:`~repro.store.delta.apply_graph_delta`): ``delta.edges``
+        carries new weights only, so a re-weighed edge and a new one
+        look alike until each is checked against the graph as it was.
+        Inserts assign the new node to ``owner`` first (a new cut edge
+        needs both endpoints placed); deletes unassign it last, after
+        the edges its removal drops have left the count.  Only the
+        delta's own edges and a deleted node's incident edges are
+        read.
         """
-        if delta.kind == "insert" and delta.node not in self._assignment:
+        node = delta.node
+        if delta.kind == "insert" and self._owner(node) is None:
             if not 0 <= owner < self.shards:
                 raise ShardError(
-                    f"delta for {delta.node!r} routed to shard {owner}, "
+                    f"delta for {node!r} routed to shard {owner}, "
                     f"outside range(0, {self.shards})"
                 )
-            self._assignment[delta.node] = owner
-            self.shard_nodes[owner].add(delta.node)
-        changed = {(source, target) for source, target, _weight in delta.edges}
-        removed = delta.node if delta.kind == "delete" else None
-        kept = [
-            edge
-            for edge in self.cut_edges
-            if (edge.source, edge.target) not in changed
-            and edge.source != removed
-            and edge.target != removed
-        ]
-        for source, target, weight in delta.edges:
-            if weight is None:
-                continue
-            source_shard = self._assignment.get(source)
-            target_shard = self._assignment.get(target)
-            if source_shard is None or target_shard is None:
-                continue
-            if source_shard != target_shard:
-                kept.append(
-                    CutEdge(source, target, weight, source_shard, target_shard)
-                )
-        self.cut_edges[:] = kept
+            self.shard_nodes[owner].add(node)
+        removed = node if delta.kind == "delete" else None
+        # Whether each touched edge exists once the write is applied.
+        exists: Dict[Tuple[RID, RID], bool] = {
+            (source, target): weight is not None
+            for source, target, weight in delta.edges
+        }
+        # A delete lists only the re-weighed edges; the graph drops the
+        # node's own edges with the node.
+        if removed is not None and graph.has_node(removed):
+            for pair in _incident_pairs(graph, removed):
+                exists[pair] = False
+        for (source, target), after in exists.items():
+            if self._crosses(source, target):
+                self.cut_edge_count += after - graph.has_edge(source, target)
         if removed is not None:
-            shard = self._assignment.pop(removed, None)
+            shard = self._owner(removed)
             if shard is not None:
                 self.shard_nodes[shard].discard(removed)
 
-    def move_node(self, node, target: int, incident_edges) -> int:
+    def move_node(self, node: RID, target: int, graph) -> int:
         """Re-assign one node to ``target`` (live rebalancing); returns
         the shard it came from.
 
-        The re-assignment itself is two set updates plus the dict
-        entry; the cut-edge bookkeeping rides the existing
-        :meth:`apply_delta` path as a synthetic ``update`` delta
-        carrying the node's incident edges — every one of them is
-        re-classified against the *new* assignment, so crossing edges
-        gain :class:`CutEdge` records (federation ``TupleLink``\\ s
-        re-point) and newly local ones lose theirs.  The graph itself
-        never changes: only ownership moves.
+        The re-assignment itself is two set updates; the cut count
+        moves by the node's incident edges only, classified before and
+        after the move.  The graph itself never changes: only
+        ownership moves.
         """
-        from repro.store.delta import Delta
-
         if not 0 <= target < self.shards:
             raise ShardError(
                 f"cannot move {node!r} to shard {target}, outside "
@@ -201,30 +184,39 @@ class Partition:
         source = self.shard_of(node)
         if source == target:
             return source
-        self._assignment[node] = target
+        incident = _incident_pairs(graph, node)
+        before = sum(self._crosses(*pair) for pair in incident)
         self.shard_nodes[source].discard(node)
         self.shard_nodes[target].add(node)
-        self.apply_delta(
-            Delta(kind="update", node=node, edges=tuple(incident_edges)),
-            target,
-        )
+        self.cut_edge_count += sum(self._crosses(*pair) for pair in incident) - before
         return source
 
-    def cut_links(self) -> List[TupleLink]:
-        """The cut edges as federation tuple links."""
-        return [edge.to_tuple_link() for edge in self.cut_edges]
+    def cut_links(self, graph) -> List[TupleLink]:
+        """The edges of ``graph`` crossing the partition, as federation
+        tuple links (derived on demand: one walk over every edge)."""
+        return [
+            TupleLink(
+                source_db=f"shard{self.shard_of(source)}",
+                source=source,
+                target_db=f"shard{self.shard_of(target)}",
+                target=target,
+                weight=weight,
+            )
+            for source, target, weight in graph.edges()
+            if self._crosses(source, target)
+        ]
 
     # -- reporting ------------------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
-        return len(self._assignment)
+        return sum(len(nodes) for nodes in self.shard_nodes)
 
     def cut_fraction(self, graph) -> float:
         """Share of directed edges that cross the partition."""
         if not graph.num_edges:
             return 0.0
-        return len(self.cut_edges) / graph.num_edges
+        return self.cut_edge_count / graph.num_edges
 
     def balance(self) -> float:
         """Largest shard relative to the ideal even split (1.0 = even)."""
@@ -237,8 +229,14 @@ class Partition:
         sizes = ", ".join(str(len(nodes)) for nodes in self.shard_nodes)
         return (
             f"Partition({self.shards} shards: [{sizes}] nodes, "
-            f"{len(self.cut_edges)} cut edges)"
+            f"{self.cut_edge_count} cut edges)"
         )
+
+
+def _incident_pairs(graph, node: RID) -> List[Tuple[RID, RID]]:
+    """Every directed ``(source, target)`` edge touching ``node``."""
+    successors = [(node, successor) for successor, _w in graph.successors(node)]
+    return successors + [(source, node) for source, _w in graph.predecessors(node)]
 
 
 class GraphPartitioner:
@@ -274,9 +272,11 @@ class GraphPartitioner:
             self.strategy_name = strategy
 
     def partition(self, graph) -> Partition:
-        """Assign every node of ``graph``; record every cut edge.  The
+        """Assign every node of ``graph``; count the cut edges.  The
         graph itself is only read."""
-        assignment: Dict[RID, int] = {}
+        shard_nodes: List[Set[RID]] = [set() for _ in range(self.shards)]
+        # Scratch for the edge pass only; the sets keep ownership.
+        owner: Dict[RID, int] = {}
         for node in graph.nodes():
             shard = self.strategy(node)
             if not 0 <= shard < self.shards:
@@ -284,16 +284,12 @@ class GraphPartitioner:
                     f"strategy placed {node!r} on shard {shard}, outside "
                     f"range(0, {self.shards})"
                 )
-            assignment[node] = shard
-        cut_edges: List[CutEdge] = []
-        for source, target, weight in graph.edges():
-            source_shard = assignment[source]
-            target_shard = assignment[target]
-            if source_shard != target_shard:
-                cut_edges.append(
-                    CutEdge(source, target, weight, source_shard, target_shard)
-                )
-        return Partition(self.shards, assignment, cut_edges)
+            shard_nodes[shard].add(node)
+            owner[node] = shard
+        cut = sum(
+            owner[source] != owner[target] for source, target, _w in graph.edges()
+        )
+        return Partition(self.shards, shard_nodes, cut)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GraphPartitioner({self.shards} shards, {self.strategy_name})"

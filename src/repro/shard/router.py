@@ -33,7 +33,7 @@ Dispatch policies — the throughput finding, measured honestly:
   lower bound routinely costs as much as the single engine's whole
   early-stopping search (measured 0.65x–3.6x of it per query on the
   bibliography battery).  Gather is the mode whose mechanics —
-  partitioned index, partitioned answer space, cut-edge records —
+  partitioned index, partitioned answer space, cut-edge links —
   carry over to a true memory-partitioned deployment, where per-shard
   search *is* 1/N of the work; on one box it buys semantics, not QPS.
 * ``dispatch="route"``: each query goes whole to one shard worker,
@@ -51,14 +51,14 @@ whole-facade copy.  :meth:`ShardRouter.insert` / :meth:`delete` /
 :meth:`update` derive the delta against the router's own replica;
 :meth:`ShardRouter.apply` accepts deltas produced elsewhere (e.g. the
 epochs a :class:`~repro.serve.snapshot.SnapshotStore` publishes, or a
-WAL).  Either way
-the same O(delta) work happens everywhere it must: the shared
-graph absorbs the edge re-weighs once (thread mode) or each forked
-worker replays them into its private copy (process mode); the owning
-shard's index slice and ownership set move; the partition's cut-edge
-``TupleLink`` records follow; and only the owning shard's engine state
-is republished (its snapshot version advances, bumping the epoch that
-keys single-flight dedup).
+WAL).  Either way the same O(delta) work happens everywhere it must:
+the shared graph absorbs the edge re-weighs once (thread mode) or each
+forked worker replays them into its private copy (process mode); the
+owning shard's index slice and ownership set move; the partition's
+cut-edge count follows from the delta's own edges, never a walk of the
+whole graph; and only the owning shard's engine state is republished
+(its snapshot version advances, bumping the epoch that keys
+single-flight dedup).
 
 With the process backend each worker is a forked process; the thread
 backend exists for portability and deterministic tests.
@@ -291,11 +291,17 @@ class ShardRouter:
         ]
 
         # Fork before any thread exists (see repro.shard.process), then
-        # put a QueryEngine in front of each shard worker.
+        # put a QueryEngine in front of each shard worker.  A failed
+        # fork stops the workers already forked: nothing else owns them.
         if backend == "process":
-            self._workers: List[Any] = [
-                ProcessShardWorker(searcher) for searcher in self._searchers
-            ]
+            self._workers: List[Any] = []
+            try:
+                for searcher in self._searchers:
+                    self._workers.append(ProcessShardWorker(searcher))
+            except BaseException:
+                for worker in self._workers:
+                    worker.stop()
+                raise
         else:
             self._workers = list(self._searchers)
 
@@ -342,7 +348,7 @@ class ShardRouter:
         m.gauge(
             "cut_edges",
             "directed edges crossing the partition",
-            fn=lambda: len(self.partition.cut_edges),
+            fn=lambda: self.partition.cut_edge_count,
         )
         self._latency = m.latency("latency_seconds", "scatter-to-gather latency")
         self._shard_searches: List[Any] = []
@@ -591,7 +597,6 @@ class ShardRouter:
             # The owning shard's index slice gains the new postings
             # (derivation already updated the shared full index).
             self._searchers[owner].index.add_row(*delta.node)
-            apply_graph_delta(self.graph, delta)
             self._admit(delta, owner, started)
             return delta.node
 
@@ -611,7 +616,6 @@ class ShardRouter:
                 self.weight_policy,
                 rid,
             )
-            apply_graph_delta(self.graph, delta)
             self._admit(delta, owner, started)
 
     def update(self, rid: RID, changes: Mapping[str, Any]) -> None:
@@ -627,7 +631,6 @@ class ShardRouter:
                 rid,
                 changes,
             )
-            apply_graph_delta(self.graph, delta)
             self._admit(delta, owner, started)
 
     def apply(self, delta: Delta) -> int:
@@ -650,7 +653,6 @@ class ShardRouter:
                 [self.full_index, self._searchers[owner].index],
                 delta,
             )
-            apply_graph_delta(self.graph, delta)
             self._admit(delta, owner, started)
             return owner
 
@@ -677,13 +679,15 @@ class ShardRouter:
     def _admit(self, delta: Delta, owner: int, started: float) -> None:
         """Propagate an already-derived delta through the shard state.
 
-        The router's shared structures (database, full index, graph,
-        owner's index slice) are updated by the caller; what
-        remains is the partition bookkeeping, the per-searcher
+        The router's shared database, full index and owner's index
+        slice are updated by the caller; what remains is the partition
+        bookkeeping (read against the graph *before* it absorbs the
+        delta), the shared graph write, the per-searcher
         ownership/normaliser notes, the per-worker replay in process
         mode, and republishing the owning shard's engine state.
         """
-        self.partition.apply_delta(delta, owner)
+        self.partition.apply_delta(delta, owner, self.graph)
+        apply_graph_delta(self.graph, delta)
         for searcher in self._searchers:
             searcher.note_delta(delta, owner)
         if self.backend == "process":
@@ -765,19 +769,10 @@ class ShardRouter:
         sub-steps if a fault (or a dead worker) interrupts, restoring
         the pre-move state before the error propagates.
         """
-        incident = [
-            (node, successor, weight)
-            for successor, weight in self.graph.successors(node)
-        ] + [
-            (predecessor, node, weight)
-            for predecessor, weight in self.graph.predecessors(node)
-        ]
         undo: List[Any] = []
         try:
-            self.partition.move_node(node, target, incident)
-            undo.append(
-                lambda: self.partition.move_node(node, source, incident)
-            )
+            self.partition.move_node(node, target, self.graph)
+            undo.append(lambda: self.partition.move_node(node, source, self.graph))
             if faults is not None:
                 faults.step("assign")
             moved_searchers: List[ShardSearcher] = []
@@ -840,7 +835,7 @@ class ShardRouter:
             "epoch": self.epoch,
             "nodes": self.partition.num_nodes,
             "edges": self.stats.num_edges,
-            "cut_edges": len(self.partition.cut_edges),
+            "cut_edges": self.partition.cut_edge_count,
             "cut_fraction": self.partition.cut_fraction(self.graph),
             "balance": self.partition.balance(),
             "shard_nodes": [
@@ -869,5 +864,5 @@ class ShardRouter:
         return (
             f"ShardRouter({self.partition.shards} shards, {self.backend}, "
             f"{self.dispatch} dispatch, {self.stats.num_nodes} nodes, "
-            f"{len(self.partition.cut_edges)} cut edges)"
+            f"{self.partition.cut_edge_count} cut edges)"
         )

@@ -75,9 +75,10 @@ class ShardSearcher:
         self.shard_id = shard_id
         self.database = database
         self.graph = graph
-        # Kept by reference: the router's Partition shares this very
-        # set, so an ownership change lands in one place (thread mode)
-        # or is replayed into the worker's private copy (process mode).
+        # Kept by reference: this very set is the router's Partition
+        # record of the shard's ownership, so an ownership change lands
+        # in one place (thread mode) or is replayed into the worker's
+        # private copy (process mode).
         self.owned_nodes = owned_nodes
         self.include_metadata = include_metadata
         self._scoring_config = scoring or ScoringConfig()

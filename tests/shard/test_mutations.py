@@ -1,5 +1,5 @@
 """Tests for the shard write path: delta routing, shard-local
-republication, cut-edge maintenance, and parity with the single
+republication, cut-count maintenance, and parity with the single
 engine after mutations."""
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ import pytest
 from repro.core.incremental import IncrementalBANKS
 from repro.core.oracle import same
 from repro.errors import IntegrityError
+from repro.graph.csr import CSROverlayGraph
+from repro.ops.rebalance import RebalanceMove, RebalancePlan
 from repro.relational import Database, execute_script
 from repro.serve.snapshot import SnapshotStore
 from repro.shard.partition import GraphPartitioner
@@ -43,12 +45,14 @@ MUTATIONS = (
     ("insert", "author", ["a3", "frances allen"]),
     ("insert", "writes", ["a3", "p3"]),
     ("update", ("paper", 0), {"title": "optimizing compilers"}),
+    ("update", ("writes", 0), {"pid": "p2"}),  # re-points a foreign key
     ("delete", ("writes", 1), None),
 )
 
 
-def drive(target):
-    """Apply the shared mutation battery to a router or a facade."""
+def drive(target, after_each=None):
+    """Apply the shared mutation battery to a router or a facade,
+    calling ``after_each()`` after every write."""
     for kind, first, second in MUTATIONS:
         if kind == "insert":
             target.insert(first, second)
@@ -56,6 +60,19 @@ def drive(target):
             target.update(first, second)
         else:
             target.delete(first)
+        if after_each is not None:
+            after_each()
+
+
+def assert_matches_fresh(router, strategy="hash"):
+    """The live partition equals one built from scratch over the
+    router's graph: owner sets, maintained cut count and cut links."""
+    live = router.partition
+    fresh = GraphPartitioner(live.shards, strategy).partition(router.graph)
+    assert live.shard_nodes == fresh.shard_nodes
+    assert live.cut_edge_count == fresh.cut_edge_count
+    assert live.cut_links(router.graph) == fresh.cut_links(router.graph)
+    assert len(fresh.cut_links(router.graph)) == fresh.cut_edge_count
 
 
 QUERIES = (
@@ -125,25 +142,53 @@ class TestRoutedMutations:
             assert router.describe()["epoch"] == 1
 
     def test_partition_bookkeeping_matches_fresh_partition(self):
-        """After routed mutations, the live partition's assignment and
-        cut-edge records equal a from-scratch partition of the mutated
-        graph — the regression net for the cut-link maintenance."""
+        """After every routed write and every rebalance move, the live
+        partition's owner sets, cut count and cut links equal a
+        from-scratch partition of the graph — the regression net for
+        the O(delta) cut-count maintenance."""
         router = ShardRouter(make_db(), shards=3, backend="thread")
         with router:
-            drive(router)
-            fresh = GraphPartitioner(3, "hash").partition(router.graph)
-            live = router.partition
-            assert live._assignment == fresh._assignment
-            assert live.shard_nodes == fresh.shard_nodes
-            live_cut = {
-                (e.source, e.target, e.weight, e.source_shard, e.target_shard)
-                for e in live.cut_edges
-            }
-            fresh_cut = {
-                (e.source, e.target, e.weight, e.source_shard, e.target_shard)
-                for e in fresh.cut_edges
-            }
-            assert live_cut == fresh_cut
+            assert_matches_fresh(router)
+            drive(router, after_each=lambda: assert_matches_fresh(router))
+            # A delete whose dropped edges cross: the graph drops them
+            # with the node, not through the delta's edge list.
+            cut_before = router.partition.cut_edge_count
+            router.delete(("writes", 2))
+            assert router.partition.cut_edge_count < cut_before
+            assert_matches_fresh(router)
+            # From here on ownership is the live one, not the hash's.
+            live = router.partition.shard_of
+            nodes = sorted(router.graph.nodes())
+            moves = tuple(
+                RebalanceMove(node, live(node), (live(node) + 1) % 3)
+                for node in nodes[:3]
+            )
+            assert router.rebalance(RebalancePlan(moves, "test"))["applied"] == 3
+            assert_matches_fresh(router, strategy=router.partition.shard_of)
+            assert router.drain(1)["applied"] > 0
+            assert not router.partition.shard_nodes[1]
+            assert_matches_fresh(router, strategy=router.partition.shard_of)
+
+    def test_routed_writes_and_moves_never_walk_every_edge(self, monkeypatch):
+        """Routed inserts, updates, deletes and moves keep the partition
+        current from the write's own edges: a whole-graph edge walk
+        anywhere on those paths fails the test."""
+        router = ShardRouter(make_db(), shards=3, backend="thread")
+        with router:
+
+            def no_walk(_graph):
+                raise AssertionError("a routed write walked every edge")
+
+            monkeypatch.setattr(CSROverlayGraph, "edges", no_walk)
+            rid = router.insert("paper", ["p5", "garbage collection"])
+            router.insert("writes", ["a2", "p5"])
+            router.update(("writes", 0), {"pid": "p5"})
+            router.delete(("writes", 1))
+            source = router.partition.shard_of(rid)
+            plan = RebalancePlan((RebalanceMove(rid, source, (source + 1) % 3),), "t")
+            assert router.rebalance(plan)["applied"] == 1
+            monkeypatch.undo()
+            assert_matches_fresh(router, strategy=router.partition.shard_of)
 
     def test_ownership_follows_inserts_and_deletes(self):
         router = ShardRouter(make_db(), shards=3, backend="thread")
@@ -236,7 +281,7 @@ class TestRoutedMutations:
             assert router.epoch == 30
             # The partition survived intact: every insert was deleted.
             fresh = GraphPartitioner(3, "hash").partition(router.graph)
-            assert router.partition._assignment == fresh._assignment
+            assert router.partition.shard_nodes == fresh.shard_nodes
 
     def test_insert_with_bad_strategy_fails_before_any_state_change(self):
         """Placement is validated before derivation: a broken strategy

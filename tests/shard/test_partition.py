@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.model import build_data_graph
+from repro.datasets import synth_bibliography
 from repro.errors import ShardError
+from repro.federate.links import TupleLink
 from repro.shard import (
     GraphPartitioner,
     hash_strategy,
@@ -63,30 +68,28 @@ class TestPartitioner:
         for source, target, weight in university_graph.edges():
             if partition.shard_of(source) != partition.shard_of(target):
                 expected.add((source, target, weight))
-        recorded = {
-            (edge.source, edge.target, edge.weight)
-            for edge in partition.cut_edges
-        }
-        assert recorded == expected
-        for edge in partition.cut_edges:
-            assert partition.shard_of(edge.source) == edge.source_shard
-            assert partition.shard_of(edge.target) == edge.target_shard
-            assert edge.source_shard != edge.target_shard
+        assert partition.cut_edge_count == len(expected)
+        links = partition.cut_links(university_graph)
+        assert len(links) == len(expected)
+        assert {(link.source, link.target, link.weight) for link in links} == expected
 
     def test_cut_links_use_federation_records(self, university_graph):
         partition = GraphPartitioner(2).partition(university_graph)
-        links = partition.cut_links()
-        assert len(links) == len(partition.cut_edges)
-        for link, edge in zip(links, partition.cut_edges):
-            assert link.source_db == f"shard{edge.source_shard}"
-            assert link.target_db == f"shard{edge.target_shard}"
-            assert link.source == edge.source
-            assert link.target == edge.target
-            assert link.weight == edge.weight
+        links = partition.cut_links(university_graph)
+        assert len(links) == partition.cut_edge_count
+        for link in links:
+            assert isinstance(link, TupleLink)
+            assert link.source_db == f"shard{partition.shard_of(link.source)}"
+            assert link.target_db == f"shard{partition.shard_of(link.target)}"
+            assert link.source_db != link.target_db
+            assert link.weight == university_graph.edge_weight(
+                link.source, link.target
+            )
 
     def test_single_shard_has_no_cut_edges(self, university_graph):
         partition = GraphPartitioner(1).partition(university_graph)
-        assert partition.cut_edges == []
+        assert partition.cut_edge_count == 0
+        assert partition.cut_links(university_graph) == []
         assert partition.shard_nodes[0] == frozenset(university_graph.nodes())
 
     def test_balance_and_cut_fraction(self, university_graph):
@@ -104,7 +107,8 @@ class TestPartitioner:
             2, strategy=lambda node: 0
         ).partition(university_graph)
         assert partition.shard_nodes[1] == frozenset()
-        assert partition.cut_edges == []
+        assert partition.cut_edge_count == 0
+        assert partition.cut_links(university_graph) == []
 
     def test_rejects_bad_configuration(self, university_graph):
         with pytest.raises(ShardError):
@@ -114,3 +118,20 @@ class TestPartitioner:
         out_of_range = GraphPartitioner(2, strategy=lambda node: 7)
         with pytest.raises(ShardError):
             out_of_range.partition(university_graph)
+
+
+def test_retained_memory_does_not_grow_with_the_cut():
+    """A partition holds its owner sets and a count: nothing per cut
+    edge, and no second node-to-shard map beside the sets."""
+    graph, _stats = build_data_graph(synth_bibliography(800)[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        partition = GraphPartitioner(2).partition(graph)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert partition.cut_edge_count > graph.num_nodes  # a cut bigger than V
+    assert retained / graph.num_nodes < 100, retained

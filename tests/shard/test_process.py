@@ -63,3 +63,26 @@ def test_stop_is_idempotent_and_kills_workers(university_db):
     router.stop()
     for worker in workers:
         assert not worker.alive
+
+
+def test_failed_fork_stops_the_workers_already_forked(
+    university_db, monkeypatch
+):
+    """If forking shard k fails, the workers of shards 0..k-1 are
+    stopped before the error propagates: no router exists to own them."""
+    import repro.shard.router as router_module
+
+    forked = []
+
+    class FailingSecondFork(router_module.ProcessShardWorker):
+        def __init__(self, searcher):
+            if forked:
+                raise OSError(11, "Resource temporarily unavailable")
+            super().__init__(searcher)
+            forked.append(self)
+
+    monkeypatch.setattr(router_module, "ProcessShardWorker", FailingSecondFork)
+    with pytest.raises(OSError):
+        ShardRouter(university_db, shards=3, backend="process")
+    assert len(forked) == 1
+    assert not forked[0]._process.is_alive()

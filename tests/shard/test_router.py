@@ -206,8 +206,9 @@ class TestRouterMechanics:
             assert f"shard{shard_id}_searches_total" in snapshot
             assert snapshot[f"shard{shard_id}_nodes"] > 0
         assert snapshot["shards"] == 4
+        assert snapshot["cut_edges"] == biblio_router.partition.cut_edge_count
         assert snapshot["cut_edges"] == len(
-            biblio_router.partition.cut_edges
+            biblio_router.partition.cut_links(biblio_router.graph)
         )
 
     def test_describe_reports_partition_facts(self, biblio_router):

@@ -3,7 +3,8 @@
 The router partitions the one built graph in place and every shard
 searches that graph, so what has to hold is a cover: the shard node
 sets are disjoint and span every node, and the intra-shard edges plus
-the recorded cut edges are exactly the graph's edges, weights included.
+the cut links are exactly the graph's edges, weights included, as many
+as the partition's maintained cut count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ def split_edges(graph, partition):
         for source, target, weight in graph.edges()
         if partition.shard_of(source) == partition.shard_of(target)
     ]
-    cut = [(edge.source, edge.target, edge.weight) for edge in partition.cut_edges]
+    cut = [
+        (link.source, link.target, link.weight) for link in partition.cut_links(graph)
+    ]
     return intra, cut
 
 
@@ -48,12 +51,11 @@ def test_stitch_reassembles_exactly(university_build, strategy, shards):
 
     intra, cut = split_edges(graph, partition)
     assert sorted(intra + cut) == sorted(graph.edges())
-    for edge in partition.cut_edges:
-        assert edge.source_shard == partition.shard_of(edge.source)
-        assert edge.target_shard == partition.shard_of(edge.target)
-        assert edge.source_shard != edge.target_shard
-    links = partition.cut_links()
-    assert [(link.source, link.target, link.weight) for link in links] == cut
+    assert len(cut) == partition.cut_edge_count
+    for link in partition.cut_links(graph):
+        assert link.source_db == f"shard{partition.shard_of(link.source)}"
+        assert link.target_db == f"shard{partition.shard_of(link.target)}"
+        assert link.source_db != link.target_db
     assert stats_of(graph) == stats
 
 
@@ -61,7 +63,7 @@ def test_stitch_without_cut_links_is_lossy(university_build):
     """The cut edges are load-bearing: without them edges go missing."""
     graph, _stats = university_build
     partition = GraphPartitioner(3).partition(graph)
-    assert partition.cut_edges  # hash split cuts something
+    assert partition.cut_edge_count  # hash split cuts something
     intra, _cut = split_edges(graph, partition)
-    assert len(intra) == graph.num_edges - len(partition.cut_edges)
+    assert len(intra) == graph.num_edges - partition.cut_edge_count
     assert sorted(intra) != sorted(graph.edges())

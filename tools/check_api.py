@@ -122,7 +122,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "WorkerPool",
     ),
     "repro.shard": (
-        "CutEdge",
         "GraphPartitioner",
         "Partition",
         "ProcessShardWorker",
