@@ -11,10 +11,10 @@ move while serving.
 A move rides the router's write gate: the router re-assigns the node
 (:meth:`~repro.shard.partition.Partition.move_node` re-counts the cut
 over the node's incident edges only) and re-slices the per-shard
-inverted indexes.  The graph itself never changes (no edge or weight moves — only
-ownership does), which is why search parity across a rebalance is an
-invariant rather than an aspiration: ``tests/ops`` asserts it under
-random interleavings and under live query load.
+inverted indexes.  The graph itself never changes (no edge or weight
+moves — only ownership does), which is why search parity across a
+rebalance is an invariant rather than an aspiration: ``tests/ops``
+asserts it under random interleavings and under live query load.
 
 Each executed move is one router epoch, and the router announces the
 :data:`REBALANCE_STEPS` of every move to an optional
