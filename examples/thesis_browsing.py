@@ -30,7 +30,7 @@ def save(name: str, html: str) -> None:
 def main() -> None:
     os.makedirs(OUT_DIR, exist_ok=True)
     database, _anecdotes = generate_thesis_db()
-    with Cluster(ClusterSpec(engine=False), database=database) as cluster:
+    with Cluster(ClusterSpec(), database=database) as cluster:
         session(BrowseApp(cluster))
 
 

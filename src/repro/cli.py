@@ -63,7 +63,6 @@ over a real socket, and exits (1 on any non-200).  Tuning knobs:
                        shedding kicks in (default 64; 0 = unbounded)
     --deadline SECS    fail requests that wait longer than this in the
                        queue (default: no deadline)
-    --inline           call the facade inline (the pre-engine behaviour)
     --live             serve an IncrementalBANKS facade so ``/mutate``
                        can apply inserts/deletes/updates; snapshots
                        publish as O(delta) forks, one epoch each
@@ -72,8 +71,9 @@ over a real socket, and exits (1 on any non-200).  Tuning knobs:
                        searches through the scatter-gather ShardRouter
                        (:mod:`repro.shard`); shard stats at ``/shards``;
                        ``/mutate`` routes deltas to the owning shard
-    --shard-backend B  thread (default) or process (forked workers, one
-                       per shard — CPU scaling) or auto
+    --shard-backend B  auto (default; process where fork exists, else
+                       thread), thread, or process (forked workers, one
+                       per shard — CPU scaling)
     --dispatch P       gather (exact scatter-gather, default) or route
                        (whole queries to one worker each — the
                        throughput policy; see repro.shard.router)
@@ -339,8 +339,6 @@ def _serve_mode(cluster) -> str:
         return mode
     if spec.follow:
         return f"read-only follower tailing {spec.wal_path}"
-    if not spec.engine:
-        return "inline facade"
     mode = f"{spec.workers} workers, queue bound {spec.queue_bound}"
     if spec.wal_path:
         mode += f", WAL at {spec.wal_path} ({spec.wal_fsync} fsync)"
@@ -354,14 +352,12 @@ def _self_check(server, cluster, token: Optional[str], out) -> int:
     from repro.net import BanksClient
 
     spec = cluster.spec
-    probes = ["/v1/health", "/metrics", "/"]
-    if cluster.backend is not None:
-        probes += ["/trace", "/debug/slow"]
+    probes = ["/v1/health", "/metrics", "/", "/trace", "/debug/slow"]
     if spec.topology == "sharded":
         probes.append("/shards")
     if spec.replicated:
         probes.append("/replicas")
-    if spec.live or spec.shards or spec.replicated:
+    if not spec.read_only:
         probes.append("/mutate")
     client = BanksClient(server.url, token=token)
     for probe in probes:
@@ -797,12 +793,12 @@ def build_parser() -> argparse.ArgumentParser:
         "servers",
     )
     serve.add_argument(
-        "--workers", type=int, default=4, help="engine worker threads"
+        "--workers", type=int, default=None, help="engine worker threads"
     )
     serve.add_argument(
         "--queue-bound",
         type=int,
-        default=64,
+        default=None,
         dest="queue_bound",
         help="request queue bound before shedding (0 = unbounded)",
     )
@@ -813,27 +809,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request queueing deadline in seconds",
     )
     serve.add_argument(
-        "--inline",
-        action="store_true",
-        help="dispatch searches inline instead of through the engine",
-    )
-    serve.add_argument(
         "--live",
         action="store_true",
+        default=None,
         help="serve a mutable facade: /mutate applies inserts, deletes "
         "and updates through the snapshot store",
     )
     serve.add_argument(
         "--shards",
         type=int,
-        default=0,
+        default=None,
         help="partition the data graph and serve through the shard "
         "router (0 = unsharded)",
     )
     serve.add_argument(
         "--shard-backend",
         choices=("thread", "process", "auto"),
-        default="thread",
+        default=None,
         dest="shard_backend",
         help="shard worker backend (process = one forked worker per "
         "shard; needs fork)",
@@ -841,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dispatch",
         choices=("gather", "route"),
-        default="gather",
+        default=None,
         help="shard dispatch policy: exact scatter-gather, or whole "
         "queries routed to one worker each (throughput)",
     )
@@ -850,20 +842,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="with --live: durable epoch-log directory (recovers any "
-        "epochs already there on startup); with --replica: the "
+        "epochs already there on startup); with --follow: the "
         "primary's log to tail",
     )
     serve.add_argument(
         "--wal-fsync",
         choices=("always", "rotate", "never"),
-        default="always",
+        default=None,
         dest="wal_fsync",
         help="WAL durability policy (always = fsync each epoch)",
     )
     serve.add_argument(
         "--checkpoint-every",
         type=int,
-        default=0,
+        default=None,
         dest="checkpoint_every",
         metavar="N",
         help="with --live --wal (or --replicas): persist a facade "
@@ -880,13 +872,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--follow",
         action="store_true",
+        default=None,
         help="serve a read-only follower that tails --wal PATH (an "
         "external primary's log) and stays caught up by epoch",
     )
     serve.add_argument(
         "--replicas",
         type=int,
-        default=0,
+        default=None,
         help="run a replica set: one WAL-writing primary plus N "
         "WAL-following replicas behind a load-balancing front end "
         "(status at /replicas; 0 = unreplicated)",
@@ -894,13 +887,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--balance",
         choices=("round_robin", "least_inflight"),
-        default="round_robin",
+        default=None,
         help="replica-set load-balancing policy",
     )
     serve.add_argument(
         "--max-lag",
         type=int,
-        default=8,
+        default=None,
         dest="max_lag",
         help="staleness bound in epochs: a replica lagging the WAL by "
         "more is excluded from balancing until it catches up",
@@ -908,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replica-backend",
         choices=("thread", "process", "auto"),
-        default="auto",
+        default=None,
         dest="replica_backend",
         help="replica worker backend (process = one forked worker per "
         "replica — read QPS scales with cores; needs fork)",

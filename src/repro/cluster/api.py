@@ -21,7 +21,13 @@ replica / which shards served it) **and the epoch** the read observed;
 :meth:`Cluster.submit` is the future-returning form.  Mutations route
 to whichever component owns the write path — the live engine's
 snapshot store, the shard router's delta routing, or the replica set's
-primary.
+primary.  A ``single`` deployment without ``live`` has no write path:
+:attr:`Cluster.read_only` is true and every write raises.
+
+:meth:`Cluster.query` is the only code that begins and seals a trace:
+the engine, the shard router and the replica set record spans into the
+trace they are handed, so each read — a failed one too — stores
+exactly one record in :attr:`Cluster.obs`.
 
 Consistency levels (per request, ``QueryRequest.consistency``):
 
@@ -111,7 +117,7 @@ class QueryResult:
             backend).
         topology: the spec topology that served the read.
         served_by: human-readable provenance — ``"engine"``,
-            ``"inline"``, ``"router"``, ``"primary"`` or
+            ``"follower"``, ``"router"``, ``"primary"`` or
             ``"replica-N"``.
         replica: replica index (replicated topologies; ``None`` when
             the primary or an unreplicated backend served).
@@ -162,9 +168,10 @@ class Cluster:
         spec.validate()
         self.spec = spec
         #: The cluster-wide observability bundle: trace store, event
-        #: log and sampling knobs.  Shared with the backend (router /
-        #: replica set / engine) so every layer's spans and the
-        #: ``/trace`` pages read from one place.
+        #: log and sampling knobs.  :meth:`query` is the only code that
+        #: begins and seals traces; the layers below record spans into
+        #: the trace they are handed, and the ``/trace`` pages read
+        #: this one store.
         self.obs = Observability(
             sample=spec.trace_sample,
             slow_query_ms=spec.slow_query_ms,
@@ -204,7 +211,7 @@ class Cluster:
         self.backend: Any = None  # the engine-like component
         self.banks: Any = None  # the facade browse pages read
         if spec.replicated:
-            replica_set = ReplicaSet(self.database, spec, obs=self.obs)
+            replica_set = ReplicaSet(self.database, spec)
             self.backend = replica_set
             self.banks = replica_set  # facade property resolves per read
         elif spec.topology == "sharded":
@@ -221,26 +228,19 @@ class Cluster:
                     queue_bound=spec.queue_bound,
                     default_deadline=spec.deadline,
                 ),
-                obs=self.obs,
             )
             self.backend = router
             self.banks = router
-        elif not spec.engine:
-            from repro.core.banks import BANKS
-
-            self.banks = BANKS(self.database)
         elif spec.follow:
             self._build_follower()
         elif spec.live:
             self._build_live()
         else:
             from repro.core.cache import CachedBanks
-            from repro.serve.engine import EngineConfig, QueryEngine
+            from repro.serve.engine import QueryEngine
 
             self.banks = CachedBanks(self.database)
-            self.backend = QueryEngine(
-                self.banks, self._engine_config(), obs=self.obs
-            )
+            self.backend = QueryEngine(self.banks, self._engine_config())
 
     def _engine_config(self, **overrides):
         from repro.serve.engine import EngineConfig
@@ -294,7 +294,6 @@ class Cluster:
                 checkpoint_every=spec.checkpoint_every,
                 checkpoint_path=spec.checkpoint_path,
             ),
-            obs=self.obs,
         )
 
     def _build_follower(self) -> None:
@@ -307,9 +306,7 @@ class Cluster:
         # and epochs apply through the engine so readers keep snapshot
         # isolation.
         self.banks = IncrementalBANKS(self.database)
-        self.backend = QueryEngine(
-            self.banks, self._engine_config(), obs=self.obs
-        )
+        self.backend = QueryEngine(self.banks, self._engine_config())
         self.follower = ReplicaFollower.over_engine(
             self.spec.wal_path, self.backend, metrics=self.backend.metrics
         )
@@ -341,11 +338,11 @@ class Cluster:
         if on_answer is not None and not self.streams_inline():
             on_answer = None
         stream_kwargs = {} if on_answer is None else {"on_answer": on_answer}
-        # The cluster surface originates the trace: one root ``query``
+        # The cluster surface is the one originator: one root ``query``
         # span per request, with every layer below (replica set, shard
         # router, engine, kernel) parenting its spans under it — across
-        # forked workers too.  A handed-down trace suppresses the inner
-        # layers' own origination, so exactly one record is finished.
+        # forked workers too — and one sealed record per read, failed
+        # reads included.
         trace = self.obs.begin(request.trace_id)
         profile = SearchProfile() if trace is not None else None
         root = (
@@ -367,7 +364,7 @@ class Cluster:
             if trace is not None
             else {}
         )
-        record = None
+        record = failure = None
         try:
             if spec.replicated:
                 answers, replica, epoch = self.backend.query(
@@ -399,7 +396,7 @@ class Cluster:
                 shards = tuple(
                     sorted({s for a in answers for s in a.shards()})
                 )
-            elif self.backend is not None:
+            else:
                 outcome = self.backend.submit(
                     request.keywords,
                     deadline=request.deadline,
@@ -418,42 +415,28 @@ class Cluster:
                     replica, epoch = None, self.backend.snapshots.epoch
                     served_by = "engine"
                 shards = ()
-            else:
-                answers = self.banks.search(
-                    request.keywords,
-                    max_results=request.k,
-                    **obs_kwargs,
-                    **stream_kwargs,
-                )
-                replica, epoch, served_by, shards = None, 0, "inline", ()
         except BaseException as error:
+            failure = type(error).__name__
+            raise
+        finally:
+            latency = time.monotonic() - started
             if trace is not None:
-                root.attrs["error"] = type(error).__name__
+                if failure is None:
+                    root.attrs["answers"] = len(answers)
+                    outcome_attrs = {"served_by": served_by}
+                else:
+                    outcome_attrs = {"error": failure}
+                root.attrs.update(outcome_attrs)
                 trace.end(root)
-                self.obs.finish(
+                record = self.obs.finish(
                     trace,
                     query=request.keywords,
                     topology=spec.topology,
-                    duration_ms=(time.monotonic() - started) * 1000.0,
+                    duration_ms=latency * 1000.0,
                     profile=profile,
                     consistency=request.consistency,
-                    error=type(error).__name__,
+                    **outcome_attrs,
                 )
-            raise
-        latency = time.monotonic() - started
-        if trace is not None:
-            root.attrs["answers"] = len(answers)
-            root.attrs["served_by"] = served_by
-            trace.end(root)
-            record = self.obs.finish(
-                trace,
-                query=request.keywords,
-                topology=spec.topology,
-                duration_ms=latency * 1000.0,
-                profile=profile,
-                served_by=served_by,
-                consistency=request.consistency,
-            )
         return QueryResult(
             answers=answers,
             topology=spec.topology,
@@ -593,16 +576,13 @@ class Cluster:
         return writer.mutate(fn)
 
     def _writer(self):
-        spec = self.spec
-        if spec.follow:
+        if not self.read_only:
+            return self.backend
+        if self.spec.follow:
             raise ClusterError(
                 "this cluster is a read-only follower: its state is owned "
                 "by the primary's epoch log (mutate through the primary)"
             )
-        if spec.replicated or spec.topology == "sharded":
-            return self.backend
-        if spec.live:
-            return self.backend
         raise ClusterError(
             f"topology {self.spec.topology!r} is read-only (an immutable "
             "facade); set live=True (or a replicated topology) for a write "
@@ -613,7 +593,7 @@ class Cluster:
 
     @property
     def engine(self) -> Any:
-        """The engine-like backend (``None`` for inline dispatch)."""
+        """The engine-like backend (engine, router or replica set)."""
         return self.backend
 
     @property
@@ -622,6 +602,7 @@ class Cluster:
 
     @property
     def read_only(self) -> bool:
+        """Whether every write raises (see :attr:`ClusterSpec.read_only`)."""
         return self.spec.read_only
 
     @property
@@ -629,8 +610,6 @@ class Cluster:
         if self.follower is not None:
             return int(self.follower.applied_epoch)
         backend = self.backend
-        if backend is None:
-            return 0
         epoch = getattr(backend, "epoch", None)
         if epoch is not None:
             return int(epoch)

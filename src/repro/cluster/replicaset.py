@@ -61,7 +61,7 @@ from repro.errors import (
     ReproError,
     ShardError,
 )
-from repro.obs import Observability, SearchProfile, Trace
+from repro.obs import SearchProfile, Trace
 from repro.relational.database import RID
 from repro.serve.engine import EngineConfig, QueryEngine
 from repro.serve.metrics import MetricsRegistry
@@ -399,7 +399,6 @@ class ReplicaSet:
         database,
         spec: ClusterSpec,
         metrics: Optional[MetricsRegistry] = None,
-        obs: Optional[Observability] = None,
     ):
         if not spec.replicated:
             raise ClusterError(
@@ -457,10 +456,6 @@ class ReplicaSet:
         # through this front end has observed.
         self._read_lock = threading.Lock()
         self._read_floor = 0
-
-        # Disabled unless the cluster front end hands its bundle in
-        # (the cluster is the originator; the set only records spans).
-        self.obs = obs or Observability()
 
         self.metrics = metrics or MetricsRegistry(prefix="banks_replicaset")
         m = self.metrics
@@ -783,12 +778,6 @@ class ReplicaSet:
         response envelope and re-parent under their dispatch span.
         """
         started = time.monotonic()
-        originated = False
-        if trace is None and profile is None and self.obs.enabled:
-            trace = self.obs.begin()
-            if trace is not None:
-                originated = True
-                profile = SearchProfile()
         query_span = (
             trace.begin(
                 "replicaset.query",
@@ -894,19 +883,9 @@ class ReplicaSet:
                 self._note_read(epoch)
                 return (self._wrap(scored, handle.index), handle.index, epoch)
         finally:
-            duration = time.monotonic() - started
-            self._latency.observe(duration)
+            self._latency.observe(time.monotonic() - started)
             if query_span is not None:
                 trace.end(query_span)
-                if originated:
-                    self.obs.finish(
-                        trace,
-                        query=query,
-                        topology=self.spec.topology,
-                        duration_ms=duration * 1000.0,
-                        profile=profile,
-                        consistency=consistency,
-                    )
 
     def _query_primary(
         self, query, max_results, timeout, deadline, search_kwargs,

@@ -12,17 +12,16 @@ writes (WAL + checkpoints), and *how* replicas behave (balancing policy,
 staleness bound).
 
 Validation is centralised: every conflicting combination — the old
-``--replica`` + ``--shards``/``--live``/``--no-engine`` matrix, a
-WAL-less follower, a WAL on a topology that publishes no epochs, … —
-fails through :class:`~repro.errors.ClusterError` with one message
-format (``invalid cluster spec: <detail>``), at construction time,
-before any engine exists.
+``--replica`` + ``--shards``/``--live`` matrix, a WAL-less follower,
+a WAL on a topology that publishes no epochs, … — fails through
+:class:`~repro.errors.ClusterError` with one message format
+(``invalid cluster spec: <detail>``), at construction time, before any
+engine exists.
 
 Topologies::
 
-    single              one QueryEngine over one facade (cached, or a
-                        live IncrementalBANKS with --live; optionally
-                        inline with engine=False — the old --no-engine)
+    single              one QueryEngine over one facade (a CachedBanks,
+                        or an IncrementalBANKS with --live or --follow)
     sharded             a ShardRouter over N graph shards
     replicated          a ReplicaSet: one WAL-writing primary plus N
                         WAL-following replica engines behind a
@@ -64,6 +63,18 @@ _FSYNC_POLICIES = ("always", "rotate", "never")
 _DISPATCHES = ("gather", "route")
 _BACKENDS = ("thread", "process", "auto")
 
+#: Spec fields a ``banks serve`` flag sets.  Each flag's argparse
+#: destination is the field name, except ``--wal`` for ``wal_path``;
+#: ``topology`` derives from the counts, and ``dedup`` and
+#: ``shard_strategy`` have no flag.
+_SERVE_FIELDS = (
+    "db", "shards", "replicas", "workers", "queue_bound", "deadline",
+    "live", "wal_path", "wal_fsync", "follow", "checkpoint_every",
+    "checkpoint_path", "shard_backend", "dispatch", "replica_backend",
+    "balance", "max_lag", "remote_replicas", "remote_token",
+    "trace_sample", "slow_query_ms", "trace_buffer",
+)
+
 
 def _invalid(detail: str) -> ClusterError:
     """The one error path every bad spec combination exits through."""
@@ -90,8 +101,6 @@ class ClusterSpec:
         deadline: per-request queueing deadline in seconds.
         dedup: single-flight deduplication of identical in-flight
             queries.
-        engine: ``False`` dispatches searches inline on the facade
-            (the old ``--no-engine``; single topology only).
         live: serve a mutable :class:`IncrementalBANKS` facade (single
             topology; replicated topologies are always live — the
             primary owns the write path).
@@ -148,7 +157,6 @@ class ClusterSpec:
     queue_bound: int = 64
     deadline: Optional[float] = None
     dedup: bool = True
-    engine: bool = True
     # write path
     live: bool = False
     wal_path: Optional[str] = None
@@ -291,28 +299,10 @@ class ClusterSpec:
                     "state is owned by the primary's epoch log, a local "
                     "write path would silently diverge from it"
                 )
-            if not self.engine:
-                raise _invalid(
-                    "follow=True needs the serving engine (engine=True): "
-                    "the follower applies epochs through the engine's "
-                    "snapshot store"
-                )
             if not self.wal_path:
                 raise _invalid(
                     "follow=True needs wal_path (the primary's log to "
                     "tail)"
-                )
-        if not self.engine:
-            if self.topology != "single":
-                raise _invalid(
-                    "engine=False (inline dispatch) only exists on the "
-                    f"single topology, not {self.topology!r}"
-                )
-            if self.live:
-                raise _invalid(
-                    "engine=False conflicts with live=True: mutations "
-                    "need the engine's snapshot store to publish "
-                    "atomically"
                 )
         if self.wal_path and self.topology == "sharded":
             raise _invalid(
@@ -379,8 +369,10 @@ class ClusterSpec:
 
     @property
     def read_only(self) -> bool:
-        """Whether the deployment refuses local writes (a follower)."""
-        return self.follow
+        """Whether the deployment has no local write path: a follower
+        (the primary's WAL owns its state), or a ``single`` topology
+        without ``live`` (an immutable facade)."""
+        return self.follow or (self.topology == "single" and not self.live)
 
     def with_overrides(self, **changes) -> "ClusterSpec":
         """A re-validated copy with ``changes`` applied."""
@@ -464,49 +456,28 @@ class ClusterSpec:
         This is where the old flag surface funnels into the one
         validation path: any conflicting combination raises
         :class:`~repro.errors.ClusterError` from the spec constructor,
-        with the same message a programmatic caller would get.  Only
-        an unset flag (``None``) takes the default; an explicit value,
-        zero included, reaches validation as given.
+        with the same message a programmatic caller would get.  Every
+        flag defaults to ``None`` (unset) and only the flags the user
+        set are passed on, so the dataclass defaults above are the only
+        defaults; an explicit value, zero included, reaches validation
+        as given.
         """
-
-        def arg(name: str, default: Any) -> Any:
-            value = getattr(args, name, None)
-            return default if value is None else value
-
-        shards = int(arg("shards", 0))
-        replicas = int(arg("replicas", 0))
-        remote_replicas = tuple(arg("remote_replicas", ()))
+        given = {}
+        for field in _SERVE_FIELDS:
+            flag = "wal" if field == "wal_path" else field
+            value = getattr(args, flag, None)
+            if value is not None:
+                given[field] = value
+        if "remote_replicas" in given:
+            given["remote_replicas"] = tuple(given["remote_replicas"])
+        shards = given.get("shards", 0)
+        replicas = given.get("replicas", 0)
         if shards and replicas:
             topology = "sharded_replicated"
         elif shards:
             topology = "sharded"
-        elif replicas or remote_replicas:
+        elif replicas or given.get("remote_replicas"):
             topology = "replicated"
         else:
             topology = "single"
-        return cls(
-            topology=topology,
-            db=arg("db", None),
-            shards=shards,
-            replicas=replicas,
-            workers=arg("workers", 4),
-            queue_bound=arg("queue_bound", 64),
-            deadline=arg("deadline", None),
-            engine=not arg("inline", False),
-            live=bool(arg("live", False)),
-            wal_path=arg("wal", None),
-            wal_fsync=arg("wal_fsync", "always"),
-            follow=bool(arg("follow", False)),
-            checkpoint_every=int(arg("checkpoint_every", 0)),
-            checkpoint_path=arg("checkpoint_path", None),
-            shard_backend=arg("shard_backend", "auto"),
-            dispatch=arg("dispatch", "gather"),
-            replica_backend=arg("replica_backend", "auto"),
-            balance=arg("balance", "round_robin"),
-            max_lag=arg("max_lag", 8),
-            remote_replicas=remote_replicas,
-            remote_token=arg("remote_token", None),
-            trace_sample=arg("trace_sample", "always"),
-            slow_query_ms=arg("slow_query_ms", 500.0),
-            trace_buffer=arg("trace_buffer", 256),
-        )
+        return cls(topology=topology, **given)

@@ -5,8 +5,8 @@ in-memory engine.  The subsystem contract:
 
 * :mod:`repro.serve.engine` — :class:`QueryEngine` fronts any facade
   with a ``search`` method: a fixed worker pool
-  (:mod:`repro.serve.pool`), bounded admission with shedding or
-  back-pressure and per-request deadlines, and single-flight
+  (:mod:`repro.serve.pool`), bounded admission that sheds over-bound
+  requests, per-request deadlines, and single-flight
   deduplication (:mod:`repro.serve.singleflight`) keyed on the
   snapshot version, so deduplicated requests are exactly as consistent
   as independent ones.

@@ -9,11 +9,11 @@ missing layer between HTTP handlers and the
    (:mod:`repro.serve.pool`), so one slow query cannot monopolise the
    process and callers get futures with timeouts;
 2. **admission control** — the pool's task queue is bounded; when it is
-   full the engine either sheds (``shed_policy="reject"``, default —
-   fail fast so the client can retry elsewhere) or applies
-   back-pressure (``"block"``).  Each request may carry a deadline;
-   a request whose deadline lapses while queued is failed without
-   wasting a worker on it;
+   full the engine sheds the request (fail fast with
+   :class:`~repro.errors.EngineOverloadedError`, so the client can
+   retry elsewhere).  Each request may carry a deadline; a request
+   whose deadline lapses while queued is failed without wasting a
+   worker on it;
 3. **single-flight deduplication** — identical queries already in
    flight share one computation (:mod:`repro.serve.singleflight`);
    the key includes the snapshot version, so deduplicated requests are
@@ -52,14 +52,14 @@ from repro.errors import (
     PoolSaturatedError,
     ServeError,
 )
-from repro.obs import Observability, SearchProfile, parse_sample
+from repro.obs import SearchProfile
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import WorkerPool
 from repro.serve.singleflight import SingleFlight
 from repro.serve.snapshot import Snapshot, SnapshotStore
 
-#: Admission policies when the queue is at its bound.
-_SHED_POLICIES = ("reject", "block")
+#: Sliding window (seconds) for the QPS / latency-quantile metrics.
+_METRICS_WINDOW = 60.0
 
 
 def _mirror(source: "Future") -> "Future":
@@ -98,11 +98,7 @@ class EngineConfig:
         default_deadline: seconds a request may spend queued before it
             is failed with :class:`~repro.errors.DeadlineExceededError`
             (``None`` = no deadline unless the request sets one).
-        shed_policy: ``"reject"`` fails over-bound submissions with
-            :class:`~repro.errors.EngineOverloadedError`; ``"block"``
-            makes ``submit`` wait for a queue slot (back-pressure).
         dedup: share one computation among identical in-flight queries.
-        metrics_window: sliding window (seconds) for QPS / quantiles.
         wal_path: directory for the durable epoch log; every published
             mutation epoch is appended there before readers see it
             (crash recovery + cross-process replicas, see
@@ -117,36 +113,18 @@ class EngineConfig:
         checkpoint_path: where checkpoints live; defaults to a
             ``checkpoints/`` directory inside ``wal_path``.  Also the
             WAL's retention prune floor.
-        trace_sample: trace sampling mode — ``"off"`` (default: no
-            tracing unless the caller hands a trace in), ``"always"``,
-            ``"slow"`` (trace everything, store only slow queries) or
-            a rate in (0, 1] (see :func:`repro.obs.parse_sample`).
-        slow_query_ms: queries at or above this duration are always
-            kept in the trace store and logged at WARNING (``None``
-            disables the slow-query path).
-        trace_buffer: ring-buffer capacity of the trace store.
     """
 
     workers: int = 4
     queue_bound: int = 64
     default_deadline: Optional[float] = None
-    shed_policy: str = "reject"
     dedup: bool = True
-    metrics_window: float = 60.0
     wal_path: Optional[str] = None
     wal_fsync: str = "always"
     checkpoint_every: int = 0
     checkpoint_path: Optional[str] = None
-    trace_sample: Any = "off"
-    slow_query_ms: Optional[float] = None
-    trace_buffer: int = 256
 
     def __post_init__(self):
-        if self.shed_policy not in _SHED_POLICIES:
-            raise ServeError(
-                f"unknown shed policy {self.shed_policy!r} "
-                f"(choose from {', '.join(_SHED_POLICIES)})"
-            )
         if self.wal_fsync not in ("always", "rotate", "never"):
             raise ServeError(
                 f"unknown wal fsync policy {self.wal_fsync!r} "
@@ -163,14 +141,6 @@ class EngineConfig:
                 "checkpoints re-base a WAL: checkpoint_every / "
                 "checkpoint_path need wal_path"
             )
-        try:
-            parse_sample(self.trace_sample)
-        except Exception as error:
-            raise ServeError(str(error)) from None
-        if self.slow_query_ms is not None and self.slow_query_ms <= 0:
-            raise ServeError("slow_query_ms must be positive")
-        if self.trace_buffer < 1:
-            raise ServeError("trace_buffer must be >= 1")
 
 
 @dataclass
@@ -209,11 +179,6 @@ class QueryEngine:
             registry per engine — sharing one across engines raises,
             since the computed gauges (queue depth, version) can only
             report a single source.
-        obs: an external :class:`repro.obs.Observability` bundle to
-            record traces into (the cluster shares one across its
-            layers); a private one is built from the config's
-            ``trace_sample`` / ``slow_query_ms`` / ``trace_buffer``
-            knobs otherwise.
     """
 
     def __init__(
@@ -221,14 +186,8 @@ class QueryEngine:
         facade: Any,
         config: Optional[EngineConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        obs: Optional[Observability] = None,
     ):
         self.config = config or EngineConfig()
-        self.obs = obs or Observability(
-            sample=self.config.trace_sample,
-            slow_query_ms=self.config.slow_query_ms,
-            buffer=self.config.trace_buffer,
-        )
         wal = None
         checkpoints = None
         if self.config.wal_path is not None:
@@ -263,7 +222,6 @@ class QueryEngine:
         self.metrics = metrics or MetricsRegistry()
         self._flights = SingleFlight()
 
-        window = self.config.metrics_window
         m = self.metrics
         self._requests = m.counter("requests_total", "requests admitted or shed")
         self._completed = m.counter("completed_total", "searches finished")
@@ -306,7 +264,7 @@ class QueryEngine:
                 ))
         self._latency = m.latency(
             "latency_seconds", "admission-to-completion latency",
-            window_seconds=window,
+            window_seconds=_METRICS_WINDOW,
         )
         self._latency_hist = m.histogram(
             "request_latency_seconds",
@@ -332,25 +290,19 @@ class QueryEngine:
     ) -> "Future[QueryOutcome]":
         """Admit one search; resolve to a :class:`QueryOutcome`.
 
-        When a ``trace`` is handed in (the cluster/router originated
-        it), the engine records its ``engine.request`` span — with
-        ``engine.queue``, ``engine.snapshot_pin`` and
-        ``engine.execute`` children — under ``trace_parent``.  With no
-        incoming trace and tracing enabled on this engine's
-        :class:`~repro.obs.Observability`, the engine originates (and
-        on completion stores) the trace itself.
+        When a ``trace`` is handed in (by the cluster, which alone
+        begins and seals traces), the engine records its
+        ``engine.request`` span — with ``engine.queue``,
+        ``engine.snapshot_pin`` and ``engine.execute`` children — under
+        ``trace_parent``.
 
         Raises:
-            EngineOverloadedError: queue at its bound (policy "reject").
+            EngineOverloadedError: queue at its bound.
             EngineStoppedError: after :meth:`stop`.
         """
         if self.pool.stopped:
             raise EngineStoppedError("engine is stopped")
         self._requests.inc()
-        originated = False
-        if trace is None and profile is None and self.obs.enabled:
-            trace = self.obs.begin()
-            originated = True
         request_span = None
         if trace is not None:
             request_span = trace.begin(
@@ -388,29 +340,15 @@ class QueryEngine:
                         dedup="joined",
                     )
                     trace.end(request_span)
-                    if originated:
-                        self.obs.finish(
-                            trace,
-                            query=query,
-                            topology="engine",
-                            duration_ms=(time.monotonic() - admitted)
-                            * 1000.0,
-                            profile=profile,
-                            dedup="joined",
-                        )
                 mirrored.add_done_callback(finalize_joined)
             return mirrored
 
         task = self._make_task(snapshot, admitted, deadline, key, query,
                                search_kwargs, trace=trace,
                                request_span=request_span, profile=profile,
-                               originated=originated,
                                admitted_wall=admitted_wall)
         try:
-            if self.config.shed_policy == "block":
-                self.pool.submit(task, future=future)
-            else:
-                self.pool.try_submit(task, future=future)
+            self.pool.try_submit(task, future=future)
         except PoolSaturatedError:
             self._flights.forget(key)
             self._shed.inc()
@@ -418,16 +356,14 @@ class QueryEngine:
                 f"request queue full ({self.config.queue_bound} pending); "
                 "request shed"
             )
-            self._abort_trace(trace, request_span, originated, admitted,
-                              query, profile, "shed")
+            self._abort_trace(trace, request_span, "shed")
             # Followers of this flight hold the same future: fail it, or
             # they would wait forever on a request that was never queued.
             future.set_exception(error)
             raise error from None
         except EngineStoppedError as stopped:
             self._flights.forget(key)
-            self._abort_trace(trace, request_span, originated, admitted,
-                              query, profile, "stopped")
+            self._abort_trace(trace, request_span, "stopped")
             future.set_exception(stopped)
             raise
         # Deduplicatable flights hand every caller (leader included) a
@@ -541,26 +477,18 @@ class QueryEngine:
             _scoring_key(search_kwargs.get("scoring")),
         )
 
-    def _abort_trace(self, trace, request_span, originated, admitted, query,
-                     profile, reason: str) -> None:
-        """Seal a trace whose request never reached a worker."""
+    @staticmethod
+    def _abort_trace(trace, request_span, reason: str) -> None:
+        """End the request span of a request that never reached a
+        worker, marking why."""
         if trace is None:
             return
         request_span.attrs["error"] = reason
         trace.end(request_span)
-        if originated:
-            self.obs.finish(
-                trace,
-                query=query,
-                topology="engine",
-                duration_ms=(time.monotonic() - admitted) * 1000.0,
-                profile=profile,
-                error=reason,
-            )
 
     def _make_task(self, snapshot, admitted, deadline, key, query,
                    search_kwargs, trace=None, request_span=None,
-                   profile=None, originated=False, admitted_wall=0.0):
+                   profile=None, admitted_wall=0.0):
         def task():
             try:
                 if trace is not None:
@@ -617,15 +545,6 @@ class QueryEngine:
             finally:
                 if trace is not None:
                     trace.end(request_span)
-                    if originated:
-                        self.obs.finish(
-                            trace,
-                            query=query,
-                            topology="engine",
-                            duration_ms=(time.monotonic() - admitted)
-                            * 1000.0,
-                            profile=profile,
-                        )
                 # Before the future resolves: a duplicate arriving after
                 # this point must start a fresh flight, not latch onto a
                 # finished one.

@@ -62,6 +62,11 @@ single-flight dedup).
 
 With the process backend each worker is a forked process; the thread
 backend exists for portability and deterministic tests.
+
+Tracing — the router records its ``router.*`` spans (and its shard
+engines their ``engine.*`` spans) into the trace the cluster front end
+hands it; like every layer below :class:`~repro.cluster.api.Cluster`,
+it never begins or seals a trace itself.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from repro.core.topk import merge_scored_answers
 from repro.core.weights import WeightPolicy
 from repro.errors import ShardError
 from repro.graph.csr import freeze_graph
-from repro.obs import Observability, SearchProfile
+from repro.obs import SearchProfile
 from repro.relational.database import Database, RID
 from repro.serve.engine import EngineConfig, QueryEngine
 from repro.serve.metrics import MetricsRegistry
@@ -238,7 +243,6 @@ class ShardRouter:
         overfetch: int = 1,
         engine_config: Optional[EngineConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        obs: Optional[Observability] = None,
     ):
         if backend not in _BACKENDS:
             raise ShardError(
@@ -310,20 +314,12 @@ class ShardRouter:
             workers=1,
             queue_bound=base.queue_bound,
             default_deadline=base.default_deadline,
-            shed_policy=base.shed_policy,
             dedup=False,
-            metrics_window=base.metrics_window,
         )
         self.engines = [QueryEngine(worker, per_shard) for worker in self._workers]
         self.pool = WorkerPool(
             workers=max(2, shards), queue_bound=0, name="shard-router"
         )
-
-        # Disabled by default; the cluster front end passes its own
-        # Observability so router traces land in one store.  The
-        # per-shard engines keep tracing off (EngineConfig default) —
-        # the router is the originator for sharded queries.
-        self.obs = obs or Observability()
 
         self.metrics = metrics or MetricsRegistry(prefix="banks_shard")
         m = self.metrics
@@ -403,20 +399,13 @@ class ShardRouter:
         with each other but never overlap a routed mutation (which
         takes the gate exclusively — see :class:`_SearchGate`).
 
-        When a ``trace`` is handed in (the cluster front end) or the
-        router's own :class:`repro.obs.Observability` samples the
-        query, the scatter records a span tree: ``router.search`` over
-        ``router.resolve``, one ``engine.request`` subtree per shard
-        (forked workers' spans re-parented across the pipe) and
+        When the cluster front end hands a ``trace`` in, the scatter
+        records a span tree under ``trace_parent``: ``router.search``
+        over ``router.resolve``, one ``engine.request`` subtree per
+        shard (forked workers' spans re-parented across the pipe) and
         ``router.merge``; per-shard profiles merge into ``profile``.
         """
         start = time.monotonic()
-        originated = False
-        if trace is None and profile is None and self.obs.enabled:
-            trace = self.obs.begin()
-            if trace is not None:
-                originated = True
-                profile = SearchProfile()
         router_span = (
             trace.begin(
                 "router.search",
@@ -460,8 +449,6 @@ class ShardRouter:
             if router_span is not None:
                 router_span.attrs["error"] = type(error).__name__
                 trace.end(router_span)
-                if originated:
-                    self._finish_trace(trace, parsed, start, profile)
             raise
         self._answers.inc(len(answers))
         self._cross.inc(sum(1 for a in answers if a.is_cross_shard()))
@@ -469,19 +456,7 @@ class ShardRouter:
         if router_span is not None:
             router_span.attrs["answers"] = len(answers)
             trace.end(router_span)
-            if originated:
-                self._finish_trace(trace, parsed, start, profile)
         return answers
-
-    def _finish_trace(self, trace, parsed, start, profile) -> None:
-        self.obs.finish(
-            trace,
-            query=parsed,
-            topology="sharded",
-            duration_ms=(time.monotonic() - start) * 1000.0,
-            profile=profile,
-            dispatch=self.dispatch,
-        )
 
     def _scatter_gather(
         self, parsed: ParsedQuery, wanted: int, timeout, config_overrides,

@@ -12,7 +12,7 @@ from repro.relational import Database, execute_script
 
 @pytest.fixture
 def app(figure1_db):
-    with Cluster(ClusterSpec(engine=False), database=figure1_db) as cluster:
+    with Cluster(ClusterSpec(), database=figure1_db) as cluster:
         yield BrowseApp(cluster)
 
 

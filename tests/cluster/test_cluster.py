@@ -57,14 +57,6 @@ class TestSingleTopology:
         with pytest.raises(ClusterError):
             cluster.query("alice")
 
-    def test_inline_topology(self, university):
-        spec = ClusterSpec(engine=False)
-        with Cluster(spec, database=university.fork()) as cluster:
-            assert cluster.backend is None
-            result = cluster.query("alice seminar", k=3)
-            assert result.served_by == "inline"
-            assert result.epoch == 0
-
     def test_live_topology_mutates_through_the_engine(self, university):
         spec = ClusterSpec(live=True)
         with Cluster(spec, database=university.fork()) as cluster:
@@ -185,6 +177,41 @@ class TestReplicatedTopology:
             assert result.shards and all(0 <= s < 2 for s in result.shards)
             plain = BANKS(university).search("alice seminar", max_results=3)
             assert same(result.answers, plain)
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"live": True},
+            {"follow": True},
+            {"topology": "sharded", "shards": 2, "shard_backend": "thread"},
+            {
+                "topology": "replicated",
+                "replicas": 2,
+                "replica_backend": "thread",
+            },
+        ],
+        ids=["single", "live", "follow", "sharded", "replicated"],
+    )
+    def test_read_only_iff_writes_raise(self, university, tmp_path, kwargs):
+        """One rule answers both questions: a cluster reports
+        ``read_only`` exactly when its writes raise."""
+        if kwargs.get("follow"):
+            wal = str(tmp_path / "wal")
+            primary = ClusterSpec(live=True, wal_path=wal)
+            with Cluster(primary, database=university.fork()):
+                pass
+            kwargs = dict(kwargs, wal_path=wal)
+        spec = ClusterSpec(**kwargs)
+        with Cluster(spec, database=university.fork()) as cluster:
+            try:
+                cluster.insert("student", ["S907", "Read Only", "BIGDEPT"])
+                refused = False
+            except ClusterError:
+                refused = True
+            assert cluster.read_only == refused
 
 
 class TestBrowseAppIntegration:

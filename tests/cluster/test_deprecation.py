@@ -17,9 +17,10 @@ def run_cli(*argv: str):
 
 
 class TestRemovedServeFlags:
-    """The one-release shims (--replica, --no-engine), the second
-    server's --http and --copy-mode are gone: the parser rejects them
-    outright instead of warning."""
+    """The one-release shims (--replica, --no-engine), the inline mode
+    that replaced --no-engine, the second server's --http and
+    --copy-mode are gone: the parser rejects them outright instead of
+    warning."""
 
     def test_replica_flag_is_rejected(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -31,9 +32,12 @@ class TestRemovedServeFlags:
         assert caught.value.code == 2
 
     def test_no_engine_flag_is_rejected(self):
-        with pytest.raises(SystemExit) as caught:
-            run_cli("serve", "demo:university", "--check", "--no-engine")
-        assert caught.value.code == 2
+        """Neither the old --no-engine nor its --inline successor
+        survives: every single deployment serves through the engine."""
+        for flag in ("--no-engine", "--inline"):
+            with pytest.raises(SystemExit) as caught:
+                run_cli("serve", "demo:university", "--check", flag)
+            assert caught.value.code == 2
 
     def test_http_flag_is_rejected(self):
         with pytest.raises(SystemExit) as caught:
@@ -64,15 +68,9 @@ class TestRemovedServeFlags:
         )
         assert status == 0
         assert "replica caught up" in output
-        status, _ = run_cli("serve", "demo:university", "--check", "--inline")
-        assert status == 0
 
     def test_new_flags_are_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             status, _ = run_cli("serve", "demo:university", "--check")
-            assert status == 0
-            status, _ = run_cli(
-                "serve", "demo:university", "--check", "--inline"
-            )
             assert status == 0

@@ -38,10 +38,6 @@ CONFLICTS = [
         "its own serving mode",
     ),
     (
-        {"follow": True, "wal_path": "/w", "engine": False},
-        "needs the serving engine",
-    ),
-    (
         {
             "topology": "replicated",
             "replicas": 2,
@@ -55,16 +51,6 @@ CONFLICTS = [
     (
         {"topology": "sharded", "shards": 2, "wal_path": "/w"},
         "not wired into the plain sharded topology",
-    ),
-    # Inline dispatch rules.
-    ({"engine": False, "live": True}, "conflicts with live"),
-    (
-        {"topology": "sharded", "shards": 2, "engine": False},
-        "only exists on the single topology",
-    ),
-    (
-        {"topology": "replicated", "replicas": 2, "engine": False},
-        "only exists on the single topology",
     ),
 ]
 
@@ -85,7 +71,6 @@ class TestConflictMatrix:
     def test_valid_topologies_validate(self, tmp_path):
         wal = str(tmp_path / "wal")
         ClusterSpec()  # single
-        ClusterSpec(engine=False)
         ClusterSpec(live=True, wal_path=wal)
         ClusterSpec(follow=True, wal_path=wal)
         ClusterSpec(topology="sharded", shards=4, dispatch="route")
@@ -117,27 +102,13 @@ class TestQueryRequest:
 
 
 def _serve_args(**overrides) -> argparse.Namespace:
-    """A namespace shaped like the ``banks serve`` parser output."""
-    defaults = dict(
-        db="demo:university",
-        workers=4,
-        queue_bound=64,
-        deadline=None,
-        inline=False,
-        live=False,
-        shards=0,
-        shard_backend="thread",
-        dispatch="gather",
-        wal=None,
-        wal_fsync="always",
-        follow=False,
-        replicas=0,
-        balance="round_robin",
-        max_lag=8,
-        replica_backend="auto",
-    )
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+    """``banks serve demo:university`` parsed by the real parser, with
+    ``overrides`` set on the namespace."""
+    from repro.cli import build_parser
+
+    args = build_parser().parse_args(["serve", "demo:university"])
+    vars(args).update(overrides)
+    return args
 
 
 class TestFromServeArgs:
@@ -161,18 +132,16 @@ class TestFromServeArgs:
     def test_removed_aliases_are_ignored_not_mapped(self, tmp_path):
         """The shim flags no longer exist; a stale namespace carrying
         them (an old script building Namespace by hand) gets the plain
-        non-follower, engine-backed spec — not silent alias behaviour."""
+        non-follower spec — not silent alias behaviour."""
         spec = ClusterSpec.from_serve_args(
-            _serve_args(replica=True, no_engine=True)
+            _serve_args(replica=True, no_engine=True, inline=True)
         )
-        assert not spec.follow
-        assert spec.engine
+        assert spec == ClusterSpec(db="demo:university")
 
     def test_current_flags_map(self, tmp_path):
         wal = str(tmp_path / "wal")
         spec = ClusterSpec.from_serve_args(_serve_args(follow=True, wal=wal))
         assert spec.follow and spec.wal_path == wal
-        assert not ClusterSpec.from_serve_args(_serve_args(inline=True)).engine
 
     def test_conflicts_fail_through_the_spec(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -180,14 +149,32 @@ class TestFromServeArgs:
             _serve_args(follow=True),  # --follow without --wal
             _serve_args(follow=True, wal=wal, live=True),
             _serve_args(follow=True, wal=wal, shards=2),
-            _serve_args(follow=True, wal=wal, inline=True),
             _serve_args(follow=True, wal=wal, replicas=2),
             _serve_args(wal=wal),  # --wal without a publisher
-            _serve_args(replicas=2, inline=True),
         ):
             with pytest.raises(ClusterError) as caught:
                 ClusterSpec.from_serve_args(namespace)
             assert str(caught.value).startswith("invalid cluster spec: ")
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            ([], {}),
+            (["--shards", "2"], {"topology": "sharded", "shards": 2}),
+            (["--replicas", "2"], {"topology": "replicated", "replicas": 2}),
+            (["--live", "--wal", "P"], {"live": True, "wal_path": "P"}),
+        ],
+        ids=["single", "shards", "replicas", "live-wal"],
+    )
+    def test_real_argv_equals_the_direct_spec(self, flags, fields):
+        """The parser adds no defaults of its own: ``banks serve`` argv
+        and the same fields passed to ``ClusterSpec`` deploy alike."""
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "X", *flags])
+        assert ClusterSpec.from_serve_args(args) == ClusterSpec(
+            db="X", **fields
+        )
 
     def test_explicit_zero_slow_query_ms_is_validated(self):
         """``--slow-query-ms 0`` is a value, not an unset flag: it
@@ -266,8 +253,16 @@ class TestSpecJson:
         assert "shardz" in str(caught.value)
 
     def test_copy_mode_is_an_unknown_field(self):
+        """Removed fields fail loudly: ``copy_mode`` (every write
+        forks) and ``engine`` (every single deployment serves through
+        the engine)."""
+        for removed in ("copy_mode", "engine"):
+            with pytest.raises(TypeError):
+                ClusterSpec(**{removed: False})
         with pytest.raises(ClusterError, match="unknown spec field"):
             ClusterSpec.from_json('{"copy_mode": "delta"}')
+        with pytest.raises(ClusterError, match="unknown spec field"):
+            ClusterSpec.from_json('{"db": "demo:university", "engine": false}')
 
     def test_non_object_payload_is_refused(self):
         with pytest.raises(ClusterError):

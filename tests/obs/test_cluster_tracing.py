@@ -15,6 +15,7 @@ import pytest
 
 from repro.browse.app import BrowseApp
 from repro.cluster import Cluster, ClusterSpec, QueryRequest
+from repro.errors import EmptyQueryError
 from repro.obs import span_tree
 
 QUERY = "soumen sudarshan"
@@ -24,6 +25,7 @@ TOPOLOGIES = [
     ("sharded", {"shards": 2}),
     ("replicated", {"replicas": 2}),
     ("sharded_replicated", {"shards": 2, "replicas": 2}),
+    ("single", {"live": True}),
 ]
 
 
@@ -51,6 +53,8 @@ class TestSpanTreePerTopology:
         )
         with Cluster(spec, database=database) as cluster:
             result = cluster.query(QueryRequest(QUERY, k=5))
+            # One read, one stored record: only the cluster seals.
+            assert cluster.obs.store.stats()["stored"] == 1
         record = result.trace
         assert record is not None
         assert record.topology == topology
@@ -77,6 +81,21 @@ class TestSpanTreePerTopology:
         assert result.profile.answers_emitted > 0
         assert record.profile["heap_pops"] == result.profile.heap_pops
         assert 0 < result.profile.lanes_started <= result.profile.iterators
+
+    @pytest.mark.parametrize("topology,extra", TOPOLOGIES)
+    def test_failed_read_stores_one_record(self, database, topology, extra):
+        spec = ClusterSpec(
+            topology=topology,
+            shard_backend="thread",
+            replica_backend="thread",
+            **extra,
+        )
+        with Cluster(spec, database=database) as cluster:
+            with pytest.raises(EmptyQueryError):
+                cluster.query("   ")
+            assert cluster.obs.store.stats()["stored"] == 1
+            (record,) = cluster.obs.store.recent(10)
+        assert record.attrs["error"] == "EmptyQueryError"
 
     def test_forked_workers_reparent_into_one_tree(self, database):
         spec = ClusterSpec(

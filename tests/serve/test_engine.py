@@ -115,14 +115,23 @@ class TestBasicServing:
 
     def test_config_validation(self):
         with pytest.raises(ServeError):
-            EngineConfig(shed_policy="panic")
-        with pytest.raises(ServeError):
             EngineConfig(default_deadline=0)
 
     def test_copy_mode_is_not_a_config_field(self):
-        """Every write forks; there is no capture mode to configure."""
-        with pytest.raises(TypeError):
-            EngineConfig(copy_mode="delta")
+        """Every write forks; there is no capture mode to configure.
+        Nor is there a shed policy (over-bound requests are always
+        shed), a metrics window, or engine-level tracing knobs (the
+        cluster owns tracing)."""
+        for removed in (
+            {"copy_mode": "delta"},
+            {"shed_policy": "block"},
+            {"metrics_window": 30.0},
+            {"trace_sample": "always"},
+            {"slow_query_ms": 100.0},
+            {"trace_buffer": 16},
+        ):
+            with pytest.raises(TypeError):
+                EngineConfig(**removed)
 
 
 class TestAdmissionControl:
@@ -142,30 +151,6 @@ class TestAdmissionControl:
             gate.set()
             assert running.result(timeout=5)
             assert queued.result(timeout=5)
-
-    def test_block_policy_applies_backpressure(self):
-        gate = threading.Event()
-        facade = GatedFacade(gate)
-        config = EngineConfig(
-            workers=1, queue_bound=1, shed_policy="block", dedup=False
-        )
-        with QueryEngine(facade, config) as engine:
-            engine.submit("alpha")
-            assert facade.started.acquire(timeout=5)
-            engine.submit("beta")
-            unblocked = []
-
-            def late_submit():
-                unblocked.append(engine.submit("gamma"))
-
-            submitter = threading.Thread(target=late_submit)
-            submitter.start()
-            time.sleep(0.05)
-            assert not unblocked  # still waiting for a queue slot
-            gate.set()
-            submitter.join(timeout=5)
-            assert unblocked and unblocked[0].result(timeout=5)
-            assert engine.metrics.snapshot()["shed_total"] == 0
 
     def test_deadline_expired_in_queue(self):
         gate = threading.Event()
@@ -499,7 +484,7 @@ class TestBrowseAppIntegration:
         registry, whatever the topology."""
         from repro.browse.app import BrowseApp
 
-        for spec in ({"engine": False}, {}):
+        for spec in ({"live": True}, {}):
             with self.make_cluster(**spec) as cluster:
                 status, _html = BrowseApp(cluster).handle("/metrics", "")
                 assert status.startswith("404")
@@ -518,15 +503,6 @@ class TestCliIntegration:
         assert status == 0
         assert "GET / -> 200" in output
         assert "GET /metrics -> 200" in output
-
-    def test_serve_check_without_engine(self):
-        status, output = self.run_cli(
-            "serve", "demo:university", "--check", "--inline"
-        )
-        assert status == 0
-        assert "GET / -> 200" in output
-        # Inline dispatch has no engine: the engine pages are not probed.
-        assert "/trace" not in output
 
 
 class TestFederationFanout:

@@ -208,7 +208,7 @@ class TestWalCommands:
         assert run_cli("serve", "demo:university", "--check", "--follow")[0] == 1
         # --follow combined with another serving mode (it would be
         # silently ignored and serve stale base data forever)
-        for conflict in ("--shards", "--live", "--inline"):
+        for conflict in ("--shards", "--live"):
             argv = [
                 "serve", "demo:university", "--check",
                 "--follow", "--wal", wal, conflict,

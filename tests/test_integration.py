@@ -56,8 +56,7 @@ class TestSqliteToSearchPipeline:
         assert "friendship" in sqlite_banks.search_config.excluded_root_tables
 
     def test_browse_over_imported_database(self, sqlite_banks):
-        spec = ClusterSpec(engine=False)
-        with Cluster(spec, database=sqlite_banks.database) as cluster:
+        with Cluster(ClusterSpec(), database=sqlite_banks.database) as cluster:
             app = BrowseApp(cluster)
             status, html = app.handle("/table/person", "")
         assert status == "200 OK"
