@@ -440,23 +440,26 @@ def _command_serve(args: argparse.Namespace, out) -> int:
 
 
 def _command_recover(args: argparse.Namespace, out) -> int:
-    from repro.core.incremental import IncrementalBANKS
+    import os
 
+    from repro.core.incremental import IncrementalBANKS
+    from repro.ops.checkpoint import CheckpointManager
+
+    if args.checkpoints and not os.path.isdir(args.checkpoints):
+        # A mistyped path must not degrade silently to full replay.
+        raise ReproError(f"no checkpoint directory at {args.checkpoints}")
+    manager = CheckpointManager(args.checkpoints) if args.checkpoints else None
     database = load_database(args.db)
     start = time.perf_counter()
-    facade = IncrementalBANKS.recover(
-        database, args.wal, checkpoints=args.checkpoints
-    )
+    facade = IncrementalBANKS.recover(database, args.wal, checkpoints=manager)
     elapsed = time.perf_counter() - start
     facade._refresh_stats()
     print(f"base database : {database.name} ({args.db})", file=out)
     print(f"wal           : {args.wal}", file=out)
-    if args.checkpoints:
-        from repro.store.wal import checkpoint_floor
-
+    if manager is not None:
         print(
             f"checkpoints   : {args.checkpoints} "
-            f"(manifest epoch {checkpoint_floor(args.checkpoints)})",
+            f"(manifest epoch {manager.manifest_epoch()})",
             file=out,
         )
     print(f"recovered to  : epoch {facade.applied_epoch}", file=out)
@@ -482,16 +485,16 @@ def _command_recover(args: argparse.Namespace, out) -> int:
 
 
 def _command_checkpoint(args: argparse.Namespace, out) -> int:
-    import os
-
     from repro.core.incremental import IncrementalBANKS
     from repro.ops.checkpoint import CheckpointManager
+    from repro.serve.snapshot import checkpoint_dir
 
     database = load_database(args.db)
-    checkpoint_dir = args.checkpoints or os.path.join(
-        args.wal, "checkpoints"
+    # One checkpoint now: the directory a store checkpointing every
+    # epoch would use.
+    manager = CheckpointManager(
+        checkpoint_dir(args.wal, 1, args.checkpoints), keep=args.keep
     )
-    manager = CheckpointManager(checkpoint_dir, keep=args.keep)
     start = time.perf_counter()
     facade = IncrementalBANKS.recover(
         database, args.wal, checkpoints=manager
@@ -532,7 +535,6 @@ def _command_checkpoint(args: argparse.Namespace, out) -> int:
 def _command_ingest(args: argparse.Namespace, out) -> int:
     import os
 
-    from repro.core.incremental import IncrementalBANKS
     from repro.ingest import (
         IngestJob,
         IngestPipeline,
@@ -559,17 +561,16 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
                 f"job {job.job_id!r} was started over {job.source!r}, "
                 f"not {source.name!r}; resume must replay the same stream"
             )
-        facade = IncrementalBANKS.recover(
-            lambda: load_database(args.db), args.wal
-        )
     else:
         job = registry.create(
             IngestJob(
                 args.job_id, source.name, args.db, chunk_size=args.chunk
             )
         )
-        facade = IncrementalBANKS(load_database(args.db))
-    store = SnapshotStore(facade, wal=args.wal)
+    # Resumed or not, a run continues the state its WAL recovers to:
+    # epochs derived from the bare base would be numbered after the
+    # log's and make it unrecoverable.
+    store = SnapshotStore.open(lambda: load_database(args.db), args.wal)
     pipeline = IngestPipeline(registry, StoreTarget(store))
     start = time.perf_counter()
     job = pipeline.run(job, source, resume=args.resume)

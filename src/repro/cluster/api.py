@@ -242,59 +242,36 @@ class Cluster:
             self.banks = CachedBanks(self.database)
             self.backend = QueryEngine(self.banks, self._engine_config())
 
-    def _engine_config(self, **overrides):
+    def _engine_config(self):
         from repro.serve.engine import EngineConfig
 
         spec = self.spec
-        settings = dict(
+        return EngineConfig(
             workers=spec.workers,
             queue_bound=spec.queue_bound,
             default_deadline=spec.deadline,
             dedup=spec.dedup,
         )
-        settings.update(overrides)
-        return EngineConfig(**settings)
 
     def _build_live(self) -> None:
-        import os
-
-        from repro.core.incremental import IncrementalBANKS
         from repro.serve.engine import QueryEngine
+        from repro.serve.snapshot import SnapshotStore
 
         spec = self.spec
-        checkpoints = None
-        if spec.checkpoint_every or spec.checkpoint_path:
-            from repro.ops.checkpoint import CheckpointManager
-
-            checkpoints = CheckpointManager(
-                spec.checkpoint_path
-                or os.path.join(spec.wal_path, "checkpoints"),
-                every=0,
-            )
-        if spec.wal_path and os.path.isdir(spec.wal_path):
-            # Restarting over an existing log: recover the exact
-            # pre-crash facade before serving (pruned history refuses
-            # loudly inside recover).  With checkpointing configured,
-            # recovery starts from the newest valid checkpoint and
-            # replays only the tail.
-            self.banks = IncrementalBANKS.recover(
-                self.database, spec.wal_path, checkpoints=checkpoints
-            )
-            # Checkpoint recovery adopts the checkpoint's database copy;
-            # keep the cluster handle pointing at the served one.
-            self.database = self.banks.database
-            self.recovered_epochs = self.banks.applied_epoch
-        else:
-            self.banks = IncrementalBANKS(self.database)
-        self.backend = QueryEngine(
-            self.banks,
-            self._engine_config(
-                wal_path=spec.wal_path,
-                wal_fsync=spec.wal_fsync,
-                checkpoint_every=spec.checkpoint_every,
-                checkpoint_path=spec.checkpoint_path,
-            ),
+        # Over an existing log this recovers the pre-crash facade.
+        store = SnapshotStore.open(
+            self.database,
+            spec.wal_path,
+            fsync=spec.wal_fsync,
+            checkpoint_every=spec.checkpoint_every,
+            checkpoint_path=spec.checkpoint_path,
         )
+        self.banks = store.current().facade
+        # Checkpoint recovery adopts the checkpoint's database copy;
+        # keep the cluster handle pointing at the served one.
+        self.database = self.banks.database
+        self.recovered_epochs = self.banks.applied_epoch
+        self.backend = QueryEngine(store, self._engine_config())
 
     def _build_follower(self) -> None:
         from repro.core.incremental import IncrementalBANKS
@@ -307,7 +284,7 @@ class Cluster:
         # isolation.
         self.banks = IncrementalBANKS(self.database)
         self.backend = QueryEngine(self.banks, self._engine_config())
-        self.follower = ReplicaFollower.over_engine(
+        self.follower = ReplicaFollower(
             self.spec.wal_path, self.backend, metrics=self.backend.metrics
         )
         self.follower.poll()

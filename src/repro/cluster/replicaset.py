@@ -46,7 +46,6 @@ process fan-out.
 
 from __future__ import annotations
 
-import os
 import pickle
 import tempfile
 import threading
@@ -65,6 +64,7 @@ from repro.obs import SearchProfile, Trace
 from repro.relational.database import RID
 from repro.serve.engine import EngineConfig, QueryEngine
 from repro.serve.metrics import MetricsRegistry
+from repro.serve.snapshot import SnapshotStore, checkpoint_dir
 from repro.shard.process import ProcessWorkerProxy, fork_available
 from repro.store.wal import ReplicaFollower, WalReader
 
@@ -258,18 +258,17 @@ class ProcessReplicaWorker(ProcessWorkerProxy):
         self._process.terminate()
 
 
-class _ThreadReplica:
-    """One in-process replica: a forked facade behind its own engine.
+class _ThreadReplica(QueryEngine):
+    """One in-process replica: a forked facade served by its own engine.
 
     Portability fallback (and the deterministic test backend): results
     are identical to the process worker, reads do not scale past the
-    GIL.  Epochs apply through the engine
-    (:meth:`~repro.store.wal.ReplicaFollower.over_engine` semantics:
-    one poll batch publishes as one snapshot version).
+    GIL.  The follower tails the WAL straight into the engine, so one
+    poll batch publishes as one snapshot version.
     """
 
     def __init__(self, facade: IncrementalBANKS, spec: ClusterSpec):
-        self.engine = QueryEngine(
+        super().__init__(
             facade,
             EngineConfig(
                 workers=1,
@@ -279,32 +278,20 @@ class _ThreadReplica:
             ),
         )
 
-    @property
-    def applied_epoch(self) -> int:
-        facade = self.engine.snapshots.current().facade
-        return int(getattr(facade, "applied_epoch", 0) or 0)
-
     def search_scored(
         self, query, timeout: Optional[float] = None, **kwargs
     ) -> List[Tuple[Any, float]]:
-        outcome = self.engine.submit(query, **kwargs).result(timeout=timeout)
+        outcome = self.submit(query, **kwargs).result(timeout=timeout)
         return [(answer.tree, answer.relevance) for answer in outcome.answers]
-
-    def apply_epochs(self, epochs) -> int:
-        def apply(facade: Any) -> int:
-            return facade.apply_epochs(epochs)
-
-        return self.engine.mutate(apply)
 
     @property
     def alive(self) -> bool:
-        return not self.engine.pool.stopped
+        return not self.pool.stopped
 
-    def kill(self) -> None:
-        self.engine.stop(wait=False)
+    def stop(self, wait: bool = False) -> None:
+        super().stop(wait=wait)  # going down abandons the queue
 
-    def stop(self) -> None:
-        self.engine.stop(wait=False)
+    kill = stop
 
 
 class _RouterReplica:
@@ -421,22 +408,28 @@ class ReplicaSet:
         if spec.remote_replicas:
             self.backend = "remote"
         # Replica workers first: the process backend must fork
-        # before the primary engine starts any thread.
+        # before the primary engine starts any thread, and before the
+        # primary's facade is recovered — a child would inherit it and
+        # copy its pages at its first full collection.
         self._handles: List[_ReplicaHandle] = [
             _ReplicaHandle(index, self._build_worker(index))
             for index in range(spec.replica_count)
         ]
+        # Then the primary's store, recovered to the pre-restart state
+        # the replicas' followers replay too.
         self.primary = QueryEngine(
-            self._primary_facade(),
+            SnapshotStore.open(
+                self._base.fork,
+                self._wal_dir,
+                fsync=spec.wal_fsync,
+                checkpoint_every=spec.checkpoint_every,
+                checkpoint_path=spec.checkpoint_path,
+            ),
             EngineConfig(
                 workers=spec.workers,
                 queue_bound=spec.queue_bound,
                 default_deadline=spec.deadline,
                 dedup=spec.dedup,
-                wal_path=self._wal_dir,
-                wal_fsync=spec.wal_fsync,
-                checkpoint_every=spec.checkpoint_every,
-                checkpoint_path=spec.checkpoint_path,
             ),
         )
         self.reader = WalReader(self._wal_dir)
@@ -510,46 +503,24 @@ class ReplicaSet:
 
     # -- construction helpers --------------------------------------------------
 
-    def _checkpoint_manager(self):
-        """A read-side manager over the primary's checkpoint directory
-        (``None`` when the spec takes no checkpoints).  The *writing*
-        manager lives inside the primary engine; this one only loads."""
-        spec = self.spec
-        if not (spec.checkpoint_every or spec.checkpoint_path):
-            return None
-        from repro.ops.checkpoint import CheckpointManager
-
-        path = spec.checkpoint_path or os.path.join(
-            self._wal_dir, "checkpoints"
-        )
-        return CheckpointManager(path, every=0)
-
     def _replica_base(self) -> Tuple[int, Any]:
         """Where a (re)built replica starts: ``(epoch, database)`` from
         the newest valid checkpoint when the spec takes them — so a
         build or heal replays only the WAL tail — else epoch 0 and a
         fork of the base database (full-history replay).  Each call
-        unpickles a fresh copy, so replicas never share state."""
-        manager = self._checkpoint_manager()
-        if manager is not None:
-            loaded = manager.newest_valid()
+        unpickles a fresh copy, so replicas never share state.  The
+        manager only reads; the primary's store owns the writing one."""
+        spec = self.spec
+        directory = checkpoint_dir(
+            self._wal_dir, spec.checkpoint_every, spec.checkpoint_path
+        )
+        if directory is not None:
+            from repro.ops.checkpoint import CheckpointManager
+
+            loaded = CheckpointManager(directory).newest_valid()
             if loaded is not None:
                 return loaded
         return 0, self._base.fork()
-
-    def _primary_facade(self) -> IncrementalBANKS:
-        if os.path.isdir(self._wal_dir):
-            # Resuming an existing log: the primary recovers to the
-            # exact pre-restart state before serving (replicas replay
-            # the same history through their followers).  With
-            # checkpointing configured, recovery starts from the
-            # newest valid checkpoint and replays only the tail.
-            return IncrementalBANKS.recover(
-                self._base.fork,
-                self._wal_dir,
-                checkpoints=self._checkpoint_manager(),
-            )
-        return IncrementalBANKS(self._base.fork())
 
     def _build_worker(self, index: int) -> Any:
         if self.spec.remote_replicas:

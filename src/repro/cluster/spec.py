@@ -1,15 +1,15 @@
 """:class:`ClusterSpec` — one declarative description of a deployment.
 
 Four PRs of scaling work left the repo with four parallel construction
-idioms: ``QueryEngine(facade, EngineConfig(...))``,
-``ShardRouter(database, shards, backend, dispatch)``,
-``ReplicaFollower(wal, over_engine=...)`` and
-``SnapshotStore(facade, wal=...)`` — each with its own kwargs
-and its own hand-rolled flag conflicts in ``banks serve``.  The spec
-replaces all of that with one frozen dataclass: *what* to stand up
-(the topology), *how* it serves (worker/admission knobs), *how* it
-writes (WAL + checkpoints), and *how* replicas behave (balancing policy,
-staleness bound).
+idioms — an engine, a shard router, a WAL follower and a WAL-backed
+store, each with its own kwargs and its own hand-rolled flag conflicts
+in ``banks serve``.  The spec replaces all of that with one frozen
+dataclass: *what* to stand up (the topology), *how* it serves
+(worker/admission knobs), *how* it writes (WAL + checkpoints: the
+fields :meth:`SnapshotStore.open
+<repro.serve.snapshot.SnapshotStore.open>` takes; the engine config
+holds none), and *how* replicas behave (balancing policy, staleness
+bound).
 
 Validation is centralised: every conflicting combination — the old
 ``--replica`` + ``--shards``/``--live`` matrix, a WAL-less follower,
@@ -43,6 +43,7 @@ from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.errors import ClusterError, ReproError
 from repro.obs import parse_sample
+from repro.store.wal import FSYNC_POLICIES
 
 #: The deployments the cluster layer can stand up.
 TOPOLOGIES = ("single", "sharded", "replicated", "sharded_replicated")
@@ -59,7 +60,6 @@ CONSISTENCY_LEVELS = (
     "primary",
 )
 
-_FSYNC_POLICIES = ("always", "rotate", "never")
 _DISPATCHES = ("gather", "route")
 _BACKENDS = ("thread", "process", "auto")
 
@@ -210,10 +210,10 @@ class ClusterSpec:
                 f"unknown balance policy {self.balance!r} "
                 f"(choose from {', '.join(BALANCE_POLICIES)})"
             )
-        if self.wal_fsync not in _FSYNC_POLICIES:
+        if self.wal_fsync not in FSYNC_POLICIES:
             raise _invalid(
                 f"unknown wal fsync policy {self.wal_fsync!r} "
-                f"(choose from {', '.join(_FSYNC_POLICIES)})"
+                f"(choose from {', '.join(FSYNC_POLICIES)})"
             )
         if self.dispatch not in _DISPATCHES:
             raise _invalid(

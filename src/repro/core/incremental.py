@@ -258,10 +258,8 @@ class IncrementalBANKS(BANKS):
             db_factory: a callable returning the *base* database (the
                 state before WAL epoch 1 — e.g. the deterministic demo
                 generator, or ``base.fork``), or a Database to adopt.
-            wal_path: the WAL directory (or an open
-                :class:`~repro.store.wal.WalReader`).
-            checkpoints: a checkpoint directory path or a
-                :class:`~repro.ops.checkpoint.CheckpointManager`;
+            wal_path: the WAL directory.
+            checkpoints: a :class:`~repro.ops.checkpoint.CheckpointManager`;
                 recovery starts from its newest *valid* checkpoint and
                 replays only the epochs after it — O(tail) instead of
                 O(history).  A torn or corrupt checkpoint is skipped;
@@ -280,21 +278,10 @@ class IncrementalBANKS(BANKS):
         """
         from repro.store.wal import WalReader
 
-        reader = (
-            wal_path
-            if isinstance(wal_path, WalReader)
-            else WalReader(str(wal_path))
-        )
+        reader = WalReader(str(wal_path))
         first = reader.first_epoch()
         if checkpoints is not None:
-            from repro.ops.checkpoint import CheckpointManager
-
-            manager = (
-                checkpoints
-                if isinstance(checkpoints, CheckpointManager)
-                else CheckpointManager(str(checkpoints))
-            )
-            loaded = manager.newest_valid()
+            loaded = checkpoints.newest_valid()
             if loaded is not None:
                 epoch, database = loaded
                 if first and epoch + 1 < first:

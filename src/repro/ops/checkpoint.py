@@ -6,8 +6,8 @@ checkpoint persists the facade's current database next to the WAL so
 recovery (and :meth:`~repro.cluster.replicaset.ReplicaSet.heal`) can
 start from it and replay only the epochs published since.
 
-On-disk layout (the checkpoint directory, conventionally
-``<wal>/checkpoints``)::
+On-disk layout (the checkpoint directory: ``<wal>/checkpoints`` unless
+configured — :func:`~repro.serve.snapshot.checkpoint_dir` picks it)::
 
     000000000042.ckpt    one checkpoint: <len u32 LE> <crc32 u32 LE>
                          <pickled {"format", "epoch", "database"}>
@@ -37,6 +37,10 @@ verified) and uses the manifest only as the conservative prune floor,
 so that state recovers exactly too.  A corrupt or torn checkpoint file
 fails its CRC and is skipped — recovery falls back to the next older
 checkpoint, or to the base snapshot.
+
+A manager creates its directory on the first write; reading a missing
+one finds no checkpoint.  A store's one manager comes from
+:meth:`SnapshotStore.open <repro.serve.snapshot.SnapshotStore.open>`.
 """
 
 from __future__ import annotations
@@ -102,6 +106,8 @@ def _list_checkpoints(path: str) -> List[Tuple[int, str]]:
     """``(epoch, absolute path)`` for every checkpoint file, newest
     first (by filename; the payload's own epoch is verified on load)."""
     found: List[Tuple[int, str]] = []
+    if not os.path.isdir(path):
+        return found  # created by the first write
     for name in os.listdir(path):
         if not name.endswith(_SUFFIX):
             continue
@@ -146,7 +152,7 @@ class CheckpointManager:
     """Writes, validates and loads checkpoints for one WAL.
 
     Args:
-        path: the checkpoint directory (created if missing).
+        path: the checkpoint directory (created by the first write).
         every: write a checkpoint every N epochs through
             :meth:`maybe_checkpoint` (0 disables the automatic cadence;
             explicit :meth:`checkpoint` always works).
@@ -175,7 +181,6 @@ class CheckpointManager:
         self.keep = keep
         self.fsync = fsync
         self.faults = faults
-        os.makedirs(self.path, exist_ok=True)
         self._lock = threading.Lock()
         self.checkpoints_written = 0
         self.last_error: Optional[BaseException] = None
@@ -213,6 +218,7 @@ class CheckpointManager:
             frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
             self._step("serialize")
 
+            os.makedirs(self.path, exist_ok=True)
             final = os.path.join(self.path, _filename(epoch))
             self._write_file("write", final + _TEMP_SUFFIX, frame)
             os.replace(final + _TEMP_SUFFIX, final)
@@ -283,22 +289,6 @@ class CheckpointManager:
             if loaded is not None:
                 return loaded
         return None
-
-    def load_newest(self, **banks_options) -> Optional[Any]:
-        """The newest valid checkpoint as a facade at its epoch, or
-        ``None`` when no valid checkpoint exists.  The graph and index
-        are rebuilt deterministically from the pickled database (and
-        re-frozen to CSR by the consumer's construction path), exactly
-        as a base-snapshot build would."""
-        from repro.core.incremental import IncrementalBANKS
-
-        loaded = self.newest_valid()
-        if loaded is None:
-            return None
-        epoch, database = loaded
-        facade = IncrementalBANKS(database, **banks_options)
-        facade.applied_epoch = epoch
-        return facade
 
     # -- internals ------------------------------------------------------------
 

@@ -14,11 +14,11 @@ in-memory engine.  The subsystem contract:
   single-writer / many-reader MVCC boundary: readers pin an immutable
   version wait-free; :meth:`~SnapshotStore.mutate` applies a batch to
   an O(delta) copy-on-write fork and publishes it atomically as one
-  :class:`~repro.store.log.Epoch`; with a WAL attached (``wal=`` /
-  ``EngineConfig.wal_path``) every epoch is durable before readers see
-  it — the write-ahead contract behind ``banks recover`` and
-  :class:`~repro.store.wal.ReplicaFollower` replicas.  A facade that
-  cannot fork is served read-only.
+  :class:`~repro.store.log.Epoch`; a store opened over a WAL
+  (:meth:`~SnapshotStore.open`) makes every epoch durable before
+  readers see it — the write-ahead contract behind ``banks recover``
+  and :class:`~repro.store.wal.ReplicaFollower` replicas.  A facade
+  that cannot fork is served read-only.
 * :mod:`repro.serve.metrics` — the engine-level
   :class:`MetricsRegistry` (counters, gauges, latency windows,
   Prometheus-style histograms) rendered at ``/metrics``; every series

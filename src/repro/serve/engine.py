@@ -23,6 +23,10 @@ missing layer between HTTP handlers and the
    :class:`~repro.core.incremental.IncrementalBANKS` deltas to a
    private copy and publishes atomically (:mod:`repro.serve.snapshot`).
 
+The engine only serves: durable state (WAL, checkpoints, recovery) is
+opened by :meth:`SnapshotStore.open
+<repro.serve.snapshot.SnapshotStore.open>` and handed in.
+
 Every request updates the engine's :class:`~repro.serve.metrics.MetricsRegistry`
 (QPS, p50/p95 latency, queue depth, shed count, cache hit rate), which
 the browse app exposes at ``/metrics``.
@@ -38,7 +42,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass
@@ -99,48 +102,16 @@ class EngineConfig:
             is failed with :class:`~repro.errors.DeadlineExceededError`
             (``None`` = no deadline unless the request sets one).
         dedup: share one computation among identical in-flight queries.
-        wal_path: directory for the durable epoch log; every published
-            mutation epoch is appended there before readers see it
-            (crash recovery + cross-process replicas, see
-            :mod:`repro.store.wal`).  Needs a facade that can fork.
-        wal_fsync: the WAL's durability policy (``"always"`` |
-            ``"rotate"`` | ``"never"``).
-        checkpoint_every: write a checkpoint every N published epochs
-            (0 disables checkpointing), re-basing the WAL so recovery
-            replays only the tail (see
-            :class:`~repro.ops.checkpoint.CheckpointManager`).
-            Requires ``wal_path``.
-        checkpoint_path: where checkpoints live; defaults to a
-            ``checkpoints/`` directory inside ``wal_path``.  Also the
-            WAL's retention prune floor.
     """
 
     workers: int = 4
     queue_bound: int = 64
     default_deadline: Optional[float] = None
     dedup: bool = True
-    wal_path: Optional[str] = None
-    wal_fsync: str = "always"
-    checkpoint_every: int = 0
-    checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.wal_fsync not in ("always", "rotate", "never"):
-            raise ServeError(
-                f"unknown wal fsync policy {self.wal_fsync!r} "
-                "(choose from always, rotate, never)"
-            )
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ServeError("default_deadline must be positive")
-        if self.checkpoint_every < 0:
-            raise ServeError("checkpoint_every must be >= 0")
-        if (
-            self.checkpoint_every or self.checkpoint_path is not None
-        ) and self.wal_path is None:
-            raise ServeError(
-                "checkpoints re-base a WAL: checkpoint_every / "
-                "checkpoint_path need wal_path"
-            )
 
 
 @dataclass
@@ -167,7 +138,9 @@ class QueryEngine:
     """Concurrent serving wrapper around a BANKS-style facade.
 
     Args:
-        facade: anything with a ``search(query, **kwargs)`` method —
+        facade_or_store: a :class:`~repro.serve.snapshot.SnapshotStore`,
+            served as given, or a facade to wrap in one — anything
+            with a ``search(query, **kwargs)`` method:
             :class:`~repro.core.banks.BANKS`,
             :class:`~repro.core.cache.CachedBanks` (recommended: its
             result cache composes with single-flight), or
@@ -183,38 +156,15 @@ class QueryEngine:
 
     def __init__(
         self,
-        facade: Any,
+        facade_or_store: Any,
         config: Optional[EngineConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.config = config or EngineConfig()
-        wal = None
-        checkpoints = None
-        if self.config.wal_path is not None:
-            from repro.store.wal import WalWriter
-
-            checkpoint_dir = None
-            if self.config.checkpoint_every or self.config.checkpoint_path:
-                from repro.ops.checkpoint import CheckpointManager
-
-                checkpoint_dir = self.config.checkpoint_path or os.path.join(
-                    self.config.wal_path, "checkpoints"
-                )
-                checkpoints = CheckpointManager(
-                    checkpoint_dir, every=self.config.checkpoint_every
-                )
-            # The WAL learns the checkpoint directory too: its
-            # retention pruning clamps to the manifest epoch there.
-            wal = WalWriter(
-                self.config.wal_path,
-                fsync=self.config.wal_fsync,
-                checkpoint_path=checkpoint_dir,
-            )
-        self.snapshots = SnapshotStore(
-            facade,
-            wal=wal,
-            checkpoints=checkpoints,
-        )
+        store = facade_or_store
+        if not isinstance(store, SnapshotStore):
+            store = SnapshotStore(store)
+        self.snapshots = store
         self.pool = WorkerPool(
             workers=self.config.workers,
             queue_bound=self.config.queue_bound,
@@ -405,6 +355,12 @@ class QueryEngine:
         self._mutations.inc()
         return result
 
+    def apply_epochs(self, epochs) -> int:
+        """Replay WAL epochs through :meth:`mutate` (a
+        :class:`~repro.store.wal.ReplicaFollower` target): each poll
+        batch publishes as one version."""
+        return self.mutate(lambda facade: facade.apply_epochs(epochs))
+
     def mutate_batch(self, operations) -> Any:
         """Apply a sequence of mutation operations under one fork
         (:meth:`SnapshotStore.mutate_batch`); an empty sequence is
@@ -421,6 +377,12 @@ class QueryEngine:
     def facade(self) -> Any:
         """The facade of the *current* snapshot (read-only by contract)."""
         return self.snapshots.current().facade
+
+    @property
+    def applied_epoch(self) -> int:
+        """The WAL epoch the current facade has absorbed (0 for a
+        facade that follows no log)."""
+        return int(getattr(self.facade, "applied_epoch", 0) or 0)
 
     def _cache_hit_rate(self) -> float:
         cache = getattr(self.facade, "cache", None)

@@ -32,10 +32,14 @@ work, :meth:`SnapshotStore.mutate` raises
 A reader admitted before a publish keeps its old version until it
 finishes; structural sharing makes old versions cheap to keep alive.
 Writers are serialised by a lock, so versions advance linearly.
+
+Every composer opens a durable store through :meth:`SnapshotStore.open`,
+which recovers the facade from the log before continuing it.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -43,10 +47,20 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import BatchMutationError, ServeError
 from repro.store.log import Epoch
-from repro.store.wal import open_wal
+from repro.store.wal import WalWriter
 
 #: Methods a facade must offer to be written through the store.
 _FORK_PROTOCOL = ("fork", "begin_delta_capture", "end_delta_capture")
+
+
+def checkpoint_dir(wal_path, checkpoint_every=0, checkpoint_path=None) -> Optional[str]:
+    """``checkpoint_path``, else ``<wal>/checkpoints`` when
+    ``checkpoint_every`` is set; ``None``: the store takes none."""
+    if checkpoint_path:
+        return str(checkpoint_path)
+    if checkpoint_every:
+        return os.path.join(str(wal_path), "checkpoints")
+    return None
 
 
 @dataclass(frozen=True)
@@ -71,13 +85,12 @@ class SnapshotStore:
         facade: the version-0 facade (never mutated by the store).  A
             facade without ``fork`` and delta capture is read-only.
         wal: durable epoch log — a
-            :class:`~repro.store.wal.WalWriter` or a directory path;
-            every published epoch is appended before it becomes
-            visible, and epoch numbering resumes from the WAL's last
-            record, making the store the durable write path behind
-            ``banks serve --live --wal`` (recovery and replicas read
-            it back; see :mod:`repro.store.wal`).  Needs a facade
-            that can fork.
+            :class:`~repro.store.wal.WalWriter`; every published epoch
+            is appended before it becomes visible, and epoch numbering
+            resumes from the WAL's last record (recovery and replicas
+            read it back; see :mod:`repro.store.wal`).  Needs a facade
+            that can fork, at the log's last epoch (:meth:`open`
+            recovers it so).
         checkpoints: optional
             :class:`~repro.ops.checkpoint.CheckpointManager`; after
             each publish the store offers the new facade to
@@ -102,8 +115,16 @@ class SnapshotStore:
                 "drop the checkpoint manager"
             )
         self.checkpoints = checkpoints
+        if wal is not None and wal.last_epoch != facade.applied_epoch:
+            # Epochs derived from a facade behind the log would be
+            # numbered after it and make the WAL unrecoverable.
+            raise ServeError(
+                f"the WAL at {wal.path!r} ends at epoch {wal.last_epoch} "
+                f"but the facade is at epoch {facade.applied_epoch}; "
+                "open a durable store with SnapshotStore.open"
+            )
         #: The attached :class:`~repro.store.wal.WalWriter` (or None).
-        self.wal = open_wal(wal)
+        self.wal = wal
         #: The newest published epoch number (0 = nothing published);
         #: resumes from the WAL, so a restart continues the sequence.
         self.epoch = self.wal.last_epoch if self.wal is not None else 0
@@ -118,6 +139,50 @@ class SnapshotStore:
         #: Optional per-fork cost observer (the engine points this at
         #: a metrics histogram).
         self.copy_observer: Optional[Callable[[float], None]] = None
+
+    @classmethod
+    def open(
+        cls,
+        base: Any,
+        wal_path: Any = None,
+        *,
+        fsync: str = "always",
+        checkpoint_every: int = 0,
+        checkpoint_path: Any = None,
+    ) -> "SnapshotStore":
+        """The durable store over ``wal_path`` (``None``: no log): the
+        one place a WAL writer and a checkpoint manager meet a facade.
+
+        ``base`` is the state before WAL epoch 1, a database or a
+        callable returning one.  The facade is
+        :meth:`~repro.core.incremental.IncrementalBANKS.recover`-ed —
+        newest valid checkpoint plus WAL tail; a missing or empty log
+        is ``base`` at epoch 0.  The store's one
+        :class:`~repro.ops.checkpoint.CheckpointManager` feeds that
+        recovery, writes every ``checkpoint_every`` epochs, and its
+        directory (:func:`checkpoint_dir`) is the writer's prune floor.
+        """
+        from repro.core.incremental import IncrementalBANKS
+        from repro.ops.checkpoint import CheckpointManager
+
+        directory = checkpoint_dir(wal_path, checkpoint_every, checkpoint_path)
+        checkpoints = (
+            CheckpointManager(directory, every=checkpoint_every)
+            if directory is not None
+            else None
+        )
+        if wal_path is None:  # the store refuses checkpoints without a WAL
+            base = base() if callable(base) else base
+            return cls(IncrementalBANKS(base), checkpoints=checkpoints)
+        # The writer first: it creates a missing directory and cuts a
+        # torn tail, so recovery reads exactly the log it continues.
+        wal = WalWriter(wal_path, fsync=fsync, checkpoint_path=directory)
+        try:
+            facade = IncrementalBANKS.recover(base, wal_path, checkpoints=checkpoints)
+        except BaseException:
+            wal.close()
+            raise
+        return cls(facade, wal=wal, checkpoints=checkpoints)
 
     def current(self) -> Snapshot:
         """Pin the newest snapshot (wait-free)."""

@@ -10,9 +10,12 @@ plain picklable data) for two consumers:
   :meth:`~repro.core.incremental.IncrementalBANKS.recover` rebuilds
   the exact pre-crash facade from a base snapshot plus the WAL;
 * **cross-process replicas** — a :class:`ReplicaFollower` in another
-  process tails the WAL and keeps a read-only facade (or a whole
-  :class:`~repro.shard.router.ShardRouter`, via its ``apply_epochs``)
-  caught up by epoch.
+  process tails the WAL and keeps a read-only facade, an engine or a
+  whole :class:`~repro.shard.router.ShardRouter` (anything with
+  ``apply_epochs``) caught up by epoch.
+
+Serving code gets its :class:`WalWriter` from :meth:`SnapshotStore.open
+<repro.serve.snapshot.SnapshotStore.open>`.
 
 On-disk format
 --------------
@@ -635,19 +638,6 @@ class WalWriter:
         )
 
 
-def open_wal(wal: Any) -> Optional[WalWriter]:
-    """Coerce a WAL argument: ``None``, a :class:`WalWriter`, or a
-    directory path (string convenience for CLI plumbing)."""
-    if wal is None or isinstance(wal, WalWriter):
-        return wal
-    if isinstance(wal, (str, os.PathLike)):
-        return WalWriter(str(wal))
-    raise StoreError(
-        "wal must be a WalWriter or a directory path, got "
-        f"{type(wal).__name__}"
-    )
-
-
 class ReplicaFollower:
     """Tail a WAL and keep a replica caught up, epoch by epoch.
 
@@ -663,7 +653,9 @@ class ReplicaFollower:
             :class:`~repro.core.incremental.IncrementalBANKS` replica,
             a :class:`~repro.shard.router.ShardRouter` (a replicated
             hot-shard deployment routes each delta to its owning
-            shard), or the adapter from :meth:`over_engine`.
+            shard), or a :class:`~repro.serve.engine.QueryEngine`
+            (each poll batch publishes as one version, so replica
+            readers keep snapshot isolation).
         metrics: optional :class:`~repro.serve.metrics.MetricsRegistry`
             to register the ``replica_lag_epochs`` gauge into.
         start_epoch: the epoch the target has already absorbed
@@ -701,14 +693,6 @@ class ReplicaFollower:
                 "epochs the replica trails the WAL by",
                 fn=self.lag_epochs,
             )
-
-    @classmethod
-    def over_engine(cls, wal: Any, engine: Any, **kwargs) -> "ReplicaFollower":
-        """A follower that applies epochs *through* a
-        :class:`~repro.serve.engine.QueryEngine`, so replica readers
-        keep snapshot isolation: each poll's batch becomes one
-        atomically published version."""
-        return cls(wal, _EngineReplayTarget(engine), **kwargs)
 
     # -- catching up ----------------------------------------------------------
 
@@ -787,22 +771,3 @@ class ReplicaFollower:
             f"ReplicaFollower(epoch={self.applied_epoch}, "
             f"lag={self.lag_epochs()})"
         )
-
-
-class _EngineReplayTarget:
-    """Adapter: apply WAL epochs through an engine's write path, so
-    every poll batch publishes as one snapshot version."""
-
-    def __init__(self, engine: Any):
-        self._engine = engine
-
-    @property
-    def applied_epoch(self) -> int:
-        facade = self._engine.snapshots.current().facade
-        return int(getattr(facade, "applied_epoch", 0) or 0)
-
-    def apply_epochs(self, epochs) -> int:
-        def apply(facade: Any) -> int:
-            return facade.apply_epochs(epochs)
-
-        return self._engine.mutate(apply)

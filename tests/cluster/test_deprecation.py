@@ -51,15 +51,11 @@ class TestRemovedServeFlags:
         assert caught.value.code == 2
 
     def test_replacement_flags_serve(self, tmp_path):
-        from repro.core.incremental import IncrementalBANKS
         from repro.serve.snapshot import SnapshotStore
         from repro.cli import load_database
 
         wal = str(tmp_path / "wal")
-        store = SnapshotStore(
-            IncrementalBANKS(load_database("demo:university")),
-            wal=wal,
-        )
+        store = SnapshotStore.open(load_database("demo:university"), wal)
         store.mutate(
             lambda f: f.insert("student", ["S901", "Old Flagg", "BIGDEPT"])
         )

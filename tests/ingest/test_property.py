@@ -69,10 +69,7 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     work = str(tmp_path_factory.mktemp("prop"))
     wal_dir = os.path.join(work, "wal")
     registry = JobRegistry(os.path.join(work, "jobs"))
-    store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base()),
-        wal=wal_dir,
-    )
+    store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     job = registry.create(
         IngestJob("prop", "synth", "synth:0", chunk_size=chunk_size)
     )
@@ -86,10 +83,7 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     store.wal.close()
     del store
 
-    recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir
-    )
-    resumed_store = SnapshotStore(recovered, wal=wal_dir)
+    resumed_store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     resumed = registry.load("prop")
     IngestPipeline(registry, StoreTarget(resumed_store)).run(
         resumed, make_source(), resume=True

@@ -78,10 +78,7 @@ def crash_recover_resume(tmp_path, step, occurrence):
     resumed store's answers and the final job."""
     wal_dir = os.path.join(str(tmp_path), "wal")
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
-    store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base()),
-        wal=wal_dir,
-    )
+    store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     job = registry.create(
         IngestJob("killed", "synth", "synth:0", chunk_size=CHUNK)
     )
@@ -93,10 +90,7 @@ def crash_recover_resume(tmp_path, step, occurrence):
     store.wal.close()
     del store  # the crash: all in-memory state is gone
 
-    recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir
-    )
-    resumed_store = SnapshotStore(recovered, wal=wal_dir)
+    resumed_store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     resumed = registry.load("killed")
     assert resumed.state == "running"  # the stale claim of a dead process
     IngestPipeline(registry, StoreTarget(resumed_store)).run(
@@ -133,10 +127,7 @@ def test_kill_at_finish_resume_is_noop(tmp_path, reference):
 def crash_recover_resume_finish(tmp_path):
     wal_dir = os.path.join(str(tmp_path), "wal")
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
-    store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base()),
-        wal=wal_dir,
-    )
+    store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     job = registry.create(
         IngestJob("killed", "synth", "synth:0", chunk_size=CHUNK)
     )
@@ -148,10 +139,7 @@ def crash_recover_resume_finish(tmp_path):
     store.wal.close()
     del store
 
-    recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir
-    )
-    resumed_store = SnapshotStore(recovered, wal=wal_dir)
+    resumed_store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     resumed = registry.load("killed")
     assert resumed.state == "done"  # the cursor save beat the crash
     epoch = resumed_store.epoch
@@ -168,10 +156,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     answers, chunks, records = reference
     wal_dir = os.path.join(str(tmp_path), "wal")
     registry = JobRegistry(os.path.join(str(tmp_path), "jobs"))
-    store = SnapshotStore(
-        IncrementalBANKS(synth_bibliography_base()),
-        wal=wal_dir,
-    )
+    store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     job = registry.create(
         IngestJob("killed", "synth", "synth:0", chunk_size=CHUNK)
     )
@@ -184,10 +169,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     del store
 
     # First resume crashes too (one chunk later).
-    recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir
-    )
-    resumed_store = SnapshotStore(recovered, wal=wal_dir)
+    resumed_store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     resumed = registry.load("killed")
     faults = FaultInjector().kill_at("ingest.cursor_save", occurrence=2)
     with pytest.raises(FaultInjected):
@@ -197,10 +179,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     resumed_store.wal.close()
     del resumed_store
 
-    recovered = IncrementalBANKS.recover(
-        synth_bibliography_base, wal_dir
-    )
-    final_store = SnapshotStore(recovered, wal=wal_dir)
+    final_store = SnapshotStore.open(synth_bibliography_base, wal_dir)
     final = registry.load("killed")
     IngestPipeline(registry, StoreTarget(final_store)).run(
         final, make_source(), resume=True

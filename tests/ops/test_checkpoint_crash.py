@@ -111,7 +111,7 @@ class TestKillAtEveryStep:
         # The "restart": whatever the crash left on disk recovers to
         # the exact live state — newest valid checkpoint plus the tail.
         recovered = IncrementalBANKS.recover(
-            make_db, wal_dir, checkpoints=ckpt_dir
+            make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
         )
         assert recovered.applied_epoch == store.epoch == 5
         assert top5(recovered) == live
@@ -123,7 +123,7 @@ class TestKillAtEveryStep:
         assert record.epoch == store.epoch
         assert CheckpointManager(ckpt_dir).manifest_epoch() == store.epoch
         again = IncrementalBANKS.recover(
-            make_db, wal_dir, checkpoints=ckpt_dir
+            make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
         )
         assert top5(again) == live
 
@@ -146,7 +146,7 @@ class TestTornWrites:
         # final name — the earlier checkpoint and manifest still rule.
         assert CheckpointManager(ckpt_dir).manifest_epoch() == 3
         recovered = IncrementalBANKS.recover(
-            make_db, wal_dir, checkpoints=ckpt_dir
+            make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
         )
         assert recovered.applied_epoch == store.epoch
         assert top5(recovered) == live
@@ -175,7 +175,7 @@ class TestTornWrites:
         assert loaded is not None and loaded[0] == 3
 
         recovered = IncrementalBANKS.recover(
-            make_db, wal_dir, checkpoints=ckpt_dir
+            make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
         )
         assert recovered.applied_epoch == store.epoch
         assert top5(recovered) == live
@@ -189,7 +189,7 @@ class TestTornWrites:
                     handle.write(b"not a checkpoint")
         assert CheckpointManager(ckpt_dir).newest_valid() is None
         recovered = IncrementalBANKS.recover(
-            make_db, wal_dir, checkpoints=ckpt_dir
+            make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
         )
         assert recovered.applied_epoch == store.epoch
         assert top5(recovered) == live
@@ -241,10 +241,50 @@ class TestWalTailTruncation:
             on_disk = tail_first - 1 + survived
             want = max(4, on_disk)  # checkpoint epoch floors recovery
             recovered = IncrementalBANKS.recover(
-                make_db, wal_dir, checkpoints=ckpt_dir
+                make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
             )
             assert recovered.applied_epoch == want, cut
             assert top5(recovered) == expected[want], cut
+
+
+class TestDirectoryOnFirstWrite:
+    """Building or reading a manager touches nothing on disk; the
+    directory appears with the first checkpoint."""
+
+    def test_manager_creates_nothing_until_it_writes(self, tmp_path):
+        missing = tmp_path / "absent" / "checkpoints"
+        manager = CheckpointManager(str(missing), every=1)
+        assert manager.newest_valid() is None
+        assert manager.checkpoint_epochs() == []
+        assert manager.manifest_epoch() == 0
+        assert not (tmp_path / "absent").exists()
+        manager.checkpoint(IncrementalBANKS(make_db()), epoch=1)
+        assert manager.checkpoint_epochs() == [1]
+        assert manager.manifest_epoch() == 1
+
+    def test_recover_from_a_missing_directory_replays_the_log(self, tmp_path):
+        wal_dir, _ckpt_dir, store = build_history(tmp_path, epochs_before=0)
+        store.wal.close()
+        missing = tmp_path / "typo"
+        recovered = IncrementalBANKS.recover(
+            make_db, wal_dir, checkpoints=CheckpointManager(str(missing))
+        )
+        assert recovered.applied_epoch == store.epoch == 2
+        assert top5(recovered) == top5(store.current().facade)
+        assert not missing.exists()
+
+    def test_fresh_live_cluster_writes_the_directory_on_cadence(self, tmp_path):
+        from repro.cluster import Cluster, ClusterSpec
+
+        wal = tmp_path / "wal"
+        spec = ClusterSpec(live=True, wal_path=str(wal), checkpoint_every=2)
+        with Cluster(spec, database=make_db()) as cluster:
+            assert cluster.recovered_epochs == 0
+            assert not (wal / "checkpoints").exists()
+            cluster.insert("paper", ["cp1", "epoch study one"])
+            assert not (wal / "checkpoints").exists()
+            cluster.insert("paper", ["cp2", "epoch study two"])
+            assert CheckpointManager(str(wal / "checkpoints")).manifest_epoch() == 2
 
 
 class TestCadenceFailureContainment:

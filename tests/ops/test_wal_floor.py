@@ -123,7 +123,7 @@ class TestFloorClampsPruning:
         with pytest.raises(StoreError):
             IncrementalBANKS.recover(make_db, wal_dir)
         recovered = IncrementalBANKS.recover(
-            make_db, wal_dir, checkpoints=ckpt_dir
+            make_db, wal_dir, checkpoints=CheckpointManager(ckpt_dir)
         )
         assert recovered.applied_epoch == store.epoch == 7
         assert top5(recovered) == live

@@ -120,8 +120,9 @@ class TestBasicServing:
     def test_copy_mode_is_not_a_config_field(self):
         """Every write forks; there is no capture mode to configure.
         Nor is there a shed policy (over-bound requests are always
-        shed), a metrics window, or engine-level tracing knobs (the
-        cluster owns tracing)."""
+        shed), a metrics window, engine-level tracing knobs (the
+        cluster owns tracing) or a WAL / checkpoint setting (a durable
+        store comes from ``SnapshotStore.open``)."""
         for removed in (
             {"copy_mode": "delta"},
             {"shed_policy": "block"},
@@ -129,6 +130,10 @@ class TestBasicServing:
             {"trace_sample": "always"},
             {"slow_query_ms": 100.0},
             {"trace_buffer": 16},
+            {"wal_path": "wal"},
+            {"wal_fsync": "rotate"},
+            {"checkpoint_every": 5},
+            {"checkpoint_path": "checkpoints"},
         ):
             with pytest.raises(TypeError):
                 EngineConfig(**removed)

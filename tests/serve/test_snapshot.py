@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import gc
+import os
 import sys
 import threading
 import tracemalloc
 
 import pytest
 
+from repro.core.banks import BANKS
 from repro.core.incremental import IncrementalBANKS
+from repro.core.oracle import same
 from repro.datasets import synth_bibliography
 from repro.errors import BatchMutationError, ServeError
 from repro.graph.csr import CSROverlayGraph
 from repro.relational import Database, execute_script
 from repro.serve.snapshot import SnapshotStore
+from repro.store.wal import WalReader
 
 SCHEMA = """
 CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
@@ -385,3 +389,92 @@ class TestEngineCopyMetrics:
             assert snapshot["snapshot_copy_seconds_total"] > 0.0
             assert snapshot["mutations_total"] == 1
             assert snapshot["snapshot_version"] == 1
+
+
+#: One insert per epoch; the writes link each paper to an author, so
+#: multi-keyword queries need a tree across the new rows.
+OPEN_ROWS = (
+    ("paper", ["p2", "flow charts"]),
+    ("writes", ["a1", "p2"]),
+    ("paper", ["p3", "subroutine libraries"]),
+    ("writes", ["a1", "p3"]),
+    ("author", ["a2", "john backus"]),
+)
+
+OPEN_QUERIES = ("grace flow", "hopper subroutine", "compiling", "backus")
+
+
+def snap_database() -> Database:
+    database = Database("snap")
+    execute_script(database, SCHEMA)
+    return database
+
+
+class TestOpen:
+    """``SnapshotStore.open`` recovers the facade, continues the log and
+    wires one checkpoint manager to both recovery and the writer."""
+
+    @staticmethod
+    def write(wal: str, rows, checkpoint_every: int = 0) -> None:
+        store = SnapshotStore.open(
+            snap_database, wal, checkpoint_every=checkpoint_every
+        )
+        for table, values in rows:
+            store.mutate(lambda f, t=table, v=values: f.insert(t, v))
+        store.wal.close()
+
+    @staticmethod
+    def check(store: SnapshotStore, wal: str, rows) -> None:
+        facade = store.current().facade
+        assert store.epoch == facade.applied_epoch == WalReader(wal).last_epoch()
+        assert store.epoch == len(rows)
+        expected = snap_database()
+        for table, values in rows:
+            expected.insert(table, values)
+        reference = BANKS(expected)
+        for query in OPEN_QUERIES:
+            assert same(facade.search(query), reference.search(query)), query
+        # One manager: the writer's prune floor is the manager's directory.
+        assert store.wal.checkpoint_path == store.checkpoints.path
+
+    def test_missing_directory(self, tmp_path):
+        wal = str(tmp_path / "wal")
+        store = SnapshotStore.open(snap_database, wal, checkpoint_every=2)
+        assert os.path.isdir(wal)
+        self.check(store, wal, ())
+        store.wal.close()
+
+    def test_empty_directory(self, tmp_path):
+        wal = str(tmp_path)
+        store = SnapshotStore.open(snap_database, wal, checkpoint_every=2)
+        self.check(store, wal, ())
+        store.wal.close()
+
+    def test_wal_with_epochs(self, tmp_path):
+        wal = str(tmp_path / "wal")
+        self.write(wal, OPEN_ROWS[:3])
+        store = SnapshotStore.open(snap_database, wal, checkpoint_every=2)
+        assert store.checkpoints.newest_valid() is None
+        self.check(store, wal, OPEN_ROWS[:3])
+        store.wal.close()
+
+    def test_wal_with_a_checkpoint_and_a_tail(self, tmp_path):
+        wal = str(tmp_path / "wal")
+        self.write(wal, OPEN_ROWS, checkpoint_every=2)
+        store = SnapshotStore.open(snap_database, wal, checkpoint_every=2)
+        assert store.checkpoints.newest_valid()[0] == 4
+        self.check(store, wal, OPEN_ROWS)
+        # The cadence continues from the recovered manifest.
+        store.mutate(lambda f: f.insert("paper", ["p4", "fortran"]))
+        assert store.checkpoints.manifest_epoch() == 6
+        store.wal.close()
+
+    def test_torn_final_record(self, tmp_path):
+        wal = str(tmp_path / "wal")
+        self.write(wal, OPEN_ROWS[:3])
+        segment = os.path.join(wal, sorted(os.listdir(wal))[-1])
+        with open(segment, "rb+") as handle:
+            handle.truncate(os.path.getsize(segment) - 5)
+        store = SnapshotStore.open(snap_database, wal, checkpoint_every=2)
+        self.check(store, wal, OPEN_ROWS[:2])
+        store.wal.close()

@@ -19,10 +19,14 @@ INSERT INTO author VALUES ('a1', 'grace hopper');
 """
 
 
-def make_store(**kwargs) -> SnapshotStore:
+def make_database() -> Database:
     database = Database("log")
     execute_script(database, SCHEMA)
-    return SnapshotStore(IncrementalBANKS(database), **kwargs)
+    return database
+
+
+def make_store() -> SnapshotStore:
+    return SnapshotStore(IncrementalBANKS(make_database()))
 
 
 def insert_paper(store: SnapshotStore, n: int) -> None:
@@ -51,7 +55,7 @@ class TestPublication:
     def test_entries_since(self, tmp_path):
         """History since an epoch is read from the WAL."""
         wal = str(tmp_path / "wal")
-        store = make_store(wal=wal)
+        store = SnapshotStore.open(make_database, wal)
         for n in range(5):
             insert_paper(store, n)
         reader = WalReader(wal)

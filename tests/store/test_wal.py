@@ -9,9 +9,10 @@ import shutil
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.core.incremental import IncrementalBANKS
 from repro.core.oracle import same, signature
-from repro.errors import ServeError, StoreError, WalError
+from repro.errors import ClusterError, ServeError, StoreError, WalError
 from repro.relational import Database, execute_script
 from repro.serve.engine import EngineConfig, QueryEngine
 from repro.serve.snapshot import SnapshotStore
@@ -269,14 +270,28 @@ class TestDeltaLogIntegration:
 
     def test_epoch_numbering_resumes_from_wal(self, tmp_path):
         wal = str(tmp_path)
-        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
+        store = SnapshotStore.open(make_db, wal)
         for _ in range(3):
             store.republish()
-        resumed = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
+        resumed = SnapshotStore.open(make_db, wal)
         assert resumed.epoch == 3
         resumed.republish()
         assert resumed.published.number == 4
         assert WalReader(wal).last_epoch() == 4
+
+    def test_facade_behind_the_wal_is_refused(self, tmp_path):
+        """A fresh facade over a log that holds epochs would number its
+        epochs after the log's while deriving them from the base — the
+        WAL would then no longer recover.  The store refuses it."""
+        wal = str(tmp_path)
+        store = SnapshotStore.open(make_db, wal)
+        store.mutate(lambda f: f.insert("paper", ["p8", "one"]))
+        refused = "epoch 1 but the facade is at epoch 0"
+        with WalWriter(wal) as writer, pytest.raises(ServeError, match=refused):
+            SnapshotStore(IncrementalBANKS(make_db()), wal=writer)
+        store.wal.close()
+        assert WalReader(wal).last_epoch() == 1
+        assert IncrementalBANKS.recover(make_db, wal).applied_epoch == 1
 
 
 class TestFormatCompatibility:
@@ -324,7 +339,7 @@ class TestFormatCompatibility:
 class TestSnapshotStoreIntegration:
     def test_store_accepts_path_and_publishes(self, tmp_path):
         wal = str(tmp_path / "wal")
-        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
+        store = SnapshotStore.open(make_db, wal)
         mutate_battery(store, rounds=2)
         reader = WalReader(wal)
         assert reader.last_epoch() == store.epoch == 6
@@ -337,12 +352,12 @@ class TestSnapshotStoreIntegration:
         from repro.core.banks import BANKS
 
         with pytest.raises(ServeError, match="read-only"):
-            SnapshotStore(BANKS(make_db()), wal=str(tmp_path))
+            SnapshotStore(BANKS(make_db()), wal=WalWriter(str(tmp_path)))
         assert not os.listdir(tmp_path)
 
     def test_republish_logs_an_empty_epoch(self, tmp_path):
         wal = str(tmp_path)
-        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
+        store = SnapshotStore.open(make_db, wal)
         store.republish()
         replayed = WalReader(wal).read_all()
         assert [e.number for e in replayed] == [1]
@@ -355,7 +370,7 @@ class TestWriteAheadOrdering:
         the mutation must not become visible — live state and log
         stay in lockstep."""
         wal = str(tmp_path / "wal")
-        store = SnapshotStore(IncrementalBANKS(make_db()), wal=wal)
+        store = SnapshotStore.open(make_db, wal)
         store.mutate(lambda f: f.insert("paper", ["p8", "first epoch"]))
 
         def broken_append(epoch):
@@ -394,7 +409,7 @@ class TestRecovery:
     def test_recover_reproduces_the_live_facade(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
+        store = SnapshotStore.open(base.fork, wal)
         mutate_battery(store)
         live = store.current().facade
 
@@ -405,7 +420,7 @@ class TestRecovery:
     def test_recover_stops_at_torn_tail(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
+        store = SnapshotStore.open(base.fork, wal)
         mutate_battery(store, rounds=2)
         # Crash mid-append: chop bytes off the newest segment.
         segments = sorted(os.listdir(wal))
@@ -435,7 +450,7 @@ class TestReplicaFollower:
     def _primary(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
+        store = SnapshotStore.open(base.fork, wal)
         mutate_battery(store)
         return wal, base, store
 
@@ -451,7 +466,7 @@ class TestReplicaFollower:
     def test_incremental_tailing(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
-        store = SnapshotStore(IncrementalBANKS(base.fork()), wal=wal)
+        store = SnapshotStore.open(base.fork, wal)
         replica = IncrementalBANKS(base.fork())
         follower = ReplicaFollower(wal, replica)
         for i in range(3):
@@ -469,9 +484,7 @@ class TestReplicaFollower:
         )
         try:
             registry = engine.metrics
-            follower = ReplicaFollower.over_engine(
-                wal, engine, metrics=registry
-            )
+            follower = ReplicaFollower(wal, engine, metrics=registry)
             applied = follower.poll()
             assert applied == store.epoch
             # One poll batch = one atomically published version.
@@ -538,8 +551,8 @@ class TestEngineWalSurface:
         wal = str(tmp_path / "wal")
         base = make_db()
         engine = QueryEngine(
-            IncrementalBANKS(base.fork()),
-            EngineConfig(workers=1, wal_path=wal, wal_fsync="rotate"),
+            SnapshotStore.open(base.fork, wal, fsync="rotate"),
+            EngineConfig(workers=1),
         )
         try:
             engine.mutate(lambda f: f.insert("paper", ["p9", "dataflow"]))
@@ -551,9 +564,8 @@ class TestEngineWalSurface:
         finally:
             engine.stop()
         # A second engine over the same WAL resumes epoch numbering.
-        recovered = IncrementalBANKS.recover(base.fork, wal)
         resumed = QueryEngine(
-            recovered, EngineConfig(workers=1, wal_path=wal)
+            SnapshotStore.open(base.fork, wal), EngineConfig(workers=1)
         )
         try:
             assert resumed.snapshots.epoch == 1
@@ -574,6 +586,12 @@ class TestEngineWalSurface:
         finally:
             engine.stop()
 
-    def test_bad_wal_fsync_rejected(self):
-        with pytest.raises(ServeError):
-            EngineConfig(wal_fsync="mostly")
+    def test_bad_wal_fsync_rejected(self, tmp_path):
+        """The policy is a spec field and an opener argument; the
+        engine config has none.  Neither creates the log."""
+        wal = str(tmp_path / "wal")
+        with pytest.raises(ClusterError, match="unknown wal fsync"):
+            ClusterSpec(live=True, wal_path=wal, wal_fsync="mostly")
+        with pytest.raises(StoreError, match="unknown fsync policy"):
+            SnapshotStore.open(make_db, wal, fsync="mostly")
+        assert not os.path.exists(wal)

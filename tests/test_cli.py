@@ -147,13 +147,9 @@ class TestWalCommands:
     def _write_epochs(self, wal: str) -> None:
         """Publish a few mutation epochs for demo:university into a
         WAL, the way banks serve --live --wal would."""
-        from repro.core.incremental import IncrementalBANKS
         from repro.serve.snapshot import SnapshotStore
 
-        store = SnapshotStore(
-            IncrementalBANKS(load_database("demo:university")),
-            wal=wal,
-        )
+        store = SnapshotStore.open(load_database("demo:university"), wal)
         store.mutate(
             lambda f: f.insert("student", ["S901", "Walter Logmann", "BIGDEPT"])
         )
@@ -201,6 +197,36 @@ class TestWalCommands:
         assert status == 0
         assert "recovered to  : epoch 2" in output
         assert "Walter Logmann" in output
+
+    def test_second_ingest_into_one_wal_is_refused(self, tmp_path):
+        """A second job into the same WAL continues the recovered
+        state, so re-ingesting the same rows fails on their keys before
+        anything is appended — and the log still recovers."""
+        wal = str(tmp_path / "wal")
+        ingest = ["ingest", "synth:0", "synth:30", "--chunk", "50", "--wal", wal]
+        status, first = run_cli(*ingest, "--job-id", "a")
+        assert status == 0
+        epoch = first.split("store epoch   : ")[1].split()[0]
+        assert int(epoch) > 0
+        status, _second = run_cli(*ingest, "--job-id", "b")
+        assert status == 1
+        status, output = run_cli("recover", "synth:0", "--wal", wal)
+        assert status == 0
+        assert f"recovered to  : epoch {epoch}\n" in output
+
+    def test_recover_refuses_a_missing_checkpoint_directory(
+        self, tmp_path, capsys
+    ):
+        wal = str(tmp_path / "wal")
+        self._write_epochs(wal)
+        missing = tmp_path / "no-ckpt"
+        status, _output = run_cli(
+            "recover", "demo:university", "--wal", wal,
+            "--checkpoints", str(missing),
+        )
+        assert status == 1
+        assert f"no checkpoint directory at {missing}" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_wal_flag_combinations_are_validated(self, tmp_path):
         wal = str(tmp_path / "wal")
