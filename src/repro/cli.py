@@ -462,6 +462,8 @@ def _command_recover(args: argparse.Namespace, out) -> int:
             f"(manifest epoch {manager.manifest_epoch()})",
             file=out,
         )
+        for path, reason in manager.skipped:
+            print(f"skipped       : {path} ({reason})", file=out)
     print(f"recovered to  : epoch {facade.applied_epoch}", file=out)
     print(
         f"graph         : {facade.stats.num_nodes} nodes, "
@@ -573,7 +575,10 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
     store = SnapshotStore.open(lambda: load_database(args.db), args.wal)
     pipeline = IngestPipeline(registry, StoreTarget(store))
     start = time.perf_counter()
-    job = pipeline.run(job, source, resume=args.resume)
+    try:
+        job = pipeline.run(job, source, resume=args.resume)
+    finally:
+        store.close()
     elapsed = time.perf_counter() - start
     current = store.current().facade
     current._refresh_stats()

@@ -183,6 +183,8 @@ class Cluster:
         self.recovered_epochs = 0
         #: The follower tailing an external primary (follow mode only).
         self.follower = None
+        #: The durable store a live cluster opened (closed with it).
+        self._store = None
         self._pool = None
         self._started = False
         self._closed = False
@@ -271,6 +273,7 @@ class Cluster:
         # keep the cluster handle pointing at the served one.
         self.database = self.banks.database
         self.recovered_epochs = self.banks.applied_epoch
+        self._store = store
         self.backend = QueryEngine(store, self._engine_config())
 
     def _build_follower(self) -> None:
@@ -626,6 +629,8 @@ class Cluster:
         stop = getattr(self.backend, "stop", None)
         if callable(stop):
             stop()
+        if self._store is not None:
+            self._store.close()
 
     #: Engine-compatible alias.
     stop = close

@@ -508,8 +508,9 @@ class ReplicaSet:
         the newest valid checkpoint when the spec takes them — so a
         build or heal replays only the WAL tail — else epoch 0 and a
         fork of the base database (full-history replay).  Each call
-        unpickles a fresh copy, so replicas never share state.  The
-        manager only reads; the primary's store owns the writing one."""
+        restores a fresh copy from the file, so replicas never share
+        state.  The manager only reads; the primary's store owns the
+        writing one."""
         spec = self.spec
         directory = checkpoint_dir(
             self._wal_dir, spec.checkpoint_every, spec.checkpoint_path
@@ -1011,6 +1012,7 @@ class ReplicaSet:
             except Exception:  # pragma: no cover - defensive
                 pass
         self.primary.stop()
+        self.primary.snapshots.close()
         if self._owns_wal:
             import shutil
 

@@ -10,14 +10,32 @@ On-disk layout (the checkpoint directory: ``<wal>/checkpoints`` unless
 configured — :func:`~repro.serve.snapshot.checkpoint_dir` picks it)::
 
     000000000042.ckpt    one checkpoint: <len u32 LE> <crc32 u32 LE>
-                         <pickled {"format", "epoch", "database"}>
-    MANIFEST.json        {"format": 1, "checkpoint_epoch": 42,
+                         <payload: one ASCII JSON object, format 2>
+    MANIFEST.json        {"format": 2, "checkpoint_epoch": 42,
                           "file": "000000000042.ckpt"}
+
+The payload (format 2) is the database's rows and nothing derived::
+
+    {"format": 2, "epoch": 42, "name": "dblp",
+     "schema": [TableSchema.to_document(), ...],
+     "tables": {"author": [["a1", "grace hopper"], null, ...], ...}}
+
+Each table is its heap as it stands: one array per RID, ``null`` for
+a tombstone, so RIDs survive.  ``json.dumps`` with its default
+``ensure_ascii`` writes every column type exactly — NaN, ±inf and -0.0
+floats, big integers, booleans, NULLs, non-BMP and lone-surrogate
+text — and keeps no memo over the rows it walks, so a checkpoint costs
+about the size of its output in memory.  Loading validates and rebuilds
+in one bulk pass (:meth:`~repro.relational.database.Database.restore`):
+row widths and value types, NOT NULL, unique primary keys, every
+foreign key resolved; the PK indexes, the reverse-reference index and
+the indegrees are derived again, not read.  Reverse-reference lists
+therefore come back in table-major, RID order rather than write order.
 
 The write protocol is crash-consistent at every step (proven by
 ``tests/ops/test_checkpoint_crash.py`` against every named step):
 
-1. **serialize** — frame the pickled payload with a length + CRC32
+1. **serialize** — frame the JSON payload with a length + CRC32
    header (the WAL's record discipline: a torn or corrupt file is
    *detected*, never trusted);
 2. **write** — write the frame to ``<file>.tmp`` and fsync it;
@@ -34,9 +52,14 @@ The write protocol is crash-consistent at every step (proven by
 A crash between 3 and 4 leaves a newer checkpoint than the manifest
 records: loading scans the files themselves (newest first, checksum
 verified) and uses the manifest only as the conservative prune floor,
-so that state recovers exactly too.  A corrupt or torn checkpoint file
-fails its CRC and is skipped — recovery falls back to the next older
-checkpoint, or to the base snapshot.
+so that state recovers exactly too.  A file that fails any check is
+skipped, never trusted and never fatal — recovery falls back to the
+next older checkpoint, or to the base snapshot — and the skip is
+recorded in :attr:`CheckpointManager.skipped` with its reason: ``crc``
+(torn or corrupt frame), ``format`` (not a format-2 JSON document:
+a format-1 file from an older release is skipped unread), ``schema``
+(the schema documents do not describe a valid catalog) or
+``integrity`` (rows that break it).
 
 A manager creates its directory on the first write; reading a missing
 one finds no checkpoint.  A store's one manager comes from
@@ -47,7 +70,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import struct
 import threading
 import time
@@ -56,8 +78,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.errors import StoreError
+from repro.errors import IntegrityError, SchemaError, StoreError
 from repro.ops.faults import FaultInjector
+from repro.relational.database import Database
+from repro.relational.schema import TableSchema
 from repro.store.wal import CHECKPOINT_MANIFEST, checkpoint_floor
 
 #: ``<payload length> <crc32(payload)>``, little-endian — the WAL's
@@ -66,7 +90,7 @@ _FRAME = struct.Struct("<II")
 
 _SUFFIX = ".ckpt"
 _TEMP_SUFFIX = ".tmp"
-_FORMAT = 1
+_FORMAT = 2
 
 #: The named interruption points of one checkpoint write, in protocol
 #: order.  ``tests/ops`` iterates these; the manager calls
@@ -119,33 +143,60 @@ def _list_checkpoints(path: str) -> List[Tuple[int, str]]:
     return found
 
 
-def _read_checkpoint(filepath: str) -> Optional[Tuple[int, Any]]:
-    """``(epoch, database)`` from one checkpoint file, or ``None`` when
-    the file is torn, corrupt or not a checkpoint — never an exception:
-    a bad checkpoint is skipped, not fatal."""
+def _encode(database: Database, epoch: int) -> bytes:
+    """The format-2 payload: the schema and every heap, as ASCII JSON."""
+    return json.dumps(
+        {
+            "format": _FORMAT,
+            "epoch": int(epoch),
+            "name": database.name,
+            "schema": [table.to_document() for table in database.schema.tables()],
+            "tables": {table.schema.name: table._heap for table in database.tables()},
+        },
+        separators=(",", ":"),
+    ).encode("ascii")
+
+
+def _read_checkpoint(
+    filepath: str,
+) -> Tuple[Optional[Tuple[int, Database]], Optional[str]]:
+    """``((epoch, database), None)`` from one checkpoint file, or
+    ``(None, reason)`` when the file must be skipped — never an
+    exception: a bad checkpoint is skipped, not fatal.  ``reason`` is
+    ``crc``, ``format``, ``schema`` or ``integrity`` (module
+    docstring)."""
     try:
         with open(filepath, "rb") as handle:
             data = handle.read()
     except OSError:
-        return None
+        return None, "crc"
     if len(data) < _FRAME.size:
-        return None
+        return None, "crc"
     length, checksum = _FRAME.unpack(data[: _FRAME.size])
     payload = data[_FRAME.size : _FRAME.size + length]
     if len(payload) != length or zlib.crc32(payload) != checksum:
-        return None
+        return None, "crc"
     try:
-        record = pickle.loads(payload)
-    except Exception:
-        return None
+        record = json.loads(payload)
+    except (ValueError, RecursionError):
+        return None, "format"
     if (
         not isinstance(record, dict)
         or record.get("format") != _FORMAT
-        or "epoch" not in record
-        or "database" not in record
+        or type(record.get("epoch")) is not int
+        or type(record.get("name")) is not str
+        or not isinstance(record.get("schema"), list)
+        or not isinstance(record.get("tables"), dict)
     ):
-        return None
-    return int(record["epoch"]), record["database"]
+        return None, "format"
+    try:
+        schemas = [TableSchema.from_document(doc) for doc in record["schema"]]
+        database = Database.restore(record["name"], schemas, record["tables"])
+    except SchemaError:
+        return None, "schema"
+    except IntegrityError:
+        return None, "integrity"
+    return (record["epoch"], database), None
 
 
 class CheckpointManager:
@@ -184,6 +235,9 @@ class CheckpointManager:
         self._lock = threading.Lock()
         self.checkpoints_written = 0
         self.last_error: Optional[BaseException] = None
+        #: ``(path, reason)`` for each file the last :meth:`newest_valid`
+        #: passed over (reasons: module docstring).
+        self.skipped: List[Tuple[str, str]] = []
         self._last_epoch = self.manifest_epoch()
 
     # -- manifest / inventory -------------------------------------------------
@@ -207,14 +261,7 @@ class CheckpointManager:
         final filename."""
         with self._lock:
             started = time.perf_counter()
-            payload = pickle.dumps(
-                {
-                    "format": _FORMAT,
-                    "epoch": int(epoch),
-                    "database": facade.database,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+            payload = _encode(facade.database, epoch)
             frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
             self._step("serialize")
 
@@ -279,15 +326,18 @@ class CheckpointManager:
 
     # -- loading --------------------------------------------------------------
 
-    def newest_valid(self) -> Optional[Tuple[int, Any]]:
-        """``(epoch, database)`` from the newest checkpoint whose
-        checksum verifies — files are scanned newest first and a
-        torn/corrupt one is skipped, so a crash mid-write costs at most
-        one checkpoint interval of extra replay."""
+    def newest_valid(self) -> Optional[Tuple[int, Database]]:
+        """``(epoch, database)`` from the newest checkpoint that loads —
+        files are scanned newest first and one that fails its checksum
+        or its validation is skipped, so a crash mid-write costs at most
+        one checkpoint interval of extra replay.  Every file passed over
+        is listed, with its reason, in :attr:`skipped`."""
+        self.skipped = []
         for _epoch, filepath in _list_checkpoints(self.path):
-            loaded = _read_checkpoint(filepath)
+            loaded, reason = _read_checkpoint(filepath)
             if loaded is not None:
                 return loaded
+            self.skipped.append((filepath, reason))
         return None
 
     # -- internals ------------------------------------------------------------

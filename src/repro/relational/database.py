@@ -99,6 +99,40 @@ class Database:
         child._fk_plans = self._fk_plans  # schema-derived, DDL rebinds
         return child
 
+    @classmethod
+    def restore(
+        cls,
+        name: str,
+        table_schemas: Sequence[TableSchema],
+        heaps: Mapping[str, Sequence[Any]],
+    ) -> "Database":
+        """A database rebuilt from saved rows in one bulk pass.
+
+        ``heaps`` maps every table to its saved heap (see
+        :meth:`Table.restore`: one value sequence per RID, ``None`` for
+        a tombstone, so RIDs survive).  Each table's rows are checked
+        and its PK index built; then every foreign key is resolved,
+        strictly, and the reverse-reference index and indegrees are
+        rebuilt (:meth:`_index_references`).  Reverse-reference lists
+        come back in table-major, RID order rather than write order.
+
+        Raises :class:`SchemaError` when the schemas do not validate,
+        :class:`IntegrityError` on anything else: a heap for an unknown
+        table or a table without one, a bad row, a duplicate primary
+        key or a dangling foreign key.
+        """
+        database = cls(name)
+        database.create_tables(table_schemas)
+        if set(heaps) != set(database._tables):
+            raise IntegrityError(
+                f"saved heaps {sorted(heaps)} do not match the schema's "
+                f"tables {sorted(database._tables)}"
+            )
+        for table_name, heap in heaps.items():
+            database._tables[table_name].restore(heap)
+        database._index_references()
+        return database
+
     # -- DDL ----------------------------------------------------------------
 
     def create_table(self, table_schema: TableSchema) -> Table:
@@ -370,7 +404,8 @@ class Database:
                     continue
             target_table = self._tables[target_name]
             if target_positions is None:
-                target_rid = target_table.lookup_pk_rid(key)
+                # The PK index itself: an FK's target key is never empty.
+                target_rid = target_table._pk_index.get(key)
             else:
                 # Non-PK inclusion dependency: scan for the first match.
                 target_rid = None
@@ -450,21 +485,44 @@ class Database:
         """Re-validate every foreign key (for deferred-check loading).
 
         After a successful check the reverse-reference index is rebuilt,
-        so deferred databases become fully queryable.
+        so deferred databases become fully queryable; a failed one
+        leaves the database deferred and its index as it was.
         """
         self.schema.validate()
-        self._reverse_refs.clear()
-        self._owned_refs.clear()
-        self._indeg.clear()
         was_deferred = self._deferred
         self._deferred = False
         try:
-            for table in self._tables.values():
-                for row in table.scan():
-                    self._record_references(table.schema, row)
+            self._index_references()
         except IntegrityError:
             self._deferred = was_deferred
             raise
+
+    def _index_references(self) -> None:
+        """Rebuild the reverse-reference index and the indegrees from
+        every live row in one pass — the bulk counterpart of
+        :meth:`_record_references`, sharing its :meth:`_resolve`.  The
+        new maps replace the old ones only when every reference
+        resolved, so a failure leaves the database untouched."""
+        refs: Dict[RID, List[Tuple[ForeignKey, str, int]]] = defaultdict(list)
+        indeg: Dict[RID, Dict[str, int]] = {}
+        resolve = self._resolve
+        for table_name, table in self._tables.items():
+            plan = self._fk_plan(table_name)
+            if not plan:
+                continue
+            for slot, values in enumerate(table._heap):
+                if values is None:
+                    continue
+                for fk, target in resolve(plan, values):
+                    refs[target].append((fk, table_name, slot))
+                    counts = indeg.get(target)
+                    if counts is None:
+                        indeg[target] = {table_name: 1}
+                    else:
+                        counts[table_name] = counts.get(table_name, 0) + 1
+        self._reverse_refs = refs
+        self._owned_refs = set()
+        self._indeg = indeg
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(

@@ -9,10 +9,14 @@ catalog is the single source of truth for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import SchemaError, UnknownColumnError, UnknownTableError
-from repro.relational.types import DataType
+from repro.relational.types import BOOLEAN, INTEGER, REAL, TEXT, DataType
+
+#: The canonical type names a schema document may use — strict, unlike
+#: :func:`~repro.relational.types.type_from_name`'s sqlite affinity.
+_DOCUMENT_TYPES = {t.name: t for t in (INTEGER, REAL, TEXT, BOOLEAN)}
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,66 @@ class TableSchema:
         """Columns whose values are searchable text (used by indexing)."""
         return [c for c in self.columns if c.datatype.name == "TEXT"]
 
+    # -- plain document ---------------------------------------------------
+
+    def to_document(self) -> Dict[str, Any]:
+        """This table as plain JSON-ready data; :meth:`from_document`
+        reads it back."""
+        return {
+            "name": self.name,
+            "columns": [
+                [c.name, c.datatype.name, c.nullable] for c in self.columns
+            ],
+            "primary_key": list(self.primary_key),
+            "foreign_keys": [
+                [list(fk.source_columns), fk.target_table, list(fk.target_columns)]
+                for fk in self.foreign_keys
+            ],
+        }
+
+    @classmethod
+    def from_document(cls, document: Any) -> "TableSchema":
+        """The table a :meth:`to_document` dict describes.  Any other
+        shape — a missing field, an unknown type name, a non-string
+        name — raises :class:`SchemaError`, so untrusted documents can
+        be read without guarding against stray exceptions."""
+        try:
+            name = document["name"]
+            columns = [
+                Column(_text(column), _DOCUMENT_TYPES[datatype], _flag(nullable))
+                for column, datatype, nullable in document["columns"]
+            ]
+            primary_key = [_text(c) for c in document["primary_key"]]
+            foreign_keys = [
+                ForeignKey(
+                    _text(name),
+                    tuple(_text(c) for c in source),
+                    _text(target),
+                    tuple(_text(c) for c in target_columns),
+                )
+                for source, target, target_columns in document["foreign_keys"]
+            ]
+            return cls(_text(name), columns, primary_key, foreign_keys)
+        except (TypeError, ValueError, KeyError, AttributeError) as error:
+            raise SchemaError(
+                f"malformed table document ({type(error).__name__}: {error})"
+            ) from None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(f"{c.name} {c.datatype.name}" for c in self.columns)
         return f"TableSchema({self.name}: {cols})"
+
+
+def _text(value: Any) -> str:
+    if type(value) is not str:
+        raise SchemaError(f"schema document: expected a name, got {value!r}")
+    return value
+
+
+def _flag(value: Any) -> bool:
+    if type(value) is not bool:
+        raise SchemaError(f"schema document: expected a flag, got {value!r}")
+    return value
 
 
 class DatabaseSchema:

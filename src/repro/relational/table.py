@@ -110,6 +110,63 @@ class Table:
             self._pk_index = dict(self._pk_index)
             self._shared = False
 
+    def restore(self, heap: Sequence[Any]) -> None:
+        """Adopt ``heap`` — a saved :attr:`_heap`: one value sequence
+        per slot, ``None`` for a tombstone — and build the PK index in
+        one pass.  Checks what :meth:`insert` enforces, without its
+        coercion: each row's width, each value exactly its column's
+        Python type or ``None``, NOT NULL, and primary keys non-NULL
+        and unique.  Raises :class:`IntegrityError` on the first
+        violation and leaves the table as it was."""
+        name = self.schema.name
+        columns = self.schema.columns
+        expected = tuple(c.datatype.python_type for c in columns)
+        if type(heap) is not list and type(heap) is not tuple:
+            raise IntegrityError(f"{name}: {heap!r:.80} is not a heap")
+        rows: List[Optional[Tuple[Any, ...]]] = []
+        for slot, values in enumerate(heap):
+            if values is None:
+                rows.append(None)
+                continue
+            if type(values) is not list and type(values) is not tuple:
+                raise IntegrityError(
+                    f"{name} slot {slot}: {values!r:.80} is not a row"
+                )
+            row = tuple(values)
+            if tuple(map(type, row)) != expected:  # a NULL, or a bad row
+                if len(row) != len(columns):
+                    raise IntegrityError(
+                        f"{name} slot {slot}: expected {len(columns)} values, "
+                        f"got {len(row)}"
+                    )
+                for value, column, python_type in zip(row, columns, expected):
+                    if type(value) is not python_type and (
+                        value is not None or not column.nullable
+                    ):
+                        raise TypeMismatchError(
+                            f"{name}.{column.name} slot {slot}: {value!r:.80} "
+                            f"is not a{' NOT NULL' if value is None else ''} "
+                            f"{python_type.__name__}"
+                        )
+            rows.append(row)
+        live = len(rows) - rows.count(None)
+        positions = self._pk_positions
+        index: Dict[Tuple[Any, ...], int] = {}
+        if positions:
+            index = {
+                tuple([row[p] for p in positions]): slot
+                for slot, row in enumerate(rows)
+                if row is not None
+            }
+            if len(index) != live:
+                raise IntegrityError(f"duplicate primary key in table {name!r}")
+            if any(None in key for key in index):
+                raise IntegrityError(f"primary key of {name!r} cannot be NULL")
+        self._heap = rows
+        self._pk_index = index
+        self._live_count = live
+        self._shared = False
+
     @property
     def next_rid(self) -> int:
         """The RID the next successful :meth:`insert` will assign."""
@@ -260,8 +317,8 @@ class Table:
 
     def lookup_pk_rid(self, key: Tuple[Any, ...]) -> Optional[int]:
         """RID of the row with the given primary-key tuple, if present —
-        the :meth:`lookup_pk` hash probe without building a :class:`Row`
-        (foreign-key resolution only needs the slot number)."""
+        the :meth:`lookup_pk` hash probe without building a :class:`Row`,
+        for callers that only need the slot number."""
         if not self._pk_positions:
             raise IntegrityError(
                 f"table {self.schema.name!r} has no primary key"

@@ -184,6 +184,12 @@ class SnapshotStore:
             raise
         return cls(facade, wal=wal, checkpoints=checkpoints)
 
+    def close(self) -> None:
+        """Close the attached WAL writer, if any.  Whoever opened the
+        store calls this once serving has stopped."""
+        if self.wal is not None:
+            self.wal.close()
+
     def current(self) -> Snapshot:
         """Pin the newest snapshot (wait-free)."""
         return self._current
@@ -338,8 +344,8 @@ class SnapshotStore:
         self.deltas_published += len(epoch.deltas)
         self._current = Snapshot(self._current.version + 1, facade)
         if self.checkpoints is not None:
-            # Still under the write lock: the facade the manager
-            # pickles is exactly the state at this epoch.
+            # Still under the write lock: the database the manager
+            # writes is exactly the state at this epoch.
             self.checkpoints.maybe_checkpoint(facade, epoch=self.epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -156,6 +156,7 @@ class TestWalCommands:
         store.mutate(
             lambda f: f.update(("student", 0), {"name": "Alice Hubward-Logg"})
         )
+        store.close()
 
     def test_serve_live_with_wal_check(self, tmp_path):
         wal = str(tmp_path / "wal")
@@ -213,6 +214,27 @@ class TestWalCommands:
         status, output = run_cli("recover", "synth:0", "--wal", wal)
         assert status == 0
         assert f"recovered to  : epoch {epoch}\n" in output
+
+    def test_recover_reports_a_skipped_checkpoint(self, tmp_path):
+        """A corrupt checkpoint is passed over, named with its reason,
+        and the log replays from the base instead."""
+        wal = str(tmp_path / "wal")
+        self._write_epochs(wal)
+        status, output = run_cli("checkpoint", "demo:university", "--wal", wal)
+        assert status == 0
+        checkpoints = tmp_path / "wal" / "checkpoints"
+        (path,) = checkpoints.glob("*.ckpt")
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        status, output = run_cli(
+            "recover", "demo:university", "--wal", wal,
+            "--checkpoints", str(checkpoints), "--query", "walter logmann",
+        )
+        assert status == 0
+        assert f"skipped       : {path} (crc)\n" in output
+        assert "recovered to  : epoch 2" in output
+        assert "Walter Logmann" in output
 
     def test_recover_refuses_a_missing_checkpoint_directory(
         self, tmp_path, capsys
