@@ -40,15 +40,20 @@ reference, answer for answer: roots, float scores, emission order and
 contiguous adjacency arrays:
 
 * a keyword-node lane is sparse and lazily started: at set-up it is its
-  ``(offset, origin)`` pair and one multiplexer entry; its first
+  origin and one multiplexer entry at the origin's offset; its first
   multiplexer pop materialises a ``node -> distance`` dict, a
-  ``node -> parent`` dict and a heap, which then hold only the nodes
+  ``node -> parent`` dict and a queue, which then hold only the nodes
   the lane touches — a lane costs what it settles, never |V|.  There is
-  no settled set: a heap entry is stale iff ``dist[node] < distance``;
-* flat two-tuple heap entries ``(distance, counter * N + node)`` for
-  both the per-lane heaps and the multiplexer (the packed int
-  reproduces the reference ``(distance, counter, origin)`` tie-break
-  exactly, since counters are unique);
+  no settled set: a queued node is stale iff ``dist[node] < distance``;
+* distance buckets, not tuple heap entries: a lane's queue is a heap of
+  its distinct distances beside a ``distance -> bucket`` dict, where a
+  bucket is a bare node id until a second node arrives at the same
+  distance and a FIFO ``deque`` from then on; the multiplexer is the
+  same pair over lane numbers.  Edge weights are sums of a few values,
+  so distances tie constantly, and a heap of floats skips the tuple
+  comparisons that would fall through to a tie-break.  First in, first
+  out within a bucket *is* the reference's tie-break: the reference
+  orders equal distances by a push counter, which only ever grows;
 * visits are recorded per term (``node -> origins``); a settled node is
   a candidate root only once the terms its origin does not match have
   all reached it — until then settling records the visit, nothing else;
@@ -70,6 +75,7 @@ appended (ids from the base's ``n`` up) resolve through its own list.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -239,8 +245,8 @@ def backward_expanding_search(
         return  # some keyword matches nothing: no complete answer exists
 
     # Same origin ordering as the reference: per term, sorted by repr;
-    # dict insertion order then fixes lane numbering and every heap
-    # tie-break downstream.
+    # dict insertion order then fixes lane numbering and with it the
+    # order of every tie downstream.
     terms_of_origin: Dict[int, List[int]] = {}
     for term_index, group in enumerate(groups):
         for node in sorted(group, key=repr):
@@ -263,7 +269,6 @@ def backward_expanding_search(
     if max_node_weight <= 0:
         max_node_weight = 1.0
 
-    n_total = base_n + len(app_ids)
     over_pred = graph._over_pred
     pred_off = graph._pred_off
     pred_to = graph._pred_to
@@ -272,31 +277,34 @@ def backward_expanding_search(
 
     # -- lanes: one sparse Dijkstra per origin, started on first pop -------
     # Until its multiplexer entry is first popped a lane is only its
-    # (offset, origin) pair; the per-lane state lists hold None.
+    # origin and that entry, queued at the origin's offset; the per-lane
+    # state lists hold None.  A started lane queues its frontier in a
+    # heap of distinct distances and a ``distance -> bucket`` dict.
     origins: List[int] = list(terms_of_origin)
     lane_count = len(origins)
     lane_of: Dict[int, int] = {origin: lane for lane, origin in enumerate(origins)}
-    offsets: List[float] = []
     dists: List[Optional[Dict[int, float]]] = [None] * lane_count
     links: List[Optional[Dict[int, int]]] = [None] * lane_count
     # Per started lane: the visit maps of the terms its origin does not
     # match (none when partial answers are allowed).
     waits: List[Optional[Tuple[Dict[int, List[int]], ...]]] = [None] * lane_count
-    heaps: List[Optional[List[Tuple[float, int]]]] = [None] * lane_count
-    counters: List[int] = [1] * lane_count
-    multiplexer: List[Tuple[float, int]] = []
-    mcount = 0
+    heaps: List[Optional[List[float]]] = [None] * lane_count
+    queues: List[Optional[Dict[float, object]]] = [None] * lane_count
+    # The node each armed lane settles on its next multiplexer pop,
+    # taken off its queue when the lane was armed.
+    nexts: List[int] = list(origins)
+    # The multiplexer: the same two structures over lane numbers.
+    multiplexer: List[float] = []
+    lanes_at: Dict[float, object] = {}
     scale = config.origin_distance_scale
     for lane, origin in enumerate(origins):
         offset = 0.0
         if scale > 0.0:
             prestige = nw(origin) / max_node_weight
             offset = scale * (1.0 - prestige)
-        offsets.append(offset)
         # initial peek (reference: iterator.peek() before first push)
         if max_distance is None or offset <= max_distance:
-            heappush(multiplexer, (offset, mcount * lane_count + lane))
-            mcount += 1
+            _enqueue(multiplexer, lanes_at, offset, lane)
     if profile is not None:
         profile.iterators += lane_count
 
@@ -411,36 +419,42 @@ def backward_expanding_search(
                 break
             visited_budget -= 1
 
-        _distance, packed = heappop(multiplexer)
-        lane = packed % lane_count
+        d0 = multiplexer[0]
+        waiting = lanes_at[d0]
+        if waiting.__class__ is int:
+            lane = waiting
+            del lanes_at[d0]
+            heappop(multiplexer)
+        else:
+            lane = waiting.popleft()
+            if not waiting:
+                del lanes_at[d0]
+                heappop(multiplexer)
         if profile is not None:
             profile.heap_pops += 1
 
         # Settle the lane's next node.  A lane has at most one
-        # multiplexer entry, pushed when its heap top was last skimmed
-        # valid, and nothing touches the lane in between — so the top
-        # (or, on the first pop, the origin itself) settles unchecked.
-        heap = heaps[lane]
+        # multiplexer entry, pushed at the distance of the node it was
+        # armed with, and nothing touches the lane in between — so that
+        # node (on the first pop, the origin itself) settles unchecked.
+        v = nexts[lane]
         origin = origins[lane]
-        if heap is None:
-            v = origin
-            d0 = offsets[lane]
+        dist = dists[lane]
+        if dist is None:
             heap = heaps[lane] = []
+            queue = queues[lane] = {}
             dist = dists[lane] = {v: d0}
             link = links[lane] = {}
             matched = terms_of_origin[v] if require_all else range(term_count)
             waits[lane] = tuple(
                 visits[t] for t in range(term_count) if t not in matched
             )
-            count = 1
             if profile is not None:
                 profile.lanes_started += 1
         else:
-            d0, packed0 = heappop(heap)
-            v = packed0 % n_total
-            dist = dists[lane]
+            heap = heaps[lane]
+            queue = queues[lane]
             link = links[lane]
-            count = counters[lane]
         # No settled probe while relaxing: weights are non-negative, so
         # a settled neighbour already has dist <= d0 <= candidate and
         # the strict comparison fails on its own.
@@ -458,8 +472,15 @@ def backward_expanding_search(
                 if known is None or candidate < known:
                     dist[neighbor] = candidate
                     link[neighbor] = v
-                    heappush(heap, (candidate, count * n_total + neighbor))
-                    count += 1
+                    # _enqueue, inlined: this runs once per relaxation
+                    bucket = queue.get(candidate)
+                    if bucket is None:
+                        queue[candidate] = neighbor
+                        heappush(heap, candidate)
+                    elif bucket.__class__ is int:
+                        queue[candidate] = deque((bucket, neighbor))
+                    else:
+                        bucket.append(neighbor)
         elif row:
             if profile is not None:
                 profile.edges_relaxed += len(row)
@@ -469,25 +490,42 @@ def backward_expanding_search(
                 if known is None or candidate < known:
                     dist[neighbor] = candidate
                     link[neighbor] = v
-                    heappush(heap, (candidate, count * n_total + neighbor))
-                    count += 1
-        counters[lane] = count
+                    # _enqueue, inlined: this runs once per relaxation
+                    bucket = queue.get(candidate)
+                    if bucket is None:
+                        queue[candidate] = neighbor
+                        heappush(heap, candidate)
+                    elif bucket.__class__ is int:
+                        queue[candidate] = deque((bucket, neighbor))
+                    else:
+                        bucket.append(neighbor)
         if profile is not None:
             profile.nodes_expanded += 1
 
-        # Re-arm the multiplexer with the lane's next distance.  An entry
-        # is stale iff dist fell below it: a push lowers dist strictly
-        # and nothing lowers a settled node's, so the live one is equal.
+        # Re-arm the multiplexer with the lane's next node, taken off the
+        # head of its nearest bucket.  An entry is stale iff dist fell
+        # below it: a push lowers dist strictly and nothing lowers a
+        # settled node's, so the live one is equal.
         while heap:
-            head_distance, head_packed = heap[0]
-            if dist[head_packed % n_total] < head_distance:
-                heappop(heap)
-                continue
+            head_distance = heap[0]
             if max_distance is not None and head_distance > max_distance:
                 heap.clear()
+                queue.clear()
+                break
+            bucket = queue[head_distance]
+            if bucket.__class__ is int:
+                head = bucket
+                del queue[head_distance]
+                heappop(heap)
+            else:
+                head = bucket.popleft()
+                if not bucket:
+                    del queue[head_distance]
+                    heappop(heap)
+            if dist[head] < head_distance:
                 continue
-            heappush(multiplexer, (head_distance, mcount * lane_count + lane))
-            mcount += 1
+            nexts[lane] = head
+            _enqueue(multiplexer, lanes_at, head_distance, lane)
             break
 
         # v can root a tree only once every term the origin does not
@@ -583,6 +621,20 @@ def backward_expanding_search(
             profile.answers_emitted += 1
         yield ScoredAnswer(materialize(tree), relevance, emitted_count)
         emitted_count += 1
+
+
+def _enqueue(heap: List[float], buckets: Dict, distance: float, item: int) -> None:
+    """Queue ``item`` last among those at ``distance``: the distance
+    enters the heap with its first item, which is the bucket itself
+    until a second one arrives and a deque is made."""
+    bucket = buckets.get(distance)
+    if bucket is None:
+        buckets[distance] = item
+        heappush(heap, distance)
+    elif bucket.__class__ is int:
+        buckets[distance] = deque((bucket, item))
+    else:
+        bucket.append(item)
 
 
 def _build_int_tree(

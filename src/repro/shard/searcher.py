@@ -148,10 +148,13 @@ class ShardSearcher:
         self._stats_dirty = True
 
     def _refresh_stats(self) -> None:
-        """Re-derive the scoring normalisers after mutations (lazy,
-        O(E) — mirrors :class:`~repro.core.incremental.IncrementalBANKS`).
-        Delegates to :func:`repro.core.model.stats_of`, the one
-        normaliser implementation score parity depends on."""
+        """Re-derive the scoring normalisers after mutations, on the
+        next search (mirrors :class:`~repro.core.incremental.IncrementalBANKS`).
+        O(1) as a rule: the overlay graph keeps its minimum edge and
+        maximum node weight up to date, and rescans only when a delta
+        re-weighs or removes the last edge at the minimum, or the node
+        at the maximum.  Delegates to :func:`repro.core.model.stats_of`, the
+        one normaliser implementation score parity depends on."""
         if not self._stats_dirty:
             return
         self.scorer = Scorer(stats_of(self.graph), self._scoring_config)

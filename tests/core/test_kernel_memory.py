@@ -26,8 +26,9 @@ DENSE_LANE_BYTES_PER_NODE = 25
 
 #: Traced peak per heap pop of a point search on ``synth:1600``.  A
 #: settled set, ``(parent, weight)`` link tuples and per-node lists for
-#: every term cost 680-810 B; without them it is 380-530 B.
-POINT_BYTES_PER_POP = 600
+#: every term cost 680-810 B; without them, ``(distance, counter)``
+#: heap entries cost 403-496 B; distance buckets, 360-455 B.
+POINT_BYTES_PER_POP = 500
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestLaneMemory:
     @pytest.mark.parametrize("query", ["3 11", "17 250", "5 400"])
     def test_point_search_bytes_per_pop(self, banks, query):
         """Settling a node keeps its distance, its parent id and its
-        heap entry; a visit no tree can root at yet is one list entry."""
+        bucket entry; a visit no tree can root at yet is one list entry."""
         profile = SearchProfile()
         peak = traced_peak(lambda: banks.search(query, profile=profile))
         assert profile.iterators == 2 and profile.heap_pops > 2000

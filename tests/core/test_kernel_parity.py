@@ -12,6 +12,9 @@ every ``SearchConfig`` knob that reaches the lane machinery.
 
 from __future__ import annotations
 
+import math
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -184,6 +187,63 @@ class TestSynthShapes:
         assert "writes" not in roots[frozenset({"writes"})]
 
 
+@pytest.fixture(scope="module")
+def distinct_synth():
+    """``synth:800`` with every edge weight nudged by its own random
+    factor, and its frozen graph: no two paths tie, so every bucket of
+    the kernel's queues holds a single node."""
+    facade = BANKS(synth_bibliography(800)[0], freeze=False)
+    rng = random.Random(800)
+    for source, target, weight in list(facade.graph.edges()):
+        facade.graph.add_edge(source, target, weight * rng.uniform(1.0, 1.000001))
+    return facade, freeze_graph(facade.graph)
+
+
+def settled_distances(graph, origin):
+    """Every distance the reverse Dijkstra from ``origin`` settles at."""
+    return [visit.distance for visit in DijkstraIterator(graph, origin, reverse=True)]
+
+
+class TestQueueDiscipline:
+    """Each lane queues its frontier in FIFO buckets of equal distance,
+    and the multiplexer queues lanes the same way; the reference breaks
+    ties on a push counter.  The two orders agree on tie-heavy graphs
+    (``TestSettleLoopInvariants``) and on graphs without ties."""
+
+    def test_distinct_weights_leave_no_ties(self, distinct_synth):
+        facade, _frozen = distinct_synth
+        distances = settled_distances(facade.graph, ("author", 3))
+        assert len(distances) > 2500
+        assert len(set(distances)) == len(distances)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_with_distinct_weights(self, distinct_synth, shape):
+        facade, frozen = distinct_synth
+        query, lanes = SHAPES[shape]
+        config = replace(facade.search_config, max_results=5)
+        _answers, counters = assert_parity(facade.graph, frozen, facade, query, config)
+        assert counters["iterators"] == lanes
+
+    def test_radius_on_a_tied_distance(self, synth):
+        """``max_distance`` set to the distance ``author 3``'s lane
+        settles most often, then to the float just below it: the whole
+        bucket settles in the first run and none of it in the second."""
+        facade, frozen = synth
+        tied = Counter(settled_distances(facade.graph, ("author", 3)))
+        radius, ties = tied.most_common(1)[0]
+        assert ties > 50
+        pops = []
+        for max_distance in (radius, math.nextafter(radius, 0.0)):
+            config = replace(
+                facade.search_config, max_results=1000, max_distance=max_distance
+            )
+            _answers, counters = assert_parity(
+                facade.graph, frozen, facade, "3 11", config
+            )
+            pops.append(counters["heap_pops"])
+        assert pops[0] - pops[1] >= ties
+
+
 class TestForkedOverlay:
     def test_inserted_and_deleted_rows(self):
         """The same deltas applied in place to the reference dict graph
@@ -345,10 +405,7 @@ class TestSettleLoopInvariants:
         equal distances are the norm: a stale-entry rule that let a tie
         through would settle a node twice or drop a live entry."""
         facade, frozen = synth
-        distances = [
-            visit.distance
-            for visit in DijkstraIterator(facade.graph, ("author", 3), reverse=True)
-        ]
+        distances = settled_distances(facade.graph, ("author", 3))
         assert len(distances) > 50 * len(set(distances))
         config = replace(facade.search_config, max_results=50)
         _answers, counters = assert_parity(facade.graph, frozen, facade, "3 11", config)
