@@ -124,8 +124,8 @@ class IncrementalBANKS(BANKS):
         """A facade sharing all storage structurally with this one.
 
         The fork sees exactly this facade's data; mutating it copies
-        only the touched overlay rows, postings lists and table heaps
-        (see :mod:`repro.store`).  The graph fork references the frozen
+        only the touched overlay rows, postings lists and heap chunks,
+        and the map partitions holding them (see :mod:`repro.cow`).  The graph fork references the frozen
         base, not this facade's graph, so a chain of published forks
         does not keep its ancestors alive.  By the snapshot contract the
         parent must not be mutated once forked — the serving layer

@@ -81,6 +81,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.cow import MASK
 from repro.errors import EmptyQueryError, GraphError, QueryError
 from repro.core.answer import AnswerTree
 from repro.core.scoring import Scorer
@@ -254,12 +255,12 @@ def backward_expanding_search(
     if not terms_of_origin:
         return
 
-    over_nw = graph._over_nw
     base_nw = graph._node_weights
-    if over_nw:
+    if graph._over_nw:
+        over_nw = graph._over_nw.parts
 
         def nw(i: int) -> float:
-            weight = over_nw.get(i)
+            weight = over_nw[i & MASK].get(i)
             return base_nw[i] if weight is None else weight
 
     else:
@@ -269,7 +270,9 @@ def backward_expanding_search(
     if max_node_weight <= 0:
         max_node_weight = 1.0
 
-    over_pred = graph._over_pred
+    # The overlay rows' partitions, or None on a facade without any:
+    # then every row is read straight off the arrays, with no probe.
+    over_pred = graph._over_pred.parts if graph._over_pred else None
     pred_off = graph._pred_off
     pred_to = graph._pred_to
     pred_w = graph._pred_w
@@ -458,7 +461,7 @@ def backward_expanding_search(
         # No settled probe while relaxing: weights are non-negative, so
         # a settled neighbour already has dist <= d0 <= candidate and
         # the strict comparison fails on its own.
-        row = over_pred.get(v)
+        row = None if over_pred is None else over_pred[v & MASK].get(v)
         if row is None and v < base_n:
             lo = pred_off[v]
             hi = pred_off[v + 1]

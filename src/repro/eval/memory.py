@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Set
 
+from repro.cow import PartitionedMap
 from repro.graph.digraph import DiGraph
 
 
@@ -59,6 +60,8 @@ def _deep_sizeof(obj: object, seen: Set[int]) -> int:
     elif isinstance(obj, (list, tuple, set, frozenset)):
         for item in obj:
             size += _deep_sizeof(item, seen)
+    elif isinstance(obj, PartitionedMap):
+        size += _deep_sizeof(obj.parts, seen) + sys.getsizeof(obj.owned)
     return size
 
 

@@ -24,16 +24,18 @@ and writes to:
 * :class:`CSROverlayGraph` — the one mutable graph representation: a
   copy-on-write view over a frozen base.  Delta-touched adjacency rows
   live in per-node overlay dicts consulted *before* the arrays;
-  untouched rows are read straight from the shared base.  The frozen
-  node spine (``_index``/``_ids``/``_tables``) is read-only
-  and shared by every fork; an overlay owns only the nodes appended
-  since the freeze (dense ids from the base's ``n`` up), their reverse
-  index and the set of removed ids, so forking costs O(appended +
-  removed + overlay rows) and mutating a fork copies only the rows it
-  touches — the write path, WAL replay and shard delta routing all run
-  on it.  A removed node's id is never reused: re-adding it appends a
-  new id.  A fork references the frozen base, never its parent, so a
-  published version does not keep the versions before it alive.
+  untouched rows are read straight from the shared base.  The frozen node
+  spine (``_index``/``_ids``/``_tables``) is read-only and shared by
+  every fork; an overlay owns only the nodes appended since the freeze
+  (dense ids from the base's ``n`` up), their reverse index and the set
+  of removed ids.  The overlay maps are partitioned copy-on-write
+  (:class:`~repro.cow.PartitionedMap`), so forking costs O(appended +
+  removed) and mutating a fork copies only the rows, and the partitions
+  holding them, it touches — the write path, WAL replay and shard delta
+  routing all run on it.  A removed node's id is never reused: re-adding
+  it appends a new id.  A fork references the frozen base, never its
+  parent, so a published version does not keep the versions before it
+  alive.
 
 The search kernel that reads these arrays is
 :func:`repro.core.search.backward_expanding_search`.
@@ -48,6 +50,8 @@ from itertools import chain as _chain
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Tuple
 
+from repro.cow import MASK as _MASK
+from repro.cow import PartitionedMap as _PartitionedMap
 from repro.errors import GraphError as _GraphError
 from repro.errors import UnknownNodeError as _UnknownNodeError
 
@@ -233,11 +237,11 @@ class CSRGraph:
 
         # Empty on the frozen base; CSROverlayGraph populates them.
         # Present here so the kernels read one shape for both classes.
-        snapshot._over_succ = {}
-        snapshot._over_pred = {}
-        snapshot._over_nw = {}
+        snapshot._over_succ = _PartitionedMap()
+        snapshot._over_pred = _PartitionedMap()
+        snapshot._over_nw = _PartitionedMap()
         snapshot._app_ids = ()
-        snapshot._app_index = {}
+        snapshot._app_index = _PartitionedMap()
         snapshot._removed = frozenset()
         return snapshot
 
@@ -306,7 +310,7 @@ class CSRGraph:
         """The dense id of live ``node``, or ``None``."""
         index = self._index.get(node)
         if index is None or index in self._removed:
-            return self._app_index.get(node)
+            return self._app_index.parts[hash(node) & _MASK].get(node)
         return index
 
     def _slot_count(self) -> int:
@@ -330,7 +334,7 @@ class CSRGraph:
 
     def node_weight(self, node: Node) -> float:
         index = self.index_of(node)
-        weight = self._over_nw.get(index)
+        weight = self._over_nw.parts[index & _MASK].get(index)
         if weight is not None:
             return weight
         return self._node_weights[index]
@@ -360,14 +364,14 @@ class CSRGraph:
     # -- index-level adjacency ---------------------------------------------
 
     def _succ_row(self, index: int) -> Dict[int, float]:
-        row = self._over_succ.get(index)
+        row = self._over_succ.parts[index & _MASK].get(index)
         if row is not None:
             return row
         lo, hi = self._succ_off[index], self._succ_off[index + 1]
         return dict(zip(self._succ_to[lo:hi], self._succ_w[lo:hi]))
 
     def _pred_row(self, index: int) -> Dict[int, float]:
-        row = self._over_pred.get(index)
+        row = self._over_pred.parts[index & _MASK].get(index)
         if row is not None:
             return row
         lo, hi = self._pred_off[index], self._pred_off[index + 1]
@@ -420,10 +424,10 @@ class CSRGraph:
         # shard partitioner walks every edge of the built graph.
         plain = not (self._app_ids or self._removed)
         id_of = self._ids.__getitem__ if plain else self.id_of
-        over, offsets = self._over_succ, self._succ_off
+        over, offsets = self._over_succ.parts, self._succ_off
         targets, weights = self._succ_to, self._succ_w
         for source_index in range(self._slot_count()):
-            row = over.get(source_index)
+            row = over[source_index & _MASK].get(source_index)
             if row is None:
                 lo, hi = offsets[source_index], offsets[source_index + 1]
                 pairs = zip(targets[lo:hi], weights[lo:hi])
@@ -463,8 +467,8 @@ class CSROverlayGraph(CSRGraph):
     row — materialising the array slice into a dict — before touching
     it.  The frozen node spine is shared read-only; :meth:`fork` copies
     only the appended nodes, their reverse index, the removed ids and
-    the overlay's row table, and children share overlay rows
-    structurally until they write.
+    the overlay's partition lists (:class:`~repro.cow.PartitionedMap`),
+    and children share overlay rows structurally until they write.
     """
 
     __slots__ = (
@@ -486,7 +490,7 @@ class CSROverlayGraph(CSRGraph):
         view._ids = base._ids
         view._tables = base._tables
         view._app_ids = list(base._app_ids)
-        view._app_index = dict(base._app_index)
+        view._app_index = base._app_index.fork()
         view._removed = set(base._removed)
         view._node_weights = base._node_weights
         view._succ_off = base._succ_off
@@ -499,9 +503,9 @@ class CSROverlayGraph(CSRGraph):
         view._min_edge = base._min_edge
         view._max_node = base._max_node
         view._edge_norms = base._edge_norms
-        view._over_succ = dict(base._over_succ)
-        view._over_pred = dict(base._over_pred)
-        view._over_nw = dict(base._over_nw)
+        view._over_succ = base._over_succ.fork()
+        view._over_pred = base._over_pred.fork()
+        view._over_nw = base._over_nw.fork()
         view._owned_succ = set()
         view._owned_pred = set()
         # Live normaliser aggregates, maintained incrementally by the
@@ -533,8 +537,8 @@ class CSROverlayGraph(CSRGraph):
 
     def fork(self) -> "CSROverlayGraph":
         """A child sharing the frozen spine, the base arrays and all
-        overlay rows, at O(appended + removed + overlay rows) cost; the
-        parent must not be mutated afterwards (snapshot contract)."""
+        overlay rows, at O(appended + removed) cost; the parent must
+        not be mutated afterwards (snapshot contract)."""
         return CSROverlayGraph._over(self)
 
     @property
@@ -580,13 +584,13 @@ class CSROverlayGraph(CSRGraph):
     def _scan_min_edge(self) -> Tuple[Optional[float], int]:
         """``(minimum edge weight, edges carrying it)`` — overlay rows
         read as dicts, untouched rows straight off the weight array."""
-        over = self._over_succ
+        over = self._over_succ.parts
         best: Optional[float] = None
         carriers = 0
         base_n = self._base_n()
         offsets, weights = self._succ_off, self._succ_w
         for index in range(self._slot_count()):
-            row = over.get(index)
+            row = over[index & _MASK].get(index)
             if row is not None:
                 values = list(row.values())
             elif index < base_n:
@@ -607,12 +611,12 @@ class CSROverlayGraph(CSRGraph):
         # list does after remove_node zeroes the slot.
         removed = self._removed
         best: Optional[float] = 0.0 if removed else None
-        over = self._over_nw
+        over = self._over_nw.parts
         base = self._node_weights
         for index in range(self._slot_count()):
             if index in removed:
                 continue
-            weight = over.get(index)
+            weight = over[index & _MASK].get(index)
             if weight is None:
                 weight = base[index]
             if best is None or weight > best:
@@ -625,10 +629,11 @@ class CSROverlayGraph(CSRGraph):
         return len(self._succ_off) - 1
 
     def _own_succ(self, index: int) -> Dict[int, float]:
-        owned = self._owned_succ
-        row = self._over_succ.get(index)
-        if index in owned:
-            return row
+        over = self._over_succ
+        i = index & _MASK
+        if index in self._owned_succ:
+            return over.parts[i][index]
+        row = over.parts[i].get(index)
         if row is None:
             if index < self._base_n():
                 lo, hi = self._succ_off[index], self._succ_off[index + 1]
@@ -637,15 +642,16 @@ class CSROverlayGraph(CSRGraph):
                 row = {}
         else:
             row = dict(row)
-        self._over_succ[index] = row
-        owned.add(index)
+        over.own(i)[index] = row
+        self._owned_succ.add(index)
         return row
 
     def _own_pred(self, index: int) -> Dict[int, float]:
-        owned = self._owned_pred
-        row = self._over_pred.get(index)
-        if index in owned:
-            return row
+        over = self._over_pred
+        i = index & _MASK
+        if index in self._owned_pred:
+            return over.parts[i][index]
+        row = over.parts[i].get(index)
         if row is None:
             if index < self._base_n():
                 lo, hi = self._pred_off[index], self._pred_off[index + 1]
@@ -654,8 +660,8 @@ class CSROverlayGraph(CSRGraph):
                 row = {}
         else:
             row = dict(row)
-        self._over_pred[index] = row
-        owned.add(index)
+        over.own(i)[index] = row
+        self._owned_pred.add(index)
         return row
 
     # -- mutators -----------------------------------------------------------
@@ -668,9 +674,10 @@ class CSROverlayGraph(CSRGraph):
         self._app_index[node] = index
         self._app_ids.append(node)
         value = float(weight)
-        self._over_nw[index] = value
-        self._over_succ[index] = {}
-        self._over_pred[index] = {}
+        i = index & _MASK
+        self._over_nw.own(i)[index] = value
+        self._over_succ.own(i)[index] = {}
+        self._over_pred.own(i)[index] = {}
         self._owned_succ.add(index)
         self._owned_pred.add(index)
         if not self._max_dirty and (
@@ -759,7 +766,7 @@ class CSROverlayGraph(CSRGraph):
                 self._max_dirty = True
 
     def _current_node_weight(self, index: int) -> float:
-        weight = self._over_nw.get(index)
+        weight = self._over_nw.parts[index & _MASK].get(index)
         if weight is None:
             weight = self._node_weights[index]
         return weight

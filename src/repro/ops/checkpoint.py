@@ -25,7 +25,9 @@ a tombstone, so RIDs survive.  ``json.dumps`` with its default
 ``ensure_ascii`` writes every column type exactly — NaN, ±inf and -0.0
 floats, big integers, booleans, NULLs, non-BMP and lone-surrogate
 text — and keeps no memo over the rows it walks, so a checkpoint costs
-about the size of its output in memory.  Loading validates and rebuilds
+about the size of its output in memory.  A manager keeps the text of
+every heap chunk no table may write in place any more, so its next
+checkpoint encodes only the chunks written since (:func:`_encode`).  Loading validates and rebuilds
 in one bulk pass (:meth:`~repro.relational.database.Database.restore`):
 row widths and value types, NOT NULL, unique primary keys, every
 foreign key resolved; the PK indexes, the reverse-reference index and
@@ -76,7 +78,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import IntegrityError, SchemaError, StoreError
 from repro.ops.faults import FaultInjector
@@ -143,18 +145,57 @@ def _list_checkpoints(path: str) -> List[Tuple[int, str]]:
     return found
 
 
-def _encode(database: Database, epoch: int) -> bytes:
-    """The format-2 payload: the schema and every heap, as ASCII JSON."""
-    return json.dumps(
+def _encode(
+    database: Database,
+    epoch: int,
+    texts: Optional[Dict[int, Tuple[list, str]]] = None,
+) -> bytes:
+    """The format-2 payload: the schema and every heap, as ASCII JSON.
+
+    A heap is a list of row chunks (:class:`~repro.relational.table.Table`);
+    each chunk is encoded on its own and spliced between the heap's
+    brackets, so no heap is flattened into one list first.  The bytes
+    are those of one ``json.dumps`` over the flat heaps.
+
+    ``texts`` (``id(chunk) -> (chunk, text)``) carries encoded chunks
+    from one payload to the next, and is replaced in place.  Only a
+    chunk whose table may no longer write it in place (its ``_owned``
+    flag is clear: a fork shares it, and a write copies it first) is
+    kept, so a kept chunk never changes and its text is reused for as
+    long as the heap still holds that chunk.  Between two checkpoints
+    of a store only the chunks the writes copied are encoded again."""
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    previous = texts or {}
+    shared: Dict[int, Tuple[list, str]] = {}
+
+    def heap(table) -> str:
+        parts = []
+        for chunk, owned in zip(table._heap, table._owned):
+            hit = previous.get(id(chunk))
+            if hit is not None and hit[0] is chunk:
+                text = hit[1]
+            else:
+                text = dumps(chunk)[1:-1]
+            if not owned:
+                shared[id(chunk)] = (chunk, text)
+            parts.append(text)
+        return "[" + ",".join(parts) + "]"
+
+    head = dumps(
         {
             "format": _FORMAT,
             "epoch": int(epoch),
             "name": database.name,
             "schema": [table.to_document() for table in database.schema.tables()],
-            "tables": {table.schema.name: table._heap for table in database.tables()},
-        },
-        separators=(",", ":"),
-    ).encode("ascii")
+        }
+    )
+    tables = ",".join(
+        dumps(table.schema.name) + ":" + heap(table) for table in database.tables()
+    )
+    if texts is not None:
+        texts.clear()
+        texts.update(shared)
+    return (head[:-1] + ',"tables":{' + tables + "}}").encode("ascii")
 
 
 def _read_checkpoint(
@@ -238,6 +279,8 @@ class CheckpointManager:
         #: ``(path, reason)`` for each file the last :meth:`newest_valid`
         #: passed over (reasons: module docstring).
         self.skipped: List[Tuple[str, str]] = []
+        #: Encoded heap chunks reused by the next checkpoint (:func:`_encode`).
+        self._chunk_texts: Dict[int, Tuple[list, str]] = {}
         self._last_epoch = self.manifest_epoch()
 
     # -- manifest / inventory -------------------------------------------------
@@ -261,7 +304,7 @@ class CheckpointManager:
         final filename."""
         with self._lock:
             started = time.perf_counter()
-            payload = _encode(facade.database, epoch)
+            payload = _encode(facade.database, epoch, self._chunk_texts)
             frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
             self._step("serialize")
 

@@ -13,7 +13,7 @@ That index serves two masters:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -26,6 +26,14 @@ from typing import (
     Tuple,
 )
 
+from repro.cow import (
+    CHUNK_MASK,
+    CHUNK_SHIFT,
+    MASK,
+    PartitionedMap,
+    by_slot,
+    empty_parts,
+)
 from repro.errors import IntegrityError, TypeMismatchError, UnknownTableError
 from repro.relational.schema import DatabaseSchema, ForeignKey, TableSchema
 from repro.relational.table import Row, Table
@@ -50,10 +58,9 @@ class Database:
         self.schema = DatabaseSchema()
         self._tables: Dict[str, Table] = {}
         self._deferred = deferred_fk_check
-        # (target table, target rid) -> list of (fk, source table, source rid)
-        self._reverse_refs: Dict[RID, List[Tuple[ForeignKey, str, int]]] = (
-            defaultdict(list)
-        )
+        # (target table, target rid) -> list of (fk, source table, source
+        # rid); partitioned by the target's slot bits, like ``_indeg``.
+        self._reverse_refs = PartitionedMap(by_slot)
         # Reverse-ref lists this version has copied since its last fork,
         # so owns privately; any other list may be shared with a fork
         # and is copied before its first append.
@@ -64,7 +71,7 @@ class Database:
         # reverse-reference list.  Inner dicts are never mutated in
         # place — every change rebinds a fresh dict — so forks may share
         # them without copy-on-write bookkeeping.
-        self._indeg: Dict[RID, Dict[str, int]] = {}
+        self._indeg = PartitionedMap(by_slot)
         # table name -> prepared FK resolution steps (see :meth:`_fk_plan`).
         # Derived purely from the schema, so forks share it; DDL rebinds
         # a fresh dict rather than clearing in place.
@@ -75,27 +82,28 @@ class Database:
     def fork(self) -> "Database":
         """A copy-on-write fork: same schema, shared row storage.
 
-        Tables fork at table granularity (a batch that never touches a
-        table never copies it); the reverse-reference index forks at
-        key granularity (only the lists a mutation appends to are
-        copied).  The fork and the original each see a fully
-        consistent database; whichever side mutates first pays for
-        exactly what it touches.  The snapshot store only ever mutates
-        the newest fork.
+        Tables fork at chunk and partition granularity (see
+        :meth:`Table.fork`); the reverse-reference and indegree maps
+        are partitioned (:class:`~repro.cow.PartitionedMap`): a write copies
+        the partitions it lands in, and a reverse-reference list is
+        copied before its first append.  The fork and the original each
+        see a fully consistent database; whichever side mutates first
+        pays for exactly what it touches.  The snapshot store only ever
+        mutates the newest fork.
 
-        Cost: one shallow copy each of the table map, the reverse-ref
-        map and the indegree map; the owned-list sets restart empty on
-        both sides, so no set of keys is built.
+        Cost: the table map, each table's chunk list and one list of
+        partition references per map; the owned-list sets restart
+        empty on both sides, so no set of keys is built.
         """
         child = Database.__new__(Database)
         child.name = self.name
         child.schema = self.schema  # DDL is fixed while serving
         child._deferred = self._deferred
         child._tables = {name: table.fork() for name, table in self._tables.items()}
-        child._reverse_refs = defaultdict(list, self._reverse_refs)
+        child._reverse_refs = self._reverse_refs.fork()
         child._owned_refs = set()
         self._owned_refs = set()
-        child._indeg = dict(self._indeg)  # inner dicts shared, see __init__
+        child._indeg = self._indeg.fork()  # inner dicts shared, see __init__
         child._fk_plans = self._fk_plans  # schema-derived, DDL rebinds
         return child
 
@@ -159,7 +167,7 @@ class Database:
         table = self._tables[table_name]
         # Forget while the table still resolves its own references.
         for row in table.scan():
-            self._forget_references(table.schema, row)
+            self._forget_references(table_name, row.rid, row.values)
         del self._tables[table_name]
         self._fk_plans = {}
 
@@ -194,21 +202,19 @@ class Database:
     def insert(self, table_name: str, values: Sequence[Any]) -> RID:
         """Insert one tuple, enforce FKs, maintain the reverse index."""
         table = self.table(table_name)
-        slot = table.insert(values)
-        row = table.row(slot)
-        try:
-            self._record_references(table.schema, row)
-        except IntegrityError:
-            table.delete(slot)
-            raise
-        return (table_name, slot)
+        return self._referenced(table_name, table, table.insert(values))
 
     def insert_dict(self, table_name: str, mapping: Mapping[str, Any]) -> RID:
         table = self.table(table_name)
-        slot = table.insert_dict(mapping)
-        row = table.row(slot)
+        return self._referenced(table_name, table, table.insert_dict(mapping))
+
+    def _referenced(self, table_name: str, table: Table, slot: int) -> RID:
+        """Record the references of the row just inserted at ``slot``,
+        or tombstone it again when one does not resolve."""
         try:
-            self._record_references(table.schema, row)
+            self._record_references(
+                table_name, slot, table._heap[slot >> CHUNK_SHIFT][slot & CHUNK_MASK]
+            )
         except IntegrityError:
             table.delete(slot)
             raise
@@ -254,17 +260,17 @@ class Database:
             changes.get(name, old_values[position])
             for position, name in enumerate(schema.column_names)
         ]
-        self._forget_references(schema, old_row)
+        self._forget_references(table_name, slot, old_values)
         try:
             table.update(slot, new_values)
         except (IntegrityError, TypeMismatchError):
-            self._record_references(schema, old_row)
+            self._record_references(table_name, slot, old_values)
             raise
         try:
-            self._record_references(schema, table.row(slot))
+            self._record_references(table_name, slot, table.values_at(slot))
         except IntegrityError:
             table.update(slot, list(old_values))
-            self._record_references(schema, table.row(slot))
+            self._record_references(table_name, slot, old_values)
             raise
 
     def delete(self, rid: RID) -> None:
@@ -278,30 +284,47 @@ class Database:
             )
         table_name, slot = rid
         table = self.table(table_name)
-        row = table.row(slot)
-        self._forget_references(table.schema, row)
+        self._forget_references(table_name, slot, table.values_at(slot))
         table.delete(slot)
 
     # -- referential machinery ------------------------------------------------
 
-    def _record_references(self, schema: TableSchema, row: Row) -> None:
+    def _record_references(
+        self, table_name: str, slot: int, values: Sequence[Any]
+    ) -> None:
         # Resolve every target before mutating the index so that a failing
         # FK leaves no partial entries behind.
-        targets = self._resolve(self._fk_plan(schema.name), row.values)
+        targets = self._resolve(self._fk_plan(table_name), values)
         refs = self._reverse_refs
+        ref_parts, ref_owned = refs.parts, refs.owned
+        indeg = self._indeg
+        indeg_parts, indeg_owned = indeg.parts, indeg.owned
         owned = self._owned_refs
         for fk, target in targets:
-            if target not in owned:
+            i = target[1] & MASK
+            part = ref_parts[i]
+            if not ref_owned[i]:
+                part = ref_parts[i] = part.copy()
+                ref_owned[i] = 1
+            if target in owned:
+                part[target].append((fk, table_name, slot))
+            else:
                 # Possibly shared with a fork: copy before the first append.
-                refs[target] = list(refs.get(target, ()))
+                part[target] = [*part.get(target, ()), (fk, table_name, slot)]
                 owned.add(target)
-            refs[target].append((fk, schema.name, row.rid))
-            counts = dict(self._indeg.get(target, ()))
-            counts[schema.name] = counts.get(schema.name, 0) + 1
-            self._indeg[target] = counts
+            part = indeg_parts[i]
+            if not indeg_owned[i]:
+                part = indeg_parts[i] = part.copy()
+                indeg_owned[i] = 1
+            counts = dict(part.get(target, ()))
+            counts[table_name] = counts.get(table_name, 0) + 1
+            part[target] = counts
 
-    def _forget_references(self, schema: TableSchema, row: Row) -> None:
-        """Drop ``row``'s entries from the reverse index.
+    def _forget_references(
+        self, table_name: str, slot: int, values: Sequence[Any]
+    ) -> None:
+        """Drop the entries of the row at ``slot`` holding ``values``
+        from the reverse index.
 
         Each foreign key's target is resolved exactly as
         :meth:`_record_references` resolved it, and only that target's
@@ -311,14 +334,14 @@ class Database:
         re-keyed while referenced, see :meth:`update`.)
         """
         refs = self._reverse_refs
-        for fk, target in self._resolve(self._fk_plan(schema.name), row.values):
+        for fk, target in self._resolve(self._fk_plan(table_name), values):
             entries = refs.get(target)
             if not entries:
                 continue
             kept = [
                 e
                 for e in entries
-                if not (e[0] is fk and e[1] == schema.name and e[2] == row.rid)
+                if not (e[0] is fk and e[1] == table_name and e[2] == slot)
             ]
             dropped = len(entries) - len(kept)
             if not dropped:
@@ -328,12 +351,13 @@ class Database:
                 self._owned_refs.add(target)
             else:
                 del refs[target]
+                self._owned_refs.discard(target)
             counts = dict(self._indeg.get(target, ()))
-            remaining = counts.get(schema.name, 0) - dropped
+            remaining = counts.get(table_name, 0) - dropped
             if remaining > 0:
-                counts[schema.name] = remaining
+                counts[table_name] = remaining
             else:
-                counts.pop(schema.name, None)
+                counts.pop(table_name, None)
             if counts:
                 self._indeg[target] = counts
             else:
@@ -405,7 +429,7 @@ class Database:
             target_table = self._tables[target_name]
             if target_positions is None:
                 # The PK index itself: an FK's target key is never empty.
-                target_rid = target_table._pk_index.get(key)
+                target_rid = target_table._pk_index.parts[hash(key) & MASK].get(key)
             else:
                 # Non-PK inclusion dependency: scan for the first match.
                 target_rid = None
@@ -439,10 +463,12 @@ class Database:
         plan = self._fk_plan(table_name)
         if not plan:
             return
-        for slot in table.rids():
-            source = (table_name, slot)
-            for fk, target in self._resolve(plan, table.values_at(slot)):
-                yield source, fk, target
+        resolve = self._resolve
+        for slot, values in enumerate(chain.from_iterable(table._heap)):
+            if values is not None:
+                source = (table_name, slot)
+                for fk, target in resolve(plan, values):
+                    yield source, fk, target
 
     def referencing(self, rid: RID) -> List[Tuple[ForeignKey, RID]]:
         """Incoming references: tuples that point to ``rid``."""
@@ -465,7 +491,7 @@ class Database:
 
     def indegree(self, rid: RID) -> int:
         """Total number of tuples referencing ``rid`` — node prestige."""
-        return len(self._reverse_refs.get(rid, ()))
+        return len(self._reverse_refs.parts[rid[1] & MASK].get(rid, ()))
 
     def indegree_from(self, rid: RID, source_table: str) -> int:
         """Indegree of ``rid`` contributed by tuples of ``source_table``
@@ -476,7 +502,7 @@ class Database:
         bulk-ingested graph that list holds thousands of entries and
         Eq. 1 re-weighing reads this once per affected edge.
         """
-        counts = self._indeg.get(rid)
+        counts = self._indeg.parts[rid[1] & MASK].get(rid)
         if not counts:
             return 0
         return counts.get(source_table, 0)
@@ -503,26 +529,31 @@ class Database:
         :meth:`_record_references`, sharing its :meth:`_resolve`.  The
         new maps replace the old ones only when every reference
         resolved, so a failure leaves the database untouched."""
-        refs: Dict[RID, List[Tuple[ForeignKey, str, int]]] = defaultdict(list)
-        indeg: Dict[RID, Dict[str, int]] = {}
+        ref_parts = empty_parts()
+        indeg_parts = empty_parts()
         resolve = self._resolve
         for table_name, table in self._tables.items():
             plan = self._fk_plan(table_name)
             if not plan:
                 continue
-            for slot, values in enumerate(table._heap):
+            for slot, values in enumerate(chain.from_iterable(table._heap)):
                 if values is None:
                     continue
                 for fk, target in resolve(plan, values):
-                    refs[target].append((fk, table_name, slot))
-                    counts = indeg.get(target)
+                    i = target[1] & MASK
+                    entries = ref_parts[i].get(target)
+                    if entries is None:
+                        ref_parts[i][target] = [(fk, table_name, slot)]
+                    else:
+                        entries.append((fk, table_name, slot))
+                    counts = indeg_parts[i].get(target)
                     if counts is None:
-                        indeg[target] = {table_name: 1}
+                        indeg_parts[i][target] = {table_name: 1}
                     else:
                         counts[table_name] = counts.get(table_name, 0) + 1
-        self._reverse_refs = refs
+        self._reverse_refs = PartitionedMap(by_slot, ref_parts)
         self._owned_refs = set()
-        self._indeg = indeg
+        self._indeg = PartitionedMap(by_slot, indeg_parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(

@@ -1,7 +1,7 @@
 """Heap table storage with RID addressing.
 
-Tuples live in an append-only list; a tuple's RID (row identifier) is its
-slot number in that list, which is exactly the addressing contract the
+Tuples live in an append-only heap; a tuple's RID (row identifier) is its
+slot number in that heap, which is exactly the addressing contract the
 BANKS paper relies on: *"the in-memory node representation need not store
 any attribute of the corresponding tuple other than the RID"*.  Deleting a
 row leaves a tombstone so RIDs stay stable.
@@ -9,8 +9,11 @@ row leaves a tombstone so RIDs stay stable.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cow import CHUNK, CHUNK_MASK, CHUNK_SHIFT, MASK, PartitionedMap, empty_parts
 from repro.errors import IntegrityError, TypeMismatchError, UnknownColumnError
 from repro.relational.schema import TableSchema
 
@@ -70,59 +73,75 @@ class Row:
 class Table:
     """An append-only heap of tuples conforming to a :class:`TableSchema`.
 
-    Maintains a hash index on the primary key (if one is declared) so that
-    foreign-key checks and browsing lookups are O(1).
+    The heap is a list of :data:`~repro.cow.CHUNK`-row chunks: RID
+    ``r`` lives at ``_heap[r >> CHUNK_SHIFT][r & CHUNK_MASK]``; every
+    chunk but the last is full.  Maintains a hash index on the primary
+    key (if one is declared) so that foreign-key checks and browsing
+    lookups are O(1).
     """
 
     def __init__(self, schema: TableSchema):
         self.schema = schema
-        self._heap: List[Optional[Tuple[Any, ...]]] = []
+        self._heap: List[List[Optional[Tuple[Any, ...]]]] = []
+        # ``_owned[i]``: this version may write chunk ``i`` in place.
+        self._owned = bytearray()
+        self._slots = 0
         self._live_count = 0
         self._pk_positions: Tuple[int, ...] = tuple(
             schema.column_position(c) for c in schema.primary_key
         )
-        self._pk_index: Dict[Tuple[Any, ...], int] = {}
-        self._shared = False
+        self._pk_index = PartitionedMap()
 
     # -- copy-on-write forking ---------------------------------------------
 
     def fork(self) -> "Table":
-        """A copy-on-write fork sharing this table's heap and PK index.
+        """A copy-on-write fork sharing this table's heap chunks and PK
+        index partitions.
 
         Both sides keep reading the shared storage for free; whichever
-        side mutates first takes a private copy of the heap and PK
-        index (row tuples themselves are immutable and stay shared
-        forever).  The snapshot store forks the newest version and
-        never mutates published ones, so in practice only the fork
-        pays the copy — and only if the batch touches this table.
+        side writes a chunk or a partition first copies that one (row
+        tuples themselves are immutable and stay shared forever).  The
+        snapshot store forks the newest version and never mutates
+        published ones, so in practice only the fork pays — and only
+        for the chunks and partitions its batch touches.
         """
-        child = Table(self.schema)
-        child._heap = self._heap
-        child._pk_index = self._pk_index
+        child = Table.__new__(Table)
+        child.schema = self.schema
+        child._pk_positions = self._pk_positions
+        child._heap = self._heap[:]
+        child._owned = bytearray(len(self._heap))
+        self._owned = bytearray(len(self._heap))
+        child._slots = self._slots
         child._live_count = self._live_count
-        child._shared = True
-        self._shared = True
+        child._pk_index = self._pk_index.fork()
         return child
 
-    def _materialize(self) -> None:
-        if self._shared:
-            self._heap = list(self._heap)
-            self._pk_index = dict(self._pk_index)
-            self._shared = False
+    def _own_chunk(self, i: int) -> List[Optional[Tuple[Any, ...]]]:
+        """Chunk ``i``, copied first unless this version owns it."""
+        if self._owned[i]:
+            return self._heap[i]
+        chunk = self._heap[i] = self._heap[i][:]
+        self._owned[i] = 1
+        return chunk
 
     def restore(self, heap: Sequence[Any]) -> None:
-        """Adopt ``heap`` — a saved :attr:`_heap`: one value sequence
-        per slot, ``None`` for a tombstone — and build the PK index in
-        one pass.  Checks what :meth:`insert` enforces, without its
-        coercion: each row's width, each value exactly its column's
-        Python type or ``None``, NOT NULL, and primary keys non-NULL
-        and unique.  Raises :class:`IntegrityError` on the first
-        violation and leaves the table as it was."""
+        """Adopt ``heap`` — one value sequence per slot, ``None`` for a
+        tombstone, as a checkpoint saves it — cutting it into chunks and
+        building the PK index in one pass.  Checks what :meth:`insert`
+        enforces, without its coercion: each row's width, each value
+        exactly its column's Python type or ``None``, NOT NULL, and
+        primary keys non-NULL and unique.  Raises
+        :class:`IntegrityError` on the first violation and leaves the
+        table as it was."""
         name = self.schema.name
         columns = self.schema.columns
         expected = tuple(c.datatype.python_type for c in columns)
         if type(heap) is not list and type(heap) is not tuple:
             raise IntegrityError(f"{name}: {heap!r:.80} is not a heap")
+        positions = self._pk_positions
+        key_of = itemgetter(*positions) if positions else None
+        single = len(positions) == 1
+        parts = empty_parts()
         rows: List[Optional[Tuple[Any, ...]]] = []
         for slot, values in enumerate(heap):
             if values is None:
@@ -149,34 +168,30 @@ class Table:
                             f"{python_type.__name__}"
                         )
             rows.append(row)
+            if key_of is not None:
+                key = (key_of(row),) if single else key_of(row)
+                parts[hash(key) & MASK][key] = slot
         live = len(rows) - rows.count(None)
-        positions = self._pk_positions
-        index: Dict[Tuple[Any, ...], int] = {}
-        if positions:
-            index = {
-                tuple([row[p] for p in positions]): slot
-                for slot, row in enumerate(rows)
-                if row is not None
-            }
-            if len(index) != live:
+        if key_of is not None:
+            if sum(map(len, parts)) != live:
                 raise IntegrityError(f"duplicate primary key in table {name!r}")
-            if any(None in key for key in index):
+            if any(None in key for part in parts for key in part):
                 raise IntegrityError(f"primary key of {name!r} cannot be NULL")
-        self._heap = rows
-        self._pk_index = index
+        self._heap = [rows[i : i + CHUNK] for i in range(0, len(rows), CHUNK)]
+        self._owned = bytearray(b"\x01") * len(self._heap)
+        self._slots = len(rows)
+        self._pk_index = PartitionedMap(parts=parts)
         self._live_count = live
-        self._shared = False
 
     @property
     def next_rid(self) -> int:
         """The RID the next successful :meth:`insert` will assign."""
-        return len(self._heap)
+        return self._slots
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, values: Sequence[Any]) -> int:
-        """Validate and append one tuple; return its RID."""
-        self._materialize()
+    def _coerce(self, values: Sequence[Any]) -> Tuple[Any, ...]:
+        """``values`` validated against the schema: width, types, NOT NULL."""
         columns = self.schema.columns
         if len(values) != len(columns):
             raise IntegrityError(
@@ -196,22 +211,41 @@ class Table:
                     f"{self.schema.name}.{column.name} is NOT NULL"
                 )
             coerced.append(typed)
-        row_tuple = tuple(coerced)
+        return tuple(coerced)
 
+    def insert(self, values: Sequence[Any]) -> int:
+        """Validate and append one tuple; return its RID."""
+        row_tuple = self._coerce(values)
+        rid = self._slots
         if self._pk_positions:
-            key = tuple(row_tuple[p] for p in self._pk_positions)
-            if any(part is None for part in key):
+            key = tuple([row_tuple[p] for p in self._pk_positions])
+            if None in key:
                 raise IntegrityError(
                     f"primary key of {self.schema.name!r} cannot be NULL"
                 )
-            if key in self._pk_index:
+            pk = self._pk_index
+            i = hash(key) & MASK
+            part = pk.parts[i]
+            if key in part:
                 raise IntegrityError(
                     f"duplicate primary key {key!r} in table {self.schema.name!r}"
                 )
-            self._pk_index[key] = len(self._heap)
+            if not pk.owned[i]:
+                part = pk.parts[i] = part.copy()
+                pk.owned[i] = 1
+            part[key] = rid
 
-        rid = len(self._heap)
-        self._heap.append(row_tuple)
+        if rid & CHUNK_MASK:
+            i = rid >> CHUNK_SHIFT
+            chunk = self._heap[i]
+            if not self._owned[i]:
+                chunk = self._heap[i] = chunk[:]
+                self._owned[i] = 1
+            chunk.append(row_tuple)
+        else:
+            self._heap.append([row_tuple])
+            self._owned.append(1)
+        self._slots = rid + 1
         self._live_count += 1
         return rid
 
@@ -229,28 +263,8 @@ class Table:
         Validates types, NOT NULL and primary-key uniqueness exactly like
         :meth:`insert`; on any failure the old tuple is left untouched.
         """
-        self._materialize()
         old_tuple = self._fetch(rid)
-        columns = self.schema.columns
-        if len(values) != len(columns):
-            raise IntegrityError(
-                f"table {self.schema.name!r} expects {len(columns)} values, "
-                f"got {len(values)}"
-            )
-        coerced: List[Any] = []
-        for column, value in zip(columns, values):
-            try:
-                typed = column.datatype.validate(value)
-            except TypeMismatchError as exc:
-                raise TypeMismatchError(
-                    f"{self.schema.name}.{column.name}: {exc}"
-                ) from None
-            if typed is None and not column.nullable:
-                raise IntegrityError(
-                    f"{self.schema.name}.{column.name} is NOT NULL"
-                )
-            coerced.append(typed)
-        new_tuple = tuple(coerced)
+        new_tuple = self._coerce(values)
 
         if self._pk_positions:
             old_key = tuple(old_tuple[p] for p in self._pk_positions)
@@ -267,26 +281,25 @@ class Table:
                     )
                 del self._pk_index[old_key]
                 self._pk_index[new_key] = rid
-        self._heap[rid] = new_tuple
+        self._own_chunk(rid >> CHUNK_SHIFT)[rid & CHUNK_MASK] = new_tuple
 
     def delete(self, rid: int) -> None:
         """Tombstone the row at ``rid`` (RIDs of other rows are unchanged)."""
-        self._materialize()
         row_tuple = self._fetch(rid)
         if self._pk_positions:
             key = tuple(row_tuple[p] for p in self._pk_positions)
             self._pk_index.pop(key, None)
-        self._heap[rid] = None
+        self._own_chunk(rid >> CHUNK_SHIFT)[rid & CHUNK_MASK] = None
         self._live_count -= 1
 
     # -- access ------------------------------------------------------------
 
     def _fetch(self, rid: int) -> Tuple[Any, ...]:
-        if rid < 0 or rid >= len(self._heap):
+        if rid < 0 or rid >= self._slots:
             raise IntegrityError(
                 f"RID {rid} out of range for table {self.schema.name!r}"
             )
-        row_tuple = self._heap[rid]
+        row_tuple = self._heap[rid >> CHUNK_SHIFT][rid & CHUNK_MASK]
         if row_tuple is None:
             raise IntegrityError(
                 f"RID {rid} of table {self.schema.name!r} was deleted"
@@ -302,7 +315,10 @@ class Table:
         return self._fetch(rid)
 
     def has_rid(self, rid: int) -> bool:
-        return 0 <= rid < len(self._heap) and self._heap[rid] is not None
+        return (
+            0 <= rid < self._slots
+            and self._heap[rid >> CHUNK_SHIFT][rid & CHUNK_MASK] is not None
+        )
 
     def lookup_pk(self, key: Sequence[Any]) -> Optional[Row]:
         """Fetch the row with the given primary-key value(s), if present."""
@@ -323,18 +339,18 @@ class Table:
             raise IntegrityError(
                 f"table {self.schema.name!r} has no primary key"
             )
-        return self._pk_index.get(key)
+        return self._pk_index.parts[hash(key) & MASK].get(key)
 
     def scan(self) -> Iterator[Row]:
         """Yield every live row in RID order."""
         name = self.schema.name
         schema = self.schema
-        for rid, row_tuple in enumerate(self._heap):
+        for rid, row_tuple in enumerate(chain.from_iterable(self._heap)):
             if row_tuple is not None:
                 yield Row(name, rid, row_tuple, schema)
 
     def rids(self) -> Iterator[int]:
-        for rid, row_tuple in enumerate(self._heap):
+        for rid, row_tuple in enumerate(chain.from_iterable(self._heap)):
             if row_tuple is not None:
                 yield rid
 

@@ -203,6 +203,11 @@ class WorkerPool:
                 future.set_exception(error)
             else:
                 future.set_result(result)
+            # Drop the task before blocking for the next one: a search
+            # task's closure pins the snapshot it read, so a worker that
+            # held it until its next task would keep a superseded
+            # version alive, and that next task would pay for freeing it.
+            task = future = fn = args = kwargs = result = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "stopped" if self.stopped else "running"

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.cow import MASK, PartitionedMap, empty_parts
 from repro.errors import IndexError_
 from repro.relational.database import Database, RID
 from repro.text.tokenizer import normalize, tokenize, tokenize_identifier
@@ -67,7 +68,8 @@ class InvertedIndex:
         index_key_columns: bool = False,
     ):
         self.index_key_columns = index_key_columns
-        self._postings: Dict[str, List[Posting]] = {}
+        # token -> postings, partitioned by the token's hash
+        self._postings = PartitionedMap()
         # token -> tables whose *name* matches it
         self._table_meta: Dict[str, Set[str]] = {}
         # token -> (table, column) pairs whose column name matches it
@@ -84,11 +86,11 @@ class InvertedIndex:
 
     def build(self, database: Database) -> None:
         """(Re)index every table of ``database``."""
-        self._postings.clear()
         self._table_meta.clear()
         self._column_meta.clear()
         self._owned_tokens.clear()
         self._database = database
+        parts = empty_parts()
 
         for table in database.tables():
             schema = table.schema
@@ -114,9 +116,14 @@ class InvertedIndex:
                     if value is None:
                         continue
                     for token in tokenize(value):
-                        self._postings.setdefault(token, []).append(
-                            Posting(schema.name, row.rid, column_name)
-                        )
+                        part = parts[hash(token) & MASK]
+                        posting = Posting(schema.name, row.rid, column_name)
+                        postings = part.get(token)
+                        if postings is None:
+                            part[token] = [posting]
+                        else:
+                            postings.append(posting)
+        self._postings = PartitionedMap(parts=parts)
 
     def add_row(self, table: str, rid: int) -> Tuple[str, ...]:
         """Index one newly inserted row (incremental maintenance);
@@ -138,12 +145,14 @@ class InvertedIndex:
             if value is None:
                 continue
             for token in tokenize(value):
-                if token not in owned:
+                posting = Posting(table, rid, column.name)
+                if token in owned:
+                    postings[token].append(posting)
+                else:
                     # Possibly shared with a fork: copy before the
                     # first append.
-                    postings[token] = list(postings.get(token, ()))
+                    postings[token] = [*postings.get(token, ()), posting]
                     owned.add(token)
-                postings[token].append(Posting(table, rid, column.name))
                 added.append(token)
         return tuple(added)
 
@@ -192,14 +201,18 @@ class InvertedIndex:
         Postings lists are copied only when a mutation appends to them
         (removal already replaces lists wholesale); metadata tables
         describe the schema, which is fixed while serving, and stay
-        shared outright.  Cost: one shallow copy of the token map; the
-        owned-list sets restart empty on both sides.
+        shared outright.  Cost: one list of partition references (a
+        write copies the partitions it lands in, see
+        :class:`~repro.cow.PartitionedMap`); the owned-list sets
+        restart empty on both sides.
         """
-        child = InvertedIndex(index_key_columns=self.index_key_columns)
+        child = InvertedIndex.__new__(InvertedIndex)
+        child.index_key_columns = self.index_key_columns
         child._database = database if database is not None else self._database
         child._table_meta = self._table_meta
         child._column_meta = self._column_meta
-        child._postings = dict(self._postings)
+        child._postings = self._postings.fork()
+        child._owned_tokens = set()
         self._owned_tokens = set()
         return child
 
@@ -216,18 +229,20 @@ class InvertedIndex:
         sub._database = self._database
         sub._table_meta = self._table_meta
         sub._column_meta = self._column_meta
-        sub._postings = {}
+        parts = empty_parts()
         for token, postings in self._postings.items():
             kept = [p for p in postings if p.node in nodes]
             if kept:
-                sub._postings[token] = kept
+                parts[hash(token) & MASK][token] = kept
+        sub._postings = PartitionedMap(parts=parts)
         return sub
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, term: str) -> List[Posting]:
         """Data postings for a term (no metadata expansion)."""
-        return list(self._postings.get(normalize(term), ()))
+        token = normalize(term)
+        return list(self._postings.parts[hash(token) & MASK].get(token, ()))
 
     def lookup_column(self, term: str, table: str, column: str) -> List[Posting]:
         """Postings for ``term`` restricted to one table column —

@@ -35,6 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cli import load_database
 from repro.core.incremental import IncrementalBANKS
 from repro.core.oracle import same
+from repro.cow import CHUNK
 from repro.errors import IntegrityError, TypeMismatchError
 from repro.ops.checkpoint import CheckpointManager, _encode, _read_checkpoint
 from repro.relational.database import Database
@@ -51,13 +52,18 @@ def frame(payload: bytes) -> bytes:
     return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
+def heap(table):
+    """The table's heap as one list: a value tuple or ``None`` per RID."""
+    return [row for chunk in table._heap for row in chunk]
+
+
 def state(database: Database):
     """Everything a checkpoint must bring back, reverse references as
     multisets."""
     tables = database.tables()
     return {
         "name": database.name,
-        "heaps": {t.schema.name: t._heap for t in tables},
+        "heaps": {t.schema.name: heap(t) for t in tables},
         "live": {t.schema.name: len(t) for t in tables},
         "pk": {t.schema.name: t._pk_index for t in tables},
         "indeg": database._indeg,
@@ -121,7 +127,7 @@ def test_round_trip_then_wal_tail(tmp_path, spec):
         epoch, restored = manager.newest_valid()
         assert epoch == store.epoch and manager.skipped == []
         assert state(restored) == state(live.database)
-        assert any(table._heap.count(None) for table in restored.tables())
+        assert any(heap(table).count(None) for table in restored.tables())
 
         def recovered_matches() -> None:
             recovered = IncrementalBANKS.recover(
@@ -192,13 +198,95 @@ def test_edge_values_round_trip_exactly(tmp_path):
         handle.read()[8:].decode("ascii")  # past the frame: plain ASCII
     epoch, restored = manager.newest_valid()
     assert epoch == 1
-    heap = restored.table("edge")._heap
-    assert [exact(row) for row in heap] == [
-        exact(row) for row in database.table("edge")._heap
+    rows = heap(restored.table("edge"))
+    assert [exact(row) for row in rows] == [
+        exact(row) for row in heap(database.table("edge"))
     ]
-    assert heap[5] is None and len(restored.table("edge")) == 6
-    assert math.copysign(1.0, heap[3][1]) == -1.0
+    assert rows[5] is None and len(restored.table("edge")) == 6
+    assert math.copysign(1.0, rows[3][1]) == -1.0
     assert restored.table("edge").lookup_pk([2**70]).values[2].startswith("quote")
+
+
+def test_payload_is_the_document_of_the_scanned_rows():
+    """The payload, encoded chunk by chunk, is byte for byte one
+    ``json.dumps`` of the heaps ``Table.scan()`` reads, and a restored
+    database encodes to the same bytes."""
+    database = load_database("demo:bibliography")
+    victims = leaves(database, 600)[::15]
+    for rid in victims:
+        database.delete(rid)
+    assert len({slot // CHUNK for _table, slot in victims}) > 1
+
+    tables = database.tables()
+
+    def scanned(table):
+        rows = [None] * table.next_rid
+        for row in table.scan():
+            rows[row.rid] = row.values
+        return rows
+
+    expected = json.dumps(
+        {
+            "format": 2,
+            "epoch": 7,
+            "name": database.name,
+            "schema": [table.to_document() for table in database.schema.tables()],
+            "tables": {table.schema.name: scanned(table) for table in tables},
+        },
+        separators=(",", ":"),
+    ).encode("ascii")
+    assert _encode(database, 7) == expected
+    record = json.loads(expected)
+    schemas = [TableSchema.from_document(doc) for doc in record["schema"]]
+    restored = Database.restore(record["name"], schemas, record["tables"])
+    assert _encode(restored, 7) == expected
+
+
+def test_checkpoints_encode_again_only_the_chunks_writes_copied(tmp_path):
+    """A store's checkpoints reuse the text of every chunk no write
+    copied since the last one, and still write the bytes of a fresh
+    encode."""
+    store = SnapshotStore.open(
+        load_database("demo:bibliography"),
+        str(tmp_path / "wal"),
+        fsync="never",
+        checkpoint_path=str(tmp_path / "checkpoints"),
+    )
+    try:
+        manager = store.checkpoints
+        delete_and_reinsert(store, deletes=1)
+        manager.checkpoint(store.current().facade, store.epoch)
+        first = dict(manager._chunk_texts)
+        delete_and_reinsert(store, deletes=3)
+        facade = store.current().facade
+        record = manager.checkpoint(facade, store.epoch)
+        with open(record.path, "rb") as handle:
+            assert handle.read()[8:] == _encode(facade.database, store.epoch)
+        chunks = sum(len(table._heap) for table in facade.database.tables())
+        reused = [
+            key
+            for key, (_chunk, text) in manager._chunk_texts.items()
+            if key in first and first[key][1] is text
+        ]
+        # Five writes copy at most two chunks each.
+        assert len(first) >= chunks - 2 and len(reused) >= chunks - 10
+    finally:
+        store.close()
+
+
+def test_a_database_written_in_place_is_encoded_afresh(tmp_path):
+    """Chunks a table still owns may change in place: never reused."""
+    database = load_database("demo:university")
+    manager = CheckpointManager(str(tmp_path))
+    holder = SimpleNamespace(database=database)
+    manager.checkpoint(holder, 1)
+    student = database.table("student")
+    slot = next(student.rids())
+    database.update(("student", slot), {"name": "renamed in place"})
+    record = manager.checkpoint(holder, 2)
+    with open(record.path, "rb") as handle:
+        payload = handle.read()[8:]
+    assert payload == _encode(database, 2) and b"renamed in place" in payload
 
 
 # -- the bulk restore's checks --------------------------------------------------

@@ -4,9 +4,11 @@ the browse app, the CLI and the federation layer."""
 
 from __future__ import annotations
 
+import gc
 import io
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -392,6 +394,25 @@ class TestSnapshotIsolation:
             outcome = pinned.result(timeout=5)
             assert outcome.snapshot_version == 0
             assert outcome.answers == [("alpha", "v0")]
+
+
+    def test_a_finished_read_does_not_pin_its_snapshot(self):
+        gc.disable()  # refcounting alone must free the superseded version
+        try:
+            with QueryEngine(
+                IncrementalBANKS(make_database()), EngineConfig(workers=2)
+            ) as engine:
+                engine.mutate(lambda f: f.insert("paper", ["p2", "difference engines"]))
+                v1 = weakref.ref(engine.snapshots.current().facade)
+                assert engine.search("engines", timeout=5)
+                engine.mutate(lambda f: f.insert("paper", ["p3", "notes"]))
+                # The worker drops the task just after resolving it.
+                give_up = time.monotonic() + 5
+                while v1() is not None and time.monotonic() < give_up:
+                    time.sleep(0.01)
+                assert v1() is None
+        finally:
+            gc.enable()
 
 
 class TestMetricsIntegration:

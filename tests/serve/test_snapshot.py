@@ -349,22 +349,62 @@ class TestForkCost:
         assert published[3200].graph.num_nodes > 3.5 * published[800].graph.num_nodes
         assert large <= 1.25 * small
 
-    def test_database_and_index_forks_copy_each_map_once(self, published):
-        facade = published[3200]
+    @pytest.fixture(scope="class")
+    def overlaid(self, published):
+        """Each published facade, forked, with a large graph overlay: a
+        quarter of its base nodes reweighed and their first edge
+        rewritten, so a whole-map copy of the overlay grows with it."""
+        overlaid = {}
+        for size, facade in published.items():
+            facade = facade.fork()
+            graph = facade.graph
+            for node in list(graph.base.nodes())[::4]:
+                graph.set_node_weight(node, graph.node_weight(node) + 1.0)
+                for target, weight in graph.successors(node)[:1]:
+                    graph.add_edge(node, target, weight)
+            overlaid[size] = facade
+        return overlaid
 
-        def fork_both():
-            database = facade.database.fork()
-            return database, facade.index.fork(database)
-
-        allocated, (database, index) = traced_bytes(fork_both)
-        # One shallow copy of each map; no set of their keys.
-        maps = (
-            sys.getsizeof(database._tables)
-            + sys.getsizeof(database._reverse_refs)
-            + sys.getsizeof(database._indeg)
-            + sys.getsizeof(index._postings)
+    def test_forks_do_not_grow_with_the_database(self, overlaid):
+        small, large = (traced_bytes(overlaid[size].fork)[0] for size in (800, 3200))
+        assert (
+            overlaid[3200].graph.overlay_nodes
+            > 3.5 * overlaid[800].graph.overlay_nodes
         )
-        assert allocated <= 1.1 * maps
+        assert large <= 1.25 * small
+
+    def test_one_row_writes_copy_partitions_not_maps(self, published):
+        facade = published[3200]
+        database, index, graph = facade.database, facade.index, facade.graph
+
+        def copy_bytes(table: str) -> int:
+            """One whole-map copy of the maps a write to ``table``
+            touches, and of the table's heap."""
+            maps = (
+                database._reverse_refs,
+                database._indeg,
+                database.table(table)._pk_index,
+                index._postings,
+                graph._over_succ,
+                graph._over_pred,
+                graph._over_nw,
+            )
+            heap = [row for chunk in database.table(table)._heap for row in chunk]
+            return sys.getsizeof(heap) + sum(
+                sys.getsizeof(dict(m.items())) for m in maps
+            )
+
+        title = ("paper", database.table("paper").lookup_pk_rid(("S000007",)))
+        appended = ("writes", database.table("writes").lookup_pk_rid(("na0", "NP0")))
+        writes = (
+            ("writes", lambda f: f.insert("writes", ["na1", "S000007"])),
+            ("paper", lambda f: f.update(title, {"title": "a renamed title"})),
+            ("writes", lambda f: f.delete(appended)),
+        )
+        for table, write in writes:
+            fork = facade.fork()
+            allocated, _ = traced_bytes(lambda: write(fork))
+            assert allocated < 0.05 * copy_bytes(table), table
 
 
 class TestEngineCopyMetrics:

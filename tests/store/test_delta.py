@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.incremental import IncrementalBANKS
+from repro.cow import CHUNK, MASK
 from repro.core.model import build_data_graph
 from repro.errors import StoreError
 from repro.relational import Database, execute_script
@@ -175,11 +176,29 @@ class TestRelationalForks:
         assert fork.row(("paper", 0))["title"] == "changed"
 
     def test_untouched_tables_stay_shared(self):
+        """The unit of sharing is a heap chunk and a map partition: a
+        write copies the ones it lands in, and nothing else."""
         database = make_db()
+        for k in range(2, 2 + 2 * CHUNK):  # three paper chunks
+            database.insert("paper", [f"p{k}", f"title {k}"])
         fork = database.fork()
-        fork.insert("paper", ["p2", "fork only"])
-        assert fork.table("author")._heap is database.table("author")._heap
-        assert fork.table("paper")._heap is not database.table("paper")._heap
+        fork.insert("paper", ["new", "fork only"])
+        fork.update(("paper", 1), {"title": "renamed"})
+
+        def shared(mine, theirs):
+            return [a is b for a, b in zip(mine, theirs)]
+
+        mine, theirs = fork.table("author"), database.table("author")
+        assert all(shared(mine._heap, theirs._heap))
+        assert all(shared(mine._pk_index.parts, theirs._pk_index.parts))
+        mine, theirs = fork.table("paper"), database.table("paper")
+        # The update lands in chunk 0, the insert in the last chunk.
+        assert shared(mine._heap, theirs._heap) == [False, True, False]
+        # One partition for the new key; a same-key update writes none.
+        pk_parts = shared(mine._pk_index.parts, theirs._pk_index.parts)
+        assert pk_parts.count(False) == 1
+        assert pk_parts.index(False) == hash(("new",)) & MASK
+        assert all(shared(fork._reverse_refs.parts, database._reverse_refs.parts))
 
     def test_index_fork_isolation(self):
         database = make_db()
