@@ -56,7 +56,10 @@ concurrent serving engine (:mod:`repro.serve`): a worker pool with
 admission control, single-flight deduplication and a result cache,
 with metrics exposed at ``/metrics``.  ``--check`` binds a free port,
 fetches ``/v1/health``, ``/metrics``, ``/`` and the topology's pages
-over a real socket, and exits (1 on any non-200).  Tuning knobs:
+over a real socket, runs one keyword query (a token of the served rows)
+through ``/v1/query`` and ``/v1/query/stream``, and exits (1 on any
+non-200, an empty answer list or streamed answers that differ from the
+result document's).  Tuning knobs:
 
     --workers N        worker threads executing searches (default 4)
     --queue-bound N    admitted-but-not-running requests before load
@@ -345,9 +348,35 @@ def _serve_mode(cluster) -> str:
     return mode
 
 
+def _probe_term(database: Database) -> str:
+    """A keyword the served rows hold: the first token of the first
+    indexed text value, so the query probes must find an answer."""
+    from repro.text.inverted_index import _key_columns
+    from repro.text.tokenizer import tokenize
+
+    for table in database.tables():
+        schema = table.schema
+        keys = _key_columns(schema)
+        positions = [
+            schema.column_position(column.name)
+            for column in schema.text_columns()
+            if column.name not in keys
+        ]
+        for row in table.scan():
+            for position in positions:
+                tokens = tokenize(row.values[position] or "")
+                if tokens:
+                    return tokens[0]
+    raise ReproError(f"{database.name} holds no indexed text to query")
+
+
 def _self_check(server, cluster, token: Optional[str], out) -> int:
     """``banks serve --check``: fetch the API probes and the topology's
-    pages from the bound server over a real socket; 1 on any non-200."""
+    pages from the bound server over a real socket, then run one keyword
+    query through ``/v1/query`` and ``/v1/query/stream``; 1 on any
+    non-200, a query without answers, or a stream whose answers are not
+    the result document's."""
+    from repro.core.oracle import same_up_to_ties
     from repro.errors import NetError
     from repro.net import BanksClient
 
@@ -369,7 +398,38 @@ def _self_check(server, cluster, token: Optional[str], out) -> int:
         print(f"self-check: GET {probe} -> {status}", file=out)
         if status != 200:
             return 1
-    return 0
+    term = _probe_term(cluster.database)
+
+    def signature(answers):
+        return [(tuple(a["root"]), a["relevance"]) for a in answers]
+
+    try:
+        document = client.query(term, k=5)
+        events = list(client.query_stream(term, k=5))
+    except NetError as error:
+        status = error.status or str(error)
+        print(f"self-check: POST query {term!r} -> {status}", file=out)
+        return 1
+    answers = signature(document["answers"])
+    print(
+        f"self-check: POST /v1/query {term!r} -> 200, "
+        f"{len(answers)} answer(s)",
+        file=out,
+    )
+    streamed = signature(data for name, data in events if name == "answer")
+    results = [data for name, data in events if name == "result"]
+    agrees = (
+        len(results) == 1
+        and same_up_to_ties(streamed, signature(results[0]["answers"]))
+        and same_up_to_ties(streamed, answers)
+    )
+    print(
+        f"self-check: POST /v1/query/stream {term!r} -> "
+        f"{len(streamed)} answer event(s), "
+        f"{'equal to' if agrees else 'DIFFERENT from'} the result",
+        file=out,
+    )
+    return 0 if answers and agrees else 1
 
 
 def _command_serve(args: argparse.Namespace, out) -> int:

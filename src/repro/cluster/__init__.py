@@ -15,8 +15,10 @@ contract:
   composition and lifecycle, and the typed request/response contract:
   :class:`QueryRequest` (keywords, k, deadline, consistency) →
   :class:`QueryResult` (answers + shard/replica provenance + the
-  observed epoch + timing), via sync :meth:`~Cluster.query` or
-  future-returning :meth:`~Cluster.submit`.
+  observed epoch + timing), via sync :meth:`~Cluster.query`,
+  future-returning :meth:`~Cluster.submit` or the event generator
+  :meth:`~Cluster.query_stream` — one read core, one sealed trace per
+  read.
 * :mod:`repro.cluster.replicaset` — :class:`ReplicaSet`, the serving
   half of replication the ROADMAP promised: N WAL-following replicas
   forked from one primary, load-balanced (``round_robin`` /

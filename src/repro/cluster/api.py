@@ -24,10 +24,15 @@ snapshot store, the shard router's delta routing, or the replica set's
 primary.  A ``single`` deployment without ``live`` has no write path:
 :attr:`Cluster.read_only` is true and every write raises.
 
-:meth:`Cluster.query` is the only code that begins and seals a trace:
-the engine, the shard router and the replica set record spans into the
-trace they are handed, so each read — a failed one too — stores
-exactly one record in :attr:`Cluster.obs`.
+``Cluster._read`` is the one read core and the only code that begins
+and seals a trace: :meth:`Cluster.query` waits on its future,
+:meth:`Cluster.submit` returns it and :meth:`Cluster.query_stream`
+drains it.  The engine, the shard router and the replica set record
+spans into the trace they are handed, so each read — a failed one
+too — stores exactly one record in :attr:`Cluster.obs`.  On
+engine-backed topologies a read is one hop: the caller hands it to an
+engine worker, and that worker seals the trace and resolves the
+caller's future.
 
 Consistency levels (per request, ``QueryRequest.consistency``):
 
@@ -50,7 +55,7 @@ and recorded in the result — everywhere.
 
 from __future__ import annotations
 
-import threading
+import queue
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -168,7 +173,7 @@ class Cluster:
         spec.validate()
         self.spec = spec
         #: The cluster-wide observability bundle: trace store, event
-        #: log and sampling knobs.  :meth:`query` is the only code that
+        #: log and sampling knobs.  :meth:`_read` is the only code that
         #: begins and seals traces; the layers below record spans into
         #: the trace they are handed, and the ``/trace`` pages read
         #: this one store.
@@ -295,117 +300,150 @@ class Cluster:
     # -- the public read surface -----------------------------------------------
 
     def query(self, request: Any, on_answer=None, **overrides) -> QueryResult:
-        """Serve one read; accepts a :class:`QueryRequest` or a plain
-        keyword string (``overrides``: ``k``, ``deadline``,
-        ``consistency``).
+        """Serve one read and wait for it; accepts a
+        :class:`QueryRequest` or a plain keyword string (``overrides``:
+        ``k``, ``deadline``, ``consistency``).
 
         ``on_answer`` (when the deployment streams inline — see
         :meth:`streams_inline`) fires with each answer as the search
         kernel emits it, strictly before the call returns; the final
-        returned list stays authoritative.  Backends whose workers live
-        across a process boundary cannot carry the callback and simply
-        ignore it.
+        returned list stays authoritative.  Deployments that do not
+        stream inline ignore it.  The router and the replica set serve
+        on the calling thread; engine-backed topologies wait on the
+        engine's future.
         """
+        request = self._request(request, overrides)
+        return self._read(request, on_answer, inline=True).result()
+
+    def submit(
+        self, request: Any, on_answer=None, **overrides
+    ) -> "Future[QueryResult]":
+        """Admit one read asynchronously; the future resolves to the
+        same :class:`QueryResult` :meth:`query` returns.
+
+        On engine-backed topologies (``single``, live, follower) the
+        future is chained off :meth:`QueryEngine.submit
+        <repro.serve.engine.QueryEngine.submit>`'s: the engine worker
+        that runs the search also resolves it, with no thread between.
+        The router and the replica set make blocking calls, which run on
+        the cluster's submit pool.  ``on_answer`` is :meth:`query`'s
+        hook and fires on that serving thread.  Cancelling the future
+        abandons only this caller: the search, and a flight other
+        callers share, run on, and the read's trace is still sealed.
+        """
+        return self._read(self._request(request, overrides), on_answer)
+
+    def search(self, query: Any, max_results: int = 10, **kwargs) -> List[Any]:
+        """Engine-compatible convenience: the bare answer list."""
+        return self.query(QueryRequest(query, k=max_results, **kwargs)).answers
+
+    def streams_inline(self) -> bool:
+        """Whether this deployment can flush answers as the kernel
+        finds them (the ``on_answer`` hook / SSE streaming).  True for
+        every in-process backend but a gather; false when the serving
+        workers live across a process boundary (forked shard or replica
+        workers, remote HTTP replicas) — a Python callback cannot cross
+        a pipe or a socket — and under ``dispatch="gather"``, whose
+        shards emit candidates that are answers only once the merge has
+        ranked them.  Those deployments deliver all answers at
+        completion instead."""
+        if getattr(self.backend, "backend", "thread") != "thread":
+            return False
+        return not (self.spec.shards and self.spec.dispatch == "gather")
+
+    def query_stream(self, request: Any, **overrides):
+        """Serve one read incrementally: a generator of ``(kind,
+        payload)`` events — ``("answer", answer)`` for each answer as
+        the kernel emits it, then exactly one ``("result", QueryResult)``
+        carrying the authoritative ranked list (identical to what
+        :meth:`query` returns for the same request).
+
+        The read is :meth:`submit`'s: its ``on_answer`` hook and its
+        done-callback feed a queue this generator drains on the
+        caller's thread, so no thread is started per read.  On
+        deployments that cannot stream inline (see
+        :meth:`streams_inline`) the answer events are replayed from the
+        result once the search completes — the event shape is the same
+        either way.  An error raises out of the generator.
+        """
+        events: "queue.SimpleQueue" = queue.SimpleQueue()
+        future = self.submit(
+            request,
+            on_answer=lambda answer: events.put(("answer", answer)),
+            **overrides,
+        )
+        future.add_done_callback(events.put)
+        yield from iter(events.get, future)
+        result = future.result()
+        if not self.streams_inline():
+            for answer in result.answers:
+                yield "answer", answer
+        yield "result", result
+
+    @staticmethod
+    def _request(request: Any, overrides: dict) -> QueryRequest:
         if not isinstance(request, QueryRequest):
-            request = QueryRequest(request, **overrides)
-        elif overrides:
+            return QueryRequest(request, **overrides)
+        if overrides:
             raise ClusterError(
                 "pass either a QueryRequest or keyword overrides, not both"
             )
+        return request
+
+    def _read(
+        self, request: QueryRequest, on_answer=None, inline: bool = False
+    ) -> "Future[QueryResult]":
+        """The one read core: begin the read's trace, start the read,
+        and seal the trace in the done-callback that resolves the
+        returned future.
+
+        Engine-backed topologies chain off the engine's future.  The
+        router and the replica set block: with ``inline`` on the calling
+        thread, otherwise on the submit pool.
+        """
         self._check_open()
-        started = time.monotonic()
         spec = self.spec
-        if on_answer is not None and not self.streams_inline():
-            on_answer = None
-        stream_kwargs = {} if on_answer is None else {"on_answer": on_answer}
+        started = time.monotonic()
+        engine_backed = not (spec.replicated or spec.topology == "sharded")
+        kwargs: dict = {"max_results": request.k}
+        if on_answer is not None and self.streams_inline():
+            kwargs["on_answer"] = on_answer
         # The cluster surface is the one originator: one root ``query``
         # span per request, with every layer below (replica set, shard
         # router, engine, kernel) parenting its spans under it — across
         # forked workers too — and one sealed record per read, failed
         # reads included.
         trace = self.obs.begin(request.trace_id)
-        profile = SearchProfile() if trace is not None else None
-        root = (
-            trace.begin(
+        profile = root = None
+        if trace is not None:
+            profile = SearchProfile()
+            root = trace.begin(
                 "query",
                 topology=spec.topology,
                 consistency=request.consistency,
                 k=request.k,
             )
-            if trace is not None
-            else None
-        )
-        obs_kwargs = (
-            {
-                "trace": trace,
-                "trace_parent": root.span_id,
-                "profile": profile,
-            }
-            if trace is not None
-            else {}
-        )
-        record = failure = None
-        try:
-            if spec.replicated:
-                answers, replica, epoch = self.backend.query(
-                    request.keywords,
-                    max_results=request.k,
-                    deadline=request.deadline,
-                    consistency=request.consistency,
-                    staleness_bound=request.staleness_bound,
-                    **obs_kwargs,
-                    **stream_kwargs,
+            kwargs.update(
+                trace=trace, trace_parent=root.span_id, profile=profile
+            )
+        result: Future = Future()
+
+        def seal(source: Future) -> None:
+            failure = None
+            try:
+                answers, served_by, replica, epoch, shards = self._outcome(
+                    source.result()
                 )
-                served_by = (
-                    "primary" if replica is None else f"replica-{replica}"
-                )
-                shards = tuple(
-                    sorted(
-                        {s for a in answers for s in getattr(a, "shards", ())}
-                    )
-                )
-            elif spec.topology == "sharded":
-                answers = self.backend.search(
-                    request.keywords,
-                    max_results=request.k,
-                    **obs_kwargs,
-                    **stream_kwargs,
-                )
-                replica, epoch = None, self.backend.epoch
-                served_by = "router"
-                shards = tuple(
-                    sorted({s for a in answers for s in a.shards()})
-                )
-            else:
-                outcome = self.backend.submit(
-                    request.keywords,
-                    deadline=request.deadline,
-                    max_results=request.k,
-                    **obs_kwargs,
-                    **stream_kwargs,
-                ).result()
-                answers = outcome.answers
-                if self.follower is not None:
-                    # The follower's local store renumbers per poll
-                    # batch; the primary's WAL epoch is the one that means
-                    # something to the operator.
-                    replica, epoch = None, self.follower.applied_epoch
-                    served_by = "follower"
-                else:
-                    replica, epoch = None, self.backend.snapshots.epoch
-                    served_by = "engine"
-                shards = ()
-        except BaseException as error:
-            failure = type(error).__name__
-            raise
-        finally:
+            except BaseException as error:  # noqa: BLE001 - to the caller
+                failure = error
             latency = time.monotonic() - started
+            record = None
             if trace is not None:
                 if failure is None:
                     root.attrs["answers"] = len(answers)
                     outcome_attrs = {"served_by": served_by}
                 else:
-                    outcome_attrs = {"error": failure}
+                    outcome_attrs = {"error": type(failure).__name__}
                 root.attrs.update(outcome_attrs)
                 trace.end(root)
                 record = self.obs.finish(
@@ -417,29 +455,79 @@ class Cluster:
                     consistency=request.consistency,
                     **outcome_attrs,
                 )
-        return QueryResult(
-            answers=answers,
-            topology=spec.topology,
-            served_by=served_by,
-            replica=replica,
-            shards=shards,
-            epoch=epoch,
-            consistency=request.consistency,
-            latency=latency,
-            trace=record,
-            profile=profile,
-        )
-
-    def submit(self, request: Any, **overrides) -> "Future[QueryResult]":
-        """Admit one read asynchronously; the future resolves to the
-        same :class:`QueryResult` :meth:`query` returns."""
-        if not isinstance(request, QueryRequest):
-            request = QueryRequest(request, **overrides)
-        elif overrides:
-            raise ClusterError(
-                "pass either a QueryRequest or keyword overrides, not both"
+            if not result.set_running_or_notify_cancel():
+                return  # the caller abandoned the read
+            if failure is not None:
+                result.set_exception(failure)
+                return
+            result.set_result(
+                QueryResult(
+                    answers=answers,
+                    topology=spec.topology,
+                    served_by=served_by,
+                    replica=replica,
+                    shards=shards,
+                    epoch=epoch,
+                    consistency=request.consistency,
+                    latency=latency,
+                    trace=record,
+                    profile=profile,
+                )
             )
-        self._check_open()
+
+        source: Future = Future()
+        try:
+            if engine_backed:
+                source = self.backend.submit(
+                    request.keywords, deadline=request.deadline, **kwargs
+                )
+            elif inline:
+                source.set_result(self._routed_read(request, kwargs))
+            else:
+                source = self._submit_pool().submit(
+                    self._routed_read, request, kwargs
+                )
+        except Exception as error:
+            # A read that fails to start still resolves through seal.
+            source.set_exception(error)
+        source.add_done_callback(seal)
+        return result
+
+    def _routed_read(self, request: QueryRequest, kwargs: dict):
+        """The replica set's or the router's blocking read."""
+        if self.spec.replicated:
+            return self.backend.query(
+                request.keywords,
+                deadline=request.deadline,
+                consistency=request.consistency,
+                staleness_bound=request.staleness_bound,
+                **kwargs,
+            )
+        return self.backend.search(request.keywords, **kwargs)
+
+    def _outcome(self, value):
+        """What a topology's read returned — the replica set's
+        ``(answers, replica, epoch)``, the router's answers or the
+        engine's :class:`~repro.serve.engine.QueryOutcome` — as
+        ``(answers, served_by, replica, epoch, shards)``."""
+        spec = self.spec
+        if spec.replicated:
+            answers, replica, epoch = value
+            served_by = "primary" if replica is None else f"replica-{replica}"
+            shards = {s for a in answers for s in a.shards}
+            return answers, served_by, replica, epoch, tuple(sorted(shards))
+        if spec.topology == "sharded":
+            shards = {s for a in value for s in a.shards()}
+            return value, "router", None, self.backend.epoch, tuple(sorted(shards))
+        if self.follower is not None:
+            # The follower's local store renumbers per poll batch; the
+            # primary's WAL epoch is the one that means something to
+            # the operator.
+            epoch = self.follower.applied_epoch
+            return value.answers, "follower", None, epoch, ()
+        return value.answers, "engine", None, self.backend.snapshots.epoch, ()
+
+    def _submit_pool(self):
         if self._pool is None:
             from repro.serve.pool import WorkerPool
 
@@ -448,77 +536,7 @@ class Cluster:
                 queue_bound=0,
                 name="cluster-submit",
             )
-        future: Future = Future()
-        self._pool.submit(lambda: self.query(request), future=future)
-        return future
-
-    def search(self, query: Any, max_results: int = 10, **kwargs) -> List[Any]:
-        """Engine-compatible convenience: the bare answer list."""
-        return self.query(QueryRequest(query, k=max_results, **kwargs)).answers
-
-    def streams_inline(self) -> bool:
-        """Whether this deployment can flush answers as the kernel
-        finds them (the ``on_answer`` hook / SSE streaming).  True for
-        every in-process backend; false when the serving workers live
-        across a process boundary (forked shard or replica workers,
-        remote HTTP replicas) — a Python callback cannot cross a pipe
-        or a socket, so those deployments deliver all answers at
-        completion instead."""
-        backend = self.backend
-        worker_backend = getattr(backend, "backend", None)
-        if worker_backend is not None:
-            return worker_backend == "thread"
-        return True
-
-    def query_stream(self, request: Any, **overrides):
-        """Serve one read incrementally: a generator of ``(kind,
-        payload)`` events — ``("answer", answer)`` for each answer as
-        the kernel emits it, then exactly one ``("result", QueryResult)``
-        carrying the authoritative ranked list (identical to what
-        :meth:`query` returns for the same request).
-
-        On deployments that cannot stream inline (see
-        :meth:`streams_inline`) the answer events arrive only once the
-        search completes — the event shape is the same either way.
-        The underlying query runs on a worker thread; an error raises
-        out of the generator, not into the void.
-        """
-        import queue as queue_module
-
-        if not isinstance(request, QueryRequest):
-            request = QueryRequest(request, **overrides)
-        elif overrides:
-            raise ClusterError(
-                "pass either a QueryRequest or keyword overrides, not both"
-            )
-        self._check_open()
-        events: "queue_module.Queue" = queue_module.Queue()
-        streamed = self.streams_inline()
-
-        def run() -> None:
-            try:
-                result = self.query(
-                    request,
-                    on_answer=lambda a: events.put(("answer", a)),
-                )
-                if not streamed:
-                    for answer in result.answers:
-                        events.put(("answer", answer))
-                events.put(("result", result))
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                events.put(("error", error))
-
-        worker = threading.Thread(
-            target=run, name="cluster-query-stream", daemon=True
-        )
-        worker.start()
-        while True:
-            kind, payload = events.get()
-            if kind == "error":
-                raise payload
-            yield kind, payload
-            if kind == "result":
-                return
+        return self._pool
 
     # -- the public write surface ----------------------------------------------
 

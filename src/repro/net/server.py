@@ -1,14 +1,17 @@
 """The asyncio HTTP server: ``repro.cluster`` over the wire.
 
 One event loop, one reader/writer pair per connection, and *no* query
-work on the loop itself — every ``Cluster`` call runs on an executor
-thread so a slow backward expansion never stalls accepts or other
-clients' streams.  The interesting route is ``/v1/query/stream``:
-the executor thread drives :meth:`repro.cluster.Cluster.query_stream`
-and feeds an ``asyncio.Queue`` via ``call_soon_threadsafe``, while the
-coroutine drains it into SSE frames — each answer tree is flushed the
-moment the kernel emits it, so the client's time-to-first-answer is
-the kernel's, not the full top-k latency.
+work on the loop itself, so a slow backward expansion never stalls
+accepts or other clients' streams.  A keyword read is one hop:
+``/v1/query`` awaits :meth:`repro.cluster.Cluster.submit`'s future
+(``asyncio.wrap_future``), resolved by the engine worker that ran the
+search.  ``/v1/query/stream`` submits with an ``on_answer`` hook that
+hands each answer to the loop via ``call_soon_threadsafe`` while the
+coroutine drains them into SSE frames — each answer tree is flushed
+the moment the kernel emits it, so the client's time-to-first-answer
+is the kernel's, not the full top-k latency.  Deployments that cannot
+stream inline replay the result's answers as frames instead.  The
+browse pages, which block, run on the loop's executor.
 
 Routes (the ``/v1/`` ones JSON, carrying ``"version": "v1"``):
 
@@ -488,32 +491,29 @@ class HttpServer:
         )
 
     async def _run_query(self, wire: WireQuery) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        request = self._request_for(wire)
-        result = await loop.run_in_executor(
-            None, lambda: self.cluster.query(request)
-        )
-        return encode_result(result, wire)
+        future = self.cluster.submit(self._request_for(wire))
+        return encode_result(await asyncio.wrap_future(future), wire)
 
     async def _stream_query(
         self, writer: asyncio.StreamWriter, wire: WireQuery
     ) -> None:
-        """SSE: drive ``Cluster.query_stream`` on an executor thread,
-        flush each answer frame the moment the kernel surfaces it."""
+        """SSE: submit the read with an ``on_answer`` hook feeding the
+        loop, and flush each answer frame the moment the kernel
+        surfaces it."""
         loop = asyncio.get_running_loop()
         events: "asyncio.Queue" = asyncio.Queue()
-        request = self._request_for(wire)
 
-        def produce() -> None:
-            def put(item) -> None:
-                loop.call_soon_threadsafe(events.put_nowait, item)
-
+        def put(item) -> None:
+            # Runs on the serving thread.  Once the server has stopped
+            # the loop is closed and nobody reads this stream: drop the
+            # event rather than fail the search.
             try:
-                for kind, payload in self.cluster.query_stream(request):
-                    put((kind, payload))
-            except BaseException as error:
-                put(("error", error))
+                loop.call_soon_threadsafe(events.put_nowait, item)
+            except RuntimeError:
+                pass
 
+        future = self.cluster.submit(self._request_for(wire), on_answer=put)
+        future.add_done_callback(put)
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
@@ -521,36 +521,40 @@ class HttpServer:
             b"Connection: close\r\n\r\n"
         )
         await writer.drain()
-        worker = threading.Thread(
-            target=produce, name="banks-http-stream", daemon=True
-        )
-        worker.start()
         rank = 0
-        while True:
-            kind, payload = await events.get()
-            if kind == "error":
-                status = _error_status(payload)
-                writer.write(
-                    sse_event(
-                        "error",
-                        {
-                            "version": WIRE_VERSION,
-                            "error": str(payload) or type(payload).__name__,
-                            "status": status,
-                        },
-                    )
+        while (answer := await events.get()) is not future:
+            rank = await self._send_answer(writer, wire, answer, rank)
+        try:
+            result = future.result()
+        except Exception as error:
+            writer.write(
+                sse_event(
+                    "error",
+                    {
+                        "version": WIRE_VERSION,
+                        "error": str(error) or type(error).__name__,
+                        "status": _error_status(error),
+                    },
                 )
-                await writer.drain()
-                return
-            if kind == "answer":
-                if rank >= wire.offset and rank < wire.offset + wire.k:
-                    writer.write(sse_event("answer", encode_answer(payload, rank)))
-                    await writer.drain()
-                rank += 1
-                continue
-            writer.write(sse_event("result", encode_result(payload, wire)))
+            )
             await writer.drain()
             return
+        if not self.cluster.streams_inline():
+            for answer in result.answers:
+                rank = await self._send_answer(writer, wire, answer, rank)
+        writer.write(sse_event("result", encode_result(result, wire)))
+        await writer.drain()
+
+    @staticmethod
+    async def _send_answer(
+        writer: asyncio.StreamWriter, wire: WireQuery, answer, rank: int
+    ) -> int:
+        """Flush one answer frame if ``rank`` is on the requested page;
+        returns the next rank."""
+        if wire.offset <= rank < wire.offset + wire.k:
+            writer.write(sse_event("answer", encode_answer(answer, rank)))
+            await writer.drain()
+        return rank + 1
 
 
 def serve_http(cluster: Cluster, config: Optional[NetConfig] = None) -> None:

@@ -1,8 +1,9 @@
 """Spans, trace context, the trace ring buffer and sampling.
 
 One query produces one :class:`Trace`: a mutable, thread-safe span
-collector created at the outermost serving surface (``Cluster.query``
-— or the engine/router itself when called directly) and handed down
+collector created at the outermost serving surface (the cluster's read
+core behind ``Cluster.query``, ``submit`` and ``query_stream`` — or the
+engine/router itself when called directly) and handed down
 through every layer.  Each layer records spans against explicit parent
 ids, so the finished trace reconstructs a single rooted tree —
 queue-wait, snapshot-pin, per-shard expansion and merge phases as

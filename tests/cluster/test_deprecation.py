@@ -59,6 +59,7 @@ class TestRemovedServeFlags:
         store.mutate(
             lambda f: f.insert("student", ["S901", "Old Flagg", "BIGDEPT"])
         )
+        store.close()
         status, output = run_cli(
             "serve", "demo:university", "--check", "--follow", "--wal", wal
         )

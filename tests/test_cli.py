@@ -72,6 +72,9 @@ class TestCommands:
         status, output = run_cli("serve", "demo:university", "--check")
         assert status == 0
         assert "200" in output
+        # One keyword query from the served rows, both wire forms.
+        assert "POST /v1/query 'school' -> 200, 1 answer(s)" in output
+        assert "1 answer event(s), equal to the result" in output
 
     def test_serve_check_with_trace_knobs(self):
         status, output = run_cli(
