@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.datasets import generate_bibliography, generate_thesis_db
 from repro.federate import ExternalLink, FederatedBanks, Federation
-from repro.relational import execute_script
 
 
 def main() -> None:
@@ -30,11 +29,9 @@ def main() -> None:
     # The thesis database writes advisors as "Prof. X"; align a few
     # names so the identity link has something to match (in a real
     # deployment this is the data-cleaning step HREF publishing needs).
-    execute_script(
-        thesis,
-        "UPDATE faculty SET name = 'S. Sudarshan' "
-        "WHERE name = 'Prof. S. Sudarshan'",
-    )
+    for row in list(thesis.table("faculty").scan()):
+        if row["name"] == "Prof. S. Sudarshan":
+            thesis.update(("faculty", row.rid), {"name": "S. Sudarshan"})
 
     federation = Federation("campus")
     federation.register("dblp", biblio)

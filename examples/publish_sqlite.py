@@ -16,6 +16,7 @@ Run::
     python examples/publish_sqlite.py --serve    # serve on localhost:8947
 """
 
+import os
 import sqlite3
 import sys
 import tempfile
@@ -62,8 +63,8 @@ INSERT INTO stock VALUES ('S2', 'P4', 9);
 """
 
 
-def build_catalog() -> str:
-    path = tempfile.mktemp(suffix=".db", prefix="banks_catalog_")
+def build_catalog(directory: str) -> str:
+    path = os.path.join(directory, "catalog.db")
     connection = sqlite3.connect(path)
     connection.executescript(CATALOG_SQL)
     connection.commit()
@@ -72,11 +73,13 @@ def build_catalog() -> str:
 
 
 def main() -> None:
-    sqlite_path = build_catalog()
-    print(f"created sqlite database at {sqlite_path}")
+    with tempfile.TemporaryDirectory(prefix="banks_catalog_") as directory:
+        sqlite_path = build_catalog(directory)
+        print(f"created sqlite database at {sqlite_path}")
 
-    # The whole "integration": one call.
-    database = load_sqlite(sqlite_path, name="catalog")
+        # The whole "integration": one call.  It reads every row, so the
+        # file can go once it returns.
+        database = load_sqlite(sqlite_path, name="catalog")
     with Cluster(ClusterSpec(), database=database) as cluster:
         if "--serve" in sys.argv:
             print("serving http://127.0.0.1:8947/ (Ctrl-C to stop)")

@@ -12,7 +12,7 @@ Run::
 """
 
 from repro import BANKS
-from repro.relational import Database, execute_script
+from repro.relational import load_sql
 
 SCHEMA_AND_DATA = """
 CREATE TABLE author (
@@ -50,8 +50,7 @@ INSERT INTO cites VALUES ('Later01', 'ChakrabartiSD98');
 
 
 def main() -> None:
-    database = Database("dblp-fragment")
-    execute_script(database, SCHEMA_AND_DATA)
+    database = load_sql(SCHEMA_AND_DATA, "dblp-fragment")
 
     banks = BANKS(database)
     print(banks)

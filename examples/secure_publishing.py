@@ -14,13 +14,11 @@ Run:
 from __future__ import annotations
 
 from repro.authz import AccessPolicy, PolicySet, Principal, SecureBanks
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 
 
 def build_hospital() -> Database:
-    database = Database("hospital")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE doctor (did TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE patient (
@@ -43,8 +41,8 @@ def build_hospital() -> Database:
         INSERT INTO visit VALUES ('d2', 'p2', 'antibiotics prescribed');
         INSERT INTO visit VALUES ('d1', 'p3', 'cast removed');
         """,
+        "hospital",
     )
-    return database
 
 
 def build_policies() -> PolicySet:

@@ -41,17 +41,6 @@ class TypeMismatchError(IntegrityError):
     """A value does not conform to the declared column type."""
 
 
-class SQLSyntaxError(ReproError):
-    """The SQL subset parser rejected a statement."""
-
-    def __init__(self, message: str, statement: str = ""):
-        detail = f"{message}"
-        if statement:
-            detail = f"{message} (in statement: {statement!r})"
-        super().__init__(detail)
-        self.statement = statement
-
-
 class GraphError(ReproError):
     """An operation on the data graph failed."""
 

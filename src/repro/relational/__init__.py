@@ -1,4 +1,4 @@
-"""A small, from-scratch relational engine.
+"""A small relational store, loaded through the standard library's sqlite3.
 
 This package is the storage substrate of the BANKS reproduction.  It
 provides exactly what the paper requires from its RDBMS (IBM UDB via JDBC
@@ -12,9 +12,11 @@ in the original system):
 * secondary hash indexes (:mod:`repro.relational.index`);
 * relational-algebra operators used by the browsing subsystem
   (:mod:`repro.relational.algebra`);
-* a small SQL subset (:mod:`repro.relational.sql`) and adapters for
-  sqlite3 files and CSV directories, so BANKS can be pointed at existing
-  data "without any programming" as the paper puts it.
+* loaders for sqlite3 files, SQL scripts (:func:`load_sql` runs them in
+  an in-memory sqlite3 database, the one SQL engine) and CSV directories
+  (:mod:`repro.relational.sqlite_adapter`, :mod:`repro.relational.csvio`),
+  so BANKS can be pointed at existing data "without any programming" as
+  the paper puts it.
 """
 
 from repro.relational.algebra import (
@@ -35,7 +37,7 @@ from repro.relational.schema import (
     ForeignKey,
     TableSchema,
 )
-from repro.relational.sql import execute_sql, execute_script
+from repro.relational.sqlite_adapter import load_sql
 from repro.relational.table import Row, Table
 from repro.relational.types import (
     BOOLEAN,
@@ -62,10 +64,9 @@ __all__ = [
     "Table",
     "TableSchema",
     "TEXT",
-    "execute_script",
-    "execute_sql",
     "group_by",
     "join_fk",
+    "load_sql",
     "paginate",
     "project",
     "select",

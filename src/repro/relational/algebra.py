@@ -23,7 +23,7 @@ from repro.relational.database import Database, RID
 from repro.relational.schema import ForeignKey
 from repro.relational.table import Row, Table
 
-#: Comparison operators accepted by :func:`select` (and the SQL subset).
+#: Comparison operators accepted by :func:`select`.
 COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
     "==": operator.eq,
@@ -131,19 +131,6 @@ def select(
         except TypeError:
             keep = False
         if keep:
-            rows.append(row)
-            provenance.append(prov)
-    return Relation(list(relation.columns), rows, provenance)
-
-
-def select_where(
-    relation: Relation, predicate: Callable[[Tuple[Any, ...]], bool]
-) -> Relation:
-    """General-predicate selection (used by the SQL layer for AND chains)."""
-    rows: List[Tuple[Any, ...]] = []
-    provenance: List[Tuple[RID, ...]] = []
-    for row, prov in zip(relation.rows, relation.provenance):
-        if predicate(row):
             rows.append(row)
             provenance.append(prov)
     return Relation(list(relation.columns), rows, provenance)

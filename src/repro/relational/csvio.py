@@ -2,8 +2,11 @@
 
 A database maps to a directory with one ``<table>.csv`` per table plus a
 ``_schema.sql`` file holding the DDL (so primary/foreign keys survive the
-round trip).  This gives examples and tests a human-inspectable fixture
-format that needs no binary tooling.
+round trip).  The DDL is written by
+:func:`~repro.relational.sqlite_adapter.create_table_sql` and read back
+through :func:`~repro.relational.sqlite_adapter.load_sql`.  This gives
+examples and tests a human-inspectable fixture format that needs no
+binary tooling.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import List, Optional
 
 from repro.errors import SchemaError
 from repro.relational.database import Database
-from repro.relational.sql import execute_script
+from repro.relational.sqlite_adapter import create_table_sql, load_sql
 from repro.relational.types import BOOLEAN, INTEGER, REAL
 
 
@@ -27,22 +30,7 @@ def dump_to_csv_dir(database: Database, directory: str) -> None:
     ddl_statements: List[str] = []
     for table in database.tables():
         schema = table.schema
-        clauses = []
-        for column in schema.columns:
-            clause = f"{column.name} {column.datatype.name}"
-            if not column.nullable:
-                clause += " NOT NULL"
-            clauses.append(clause)
-        if schema.primary_key:
-            clauses.append(f"PRIMARY KEY ({', '.join(schema.primary_key)})")
-        for fk in schema.foreign_keys:
-            clauses.append(
-                f"FOREIGN KEY ({', '.join(fk.source_columns)}) "
-                f"REFERENCES {fk.target_table}({', '.join(fk.target_columns)})"
-            )
-        ddl_statements.append(
-            f"CREATE TABLE {schema.name} (\n    " + ",\n    ".join(clauses) + "\n);"
-        )
+        ddl_statements.append(create_table_sql(schema) + ";")
         path = os.path.join(directory, f"{schema.name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -60,10 +48,13 @@ def load_from_csv_dir(directory: str, name: Optional[str] = None) -> Database:
     schema_path = os.path.join(directory, "_schema.sql")
     if not os.path.exists(schema_path):
         raise SchemaError(f"no _schema.sql in {directory!r}")
+    with open(schema_path, encoding="utf-8") as handle:
+        schemas = [table.schema for table in load_sql(handle.read()).tables()]
+    # Deferred, like load_sqlite: the CSV files need not be topologically
+    # ordered; check_integrity below validates every reference.
     database = Database(name or os.path.basename(directory.rstrip("/")),
                         deferred_fk_check=True)
-    with open(schema_path, encoding="utf-8") as handle:
-        execute_script(database, handle.read())
+    database.create_tables(schemas)
 
     for table in database.tables():
         path = os.path.join(directory, f"{table.schema.name}.csv")

@@ -13,15 +13,13 @@ from repro.authz import (
     authorized_view,
 )
 from repro.errors import AuthorizationError
-from repro.relational import Database, execute_script
+from repro.relational import load_sql
 
 
 @pytest.fixture
 def hospital():
     """Doctors, patients (with a sensitive diagnosis), and visits."""
-    database = Database("hospital")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE doctor (did TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE patient (
@@ -42,8 +40,8 @@ def hospital():
         INSERT INTO visit VALUES ('d1', 'p1', 'followup scan');
         INSERT INTO visit VALUES ('d2', 'p2', 'routine check');
         """,
+        "hospital",
     )
-    return database
 
 
 @pytest.fixture
@@ -234,10 +232,7 @@ class TestSecureSearch:
     def test_invalidate_rebuilds_view(self, secure, hospital):
         admin = Principal.with_roles("alice", "admin")
         assert secure.search(admin, "measles") == []
-        execute_script(
-            hospital,
-            "INSERT INTO patient VALUES ('p3', 'new patient', 'measles', 'east')",
-        )
+        hospital.insert("patient", ["p3", "new patient", "measles", "east"])
         # Stale snapshot until invalidated.
         assert secure.search(admin, "measles") == []
         secure.invalidate(admin)

@@ -17,7 +17,7 @@ from repro.baselines.dataspot import build_hyperbase
 from repro.baselines.goldman import bond
 from repro.datasets import generate_bibliography
 from repro.eval.workload import bibliography_workload
-from repro.relational import Database, execute_script
+from repro.relational import load_sql
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +29,7 @@ def small_biblio():
 @pytest.fixture
 def tiny_db():
     """author/paper/writes with one co-authored paper and one hub author."""
-    database = Database("tiny")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
@@ -49,8 +47,8 @@ def tiny_db():
         INSERT INTO writes VALUES ('a1', 'p2');
         INSERT INTO writes VALUES ('a3', 'p2');
         """,
+        "tiny",
     )
-    return database
 
 
 class TestHyperbase:

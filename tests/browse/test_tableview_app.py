@@ -7,7 +7,7 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.browse.hyperlink import BrowseState
 from repro.browse.schema_browser import render_schema
 from repro.browse.tableview import build_relation, render_row_page, render_table_page
-from repro.relational import Database, execute_script
+from repro.relational import load_sql
 
 
 @pytest.fixture
@@ -53,11 +53,10 @@ class TestBuildRelation:
             build_relation(figure1_db, state)
 
     def test_integer_selection_coerced_from_url(self):
-        database = Database("n")
-        execute_script(
-            database,
+        database = load_sql(
             "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER);"
             "INSERT INTO t VALUES (1, 10); INSERT INTO t VALUES (2, 20);",
+            "n",
         )
         state = BrowseState("t").with_selection("t.v", ">", "15")
         relation = build_relation(database, state)
@@ -97,10 +96,9 @@ class TestPages:
         assert "writes" in html and "PK" in html
 
     def test_hostile_values_escaped(self):
-        database = Database("x")
-        execute_script(
-            database,
+        database = load_sql(
             "CREATE TABLE t (id TEXT PRIMARY KEY, v TEXT);",
+            "x",
         )
         database.insert("t", ["<script>alert(1)</script>", "<img onerror=x>"])
         html = render_table_page(database, BrowseState("t"))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import BANKS
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 
 #: The paper's Fig. 1 fragment: schema plus the ChakrabartiSD98 tuples.
 FIGURE1_SQL = """
@@ -41,9 +41,7 @@ INSERT INTO writes VALUES ('ByronD', 'ChakrabartiSD98');
 
 @pytest.fixture
 def figure1_db() -> Database:
-    database = Database("figure1")
-    execute_script(database, FIGURE1_SQL)
-    return database
+    return load_sql(FIGURE1_SQL, "figure1")
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from repro.datasets import generate_bibliography, synth_bibliography
 from repro.graph.csr import CSRGraph, freeze_graph
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import pagerank
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 
 #: Traced peak of ``BANKS(synth:1600)`` construction before the builder
 #: laid the arrays out directly (dict graph, then a frozen copy of it):
@@ -72,12 +72,6 @@ def assert_rows_match(graph, database, policy):
     assert graph.num_edges == sum(len(row) for row in succ.values())
 
 
-def script_db(sql, deferred=False):
-    database = Database("rows", deferred_fk_check=deferred)
-    execute_script(database, sql)
-    return database
-
-
 EMPLOYEES = """
 CREATE TABLE emp (id TEXT PRIMARY KEY, boss TEXT REFERENCES emp(id));
 INSERT INTO emp VALUES ('ceo', 'ceo');
@@ -93,26 +87,35 @@ INSERT INTO person VALUES ('b', 'a');
 INSERT INTO person VALUES ('c', 'a');
 """
 
-DANGLING = """
+DANGLING_SCHEMA = """
 CREATE TABLE paper (id TEXT PRIMARY KEY);
 CREATE TABLE cites (src TEXT REFERENCES paper(id), dst TEXT REFERENCES paper(id));
-INSERT INTO paper VALUES ('p1');
-INSERT INTO paper VALUES ('p2');
-INSERT INTO cites VALUES ('p1', 'p2');
-INSERT INTO cites VALUES ('p2', 'gone');
 """
 
 
-def spouses_db():
-    database = script_db(SPOUSES, deferred=True)
-    database.check_integrity()
+def dangling_db():
+    """A deferred database whose second cites row references a missing paper
+    (every loader refuses that, so the rows go in one by one)."""
+    database = Database("rows", deferred_fk_check=True)
+    database.create_tables([t.schema for t in load_sql(DANGLING_SCHEMA).tables()])
+    for table, values in [
+        ("paper", ["p1"]),
+        ("paper", ["p2"]),
+        ("cites", ["p1", "p2"]),
+        ("cites", ["p2", "gone"]),
+    ]:
+        database.insert(table, values)
     return database
 
 
+def spouses_db():
+    return load_sql(SPOUSES, "rows")
+
+
 DATABASES = {
-    "selfref_and_null_fk": lambda: script_db(EMPLOYEES),
+    "selfref_and_null_fk": lambda: load_sql(EMPLOYEES, "rows"),
     "mutual_references": spouses_db,
-    "deferred_missing_target": lambda: script_db(DANGLING, deferred=True),
+    "deferred_missing_target": dangling_db,
     "bibliography": lambda: generate_bibliography()[0],
     "synth_800": lambda: synth_bibliography(800)[0],
 }
@@ -155,10 +158,10 @@ def test_eq1_merge_of_mutual_references(merge_rule):
 
 
 def test_selfref_null_and_dangling_make_no_edges():
-    graph, _stats = build_data_graph(script_db(EMPLOYEES))
+    graph, _stats = build_data_graph(load_sql(EMPLOYEES, "rows"))
     assert not graph.has_edge(("emp", 0), ("emp", 0))
     assert graph.out_degree(("emp", 3)) == graph.in_degree(("emp", 3)) == 0
-    graph, stats = build_data_graph(script_db(DANGLING, deferred=True))
+    graph, stats = build_data_graph(dangling_db())
     assert stats.num_edges == 6  # cites 0 <-> p1, p2; cites 1 <-> p2 only
     assert graph.successors(("cites", 1)) == [(("paper", 1), 1.0)]
 

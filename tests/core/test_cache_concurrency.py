@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 
 from repro.core.cache import CachedBanks, ResultCache
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve import EngineConfig, QueryEngine
 
 SCHEMA = """
@@ -28,9 +28,7 @@ INSERT INTO writes VALUES ('a1', 'p1');
 
 
 def make_database() -> Database:
-    database = Database("cache-conc")
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, "cache-conc")
 
 
 def make_cached_banks(**kwargs) -> CachedBanks:

@@ -7,14 +7,12 @@ import pytest
 from repro.core.feedback import FeedbackBanks, FeedbackStore, spreading_activation
 from repro.core.scoring import ScoringConfig
 from repro.errors import QueryError
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 
 
 def make_db() -> Database:
     """Two papers with identical structure; feedback must break the tie."""
-    database = Database("fb")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
@@ -29,8 +27,8 @@ def make_db() -> Database:
         INSERT INTO writes VALUES ('a1', 'p1');
         INSERT INTO writes VALUES ('a2', 'p2');
         """,
+        "fb",
     )
-    return database
 
 
 class TestFeedbackStore:
@@ -111,7 +109,7 @@ class TestSpreadingActivation:
 
     def test_deleted_tuple_mass_is_inert(self):
         database = make_db()
-        execute_script(database, "DELETE FROM writes WHERE aid = 'a1'")
+        database.delete(("writes", 0))  # a1's only writes row
         activation = spreading_activation(
             database, {("writes", 0): 1.0}, rounds=2
         )

@@ -13,13 +13,11 @@ from repro.core.model import build_data_graph
 from repro.core.weights import WeightPolicy
 from repro.errors import GraphError, IntegrityError
 from repro.graph.csr import CSROverlayGraph
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 
 
 def make_db() -> Database:
-    database = Database("inc")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
@@ -32,8 +30,8 @@ def make_db() -> Database:
         INSERT INTO paper VALUES ('p1', 'computing machinery');
         INSERT INTO writes VALUES ('a1', 'p1');
         """,
+        "inc",
     )
-    return database
 
 
 def graph_snapshot(graph):

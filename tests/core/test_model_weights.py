@@ -5,7 +5,7 @@ import pytest
 from repro.core.model import build_data_graph, link_tables
 from repro.core.weights import WeightPolicy
 from repro.errors import GraphError
-from repro.relational import Database, execute_script
+from repro.relational import load_sql
 
 
 class TestWeightPolicy:
@@ -98,9 +98,7 @@ class TestBuildDataGraph:
         assert stats.min_edge_weight == 0.5
 
     def test_self_referencing_tuple_makes_no_edge(self):
-        database = Database("selfref")
-        execute_script(
-            database,
+        database = load_sql(
             """
             CREATE TABLE emp (
                 id TEXT PRIMARY KEY,
@@ -108,14 +106,13 @@ class TestBuildDataGraph:
             );
             INSERT INTO emp VALUES ('ceo', 'ceo');
             """,
+            "selfref",
         )
         graph, stats = build_data_graph(database)
         assert stats.num_edges == 0
 
     def test_mutually_referencing_tuples_merge_by_min(self):
-        database = Database("mutual", deferred_fk_check=True)
-        execute_script(
-            database,
+        database = load_sql(
             """
             CREATE TABLE person (
                 id TEXT PRIMARY KEY,
@@ -124,8 +121,8 @@ class TestBuildDataGraph:
             INSERT INTO person VALUES ('a', 'b');
             INSERT INTO person VALUES ('b', 'a');
             """,
+            "mutual",
         )
-        database.check_integrity()
         graph, _stats = build_data_graph(database)
         # Each direction gets candidates: forward 1.0 and backward 1.0
         # (indegree 1); Eq. 1 takes the min -> 1.0.
@@ -133,11 +130,10 @@ class TestBuildDataGraph:
         assert graph.edge_weight(("person", 1), ("person", 0)) == 1.0
 
     def test_isolated_tuples_still_searchable_nodes(self):
-        database = Database("iso")
-        execute_script(
-            database,
+        database = load_sql(
             "CREATE TABLE note (id TEXT PRIMARY KEY, body TEXT);"
             "INSERT INTO note VALUES ('n1', 'standalone text');",
+            "iso",
         )
         graph, stats = build_data_graph(database)
         assert graph.has_node(("note", 0))
@@ -150,9 +146,7 @@ class TestLinkTables:
         assert link_tables(figure1_db) == frozenset({"writes", "cites"})
 
     def test_tables_with_own_columns_not_links(self):
-        database = Database("mix")
-        execute_script(
-            database,
+        database = load_sql(
             """
             CREATE TABLE a (id TEXT PRIMARY KEY);
             CREATE TABLE b (
@@ -160,5 +154,6 @@ class TestLinkTables:
                 a_id TEXT REFERENCES a(id)
             );
             """,
+            "mix",
         )
         assert link_tables(database) == frozenset()

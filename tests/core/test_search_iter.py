@@ -13,14 +13,12 @@ from repro.core.banks import BANKS
 from repro.core.incremental import IncrementalBANKS
 from repro.graph.csr import CSROverlayGraph
 from repro.obs import SearchProfile, Trace, span_tree
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from tests.conftest import FIGURE1_SQL
 
 
 def make_db() -> Database:
-    database = Database("figure1")
-    execute_script(database, FIGURE1_SQL)
-    return database
+    return load_sql(FIGURE1_SQL, "figure1")
 
 
 def make_banks(**options) -> BANKS:

@@ -12,13 +12,11 @@ from repro.federate import (
     Federation,
     TupleLink,
 )
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 
 
 def make_publications() -> Database:
-    database = Database("pubs")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
@@ -33,14 +31,12 @@ def make_publications() -> Database:
         INSERT INTO writes VALUES ('a1', 'p1');
         INSERT INTO writes VALUES ('a2', 'p2');
         """,
+        "pubs",
     )
-    return database
 
 
 def make_teaching() -> Database:
-    database = Database("teaching")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE instructor (iid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE course (
@@ -53,8 +49,8 @@ def make_teaching() -> Database:
         INSERT INTO course VALUES ('c1', 'database systems', 'i1');
         INSERT INTO course VALUES ('c2', 'compilers', 'i2');
         """,
+        "teaching",
     )
-    return database
 
 
 @pytest.fixture
@@ -193,9 +189,7 @@ class TestUnifiedGraph:
         fed = Federation()
         pubs = make_publications()
         teaching = make_teaching()
-        execute_script(
-            teaching, "INSERT INTO instructor VALUES ('i3', 'sudarshan')"
-        )
+        teaching.insert("instructor", ["i3", "sudarshan"])
         fed.register("pubs", pubs)
         fed.register("teaching", teaching)
         fed.add_link(

@@ -20,7 +20,7 @@ from repro.core.incremental import IncrementalBANKS
 from repro.errors import ReproError
 from repro.ops.checkpoint import CHECKPOINT_STEPS, CheckpointManager
 from repro.ops.faults import FaultInjected, FaultInjector
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve.snapshot import SnapshotStore
 from repro.store.wal import WalReader, WalWriter
 
@@ -43,9 +43,7 @@ QUERIES = ("grace", "abstraction", "epoch study", "compiling")
 
 
 def make_db(name: str = "opscrash") -> Database:
-    database = Database(name)
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, name)
 
 
 def top5(facade):

@@ -4,10 +4,11 @@ import sqlite3
 
 import pytest
 
-from repro.errors import IntegrityError
-from repro.relational import Database, execute_script
+from repro.errors import IntegrityError, ReproError
+from repro.relational import Column, Database, TableSchema, load_sql
 from repro.relational.csvio import dump_to_csv_dir, load_from_csv_dir
 from repro.relational.sqlite_adapter import dump_to_sqlite, load_sqlite
+from repro.relational.types import INTEGER, TEXT
 
 
 @pytest.fixture
@@ -35,8 +36,8 @@ def sqlite_conn():
 class TestSqliteImport:
     def test_schema_mirrored(self, sqlite_conn):
         database = load_sqlite(sqlite_conn)
-        # 'apple' precedes 'zebra' alphabetically although it references
-        # it — bulk creation must handle that.
+        # Creation order, not name order: table order sets node-id order.
+        assert database.table_names == ["zebra", "apple"]
         apple = database.table("apple").schema
         assert apple.primary_key == ("id",)
         assert apple.foreign_keys[0].target_table == "zebra"
@@ -80,10 +81,13 @@ class TestSqliteImport:
         )
         with pytest.raises(IntegrityError):
             load_sqlite(connection)
-        # Dirty loads are still possible when asked for.
-        database = load_sqlite(connection, check_integrity=False)
-        assert len(database.table("t2")) == 1
         connection.close()
+
+    def test_missing_file_rejected_and_not_created(self, tmp_path):
+        path = tmp_path / "typo.db"
+        with pytest.raises(ReproError, match="typo.db"):
+            load_sqlite(str(path))
+        assert not path.exists()
 
 
 class TestSqliteRoundTrip:
@@ -92,7 +96,7 @@ class TestSqliteRoundTrip:
         dump_to_sqlite(figure1_db, connection)
         reloaded = load_sqlite(connection)
         assert reloaded.total_rows() == figure1_db.total_rows()
-        assert set(reloaded.table_names) == set(figure1_db.table_names)
+        assert reloaded.table_names == figure1_db.table_names
         # FK structure survived.
         assert len(reloaded.table("writes").schema.foreign_keys) == 2
         connection.close()
@@ -108,9 +112,7 @@ class TestCsvRoundTrip:
         assert author["name"] == "Sunita Sarawagi"
 
     def test_nulls_and_types_survive(self, tmp_path):
-        database = Database("typed")
-        execute_script(
-            database,
+        database = load_sql(
             """
             CREATE TABLE t (
                 id INTEGER PRIMARY KEY,
@@ -121,6 +123,7 @@ class TestCsvRoundTrip:
             INSERT INTO t VALUES (1, 2.5, TRUE, NULL);
             INSERT INTO t VALUES (2, NULL, FALSE, 'hello');
             """,
+            "typed",
         )
         directory = str(tmp_path / "csv")
         dump_to_csv_dir(database, directory)
@@ -130,6 +133,22 @@ class TestCsvRoundTrip:
         assert row1["score"] == 2.5 and row1["flag"] is True
         assert row1["note"] is None
         assert row2["score"] is None and row2["note"] == "hello"
+
+    def test_keyword_names_survive(self, tmp_path):
+        database = Database("kw")
+        database.create_table(
+            TableSchema(
+                "group",
+                [Column("select", INTEGER, nullable=False), Column("order", TEXT)],
+                primary_key=["select"],
+            )
+        )
+        database.insert("group", [1, "first"])
+        directory = str(tmp_path / "csv")
+        dump_to_csv_dir(database, directory)
+        reloaded = load_from_csv_dir(directory)
+        assert reloaded.table("group").schema.column_names == ("select", "order")
+        assert reloaded.table("group").lookup_pk([1])["order"] == "first"
 
     def test_missing_schema_rejected(self, tmp_path):
         with pytest.raises(Exception):

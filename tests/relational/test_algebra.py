@@ -13,7 +13,6 @@ from repro.relational.algebra import (
     paginate,
     project,
     select,
-    select_where,
     sort_by,
 )
 
@@ -84,10 +83,6 @@ class TestSelect:
         relation = Relation(["c"], [("text",), (1,)])
         filtered = select(relation, "c", "<", 5)
         assert filtered.rows == [(1,)]
-
-    def test_select_where_predicate(self, authors):
-        filtered = select_where(authors, lambda row: "sarawagi" in row[1].lower())
-        assert len(filtered) == 1
 
 
 class TestJoin:

@@ -3,16 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import Database, HashIndex, execute_script
+from repro.relational import Database, HashIndex, load_sql
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import INTEGER, TEXT
 
 
 @pytest.fixture
 def db():
-    database = Database("idx")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE emp (
             id INTEGER PRIMARY KEY, name TEXT, dept TEXT, grade INTEGER
@@ -21,8 +19,8 @@ def db():
         INSERT INTO emp VALUES (2, 'Bob', 'CS', 1);
         INSERT INTO emp VALUES (3, 'Cid', 'EE', 2);
         """,
+        "idx",
     )
-    return database
 
 
 class TestHashIndex:

@@ -1,21 +1,21 @@
-"""Tests for the extended SQL subset: UPDATE / DELETE / rich WHERE /
-JOIN ... ON / aggregates with GROUP BY / HAVING / ORDER BY lists /
-LIMIT-OFFSET / DISTINCT."""
+"""Row updates on a database loaded from SQL: ``Database.update`` and
+``Table.update`` keep keys, foreign keys and reverse references
+consistent, and a refused update leaves the row as it was."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import IntegrityError, SQLSyntaxError
-from repro.relational.database import Database
-from repro.relational.sql import execute_script, execute_sql
+from repro.errors import IntegrityError, UnknownColumnError
+from repro.relational import load_sql
+
+HAMMER, ROLLER, MYSTERY = ("item", 0), ("item", 2), ("item", 3)
+TOOLS, PAINT = ("category", 0), ("category", 1)
 
 
 @pytest.fixture
 def db():
-    database = Database("shop")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE category (
             id INTEGER PRIMARY KEY,
@@ -34,412 +34,48 @@ def db():
         INSERT INTO item VALUES (3, 'roller', 4.0, 2);
         INSERT INTO item VALUES (4, 'mystery', NULL, NULL);
         """,
+        "shop",
     )
-    return database
-
-
-class TestWhereExpressions:
-    def test_or(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE price < 5.0 OR price > 15.0"
-        )
-        assert sorted(r[0] for r in relation.rows) == ["roller", "saw"]
-
-    def test_parentheses_change_binding(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT name FROM item "
-            "WHERE (price < 5.0 OR price > 15.0) AND category_id = 1",
-        )
-        assert [r[0] for r in relation.rows] == ["saw"]
-
-    def test_not(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE NOT price > 5.0"
-        )
-        # NULL price is unknown, NOT unknown stays unknown: excluded.
-        assert [r[0] for r in relation.rows] == ["roller"]
-
-    def test_like(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE name LIKE '%er'"
-        )
-        assert sorted(r[0] for r in relation.rows) == ["hammer", "roller"]
-
-    def test_not_like(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE name NOT LIKE '%er'"
-        )
-        assert sorted(r[0] for r in relation.rows) == ["mystery", "saw"]
-
-    def test_in_list(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE id IN (1, 3)"
-        )
-        assert sorted(r[0] for r in relation.rows) == ["hammer", "roller"]
-
-    def test_not_in(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE id NOT IN (1, 2, 3)"
-        )
-        assert [r[0] for r in relation.rows] == ["mystery"]
-
-    def test_is_null(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE price IS NULL"
-        )
-        assert [r[0] for r in relation.rows] == ["mystery"]
-
-    def test_is_not_null(self, db):
-        relation = execute_sql(
-            db, "SELECT COUNT(*) FROM item WHERE price IS NOT NULL"
-        )
-        assert relation.rows == [(3,)]
-
-    def test_between(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE price BETWEEN 4.0 AND 10.0"
-        )
-        assert sorted(r[0] for r in relation.rows) == ["hammer", "roller"]
-
-    def test_arithmetic_in_where(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE price * 2 > 30"
-        )
-        assert [r[0] for r in relation.rows] == ["saw"]
-
-    def test_column_to_column_comparison(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE category_id < id"
-        )
-        assert sorted(r[0] for r in relation.rows) == ["roller", "saw"]
-
-    def test_negative_literal(self, db):
-        relation = execute_sql(
-            db, "SELECT name FROM item WHERE price > -1"
-        )
-        assert len(relation) == 3  # NULL price excluded
 
 
 class TestUpdate:
-    def test_update_all_rows(self, db):
-        count = execute_sql(db, "UPDATE item SET price = 1.0")
-        assert count == 4
-        relation = execute_sql(db, "SELECT DISTINCT price FROM item")
-        assert relation.rows == [(1.0,)]
-
-    def test_update_where(self, db):
-        count = execute_sql(
-            db, "UPDATE item SET price = 99.0 WHERE name = 'saw'"
-        )
-        assert count == 1
-        relation = execute_sql(db, "SELECT price FROM item WHERE id = 2")
-        assert relation.rows == [(99.0,)]
-
-    def test_update_expression_uses_old_values(self, db):
-        execute_sql(db, "UPDATE item SET price = price + 1.0 WHERE id = 1")
-        relation = execute_sql(db, "SELECT price FROM item WHERE id = 1")
-        assert relation.rows == [(10.5,)]
-
     def test_update_multiple_columns(self, db):
-        execute_sql(
-            db, "UPDATE item SET name = 'renamed', price = 0.5 WHERE id = 3"
-        )
-        relation = execute_sql(db, "SELECT name, price FROM item WHERE id = 3")
-        assert relation.rows == [("renamed", 0.5)]
+        db.update(ROLLER, {"name": "renamed", "price": 0.5})
+        assert db.row(ROLLER).values == (3, "renamed", 0.5, 2)
 
     def test_update_to_null(self, db):
-        execute_sql(db, "UPDATE item SET price = NULL WHERE id = 1")
-        relation = execute_sql(db, "SELECT price FROM item WHERE id = 1")
-        assert relation.rows == [(None,)]
+        db.update(HAMMER, {"price": None})
+        assert db.row(HAMMER)["price"] is None
 
     def test_update_fk_to_valid_target(self, db):
-        execute_sql(db, "UPDATE item SET category_id = 2 WHERE id = 1")
-        relation = execute_sql(
-            db, "SELECT COUNT(*) FROM item WHERE category_id = 2"
-        )
-        assert relation.rows == [(2,)]
+        db.update(HAMMER, {"category_id": 2})
+        assert db.indegree(PAINT) == 2
 
     def test_update_fk_to_dangling_target_refused(self, db):
         with pytest.raises(IntegrityError):
-            execute_sql(db, "UPDATE item SET category_id = 99 WHERE id = 1")
+            db.update(HAMMER, {"category_id": 99})
         # The tuple is unchanged after the failed update.
-        relation = execute_sql(db, "SELECT category_id FROM item WHERE id = 1")
-        assert relation.rows == [(1,)]
+        assert db.row(HAMMER)["category_id"] == 1
 
     def test_update_referenced_pk_refused(self, db):
         with pytest.raises(IntegrityError):
-            execute_sql(db, "UPDATE category SET id = 9 WHERE id = 1")
+            db.update(TOOLS, {"id": 9})
 
     def test_update_unreferenced_pk_allowed(self, db):
-        execute_sql(db, "UPDATE item SET id = 40 WHERE id = 4")
-        relation = execute_sql(db, "SELECT name FROM item WHERE id = 40")
-        assert relation.rows == [("mystery",)]
+        db.update(MYSTERY, {"id": 40})
+        assert db.table("item").lookup_pk([40])["name"] == "mystery"
 
     def test_update_unknown_column_rejected(self, db):
-        with pytest.raises(Exception):
-            execute_sql(db, "UPDATE item SET nonexistent = 1")
+        with pytest.raises(UnknownColumnError):
+            db.update(HAMMER, {"nonexistent": 1})
 
     def test_update_reverse_index_follows_fk_change(self, db):
         """After moving an item between categories the reverse-reference
         index (and thus BANKS indegrees) must follow."""
-        old_target = ("category", 0)
-        new_target = ("category", 1)
-        before = db.indegree(old_target)
-        execute_sql(db, "UPDATE item SET category_id = 2 WHERE id = 1")
-        assert db.indegree(old_target) == before - 1
-        assert db.indegree(new_target) == 2
-
-
-class TestDelete:
-    def test_delete_where(self, db):
-        count = execute_sql(db, "DELETE FROM item WHERE price IS NULL")
-        assert count == 1
-        assert len(db.table("item")) == 3
-
-    def test_delete_all(self, db):
-        count = execute_sql(db, "DELETE FROM item")
-        assert count == 4
-        assert len(db.table("item")) == 0
-
-    def test_delete_referenced_row_refused(self, db):
-        with pytest.raises(IntegrityError):
-            execute_sql(db, "DELETE FROM category WHERE id = 1")
-
-    def test_delete_after_referencing_rows_gone(self, db):
-        execute_sql(db, "DELETE FROM item WHERE category_id = 1")
-        count = execute_sql(db, "DELETE FROM category WHERE id = 1")
-        assert count == 1
-
-    def test_delete_self_referencing_batch(self):
-        """Rows that reference each other within one DELETE batch are
-        retried until the batch succeeds."""
-        database = Database("emp")
-        execute_script(
-            database,
-            """
-            CREATE TABLE employee (
-                id INTEGER PRIMARY KEY,
-                boss_id INTEGER REFERENCES employee(id)
-            );
-            INSERT INTO employee VALUES (1, NULL);
-            INSERT INTO employee VALUES (2, 1);
-            INSERT INTO employee VALUES (3, 2);
-            """,
-        )
-        count = execute_sql(database, "DELETE FROM employee")
-        assert count == 3
-
-
-class TestJoin:
-    def test_equi_join(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT item.name, category.name FROM item "
-            "JOIN category ON item.category_id = category.id "
-            "ORDER BY item.name",
-        )
-        assert relation.rows == [
-            ("hammer", "tools"),
-            ("roller", "paint"),
-            ("saw", "tools"),
-        ]
-
-    def test_join_null_fk_drops_row(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT item.name FROM item "
-            "JOIN category ON item.category_id = category.id",
-        )
-        names = [r[0] for r in relation.rows]
-        assert "mystery" not in names
-
-    def test_inner_join_keyword(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT COUNT(*) FROM item "
-            "INNER JOIN category ON item.category_id = category.id",
-        )
-        assert relation.rows == [(3,)]
-
-    def test_join_with_general_predicate(self, db):
-        """A non-equi ON condition falls back to the nested-loop join."""
-        relation = execute_sql(
-            db,
-            "SELECT item.name FROM item "
-            "JOIN category ON item.category_id = category.id "
-            "AND category.name LIKE 't%'",
-        )
-        assert sorted(r[0] for r in relation.rows) == ["hammer", "saw"]
-
-    def test_join_then_where(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT item.name FROM item "
-            "JOIN category ON item.category_id = category.id "
-            "WHERE category.name = 'paint'",
-        )
-        assert relation.rows == [("roller",)]
-
-    def test_join_provenance_tracks_both_tables(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT item.name FROM item "
-            "JOIN category ON item.category_id = category.id",
-        )
-        for provenance in relation.provenance:
-            tables = {rid[0] for rid in provenance}
-            assert tables == {"item", "category"}
-
-
-class TestAggregates:
-    def test_count_star(self, db):
-        relation = execute_sql(db, "SELECT COUNT(*) FROM item")
-        assert relation.columns == ["count(*)"]
-        assert relation.rows == [(4,)]
-
-    def test_count_column_ignores_nulls(self, db):
-        relation = execute_sql(db, "SELECT COUNT(price) FROM item")
-        assert relation.rows == [(3,)]
-
-    def test_sum_avg_min_max(self, db):
-        relation = execute_sql(
-            db, "SELECT SUM(price), AVG(price), MIN(price), MAX(price) FROM item"
-        )
-        total, average, low, high = relation.rows[0]
-        assert total == pytest.approx(32.5)
-        assert average == pytest.approx(32.5 / 3)
-        assert low == 4.0
-        assert high == 19.0
-
-    def test_aggregate_alias(self, db):
-        relation = execute_sql(db, "SELECT COUNT(*) AS n FROM item")
-        assert relation.columns == ["n"]
-
-    def test_group_by(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT category_id, COUNT(*) FROM item "
-            "WHERE category_id IS NOT NULL GROUP BY category_id "
-            "ORDER BY category_id",
-        )
-        assert relation.rows == [(1, 2), (2, 1)]
-
-    def test_group_by_having(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT category_id, COUNT(*) FROM item "
-            "WHERE category_id IS NOT NULL GROUP BY category_id "
-            "HAVING COUNT(*) > 1",
-        )
-        assert relation.rows == [(1, 2)]
-
-    def test_having_on_alias(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT category_id, COUNT(*) AS n FROM item "
-            "WHERE category_id IS NOT NULL GROUP BY category_id "
-            "HAVING n > 1",
-        )
-        assert relation.rows == [(1, 2)]
-
-    def test_order_by_aggregate(self, db):
-        relation = execute_sql(
-            db,
-            "SELECT category_id, COUNT(*) FROM item "
-            "WHERE category_id IS NOT NULL GROUP BY category_id "
-            "ORDER BY COUNT(*) DESC",
-        )
-        assert relation.rows == [(1, 2), (2, 1)]
-
-    def test_ungrouped_column_with_aggregate_rejected(self, db):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, "SELECT name, COUNT(*) FROM item")
-
-    def test_select_star_with_group_by_rejected(self, db):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, "SELECT * FROM item GROUP BY category_id")
-
-    def test_sum_star_rejected(self, db):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, "SELECT SUM(*) FROM item")
-
-    def test_aggregate_over_empty_table(self, db):
-        execute_sql(db, "DELETE FROM item")
-        relation = execute_sql(db, "SELECT COUNT(*), SUM(price) FROM item")
-        assert relation.rows == [(0, None)]
-
-    def test_having_without_group_rejected(self, db):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, "SELECT name FROM item HAVING name = 'saw'")
-
-
-class TestOrderLimitDistinct:
-    def test_multi_column_order(self, db):
-        execute_sql(db, "INSERT INTO item VALUES (5, 'saw', 2.0, 2)")
-        relation = execute_sql(
-            db,
-            "SELECT name, price FROM item WHERE price IS NOT NULL "
-            "ORDER BY name ASC, price DESC",
-        )
-        assert relation.rows == [
-            ("hammer", 9.5),
-            ("roller", 4.0),
-            ("saw", 19.0),
-            ("saw", 2.0),
-        ]
-
-    def test_limit_offset(self, db):
-        relation = execute_sql(
-            db, "SELECT id FROM item ORDER BY id LIMIT 2 OFFSET 1"
-        )
-        assert relation.rows == [(2,), (3,)]
-
-    def test_offset_past_end(self, db):
-        relation = execute_sql(
-            db, "SELECT id FROM item ORDER BY id LIMIT 5 OFFSET 10"
-        )
-        assert relation.rows == []
-
-    def test_distinct(self, db):
-        execute_sql(db, "INSERT INTO item VALUES (6, 'hammer', 9.5, 1)")
-        relation = execute_sql(db, "SELECT DISTINCT name, price FROM item")
-        names = [r[0] for r in relation.rows]
-        assert names.count("hammer") == 1
-
-    def test_negative_limit_rejected(self, db):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, "SELECT id FROM item LIMIT -1")
-
-    def test_negative_offset_rejected(self, db):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, "SELECT id FROM item LIMIT 1 OFFSET -2")
-
-
-class TestSyntaxFailures:
-    @pytest.mark.parametrize(
-        "statement",
-        [
-            "SELECT name FROM item WHERE",
-            "SELECT name FROM item WHERE name LIKE",
-            "SELECT name FROM item WHERE id IN ()",
-            "SELECT name FROM item WHERE id BETWEEN 1",
-            "UPDATE item",
-            "UPDATE item SET",
-            "UPDATE item SET name",
-            "DELETE item",
-            "SELECT name FROM item JOIN",
-            "SELECT name FROM item JOIN category",
-            "SELECT name FROM item GROUP category_id",
-        ],
-    )
-    def test_malformed_statements(self, db, statement):
-        with pytest.raises(SQLSyntaxError):
-            execute_sql(db, statement)
-
-    def test_where_unknown_column(self, db):
-        with pytest.raises(Exception):
-            execute_sql(db, "SELECT name FROM item WHERE ghost = 1")
+        before = db.indegree(TOOLS)
+        db.update(HAMMER, {"category_id": 2})
+        assert db.indegree(TOOLS) == before - 1
+        assert db.indegree(PAINT) == 2
 
 
 class TestTableUpdatePrimitives:
@@ -473,8 +109,7 @@ class TestTableUpdatePrimitives:
 
     def test_database_update_rollback_restores_reverse_refs(self, db):
         """A failed FK re-validation leaves the reverse index intact."""
-        target = ("category", 0)
-        before = db.indegree(target)
+        before = db.indegree(TOOLS)
         with pytest.raises(IntegrityError):
-            db.update(("item", 0), {"category_id": 77})
-        assert db.indegree(target) == before
+            db.update(HAMMER, {"category_id": 77})
+        assert db.indegree(TOOLS) == before

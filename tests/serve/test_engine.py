@@ -21,7 +21,7 @@ from repro.errors import (
     EngineStoppedError,
     ServeError,
 )
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve import EngineConfig, QueryEngine
 
 SCHEMA = """
@@ -38,9 +38,7 @@ INSERT INTO writes VALUES ('a1', 'p1');
 
 
 def make_database() -> Database:
-    database = Database("serve-test")
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, "serve-test")
 
 
 class GatedFacade:
@@ -535,22 +533,20 @@ class TestFederationFanout:
     def make_federation(self):
         from repro.federate import Federation
 
-        pubs = Database("pubs")
-        execute_script(
-            pubs,
+        pubs = load_sql(
             """
             CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
             INSERT INTO author VALUES ('a1', 'sudarshan');
             INSERT INTO author VALUES ('a2', 'widom');
             """,
+            "pubs",
         )
-        teaching = Database("teaching")
-        execute_script(
-            teaching,
+        teaching = load_sql(
             """
             CREATE TABLE instructor (iid TEXT PRIMARY KEY, name TEXT NOT NULL);
             INSERT INTO instructor VALUES ('i1', 'sudarshan');
             """,
+            "teaching",
         )
         fed = Federation("campus")
         fed.register("pubs", pubs)

@@ -135,16 +135,15 @@ class TestRegistry:
         import pytest
 
         from repro.errors import ServeError
-        from repro.relational import Database, execute_script
+        from repro.relational import load_sql
         from repro.serve import QueryEngine
 
-        database = Database("m")
-        execute_script(
-            database,
+        database = load_sql(
             """
             CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT);
             INSERT INTO t VALUES (1, 'x');
             """,
+            "m",
         )
         from repro.core.banks import BANKS
 
@@ -206,14 +205,13 @@ class TestHistogram:
 
     def test_engine_exposes_latency_and_copy_histograms(self):
         from repro.core.incremental import IncrementalBANKS
-        from repro.relational import Database, execute_script
+        from repro.relational import load_sql
         from repro.serve import EngineConfig, QueryEngine
 
-        database = Database("hist")
-        execute_script(
-            database,
+        database = load_sql(
             "CREATE TABLE t (id TEXT PRIMARY KEY, v TEXT);"
             "INSERT INTO t VALUES ('a', 'hello world');",
+            "hist",
         )
         with QueryEngine(
             IncrementalBANKS(database), EngineConfig(workers=1)
@@ -415,14 +413,13 @@ class TestExpositionFormatChecker:
 
     def test_live_engine_metrics_pass_the_checker(self):
         from repro.core.incremental import IncrementalBANKS
-        from repro.relational import Database, execute_script
+        from repro.relational import load_sql
         from repro.serve import EngineConfig, QueryEngine
 
-        database = Database("expo")
-        execute_script(
-            database,
+        database = load_sql(
             "CREATE TABLE t (id TEXT PRIMARY KEY, v TEXT);"
             "INSERT INTO t VALUES ('a', 'hello world');",
+            "expo",
         )
         with QueryEngine(
             IncrementalBANKS(database), EngineConfig(workers=1)
@@ -448,16 +445,14 @@ class TestExpositionFormatChecker:
 
 @pytest.fixture
 def tiny_cluster_db():
-    from repro.relational import Database, execute_script
+    from repro.relational import load_sql
 
-    database = Database("tiny")
-    execute_script(
-        database,
+    return load_sql(
         "CREATE TABLE t (id TEXT PRIMARY KEY, v TEXT);"
         "INSERT INTO t VALUES ('a', 'hello world');"
         "INSERT INTO t VALUES ('b', 'hello again');",
+        "tiny",
     )
-    return database
 
 
 class TestRemovedReplicaGaugeAliases:

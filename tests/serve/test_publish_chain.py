@@ -21,15 +21,13 @@ from repro.core.incremental import IncrementalBANKS
 from repro.core.model import build_data_graph
 from repro.errors import BatchMutationError, IntegrityError
 from repro.graph.csr import CSRGraph, CSROverlayGraph
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve.snapshot import SnapshotStore
 from repro.text.inverted_index import InvertedIndex
 
 
 def make_db() -> Database:
-    database = Database("chain")
-    execute_script(
-        database,
+    return load_sql(
         """
         CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
@@ -54,8 +52,8 @@ def make_db() -> Database:
         INSERT INTO cites VALUES ('p3', 'p1');
         INSERT INTO cites VALUES ('p2', 'p1');
         """,
+        "chain",
     )
-    return database
 
 
 def pick(items, index: int):

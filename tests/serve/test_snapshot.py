@@ -16,7 +16,7 @@ from repro.core.oracle import same
 from repro.datasets import synth_bibliography
 from repro.errors import BatchMutationError, ServeError
 from repro.graph.csr import CSROverlayGraph
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve.snapshot import SnapshotStore
 from repro.store.wal import WalReader
 
@@ -34,8 +34,7 @@ INSERT INTO writes VALUES ('a1', 'p1');
 
 
 def incremental_banks() -> IncrementalBANKS:
-    database = Database("snap")
-    execute_script(database, SCHEMA)
+    database = load_sql(SCHEMA, "snap")
     return IncrementalBANKS(database)
 
 
@@ -445,9 +444,7 @@ OPEN_QUERIES = ("grace flow", "hopper subroutine", "compiling", "backus")
 
 
 def snap_database() -> Database:
-    database = Database("snap")
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, "snap")
 
 
 class TestOpen:

@@ -11,7 +11,7 @@ from repro.core.oracle import same
 from repro.errors import IntegrityError
 from repro.graph.csr import CSROverlayGraph
 from repro.ops.rebalance import RebalanceMove, RebalancePlan
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve.snapshot import SnapshotStore
 from repro.shard.partition import GraphPartitioner
 from repro.shard.process import fork_available
@@ -34,9 +34,7 @@ INSERT INTO writes VALUES ('a2', 'p2');
 
 
 def make_db(name: str = "shardmut") -> Database:
-    database = Database(name)
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, name)
 
 
 MUTATIONS = (

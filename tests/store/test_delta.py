@@ -9,7 +9,7 @@ from repro.core.incremental import IncrementalBANKS
 from repro.cow import CHUNK, MASK
 from repro.core.model import build_data_graph
 from repro.errors import StoreError
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.shard.stitch import graphs_equal
 from repro.store.delta import apply_graph_delta, replay_delta
 from repro.text.inverted_index import InvertedIndex
@@ -29,9 +29,7 @@ INSERT INTO writes VALUES ('a1', 'p1');
 
 
 def make_db() -> Database:
-    database = Database("delta")
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, "delta")
 
 
 def captured(banks: IncrementalBANKS, fn):

@@ -7,7 +7,7 @@ import gc
 import weakref
 
 from repro.core.incremental import IncrementalBANKS
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve.snapshot import SnapshotStore
 from repro.store.log import Epoch
 from repro.store.wal import WalReader
@@ -20,9 +20,7 @@ INSERT INTO author VALUES ('a1', 'grace hopper');
 
 
 def make_database() -> Database:
-    database = Database("log")
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, "log")
 
 
 def make_store() -> SnapshotStore:

@@ -13,7 +13,7 @@ from repro.cluster import ClusterSpec
 from repro.core.incremental import IncrementalBANKS
 from repro.core.oracle import same, signature
 from repro.errors import ClusterError, ServeError, StoreError, WalError
-from repro.relational import Database, execute_script
+from repro.relational import Database, load_sql
 from repro.serve.engine import EngineConfig, QueryEngine
 from repro.serve.snapshot import SnapshotStore
 from repro.shard.process import fork_available
@@ -41,9 +41,7 @@ QUERIES = ("dataflow", "grace", "optimizing", "abstraction barbara")
 
 
 def make_db(name: str = "waltest") -> Database:
-    database = Database(name)
-    execute_script(database, SCHEMA)
-    return database
+    return load_sql(SCHEMA, name)
 
 
 def delta(n: int) -> Delta:

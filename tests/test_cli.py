@@ -9,7 +9,7 @@ import pytest
 from repro.cli import load_database, main
 from repro.core.cache import CachedBanks, ResultCache
 from repro.errors import QueryError, ReproError
-from repro.relational import Database, execute_script
+from repro.relational import load_sql
 from repro.relational.sqlite_adapter import dump_to_sqlite
 
 
@@ -34,18 +34,23 @@ class TestLoadDatabase:
             load_database("oracle:prod")
 
     def test_sqlite_round_trip(self, tmp_path):
-        database = Database("t")
-        execute_script(
-            database,
+        database = load_sql(
             """
             CREATE TABLE item (id INTEGER PRIMARY KEY, name TEXT);
             INSERT INTO item VALUES (1, 'hammer');
             """,
+            "t",
         )
         path = str(tmp_path / "t.db")
         dump_to_sqlite(database, path)
         loaded = load_database(f"sqlite:{path}")
         assert loaded.total_rows() == 1
+
+    def test_missing_sqlite_file_fails_without_creating_it(self, tmp_path):
+        path = tmp_path / "typo.db"
+        status, _output = run_cli("search", f"sqlite:{path}", "alice")
+        assert status == 1
+        assert not path.exists()
 
 
 class TestCommands:
@@ -305,9 +310,7 @@ class TestResultCache:
 
 @pytest.fixture
 def cached_banks():
-    database = Database("c")
-    execute_script(
-        database,
+    database = load_sql(
         """
         CREATE TABLE author (aid TEXT PRIMARY KEY, name TEXT NOT NULL);
         CREATE TABLE paper (pid TEXT PRIMARY KEY, title TEXT NOT NULL);
@@ -319,6 +322,7 @@ def cached_banks():
         INSERT INTO paper VALUES ('p1', 'analytical engines');
         INSERT INTO writes VALUES ('a1', 'p1');
         """,
+        "c",
     )
     return CachedBanks(database, cache_capacity=8)
 
