@@ -1,14 +1,11 @@
 #!/usr/bin/env python
-"""Live data: incremental maintenance + feedback, no rebuilds.
+"""Live data: incremental maintenance, no rebuilds.
 
 The paper reports a ~2 minute initial graph load (Sec. 5.2) — fine
 once, fatal per update.  This example runs BANKS as a *live* system:
-
-1. tuples are inserted, updated and deleted while the engine is
-   serving queries — the graph and keyword index follow as deltas
-   (`IncrementalBANKS`), never rebuilding;
-2. user clicks feed authority transfer (Sec. 7): endorsed answers
-   rise on subsequent searches.
+tuples are inserted, updated and deleted while the engine is serving
+queries, and the graph and keyword index follow as deltas
+(`IncrementalBANKS`), never rebuilding.
 
 Run:
     python examples/live_updates.py

@@ -164,6 +164,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
@@ -1143,9 +1144,18 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, out)
+        status = args.run(args, out)
+        out.flush()
+        return status
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (``banks search ... | head``).  Point
+        # stdout at /dev/null so the interpreter's final flush of what
+        # is still buffered cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -70,21 +70,6 @@ class BrowseError(ReproError):
     """A browsing request was invalid (bad URL, unknown control, ...)."""
 
 
-class XMLError(ReproError):
-    """An XML document is malformed or structurally invalid."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        if line:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class AuthorizationError(ReproError):
-    """A principal attempted an operation its policy does not allow."""
-
-
 class FederationError(ReproError):
     """A multi-database federation is misconfigured (unknown member
     database, dangling external link, duplicate member name, ...)."""

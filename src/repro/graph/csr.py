@@ -6,8 +6,8 @@ straight into arrays: :func:`repro.core.model.build_data_graph` hands
 its Eq. 1 edges to :meth:`CSRGraph.from_edges`, and no dict graph
 exists on a serving path.  The dict-of-dicts
 :class:`~repro.graph.digraph.DiGraph` is the oracle's graph
-(:meth:`CSRGraph.thaw`) and the builder of the XML, federated and
-hyperbase graphs.  This module holds everything a facade serves from
+(:meth:`CSRGraph.thaw`) and the builder of the federated and hyperbase
+graphs.  This module holds everything a facade serves from
 and writes to:
 
 * :class:`CSRGraph` — an immutable compressed-sparse-row snapshot with
@@ -780,8 +780,8 @@ class CSROverlayGraph(CSRGraph):
 
 def freeze_graph(graph) -> CSROverlayGraph:
     """A mutable overlay view over a frozen ``graph`` — the
-    facade-facing idiom (search reads the arrays, feedback and delta
-    replay write the overlay).  A frozen :class:`CSRGraph`, which is
+    facade-facing idiom (search reads the arrays, delta replay writes
+    the overlay).  A frozen :class:`CSRGraph`, which is
     what :func:`repro.core.model.build_data_graph` returns, is wrapped
     as it is; anything else (a DiGraph, an overlay) is frozen first."""
     if type(graph) is not CSRGraph:

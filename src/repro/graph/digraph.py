@@ -15,7 +15,7 @@ into the CSR arrays every facade serves from
 (:class:`~repro.graph.csr.CSRGraph`), and
 :meth:`~repro.graph.csr.CSRGraph.thaw` copies it into a ``DiGraph``
 row for row, which :func:`repro.core.oracle.reference_search` searches
-and the parity tests mutate as ground truth.  The XML, federated and
+and the parity tests mutate as ground truth.  The federated and
 hyperbase graphs are still built here and frozen with
 :func:`repro.graph.csr.freeze_graph`.
 """

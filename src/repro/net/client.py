@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ClusterError, NetError
-from repro.net.schema import WIRE_VERSION, tree_from_wire
+from repro.net.schema import WIRE_VERSION, parse_sse, tree_from_wire
 
 _HEALTH_TTL_SECONDS = 0.25
 
@@ -226,28 +226,11 @@ class BanksClient:
                     or f"HTTP {response.status} from {self.url}/v1/query/stream",
                     status=response.status,
                 )
-            name: Optional[str] = None
-            data_lines: List[str] = []
-            while True:
-                raw_line = response.readline()
-                if not raw_line:
+            lines = (raw.decode("utf-8") for raw in iter(response.readline, b""))
+            for name, data in parse_sse(lines):
+                yield name, data
+                if name in ("result", "error"):
                     return
-                line = raw_line.decode("utf-8").rstrip("\r\n")
-                if not line:
-                    if name is not None or data_lines:
-                        data = "\n".join(data_lines)
-                        yield (
-                            name or "message",
-                            json.loads(data) if data else {},
-                        )
-                        if name in ("result", "error"):
-                            return
-                    name, data_lines = None, []
-                    continue
-                if line.startswith("event:"):
-                    name = line[len("event:") :].strip()
-                elif line.startswith("data:"):
-                    data_lines.append(line[len("data:") :].strip())
         finally:
             connection.close()
 

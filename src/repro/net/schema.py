@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.answer import AnswerTree
 from repro.errors import NetError
@@ -251,24 +251,23 @@ def sse_event(event: str, data: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
-def parse_sse(lines) -> "list":
-    """Parse an iterable of text lines into ``(event, data)`` pairs —
-    the client-side inverse of :func:`sse_event`, shared with tests."""
-    events = []
+def parse_sse(lines: Iterable[str]) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """Parse text lines into ``(event, data)`` pairs — the client-side
+    inverse of :func:`sse_event`.
+
+    Lazy: each event is yielded at the blank line that ends it, so a
+    reader of a live stream sees it as it arrives.  An event the input
+    ends inside (no blank line yet) is not dispatched, as the SSE spec
+    says."""
     name, data_lines = None, []
     for raw in lines:
         line = raw.rstrip("\r\n")
         if not line:
             if name is not None or data_lines:
                 data = "\n".join(data_lines)
-                events.append((name or "message", json.loads(data) if data else {}))
+                yield name or "message", json.loads(data) if data else {}
             name, data_lines = None, []
-            continue
-        if line.startswith("event:"):
+        elif line.startswith("event:"):
             name = line[len("event:") :].strip()
         elif line.startswith("data:"):
             data_lines.append(line[len("data:") :].strip())
-    if name is not None or data_lines:
-        data = "\n".join(data_lines)
-        events.append((name or "message", json.loads(data) if data else {}))
-    return events

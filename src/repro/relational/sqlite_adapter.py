@@ -208,12 +208,22 @@ def create_table_sql(schema: TableSchema) -> str:
 def dump_to_sqlite(
     database: Database, target: Union[str, sqlite3.Connection]
 ) -> None:
-    """Write ``database`` out as a sqlite3 database (round-trip support)."""
+    """Write ``database`` out as a sqlite3 database (round-trip support).
+
+    The target must hold no table yet: a non-empty one raises
+    :class:`SchemaError` naming it, before anything is written.
+    """
     if isinstance(target, sqlite3.Connection):
-        connection, owned = target, False
+        connection, owned, where = target, False, "the given connection"
     else:
-        connection, owned = sqlite3.connect(target), True
+        connection, owned, where = sqlite3.connect(target), True, repr(target)
     try:
+        existing = _table_names(connection)
+        if existing:
+            raise SchemaError(
+                f"cannot dump into {where}: it already holds table(s) "
+                + ", ".join(existing)
+            )
         for table in database.tables():
             schema = table.schema
             connection.execute(create_table_sql(schema))

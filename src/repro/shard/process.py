@@ -108,11 +108,14 @@ class ProcessWorkerProxy:
             try:
                 self._connection.send((method_name, args, kwargs))
                 ok, payload = self._connection.recv()
-            except (EOFError, OSError, BrokenPipeError) as error:
-                raise self.error_type(
-                    f"{self.label} worker process died "
-                    f"({type(error).__name__})"
-                ) from None
+                died = None
+            except (EOFError, OSError) as error:
+                died = type(error).__name__
+        # Raised outside the handler, so the error does not chain the pipe
+        # error, whose frames hold the pickled request's buffer: a cycle
+        # through a caught error would free that buffer out of order.
+        if died is not None:
+            raise self.error_type(f"{self.label} worker process died ({died})")
         if not ok:
             raise self.error_type(
                 f"{self.label} search failed in worker:\n{payload}"

@@ -8,20 +8,15 @@ Maps query keywords to the tuples (and metadata) that contain them:
   ``keyword -> {(table, rid, column)}`` over data *and* metadata (BANKS
   "allows query keywords to match data ... and meta data (e.g., column
   or relation name)");
-* :mod:`repro.text.disk_index` — a sorted on-disk postings format,
-  mirroring the paper's "indices to map keywords to RIDs can be disk
-  resident";
 * :mod:`repro.text.fuzzy` — edit-distance and ``approx(NUMBER)``
   matching (Sec. 7 future work, implemented here).
 """
 
 from repro.text.inverted_index import InvertedIndex, Posting
-from repro.text.disk_index import DiskIndex
 from repro.text.fuzzy import damerau_levenshtein, numbers_near
 from repro.text.tokenizer import tokenize, normalize
 
 __all__ = [
-    "DiskIndex",
     "InvertedIndex",
     "Posting",
     "damerau_levenshtein",

@@ -1,9 +1,9 @@
 """The oracle: the reference search and the relations answers are judged by.
 
-Three things are pinned here.  The side searchers (XML, federated,
-DataSpot) run the CSR kernel and still give the reference's answers on
-their own node ids.  ``BANKS(database, freeze=False)`` answers without
-ever calling the kernel, so a parity check against it compares two
+Three things are pinned here.  The side searchers (federated, DataSpot)
+run the CSR kernel and still give the reference's answers on their own
+node ids.  ``BANKS(database, freeze=False)`` answers without ever
+calling the kernel, so a parity check against it compares two
 implementations, not one with itself.  And the relations say what they
 promise at the tolerance and tie-class boundaries.
 """
@@ -30,9 +30,6 @@ from repro.core.summarize import structure_signature
 from repro.datasets import generate_bibliography
 from repro.federate import ExternalLink, FederatedBanks, Federation
 from repro.graph.csr import CSROverlayGraph
-from repro.xmlkw import XMLBanks
-from repro.xmlkw.generator import generate_bibliography_xml
-from repro.xmlkw.model import build_xml_graph
 
 QUERIES = ("soumen sunita", "soumen sunita byron", "transaction", "mining")
 
@@ -48,24 +45,6 @@ def database():
 
 
 class TestSideSearchersRunTheKernel:
-    def test_xml_ids(self):
-        banks = XMLBanks(
-            generate_bibliography_xml(papers=60, authors=40, seed=5),
-            excluded_root_tags=("bibliography", "authorref", "cite"),
-        )
-        assert isinstance(banks.graph, CSROverlayGraph)
-        graph, _stats = build_xml_graph(banks.documents, banks.graph_config)
-        config = replace(
-            banks.search_config,
-            max_results=10,
-            excluded_root_nodes=frozenset(banks._excluded_root_nodes()),
-        )
-        for query in QUERIES + ("title:temporal",):
-            keyword_node_sets = banks.resolve(query)
-            expected = reference_search(graph, keyword_node_sets, banks.scorer, config)
-            answers = banks.search(query, max_results=10)
-            assert answers and trees(answers) == trees(expected), query
-
     def test_federated_ids(self):
         federation = Federation("pair")
         for seed in (3, 4):

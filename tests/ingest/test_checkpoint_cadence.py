@@ -79,6 +79,7 @@ def ingest_with_checkpoints(workdir, retain=None):
 
 def test_checkpoint_cadence_counts_chunks_not_records(tmp_path):
     store, manager, _wal_dir, job = ingest_with_checkpoints(str(tmp_path))
+    store.close()
     # One epoch per chunk; cadence every=E fires every E chunks.
     assert store.epoch == job.chunks_committed
     expected = [

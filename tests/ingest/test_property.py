@@ -88,6 +88,7 @@ def test_any_chunking_any_kill_point_resumes_exactly(
     IngestPipeline(registry, StoreTarget(resumed_store)).run(
         resumed, make_source(), resume=True
     )
+    resumed_store.close()
 
     assert resumed.state == "done"
     assert resumed.records_committed == N_RECORDS

@@ -96,6 +96,7 @@ def crash_recover_resume(tmp_path, step, occurrence):
     IngestPipeline(registry, StoreTarget(resumed_store)).run(
         resumed, make_source(), resume=True
     )
+    resumed_store.close()
     return top5(resumed_store.current().facade), resumed
 
 
@@ -147,6 +148,7 @@ def crash_recover_resume_finish(tmp_path):
         resumed, make_source(), resume=True
     )
     assert resumed_store.epoch == epoch  # nothing re-published
+    resumed_store.close()
     return top5(resumed_store.current().facade), resumed
 
 
@@ -184,6 +186,7 @@ def test_double_crash_then_resume(tmp_path, reference):
     IngestPipeline(registry, StoreTarget(final_store)).run(
         final, make_source(), resume=True
     )
+    final_store.close()
     assert final.state == "done"
     assert final.records_committed == records
     assert same(top5(final_store.current().facade), answers)

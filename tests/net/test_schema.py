@@ -100,7 +100,7 @@ class TestSse:
         text = frame.decode("utf-8")
         assert text.startswith("event: answer\n")
         assert text.endswith("\n\n")
-        events = parse_sse(text.splitlines())
+        events = list(parse_sse(text.splitlines()))
         assert events == [("answer", {"rank": 0, "relevance": 0.5})]
 
     def test_parse_multiple_frames(self):
@@ -109,6 +109,21 @@ class TestSse:
             + sse_event("answer", {"rank": 1})
             + sse_event("result", {"total": 2})
         ).decode("utf-8")
-        events = parse_sse(stream.splitlines())
+        events = list(parse_sse(stream.splitlines()))
         assert [name for name, _ in events] == ["answer", "answer", "result"]
         assert events[-1][1] == {"total": 2}
+
+    def test_parse_yields_each_event_as_its_frame_ends(self):
+        stream = sse_event("answer", {"rank": 0}) + sse_event("result", {})
+        consumed = []
+
+        def lines():
+            for line in stream.decode("utf-8").splitlines():
+                consumed.append(line)
+                yield line
+
+        events = parse_sse(lines())
+        assert next(events) == ("answer", {"rank": 0})
+        assert consumed == ["event: answer", 'data: {"rank": 0}', ""]
+        # A frame the input ends inside is not dispatched.
+        assert list(parse_sse(["event: result", "data: {}"])) == []

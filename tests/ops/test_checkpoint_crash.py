@@ -64,7 +64,9 @@ def build_history(
 ):
     """A WAL with ``epochs_before + epochs_after`` published epochs and
     a clean checkpoint taken between the two batches; returns
-    ``(wal_dir, ckpt_dir, store)`` with the store still live."""
+    ``(wal_dir, ckpt_dir, store)``.  The store's WAL writer is closed
+    (every append was flushed, so the files are what a crash leaves);
+    its snapshots stay readable."""
     wal_dir = str(tmp_path / "wal")
     ckpt_dir = str(tmp_path / "checkpoints")
     writer = WalWriter(
@@ -90,6 +92,7 @@ def build_history(
         )
     for step in range(epochs_before, epochs_before + epochs_after):
         publish(step)
+    store.close()
     return wal_dir, ckpt_dir, store
 
 
@@ -262,7 +265,6 @@ class TestDirectoryOnFirstWrite:
 
     def test_recover_from_a_missing_directory_replays_the_log(self, tmp_path):
         wal_dir, _ckpt_dir, store = build_history(tmp_path, epochs_before=0)
-        store.wal.close()
         missing = tmp_path / "typo"
         recovered = IncrementalBANKS.recover(
             make_db, wal_dir, checkpoints=CheckpointManager(str(missing))

@@ -26,19 +26,28 @@ from repro.store.wal import WalReader, WalWriter, checkpoint_floor
 from tests.ops.test_checkpoint_crash import make_db, top5
 
 
-def build_store(wal_dir: str, ckpt_dir: str, retain: int):
-    """A delta store over a WAL that rotates every record into its own
-    segment (``segment_bytes=1``), so the segment-granular pruner acts
-    at epoch granularity and the clamp is observable exactly."""
-    writer = WalWriter(
-        wal_dir,
-        fsync="never",
-        segment_bytes=1,
-        retain=retain,
-        checkpoint_path=ckpt_dir,
-    )
-    store = SnapshotStore(IncrementalBANKS(make_db()), wal=writer)
-    return writer, store
+@pytest.fixture
+def build_store():
+    """Build a delta store over a WAL that rotates every record into its
+    own segment (``segment_bytes=1``), so the segment-granular pruner
+    acts at epoch granularity and the clamp is observable exactly.
+    Every store built is closed at teardown."""
+    stores = []
+
+    def build(wal_dir: str, ckpt_dir: str, retain: int):
+        writer = WalWriter(
+            wal_dir,
+            fsync="never",
+            segment_bytes=1,
+            retain=retain,
+            checkpoint_path=ckpt_dir,
+        )
+        stores.append(SnapshotStore(IncrementalBANKS(make_db()), wal=writer))
+        return writer, stores[-1]
+
+    yield build
+    for store in stores:
+        store.close()
 
 
 def publish(store, step: int) -> None:
@@ -50,7 +59,7 @@ def publish(store, step: int) -> None:
 
 
 class TestFloorClampsPruning:
-    def test_no_manifest_means_no_pruning_and_one_warning(self, tmp_path):
+    def test_no_manifest_means_no_pruning_and_one_warning(self, tmp_path, build_store):
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
         writer, store = build_store(wal_dir, ckpt_dir, retain=2)
@@ -65,7 +74,7 @@ class TestFloorClampsPruning:
         assert reader.first_epoch() == 1  # every epoch still on disk
         assert reader.last_epoch() == 8
 
-    def test_manifest_advances_floor_and_rearms_warning(self, tmp_path):
+    def test_manifest_advances_floor_and_rearms_warning(self, tmp_path, build_store):
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
         writer, store = build_store(wal_dir, ckpt_dir, retain=1)
@@ -86,7 +95,9 @@ class TestFloorClampsPruning:
         assert WalReader(wal_dir).first_epoch() == 5
         assert writer.pruned_segments > 0
 
-    def test_current_checkpoint_lets_retention_prune_freely(self, tmp_path):
+    def test_current_checkpoint_lets_retention_prune_freely(
+        self, tmp_path, build_store
+    ):
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
         writer, store = build_store(wal_dir, ckpt_dir, retain=2)
@@ -101,7 +112,7 @@ class TestFloorClampsPruning:
         assert WalReader(wal_dir).first_epoch() == 5
 
     def test_recovery_from_pruned_wal_requires_the_checkpoint(
-        self, tmp_path
+        self, tmp_path, build_store
     ):
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
@@ -157,7 +168,7 @@ class TestFloorParsing:
         )
         assert checkpoint_floor(str(tmp_path)) == 42
 
-    def test_manager_writes_the_floor_the_writer_reads(self, tmp_path):
+    def test_manager_writes_the_floor_the_writer_reads(self, tmp_path, build_store):
         wal_dir = str(tmp_path / "wal")
         ckpt_dir = str(tmp_path / "checkpoints")
         _writer, store = build_store(wal_dir, ckpt_dir, retain=3)

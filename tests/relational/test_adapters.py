@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import IntegrityError, ReproError
+from repro.errors import IntegrityError, ReproError, SchemaError
 from repro.relational import Column, Database, TableSchema, load_sql
 from repro.relational.csvio import dump_to_csv_dir, load_from_csv_dir
 from repro.relational.sqlite_adapter import dump_to_sqlite, load_sqlite
@@ -100,6 +100,28 @@ class TestSqliteRoundTrip:
         # FK structure survived.
         assert len(reloaded.table("writes").schema.foreign_keys) == 2
         connection.close()
+
+    def test_dump_refuses_a_path_that_holds_tables(self, figure1_db, tmp_path):
+        path = tmp_path / "once.db"
+        dump_to_sqlite(figure1_db, str(path))
+        before = path.read_bytes()
+        with pytest.raises(SchemaError, match="once.db"):
+            dump_to_sqlite(figure1_db, str(path))
+        assert path.read_bytes() == before
+        assert load_sqlite(str(path)).total_rows() == figure1_db.total_rows()
+
+    def test_dump_refuses_a_connection_that_holds_tables(self, figure1_db):
+        connection = sqlite3.connect(":memory:")
+        try:
+            connection.execute("CREATE TABLE other (id INTEGER PRIMARY KEY)")
+            with pytest.raises(SchemaError, match="connection.*other"):
+                dump_to_sqlite(figure1_db, connection)
+            tables = connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+            assert tables == [("other",)]
+        finally:
+            connection.close()
 
 
 class TestCsvRoundTrip:

@@ -52,8 +52,11 @@ def test_dead_worker_raises_shard_error(university_db):
         victim = router._workers[0]
         victim._process.terminate()
         victim._process.join(5)
-        with pytest.raises(ShardError):
+        with pytest.raises(ShardError) as excinfo:
             router.search("alice bob", max_results=3)
+        # No chained pipe error: its frames would keep the pickled
+        # request alive in the cycle the caught error forms.
+        assert excinfo.value.__context__ is None
 
 
 def test_stop_is_idempotent_and_kills_workers(university_db):

@@ -56,6 +56,7 @@ class TestPublication:
         store = SnapshotStore.open(make_database, wal)
         for n in range(5):
             insert_paper(store, n)
+        store.close()
         reader = WalReader(wal)
         assert [e.number for e in reader.entries_since(3)] == [4, 5]
         assert reader.entries_since(5) == []

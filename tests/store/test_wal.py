@@ -71,9 +71,9 @@ def mutate_battery(store: SnapshotStore, rounds: int = 6) -> None:
 class TestWriterReader:
     def test_roundtrip(self, tmp_path):
         wal = str(tmp_path / "wal")
-        writer = WalWriter(wal, fsync="never")
-        for n in range(1, 6):
-            writer.append(epoch(n))
+        with WalWriter(wal, fsync="never") as writer:
+            for n in range(1, 6):
+                writer.append(epoch(n))
         reader = WalReader(wal)
         replayed = reader.read_all()
         assert [e.number for e in replayed] == [1, 2, 3, 4, 5]
@@ -83,20 +83,20 @@ class TestWriterReader:
         assert reader.size_bytes() == writer.bytes_written > 0
 
     def test_entries_since(self, tmp_path):
-        writer = WalWriter(str(tmp_path), fsync="never")
-        for n in range(1, 8):
-            writer.append(epoch(n))
+        with WalWriter(str(tmp_path), fsync="never") as writer:
+            for n in range(1, 8):
+                writer.append(epoch(n))
         reader = WalReader(str(tmp_path))
         assert [e.number for e in reader.entries_since(4)] == [5, 6, 7]
         assert reader.entries_since(7) == []
 
     def test_appends_must_be_sequential(self, tmp_path):
-        writer = WalWriter(str(tmp_path), fsync="never")
-        writer.append(epoch(1))
-        with pytest.raises(WalError):
-            writer.append(epoch(3))  # gap
-        with pytest.raises(WalError):
-            writer.append(epoch(1))  # duplicate
+        with WalWriter(str(tmp_path), fsync="never") as writer:
+            writer.append(epoch(1))
+            with pytest.raises(WalError):
+                writer.append(epoch(3))  # gap
+            with pytest.raises(WalError):
+                writer.append(epoch(1))  # duplicate
 
     def test_resume_continues_numbering(self, tmp_path):
         wal = str(tmp_path)
@@ -104,9 +104,9 @@ class TestWriterReader:
         first.append(epoch(1))
         first.append(epoch(2))
         first.close()
-        second = WalWriter(wal, fsync="never")
-        assert second.last_epoch == 2
-        second.append(epoch(3))
+        with WalWriter(wal, fsync="never") as second:
+            assert second.last_epoch == 2
+            second.append(epoch(3))
         assert [e.number for e in WalReader(wal).read_all()] == [1, 2, 3]
 
     def test_append_after_close_reopens(self, tmp_path):
@@ -114,6 +114,7 @@ class TestWriterReader:
         writer.append(epoch(1))
         writer.close()
         writer.append(epoch(2))
+        writer.close()
         assert WalReader(str(tmp_path)).last_epoch() == 2
 
     def test_bad_configuration(self, tmp_path):
@@ -138,9 +139,9 @@ class TestWriterReader:
 class TestRotationAndRetention:
     def test_segments_rotate_by_size(self, tmp_path):
         wal = str(tmp_path)
-        writer = WalWriter(wal, segment_bytes=1, fsync="never")
-        for n in range(1, 5):
-            writer.append(epoch(n))
+        with WalWriter(wal, segment_bytes=1, fsync="never") as writer:
+            for n in range(1, 5):
+                writer.append(epoch(n))
         segments = sorted(os.listdir(wal))
         # segment_bytes=1: every append overflows, one epoch per file.
         assert len(segments) == 4
@@ -149,9 +150,9 @@ class TestRotationAndRetention:
 
     def test_retention_prunes_whole_segments(self, tmp_path):
         wal = str(tmp_path)
-        writer = WalWriter(wal, segment_bytes=1, fsync="never", retain=2)
-        for n in range(1, 9):
-            writer.append(epoch(n))
+        with WalWriter(wal, segment_bytes=1, fsync="never", retain=2) as writer:
+            for n in range(1, 9):
+                writer.append(epoch(n))
         reader = WalReader(wal)
         assert writer.pruned_segments > 0
         # The window is segment-granular: at least `retain` epochs stay.
@@ -161,9 +162,9 @@ class TestRotationAndRetention:
 
     def test_catchup_past_pruned_window_fails_loudly(self, tmp_path):
         wal = str(tmp_path)
-        writer = WalWriter(wal, segment_bytes=1, fsync="never", retain=2)
-        for n in range(1, 9):
-            writer.append(epoch(n))
+        with WalWriter(wal, segment_bytes=1, fsync="never", retain=2) as writer:
+            for n in range(1, 9):
+                writer.append(epoch(n))
         reader = WalReader(wal)
         with pytest.raises(StoreError):
             reader.entries_since(0)
@@ -265,15 +266,18 @@ class TestDeltaLogIntegration:
         assert [e.number for e in replayed] == [1, 2]
         assert len(replayed[1].deltas) == 2
         assert replayed[1] == store.published
+        store.close()
 
     def test_epoch_numbering_resumes_from_wal(self, tmp_path):
         wal = str(tmp_path)
         store = SnapshotStore.open(make_db, wal)
         for _ in range(3):
             store.republish()
+        store.close()
         resumed = SnapshotStore.open(make_db, wal)
         assert resumed.epoch == 3
         resumed.republish()
+        resumed.close()
         assert resumed.published.number == 4
         assert WalReader(wal).last_epoch() == 4
 
@@ -343,6 +347,7 @@ class TestSnapshotStoreIntegration:
         assert reader.last_epoch() == store.epoch == 6
         assert store.wal_epochs_written == 6
         assert store.wal_bytes == reader.size_bytes() > 0
+        store.close()
 
     def test_wal_requires_delta_mode(self, tmp_path):
         """A WAL needs deltas to write, so a facade that cannot fork
@@ -357,6 +362,7 @@ class TestSnapshotStoreIntegration:
         wal = str(tmp_path)
         store = SnapshotStore.open(make_db, wal)
         store.republish()
+        store.close()
         replayed = WalReader(wal).read_all()
         assert [e.number for e in replayed] == [1]
         assert replayed[0].deltas == ()
@@ -385,14 +391,15 @@ class TestWriteAheadOrdering:
         assert not store.current().facade.database.table("paper").lookup_pk(
             ("p9",)
         )
+        store.close()
 
     def test_persistent_prune_race_fails_loudly(self, tmp_path):
         """A reader whose segments vanish between every listing and
         read (a pathologically fast pruner) gets StoreError, not a
         raw FileNotFoundError that would kill a follower thread."""
         wal = str(tmp_path)
-        writer = WalWriter(wal, fsync="never")
-        writer.append(epoch(1))
+        with WalWriter(wal, fsync="never") as writer:
+            writer.append(epoch(1))
         reader = WalReader(wal)
 
         def gone(filepath):
@@ -409,6 +416,7 @@ class TestRecovery:
         base = make_db()
         store = SnapshotStore.open(base.fork, wal)
         mutate_battery(store)
+        store.close()
         live = store.current().facade
 
         recovered = IncrementalBANKS.recover(base.fork, wal)
@@ -420,6 +428,7 @@ class TestRecovery:
         base = make_db()
         store = SnapshotStore.open(base.fork, wal)
         mutate_battery(store, rounds=2)
+        store.close()
         # Crash mid-append: chop bytes off the newest segment.
         segments = sorted(os.listdir(wal))
         last = os.path.join(wal, segments[-1])
@@ -430,9 +439,9 @@ class TestRecovery:
 
     def test_recover_refuses_pruned_history(self, tmp_path):
         wal = str(tmp_path)
-        writer = WalWriter(wal, segment_bytes=1, fsync="never", retain=1)
-        for n in range(1, 6):
-            writer.append(epoch(n))
+        with WalWriter(wal, segment_bytes=1, fsync="never", retain=1) as writer:
+            for n in range(1, 6):
+                writer.append(epoch(n))
         with pytest.raises(StoreError):
             IncrementalBANKS.recover(make_db, wal)
 
@@ -445,15 +454,17 @@ class TestRecovery:
 
 
 class TestReplicaFollower:
-    def _primary(self, tmp_path):
+    @pytest.fixture
+    def primary(self, tmp_path):
         wal = str(tmp_path / "wal")
         base = make_db()
         store = SnapshotStore.open(base.fork, wal)
         mutate_battery(store)
-        return wal, base, store
+        yield wal, base, store
+        store.close()
 
-    def test_facade_target_catches_up(self, tmp_path):
-        wal, base, store = self._primary(tmp_path)
+    def test_facade_target_catches_up(self, primary):
+        wal, base, store = primary
         replica = IncrementalBANKS(base.fork())
         follower = ReplicaFollower(wal, replica)
         assert follower.poll() == store.epoch
@@ -473,10 +484,11 @@ class TestReplicaFollower:
             )
             assert follower.poll() == 1
             assert follower.applied_epoch == store.epoch
+        store.close()
         assert all(map(same, top5(replica), top5(store.current().facade)))
 
-    def test_engine_target_publishes_versions(self, tmp_path):
-        wal, base, store = self._primary(tmp_path)
+    def test_engine_target_publishes_versions(self, primary):
+        wal, base, store = primary
         engine = QueryEngine(
             IncrementalBANKS(base.fork()), EngineConfig(workers=1)
         )
@@ -492,8 +504,8 @@ class TestReplicaFollower:
         finally:
             engine.stop()
 
-    def test_router_target_routes_epochs(self, tmp_path):
-        wal, base, store = self._primary(tmp_path)
+    def test_router_target_routes_epochs(self, primary):
+        wal, base, store = primary
         with ShardRouter(base.fork(), shards=2, backend="thread") as router:
             follower = ReplicaFollower(wal, router)
             follower.poll()
@@ -503,8 +515,8 @@ class TestReplicaFollower:
                 got = router.search(query, max_results=5)
                 assert same(got, live.search(query, max_results=5)), query
 
-    def test_background_thread_tails(self, tmp_path):
-        wal, base, store = self._primary(tmp_path)
+    def test_background_thread_tails(self, primary):
+        wal, base, store = primary
         replica = IncrementalBANKS(base.fork())
         follower = ReplicaFollower(wal, replica).start(interval=0.01)
         try:
@@ -513,8 +525,8 @@ class TestReplicaFollower:
             follower.stop()
         assert follower.lag_epochs() == 0
 
-    def test_lag_counts_unapplied_epochs(self, tmp_path):
-        wal, base, store = self._primary(tmp_path)
+    def test_lag_counts_unapplied_epochs(self, primary):
+        wal, base, store = primary
         replica = IncrementalBANKS(base.fork())
         follower = ReplicaFollower(wal, replica)
         assert follower.lag_epochs() == store.epoch
@@ -522,8 +534,8 @@ class TestReplicaFollower:
         assert follower.lag_epochs() == 0
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_second_process_replica_matches(self, tmp_path):
-        wal, base, store = self._primary(tmp_path)
+    def test_second_process_replica_matches(self, primary):
+        wal, base, store = primary
         live = store.current().facade
         context = multiprocessing.get_context("fork")
         parent_end, child_end = context.Pipe()
@@ -561,6 +573,7 @@ class TestEngineWalSurface:
             assert "banks_engine_wal_epochs_written 1" in text
         finally:
             engine.stop()
+            engine.snapshots.close()
         # A second engine over the same WAL resumes epoch numbering.
         resumed = QueryEngine(
             SnapshotStore.open(base.fork, wal), EngineConfig(workers=1)
@@ -572,6 +585,7 @@ class TestEngineWalSurface:
             assert WalReader(wal).last_epoch() == 2
         finally:
             resumed.stop()
+            resumed.snapshots.close()
 
     def test_engine_without_wal_reports_zero(self):
         engine = QueryEngine(

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import load_database, main
 from repro.core.cache import CachedBanks, ResultCache
 from repro.errors import QueryError, ReproError
@@ -122,6 +127,24 @@ class TestCommands:
         assert status == 0
         assert "router.search" in output
         assert "shard.search" in output
+
+    def test_search_into_a_closed_pipe_exits_quietly(self):
+        # ``banks search ... | head -1``: ~120 KB of answers, about twice
+        # what a pipe holds, so the writer is still printing when the
+        # reader goes away after the first line.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        argv = ["search", "-k", "1000", "demo:bibliography", "paper", "writes"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        ) as process:
+            assert process.stdout.readline().startswith(b"#1 relevance=")
+            process.stdout.close()
+            stderr = process.stderr.read().decode()
+        assert "Traceback" not in stderr, stderr
+        assert process.returncode == 1
 
     def test_sweep_requires_bibliography(self):
         status = main(["sweep", "demo:university"], out=io.StringIO())

@@ -10,8 +10,6 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.datasets import generate_tpcd, generate_university
 from repro.eval.baselines import uniform_backedge_policy
 from repro.relational.sqlite_adapter import load_sqlite
-from repro.text.disk_index import DiskIndex
-from repro.text.inverted_index import InvertedIndex
 
 
 class TestSqliteToSearchPipeline:
@@ -61,20 +59,6 @@ class TestSqliteToSearchPipeline:
             status, html = app.handle("/table/person", "")
         assert status == "200 OK"
         assert "Asha Kulkarni" in html
-
-
-class TestDiskIndexSearchEquivalence:
-    def test_search_from_disk_postings(self, figure1_db, tmp_path):
-        """The disk index must resolve the same keyword nodes as the
-        in-memory index (the paper's deployment configuration)."""
-        memory_index = InvertedIndex(figure1_db)
-        disk_index = DiskIndex.write(
-            memory_index, str(tmp_path / "kw.idx")
-        )
-        for term in ("soumen", "sunita", "mining"):
-            memory_nodes = {p.node for p in memory_index.lookup(term)}
-            disk_nodes = {p.node for p in disk_index.lookup(term)}
-            assert memory_nodes == disk_nodes
 
 
 class TestWeightPolicyEffects:

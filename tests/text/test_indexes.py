@@ -1,12 +1,10 @@
-"""Tests for the inverted index and the disk-resident index."""
+"""Tests for the inverted index."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import Database
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import TEXT
-from repro.text.disk_index import DiskIndex
 from repro.text.inverted_index import InvertedIndex
 from repro.text.tokenizer import tokenize
 
@@ -145,41 +143,3 @@ class TestIndexScanAgreement:
                 if token in tokenize(value)
             }
             assert {p.node for p in index.lookup(token)} == expected
-
-
-class TestDiskIndex:
-    def test_round_trip(self, figure1_db, tmp_path):
-        memory_index = InvertedIndex(figure1_db)
-        path = str(tmp_path / "postings.idx")
-        disk_index = DiskIndex.write(memory_index, path)
-        assert disk_index.vocabulary() == memory_index.vocabulary()
-        for term in memory_index.vocabulary():
-            assert disk_index.lookup(term) == memory_index.lookup(term)
-
-    def test_reopen_from_disk(self, figure1_db, tmp_path):
-        memory_index = InvertedIndex(figure1_db)
-        path = str(tmp_path / "postings.idx")
-        DiskIndex.write(memory_index, path)
-        reopened = DiskIndex(path)
-        assert reopened.lookup("sunita") == memory_index.lookup("sunita")
-        assert "sunita" in reopened
-        assert reopened.document_frequency("sunita") == 1
-
-    def test_unknown_term_empty(self, figure1_db, tmp_path):
-        path = str(tmp_path / "postings.idx")
-        disk_index = DiskIndex.write(InvertedIndex(figure1_db), path)
-        assert disk_index.lookup("nosuchterm") == []
-
-    def test_corrupt_file_rejected(self, tmp_path):
-        path = str(tmp_path / "bad.idx")
-        with open(path, "wb") as handle:
-            handle.write(b"not an index at all, definitely not")
-        with pytest.raises(Exception):
-            DiskIndex(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = str(tmp_path / "tiny.idx")
-        with open(path, "wb") as handle:
-            handle.write(b"xx")
-        with pytest.raises(Exception):
-            DiskIndex(path)
