@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro import BANKS
 from repro.core.incremental import IncrementalBANKS
 from repro.datasets import generate_bibliography
@@ -108,3 +110,33 @@ def test_incremental_delete_vs_rebuild(benchmark):
     incremental._refresh_stats()
     assert incremental.stats == rebuilt.stats
 
+
+def test_feedback_reranking(benchmark):
+    """Sec. 7 authority transfer: endorsements must lift an endorsed
+    paper past a structurally identical rival."""
+    from repro.core.feedback import FeedbackBanks
+    from repro.core.scoring import ScoringConfig
+
+    def measure():
+        database, anecdotes = generate_bibliography(
+            papers=150, authors=90, seed=3
+        )
+        banks = FeedbackBanks(
+            database,
+            scoring=ScoringConfig(lambda_weight=0.5, edge_log=True),
+        )
+        before = [a.tree.root for a in banks.search("transaction")]
+        # Endorse the last-ranked transaction paper heavily.
+        target = before[-1]
+        for _ in range(20):
+            banks.record_click(target)
+        banks.apply_feedback()
+        after = [a.tree.root for a in banks.search("transaction")]
+        return target, before, after
+
+    target, before, after = benchmark.pedantic(measure, rounds=1, iterations=1)
+    print(
+        f"\nendorsed {target}: rank {before.index(target)} -> "
+        f"{after.index(target)}"
+    )
+    assert after.index(target) < before.index(target)

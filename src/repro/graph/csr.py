@@ -780,8 +780,8 @@ class CSROverlayGraph(CSRGraph):
 
 def freeze_graph(graph) -> CSROverlayGraph:
     """A mutable overlay view over a frozen ``graph`` — the
-    facade-facing idiom (search reads the arrays, delta replay writes
-    the overlay).  A frozen :class:`CSRGraph`, which is
+    facade-facing idiom (search reads the arrays, feedback and delta
+    replay write the overlay).  A frozen :class:`CSRGraph`, which is
     what :func:`repro.core.model.build_data_graph` returns, is wrapped
     as it is; anything else (a DiGraph, an overlay) is frozen first."""
     if type(graph) is not CSRGraph:
