@@ -159,7 +159,6 @@ class BrowseApp:
             "ul",
             None,
             el("li", None, f"shards: {info['shards']}"),
-            el("li", None, f"strategy: {info['strategy']}"),
             el("li", None, f"backend: {info['backend']}"),
             el(
                 "li",
@@ -215,7 +214,6 @@ class BrowseApp:
             None,
             el("li", None, f"replicas: {info['replicas']}"),
             el("li", None, f"backend: {info['backend']}"),
-            el("li", None, f"balance: {info['balance']}"),
             el("li", None, f"staleness bound: {info['max_lag']} epoch(s)"),
             el(
                 "li",

@@ -100,10 +100,7 @@ result document's).  Tuning knobs:
     --replicas N       run a replica set in one process: a WAL-writing
                        primary plus N WAL-following replicas behind a
                        load-balancing front end (status at /replicas;
-                       combine with --shards N for replicated shard
-                       routers)
-    --balance P        replica balancing: round_robin (default) or
-                       least_inflight
+                       conflicts with --shards)
     --max-lag N        staleness bound in epochs before a replica is
                        excluded from balancing (default 8)
     --replica-backend  thread, process (forked workers — read QPS
@@ -272,9 +269,7 @@ def _command_trace(args: argparse.Namespace, out) -> int:
     """
     from repro.cluster import Cluster, ClusterSpec, QueryRequest
 
-    if args.shards and args.replicas:
-        topology = "sharded_replicated"
-    elif args.shards:
+    if args.shards:
         topology = "sharded"
     elif args.replicas:
         topology = "replicated"
@@ -334,13 +329,10 @@ def _serve_mode(cluster) -> str:
             f"{spec.dispatch} dispatch"
         )
     if spec.replicated:
-        mode = (
-            f"{spec.replicas}-replica set "
-            f"({cluster.backend.backend} backend, {spec.balance})"
+        return (
+            f"{spec.replica_count}-replica set "
+            f"({cluster.backend.backend} backend)"
         )
-        if spec.topology == "sharded_replicated":
-            mode = f"{spec.shards} shards per replica, " + mode
-        return mode
     if spec.follow:
         return f"read-only follower tailing {spec.wal_path}"
     mode = f"{spec.workers} workers, queue bound {spec.queue_bound}"
@@ -950,12 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a replica set: one WAL-writing primary plus N "
         "WAL-following replicas behind a load-balancing front end "
         "(status at /replicas; 0 = unreplicated)",
-    )
-    serve.add_argument(
-        "--balance",
-        choices=("round_robin", "least_inflight"),
-        default=None,
-        help="replica-set load-balancing policy",
     )
     serve.add_argument(
         "--max-lag",

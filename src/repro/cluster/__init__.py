@@ -6,8 +6,8 @@ contract:
 
 * :mod:`repro.cluster.spec` — :class:`ClusterSpec`, the declarative
   description of a deployment (topology ``single`` | ``sharded`` |
-  ``replicated`` | ``sharded_replicated``, plus the write-path, WAL,
-  admission and balancing knobs) with **centralised validation**:
+  ``replicated``, plus the write-path, WAL, admission and replica
+  knobs) with **centralised validation**:
   every conflicting combination fails through
   :class:`~repro.errors.ClusterError` with one message format, at
   construction time.
@@ -21,8 +21,8 @@ contract:
   read.
 * :mod:`repro.cluster.replicaset` — :class:`ReplicaSet`, the serving
   half of replication the ROADMAP promised: N WAL-following replicas
-  forked from one primary, load-balanced (``round_robin`` /
-  ``least_inflight``), laggards excluded past a staleness bound,
+  forked from one primary, load-balanced (fewest in flight, then the
+  least recently picked), laggards excluded past a staleness bound,
   mutations routed to the primary, failover + re-admission surfaced on
   ``/metrics``.
 
@@ -35,15 +35,9 @@ unit tests (``docs/API.md`` carries the migration table).
 
 from repro.cluster.api import Cluster, QueryRequest, QueryResult
 from repro.cluster.replicaset import ReplicaAnswer, ReplicaSet
-from repro.cluster.spec import (
-    BALANCE_POLICIES,
-    CONSISTENCY_LEVELS,
-    TOPOLOGIES,
-    ClusterSpec,
-)
+from repro.cluster.spec import CONSISTENCY_LEVELS, TOPOLOGIES, ClusterSpec
 
 __all__ = [
-    "BALANCE_POLICIES",
     "CONSISTENCY_LEVELS",
     "Cluster",
     "ClusterSpec",

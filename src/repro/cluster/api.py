@@ -124,10 +124,10 @@ class QueryResult:
         served_by: human-readable provenance — ``"engine"``,
             ``"follower"``, ``"router"``, ``"primary"`` or
             ``"replica-N"``.
-        replica: replica index (replicated topologies; ``None`` when
+        replica: replica index (replicated topology; ``None`` when
             the primary or an unreplicated backend served).
         shards: shard ids contributing nodes to the answers (sharded
-            topologies; empty elsewhere).
+            topology; empty elsewhere).
         epoch: the mutation epoch the read observed.
         consistency: the level the request asked for.
         latency: request-to-answer seconds at the cluster surface.
@@ -228,7 +228,6 @@ class Cluster:
             router = ShardRouter(
                 self.database,
                 shards=spec.shards,
-                strategy=spec.shard_strategy,
                 backend=spec.shard_backend,
                 dispatch=spec.dispatch,
                 engine_config=EngineConfig(
@@ -257,7 +256,6 @@ class Cluster:
             workers=spec.workers,
             queue_bound=spec.queue_bound,
             default_deadline=spec.deadline,
-            dedup=spec.dedup,
         )
 
     def _build_live(self) -> None:
@@ -514,8 +512,7 @@ class Cluster:
         if spec.replicated:
             answers, replica, epoch = value
             served_by = "primary" if replica is None else f"replica-{replica}"
-            shards = {s for a in answers for s in a.shards}
-            return answers, served_by, replica, epoch, tuple(sorted(shards))
+            return answers, served_by, replica, epoch, ()
         if spec.topology == "sharded":
             shards = {s for a in value for s in a.shards()}
             return value, "router", None, self.backend.epoch, tuple(sorted(shards))

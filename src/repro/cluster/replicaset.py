@@ -19,9 +19,10 @@ Mechanics:
   fork exists) runs each replica facade in a forked worker process so
   N replicas genuinely search N-way parallel on N cores, exactly the
   trick :mod:`repro.shard.process` plays for shards;
-* queries pick a replica by the configured **balancing policy**
-  (``round_robin`` or ``least_inflight``) among the *eligible* ones:
-  alive, and trailing the WAL by at most ``max_lag`` epochs.  A
+* queries pick a replica among the *eligible* ones — alive, and
+  trailing the WAL by at most ``max_lag`` epochs — by one rule: fewest
+  reads in flight, then the replica picked least recently, then the
+  lowest index (strict rotation under sequential load).  A
   laggard is excluded until it catches back up (the exclusion and the
   re-admission are both counted on ``/metrics``); when no replica is
   eligible the primary serves the read itself — the front end degrades,
@@ -34,14 +35,6 @@ Mechanics:
   marked dead and the query retries elsewhere; :meth:`ReplicaSet.heal`
   rebuilds dead replicas from the base snapshot plus the WAL and
   re-admits them once caught up.
-
-For ``topology="sharded_replicated"`` each replica is a whole
-thread-backed :class:`~repro.shard.router.ShardRouter` replaying
-epochs via ``apply_epochs`` (per-shard delta routing); thread backing
-is deliberate — forking shard workers *after* the primary engine's
-threads exist would clone held locks, and the topology's point is
-partitioned mechanics behind the replicated front end, not double
-process fan-out.
 """
 
 from __future__ import annotations
@@ -89,7 +82,6 @@ class ReplicaAnswer:
         rank: position in the result list (0-based).
         replica: index of the replica that served it (``None`` when
             the primary served the read).
-        shards: shard ids contributing nodes (sharded_replicated only).
     """
 
     tree: Any
@@ -97,7 +89,6 @@ class ReplicaAnswer:
     rank: int
     replica: Optional[int]
     _banks: "ReplicaSet"
-    shards: Tuple[int, ...] = ()
 
     @property
     def root(self) -> RID:
@@ -294,56 +285,6 @@ class _ThreadReplica(QueryEngine):
     kill = stop
 
 
-class _RouterReplica:
-    """One sharded replica: a whole thread-backed
-    :class:`~repro.shard.router.ShardRouter` replaying WAL epochs via
-    per-shard delta routing."""
-
-    def __init__(self, database, spec: ClusterSpec):
-        from repro.shard.router import ShardRouter
-
-        self.router = ShardRouter(
-            database,
-            shards=spec.shards,
-            strategy=spec.shard_strategy,
-            backend="thread",
-            dispatch=spec.dispatch,
-            engine_config=EngineConfig(
-                queue_bound=spec.queue_bound,
-                default_deadline=spec.deadline,
-            ),
-        )
-        self.applied_epoch = 0
-        self._alive = True
-
-    def search_scored(
-        self, query, timeout: Optional[float] = None, **kwargs
-    ) -> List[Tuple[Any, float, Tuple[int, ...]]]:
-        return [
-            (answer.tree, answer.relevance, tuple(sorted(answer.shards())))
-            for answer in self.router.search(query, timeout=timeout, **kwargs)
-        ]
-
-    def apply_epochs(self, epochs) -> int:
-        epochs = list(epochs)
-        applied = self.router.apply_epochs(epochs)
-        if epochs:
-            self.applied_epoch = epochs[-1].number
-        return applied
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def kill(self) -> None:
-        self._alive = False
-        self.router.stop()
-
-    def stop(self) -> None:
-        self._alive = False
-        self.router.stop()
-
-
 @dataclass
 class _ReplicaHandle:
     """Front-end bookkeeping for one replica."""
@@ -355,6 +296,8 @@ class _ReplicaHandle:
     excluded: bool = False
     inflight: int = 0
     served: int = 0
+    #: the balancer's pick counter when it last chose this replica
+    picked: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
@@ -377,7 +320,7 @@ class ReplicaSet:
             epochs) and every replica starts from its own fork; the
             caller's database is never mutated.
         spec: the validated :class:`~repro.cluster.spec.ClusterSpec`
-            (``topology="replicated"`` or ``"sharded_replicated"``).
+            (``topology="replicated"``).
         metrics: external registry to record into (one per set).
     """
 
@@ -399,37 +342,42 @@ class ReplicaSet:
         )
         self._owns_wal = spec.wal_path is None
         backend = spec.replica_backend
-        if spec.topology == "sharded_replicated":
-            backend = "thread"  # see the module docstring
+        if spec.remote_replicas:
+            backend = "remote"
         elif backend == "auto":
             backend = "process" if fork_available() else "thread"
         self.backend = backend
 
-        if spec.remote_replicas:
-            self.backend = "remote"
         # Replica workers first: the process backend must fork
         # before the primary engine starts any thread, and before the
         # primary's facade is recovered — a child would inherit it and
         # copy its pages at its first full collection.
-        self._handles: List[_ReplicaHandle] = [
-            _ReplicaHandle(index, self._build_worker(index))
-            for index in range(spec.replica_count)
-        ]
-        # Then the primary's store, recovered to the pre-restart state
-        # the replicas' followers replay too.
-        self.primary = QueryEngine(
-            SnapshotStore.open(
+        self._handles: List[_ReplicaHandle] = []
+        try:
+            for index in range(spec.replica_count):
+                self._handles.append(
+                    _ReplicaHandle(index, self._build_worker(index))
+                )
+            # Then the primary's store, recovered to the pre-restart
+            # state the replicas' followers replay too.
+            store = SnapshotStore.open(
                 self._base.fork,
                 self._wal_dir,
                 fsync=spec.wal_fsync,
                 checkpoint_every=spec.checkpoint_every,
                 checkpoint_path=spec.checkpoint_path,
-            ),
+            )
+        except BaseException:
+            # A failed build stops the workers already built.
+            for handle in self._handles:
+                handle.worker.stop()
+            raise
+        self.primary = QueryEngine(
+            store,
             EngineConfig(
                 workers=spec.workers,
                 queue_bound=spec.queue_bound,
                 default_deadline=spec.deadline,
-                dedup=spec.dedup,
             ),
         )
         self.reader = WalReader(self._wal_dir)
@@ -443,8 +391,8 @@ class ReplicaSet:
                 handle.follower = ReplicaFollower(self._wal_dir, handle.worker)
 
         self.last_write_epoch = self.primary.snapshots.epoch
-        self._rr_lock = threading.Lock()
-        self._rr_next = 0
+        self._pick_lock = threading.Lock()
+        self._picks = 0
         # monotonic_reads floor: the newest epoch any read served
         # through this front end has observed.
         self._read_lock = threading.Lock()
@@ -533,10 +481,6 @@ class ReplicaSet:
                 token=self.spec.remote_token,
             )
         start_epoch, database = self._replica_base()
-        if self.spec.topology == "sharded_replicated":
-            replica = _RouterReplica(database, self.spec)
-            replica.applied_epoch = start_epoch
-            return replica
         facade = IncrementalBANKS(database)
         facade.applied_epoch = start_epoch
         if self.backend == "process":
@@ -704,11 +648,14 @@ class ReplicaSet:
                 self._read_floor = epoch
 
     def _pick(self, eligible: Sequence[_ReplicaHandle]) -> _ReplicaHandle:
-        if self.spec.balance == "least_inflight":
-            return min(eligible, key=lambda h: (h.inflight, h.index))
-        with self._rr_lock:
-            choice = eligible[self._rr_next % len(eligible)]
-            self._rr_next += 1
+        """Fewest reads in flight, then the replica picked least
+        recently, then the lowest index.  Sequential reads rotate
+        strictly; a replica re-admitted after exclusion rejoins the
+        rotation instead of drawing a burst of reads."""
+        with self._pick_lock:
+            choice = min(eligible, key=lambda h: (h.inflight, h.picked, h.index))
+            self._picks += 1
+            choice.picked = self._picks
         return choice
 
     # -- the read path ---------------------------------------------------------
@@ -890,14 +837,10 @@ class ReplicaSet:
         return self._wrap(scored, None), None, epoch
 
     def _wrap(self, scored, replica: Optional[int]) -> List[ReplicaAnswer]:
-        answers = []
-        for rank, entry in enumerate(scored):
-            tree, relevance = entry[0], entry[1]
-            shards = tuple(entry[2]) if len(entry) > 2 else ()
-            answers.append(
-                ReplicaAnswer(tree, relevance, rank, replica, self, shards)
-            )
-        return answers
+        return [
+            ReplicaAnswer(tree, relevance, rank, replica, self)
+            for rank, (tree, relevance) in enumerate(scored)
+        ]
 
     def search(
         self,
@@ -994,7 +937,6 @@ class ReplicaSet:
             "topology": self.spec.topology,
             "replicas": len(self._handles),
             "backend": self.backend,
-            "balance": self.spec.balance,
             "max_lag": self.spec.max_lag,
             "epoch": self.epoch,
             "wal_path": self._wal_dir,
@@ -1028,5 +970,5 @@ class ReplicaSet:
         active = sum(1 for h in self._handles if h.alive)
         return (
             f"ReplicaSet({len(self._handles)} replicas ({active} alive), "
-            f"{self.backend}, {self.spec.balance}, epoch {self.epoch})"
+            f"{self.backend}, epoch {self.epoch})"
         )

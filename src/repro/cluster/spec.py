@@ -8,27 +8,24 @@ dataclass: *what* to stand up (the topology), *how* it serves
 (worker/admission knobs), *how* it writes (WAL + checkpoints: the
 fields :meth:`SnapshotStore.open
 <repro.serve.snapshot.SnapshotStore.open>` takes; the engine config
-holds none), and *how* replicas behave (balancing policy, staleness
-bound).
+holds none), and *how* replicas behave (backend, staleness bound).
 
 Validation is centralised: every conflicting combination — the old
 ``--replica`` + ``--shards``/``--live`` matrix, a WAL-less follower,
-a WAL on a topology that publishes no epochs, … — fails through
+a WAL on a topology that publishes no epochs, a field of the wrong
+type in a spec file, … — fails through
 :class:`~repro.errors.ClusterError` with one message format
 (``invalid cluster spec: <detail>``), at construction time, before any
 engine exists.
 
 Topologies::
 
-    single              one QueryEngine over one facade (a CachedBanks,
-                        or an IncrementalBANKS with --live or --follow)
-    sharded             a ShardRouter over N graph shards
-    replicated          a ReplicaSet: one WAL-writing primary plus N
-                        WAL-following replica engines behind a
-                        load-balancing front end
-    sharded_replicated  a ReplicaSet whose replicas are whole
-                        ShardRouters, each kept caught up from the
-                        primary's WAL
+    single      one QueryEngine over one facade (a CachedBanks,
+                or an IncrementalBANKS with --live or --follow)
+    sharded     a ShardRouter over N graph shards
+    replicated  a ReplicaSet: one WAL-writing primary plus N
+                WAL-following replica engines behind a load-balancing
+                front end
 
 ``follow=True`` (the old ``banks serve --replica``) is the external
 half of replication: a read-only single-engine follower of *another
@@ -39,17 +36,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Optional, Tuple, Union
+from numbers import Real
+from typing import Any, Optional, Tuple, Union
 
 from repro.errors import ClusterError, ReproError
 from repro.obs import parse_sample
+from repro.relational.database import Database
 from repro.store.wal import FSYNC_POLICIES
 
 #: The deployments the cluster layer can stand up.
-TOPOLOGIES = ("single", "sharded", "replicated", "sharded_replicated")
-
-#: Replica-set load-balancing policies.
-BALANCE_POLICIES = ("round_robin", "least_inflight")
+TOPOLOGIES = ("single", "sharded", "replicated")
 
 #: Per-request consistency levels (see repro.cluster.api.QueryRequest).
 CONSISTENCY_LEVELS = (
@@ -63,15 +59,24 @@ CONSISTENCY_LEVELS = (
 _DISPATCHES = ("gather", "route")
 _BACKENDS = ("thread", "process", "auto")
 
+#: Field types, checked before any value is compared: a spec file's
+#: ``"live": "no"`` or ``"workers": "4"`` is refused, not deployed.
+_FLAGS = ("live", "follow")
+_COUNTS = (
+    "shards", "replicas", "workers", "queue_bound", "checkpoint_every",
+    "max_lag", "trace_buffer",
+)
+_DURATIONS = ("deadline", "slow_query_ms")
+_OPTIONAL_STRINGS = ("wal_path", "checkpoint_path", "remote_token")
+
 #: Spec fields a ``banks serve`` flag sets.  Each flag's argparse
 #: destination is the field name, except ``--wal`` for ``wal_path``;
-#: ``topology`` derives from the counts, and ``dedup`` and
-#: ``shard_strategy`` have no flag.
+#: ``topology`` derives from the counts.
 _SERVE_FIELDS = (
     "db", "shards", "replicas", "workers", "queue_bound", "deadline",
     "live", "wal_path", "wal_fsync", "follow", "checkpoint_every",
     "checkpoint_path", "shard_backend", "dispatch", "replica_backend",
-    "balance", "max_lag", "remote_replicas", "remote_token",
+    "max_lag", "remote_replicas", "remote_token",
     "trace_sample", "slow_query_ms", "trace_buffer",
 )
 
@@ -86,26 +91,23 @@ class ClusterSpec:
     """Declarative description of one cluster deployment.
 
     Attributes:
-        topology: ``"single"`` | ``"sharded"`` | ``"replicated"`` |
-            ``"sharded_replicated"``.
+        topology: ``"single"`` | ``"sharded"`` | ``"replicated"``.
         db: optional data source — a loaded
             :class:`~repro.relational.database.Database` or a CLI
             specifier string (``"demo:bibliography"``,
             ``"sqlite:/path"``); :class:`~repro.cluster.api.Cluster`
             resolves it when no database is passed explicitly.
-        shards: shard count (sharded topologies only).
-        replicas: replica count (replicated topologies only).
+        shards: shard count (``sharded`` only).
+        replicas: replica count (``replicated`` only).
         workers: worker threads for the (primary) engine.
         queue_bound: admission-queue bound before shedding
             (0 = unbounded).
         deadline: per-request queueing deadline in seconds.
-        dedup: single-flight deduplication of identical in-flight
-            queries.
         live: serve a mutable :class:`IncrementalBANKS` facade (single
-            topology; replicated topologies are always live — the
+            topology; a replicated topology is always live — the
             primary owns the write path).
         wal_path: durable epoch-log directory.  Required with
-            ``follow``; optional for replicated topologies (an
+            ``follow``; optional for the replicated topology (an
             ephemeral log is created when omitted); with
             ``live`` it makes the single primary durable.
         wal_fsync: WAL durability policy.
@@ -115,7 +117,7 @@ class ClusterSpec:
             every N epochs (0 = off), so recovery and replica heal
             replay only the tail past the newest checkpoint instead of
             the full history.  Needs a WAL-writing primary: ``live``
-            with ``wal_path``, or a replicated topology.
+            with ``wal_path``, or the replicated topology.
         checkpoint_path: checkpoint directory (default:
             ``<wal_path>/checkpoints``).  Setting it without
             ``checkpoint_every`` enables checkpoint-aware recovery and
@@ -123,12 +125,11 @@ class ClusterSpec:
         shard_backend: ``"thread"`` | ``"process"`` | ``"auto"`` shard
             workers.
         dispatch: shard dispatch policy (``"gather"`` | ``"route"``).
-        shard_strategy: placement strategy (name or callable) for the
-            graph partitioner.
+            Shards are placed by the partitioner's hash of
+            ``table:rid``.
         replica_backend: how replica workers run — ``"process"``
-            (forked, CPU scaling), ``"thread"`` or ``"auto"``.
-        balance: replica load-balancing policy (``"round_robin"`` |
-            ``"least_inflight"``).
+            (forked, CPU scaling), ``"thread"`` (where fork is absent,
+            and the deterministic test backend) or ``"auto"``.
         max_lag: staleness bound in epochs; a replica trailing the WAL
             by more than this is excluded from balancing until it
             catches back up.
@@ -156,7 +157,6 @@ class ClusterSpec:
     workers: int = 4
     queue_bound: int = 64
     deadline: Optional[float] = None
-    dedup: bool = True
     # write path
     live: bool = False
     wal_path: Optional[str] = None
@@ -167,10 +167,8 @@ class ClusterSpec:
     # shard knobs
     shard_backend: str = "auto"
     dispatch: str = "gather"
-    shard_strategy: Union[str, Callable] = "hash"
     # replica-set knobs
     replica_backend: str = "auto"
-    balance: str = "round_robin"
     max_lag: int = 8
     # networked replicas (repro.net): base URLs of remote HTTP serving
     # processes the front end balances over instead of forking local
@@ -194,21 +192,53 @@ class ClusterSpec:
         :class:`~repro.errors.ClusterError` (``invalid cluster spec:
         <detail>``) on the first violation, returns ``self`` when
         clean."""
+        self._validate_types()
         self._validate_enums()
         self._validate_counts()
         self._validate_modes()
         return self
+
+    def _validate_types(self) -> None:
+        for name in _FLAGS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise _invalid(f"{name} must be true or false (got {value!r})")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise _invalid(f"{name} must be an integer (got {value!r})")
+        for name in _DURATIONS:
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, Real)
+            ):
+                raise _invalid(f"{name} must be a number or null (got {value!r})")
+        for name in _OPTIONAL_STRINGS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise _invalid(f"{name} must be a string or null (got {value!r})")
+        if not isinstance(self.db, (type(None), str, Database)):
+            raise _invalid(
+                f"db must be a specifier string or a Database (got {self.db!r})"
+            )
+        if isinstance(self.trace_sample, bool) or not isinstance(
+            self.trace_sample, (str, Real)
+        ):
+            raise _invalid(
+                f"trace_sample must be a mode name or a rate "
+                f"(got {self.trace_sample!r})"
+            )
+        if not isinstance(self.remote_replicas, (list, tuple)):
+            raise _invalid(
+                "remote_replicas must be a list of base URLs "
+                f"(got {self.remote_replicas!r})"
+            )
 
     def _validate_enums(self) -> None:
         if self.topology not in TOPOLOGIES:
             raise _invalid(
                 f"unknown topology {self.topology!r} "
                 f"(choose from {', '.join(TOPOLOGIES)})"
-            )
-        if self.balance not in BALANCE_POLICIES:
-            raise _invalid(
-                f"unknown balance policy {self.balance!r} "
-                f"(choose from {', '.join(BALANCE_POLICIES)})"
             )
         if self.wal_fsync not in FSYNC_POLICIES:
             raise _invalid(
@@ -232,8 +262,7 @@ class ClusterSpec:
             )
 
     def _validate_counts(self) -> None:
-        sharded = self.topology in ("sharded", "sharded_replicated")
-        replicated = self.topology in ("replicated", "sharded_replicated")
+        sharded = self.topology == "sharded"
         if sharded and self.shards < 1:
             raise _invalid(
                 f"topology {self.topology!r} needs shards >= 1 "
@@ -242,19 +271,17 @@ class ClusterSpec:
         if not sharded and self.shards:
             raise _invalid(
                 f"shards={self.shards} conflicts with topology "
-                f"{self.topology!r}; use topology='sharded' or "
-                "'sharded_replicated'"
+                f"{self.topology!r}; use topology='sharded'"
             )
-        if replicated and self.replicas < 1 and not self.remote_replicas:
+        if self.replicated and self.replicas < 1 and not self.remote_replicas:
             raise _invalid(
                 f"topology {self.topology!r} needs replicas >= 1 "
                 f"(got {self.replicas}) or remote_replicas URLs"
             )
-        if not replicated and self.replicas:
+        if not self.replicated and self.replicas:
             raise _invalid(
                 f"replicas={self.replicas} conflicts with topology "
-                f"{self.topology!r}; use topology='replicated' or "
-                "'sharded_replicated'"
+                f"{self.topology!r}; use topology='replicated'"
             )
         if self.workers < 1:
             raise _invalid(f"workers must be >= 1 (got {self.workers})")
@@ -285,7 +312,6 @@ class ClusterSpec:
             )
 
     def _validate_modes(self) -> None:
-        replicated = self.topology in ("replicated", "sharded_replicated")
         if self.follow:
             if self.topology != "single":
                 raise _invalid(
@@ -306,14 +332,14 @@ class ClusterSpec:
                 )
         if self.wal_path and self.topology == "sharded":
             raise _invalid(
-                "wal_path is not wired into the plain sharded topology; "
-                "use topology='sharded_replicated' (the primary owns the "
-                "log, replica routers follow it)"
+                "wal_path is not wired into the sharded topology; use "
+                "topology='replicated' (the primary owns the log, the "
+                "replicas follow it)"
             )
-        if self.wal_path and not (self.live or self.follow or replicated):
+        if self.wal_path and not (self.live or self.follow or self.replicated):
             raise _invalid(
                 "wal_path needs a live primary (live=True), a follower "
-                "(follow=True) or a replicated topology; the other "
+                "(follow=True) or the self.replicated topology; the other "
                 "serving modes publish no mutation epochs"
             )
         if self.checkpoint_every or self.checkpoint_path:
@@ -323,10 +349,10 @@ class ClusterSpec:
                     "the WAL a checkpoint would re-base); drop "
                     "checkpoint_every / checkpoint_path"
                 )
-            if not (replicated or (self.live and self.wal_path)):
+            if not (self.replicated or (self.live and self.wal_path)):
                 raise _invalid(
                     "checkpoints re-base a WAL: they need a live durable "
-                    "primary (live=True with wal_path) or a replicated "
+                    "primary (live=True with wal_path) or the self.replicated "
                     "topology"
                 )
         if self.remote_replicas:
@@ -357,7 +383,7 @@ class ClusterSpec:
 
     @property
     def replicated(self) -> bool:
-        return self.topology in ("replicated", "sharded_replicated")
+        return self.topology == "replicated"
 
     @property
     def replica_count(self) -> int:
@@ -391,9 +417,8 @@ class ClusterSpec:
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The spec as JSON, loadable by :meth:`from_json`.
 
-        Raises :class:`~repro.errors.ClusterError` when a field cannot
-        be serialised (a loaded ``db`` object, a callable
-        ``shard_strategy``) — spec files carry names, not objects.
+        Raises :class:`~repro.errors.ClusterError` when ``db`` holds a
+        loaded database — spec files carry names, not objects.
         """
         payload = {}
         for field in fields(self):
@@ -407,11 +432,6 @@ class ClusterSpec:
                         "database; set db to a specifier string like "
                         "'demo:bibliography'"
                     )
-            if field.name == "shard_strategy" and not isinstance(value, str):
-                raise ClusterError(
-                    "cannot serialise a callable shard_strategy; use a "
-                    "named strategy ('hash', 'table', 'round_robin')"
-                )
             if isinstance(value, tuple):
                 value = list(value)
             payload[field.name] = value
@@ -470,13 +490,9 @@ class ClusterSpec:
                 given[field] = value
         if "remote_replicas" in given:
             given["remote_replicas"] = tuple(given["remote_replicas"])
-        shards = given.get("shards", 0)
-        replicas = given.get("replicas", 0)
-        if shards and replicas:
-            topology = "sharded_replicated"
-        elif shards:
+        if given.get("shards"):
             topology = "sharded"
-        elif replicas or given.get("remote_replicas"):
+        elif given.get("replicas") or given.get("remote_replicas"):
             topology = "replicated"
         else:
             topology = "single"

@@ -6,9 +6,9 @@ query to per-shard :class:`~repro.serve.engine.QueryEngine`-backed
 searchers, and gather the per-shard answer trees into one global top-k
 ranked by the paper's answer-relevance score:
 
-* :mod:`repro.shard.partition` — :class:`GraphPartitioner` and the
-  pluggable placement strategies; counts the cut edges and derives
-  them as federation tuple links on demand;
+* :mod:`repro.shard.partition` — :class:`GraphPartitioner` and its
+  hash placement; counts the cut edges and derives them as federation
+  tuple links on demand;
 * :mod:`repro.shard.stitch` — the partition-losslessness helpers
   (:func:`graphs_equal`, and :func:`stats_of` re-exported);
 * :mod:`repro.shard.searcher` — one shard's partitioned inverted index
@@ -33,13 +33,7 @@ documented in ``docs/ARCHITECTURE.md``; the operator knobs
 ``docs/OPERATIONS.md``.
 """
 
-from repro.shard.partition import (
-    GraphPartitioner,
-    Partition,
-    hash_strategy,
-    round_robin_strategy,
-    table_strategy,
-)
+from repro.shard.partition import GraphPartitioner, Partition, hash_strategy
 from repro.shard.process import (
     ProcessShardWorker,
     ProcessWorkerProxy,
@@ -60,7 +54,5 @@ __all__ = [
     "fork_available",
     "graphs_equal",
     "hash_strategy",
-    "round_robin_strategy",
     "stats_of",
-    "table_strategy",
 ]

@@ -19,16 +19,16 @@ member-database name.  A future deployment that moves shards onto
 separate machines can hand those links to a
 :class:`~repro.federate.federation.Federation` unchanged.
 
-Strategies are pluggable: any callable ``node -> int`` works.  The
-default hashes ``table:rid`` with CRC32, which is stable across
+Placement hashes ``table:rid`` with CRC32, which is stable across
 processes and Python versions (``hash()`` is randomised per process and
-must never decide placement).
+must never decide placement).  Tests plant other layouts by passing
+any callable ``node -> int``.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ShardError
 from repro.federate.links import TupleLink
@@ -39,44 +39,13 @@ ShardStrategy = Callable[[RID], int]
 
 
 def hash_strategy(shards: int) -> ShardStrategy:
-    """Hash-by-table-row (the default): spreads every table uniformly."""
+    """Hash-by-table-row: spreads every table uniformly."""
 
     def place(node: RID) -> int:
         table, rid = node
         return zlib.crc32(f"{table}:{rid}".encode("utf-8")) % shards
 
     return place
-
-
-def table_strategy(shards: int) -> ShardStrategy:
-    """Co-locate whole tables: every row of a table shares a shard.
-
-    Keeps intra-table structure local (useful when one relation
-    dominates traffic) at the price of skew when table sizes differ.
-    """
-
-    def place(node: RID) -> int:
-        table, _rid = node
-        return zlib.crc32(table.encode("utf-8")) % shards
-
-    return place
-
-
-def round_robin_strategy(shards: int) -> ShardStrategy:
-    """Stripe rows of each table across shards by row id."""
-
-    def place(node: RID) -> int:
-        _table, rid = node
-        return rid % shards
-
-    return place
-
-
-_NAMED_STRATEGIES = {
-    "hash": hash_strategy,
-    "table": table_strategy,
-    "round_robin": round_robin_strategy,
-}
 
 
 class Partition:
@@ -244,32 +213,15 @@ class GraphPartitioner:
 
     Args:
         shards: number of shards (>= 1).
-        strategy: a named strategy (``"hash"``, ``"table"``,
-            ``"round_robin"``) or any callable ``node -> int``.
+        strategy: a callable ``node -> int``; ``None`` (the default)
+            is :func:`hash_strategy`.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        strategy: Union[str, ShardStrategy] = "hash",
-    ):
+    def __init__(self, shards: int, strategy: Optional[ShardStrategy] = None):
         if shards < 1:
             raise ShardError("a partition needs at least 1 shard")
         self.shards = shards
-        if callable(strategy):
-            self.strategy: ShardStrategy = strategy
-            self.strategy_name = getattr(strategy, "__name__", "custom")
-        else:
-            try:
-                factory = _NAMED_STRATEGIES[strategy]
-            except KeyError:
-                raise ShardError(
-                    f"unknown shard strategy {strategy!r} (choose from "
-                    f"{', '.join(sorted(_NAMED_STRATEGIES))}, or pass a "
-                    "callable)"
-                ) from None
-            self.strategy = factory(shards)
-            self.strategy_name = strategy
+        self.strategy = hash_strategy(shards) if strategy is None else strategy
 
     def partition(self, graph) -> Partition:
         """Assign every node of ``graph``; count the cut edges.  The
@@ -290,6 +242,3 @@ class GraphPartitioner:
             owner[source] != owner[target] for source, target, _w in graph.edges()
         )
         return Partition(self.shards, shard_nodes, cut)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GraphPartitioner({self.shards} shards, {self.strategy_name})"

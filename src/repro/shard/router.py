@@ -93,7 +93,7 @@ from repro.relational.database import Database, RID
 from repro.serve.engine import EngineConfig, QueryEngine
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.pool import WorkerPool
-from repro.shard.partition import GraphPartitioner, Partition
+from repro.shard.partition import GraphPartitioner, Partition, ShardStrategy
 from repro.shard.process import ProcessShardWorker, fork_available
 from repro.shard.searcher import ShardSearcher
 from repro.store.delta import (
@@ -210,7 +210,8 @@ class ShardRouter:
     Args:
         database: the data to shard and search.
         shards: shard count (>= 1).
-        strategy: placement strategy (see
+        strategy: placement callable ``node -> int`` (default: the
+            hash placement; see
             :class:`~repro.shard.partition.GraphPartitioner`).
         backend: ``"thread"`` (in-process searchers), ``"process"``
             (forked workers, one per shard — CPU scaling), or
@@ -233,7 +234,7 @@ class ShardRouter:
         self,
         database: Database,
         shards: int = 4,
-        strategy: Union[str, Any] = "hash",
+        strategy: Optional[ShardStrategy] = None,
         backend: str = "auto",
         dispatch: str = "gather",
         weight_policy: Optional[WeightPolicy] = None,
@@ -804,7 +805,6 @@ class ShardRouter:
             self._stats_dirty = False
         return {
             "shards": self.partition.shards,
-            "strategy": self.partitioner.strategy_name,
             "backend": self.backend,
             "dispatch": self.dispatch,
             "epoch": self.epoch,

@@ -446,7 +446,12 @@ class WalWriter:
             str(checkpoint_path) if checkpoint_path is not None else None
         )
         self._floor_warned_at: Optional[int] = None
-        os.makedirs(self.path, exist_ok=True)
+        try:
+            os.makedirs(self.path, exist_ok=True)
+        except OSError as error:
+            raise WalError(
+                f"WAL directory {self.path!r} cannot be created ({error.strerror})"
+            ) from None
         self._lock = threading.Lock()
         self._handle = None
         self._segment_size = 0

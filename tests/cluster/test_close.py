@@ -11,6 +11,7 @@ the log must still recover to the epoch the deployment reached.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import warnings
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from repro.cluster import Cluster, ClusterSpec
 from repro.core.incremental import IncrementalBANKS
 from repro.datasets import generate_university
+from repro.errors import WalError
 
 
 def _collect_resource_warnings():
@@ -58,3 +60,26 @@ def test_close_closes_the_wal_writer(tmp_path, quiet_heap, topology, extra):
     assert _collect_resource_warnings() == []
     recovered = IncrementalBANKS.recover(generate_university()[0], wal_path)
     assert recovered.applied_epoch == epoch == 2
+
+
+def test_failed_replica_set_build_stops_its_forked_workers(tmp_path):
+    """Replicas fork before the primary's store opens; when the open
+    fails (here: the WAL path is a regular file), the workers already
+    forked are stopped, not left running."""
+    from repro.shard.process import fork_available
+
+    if not fork_available():  # pragma: no cover - fork exists on CI
+        pytest.skip("the process backend needs fork")
+    wal_file = tmp_path / "wal"
+    wal_file.write_text("")
+    before = set(multiprocessing.active_children())
+    spec = ClusterSpec(
+        topology="replicated",
+        replicas=2,
+        replica_backend="process",
+        wal_path=str(wal_file),
+    )
+    with pytest.raises(WalError):
+        Cluster(spec, generate_university()[0])
+    gc.collect()
+    assert set(multiprocessing.active_children()) <= before

@@ -165,19 +165,6 @@ class TestReplicatedTopology:
             assert result.served_by == "primary"
             assert result.replica is None
 
-    def test_sharded_replicated_carries_both_provenances(self, university):
-        spec = ClusterSpec(
-            topology="sharded_replicated", shards=2, replicas=2
-        )
-        with Cluster(spec, database=university.fork()) as cluster:
-            cluster.backend.sync()
-            result = cluster.query(QueryRequest("alice seminar", k=3))
-            assert result.served_by.startswith("replica-")
-            assert result.replica in (0, 1)
-            assert result.shards and all(0 <= s < 2 for s in result.shards)
-            plain = BANKS(university).search("alice seminar", max_results=3)
-            assert same(result.answers, plain)
-
 
 class TestReadOnly:
     @pytest.mark.parametrize(

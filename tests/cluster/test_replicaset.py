@@ -38,9 +38,7 @@ class TestBalancing:
             assert all(served.count(i) == 2 for i in range(3))
 
     def test_least_inflight_prefers_idle_replicas(self, university):
-        with _thread_cluster(
-            university, replicas=3, balance="least_inflight"
-        ) as cluster:
+        with _thread_cluster(university, replicas=3) as cluster:
             replica_set = cluster.backend
             # Pin synthetic load on replicas 0 and 1: the balancer must
             # send the next read to the idle one.
@@ -87,6 +85,24 @@ class TestStalenessExclusion:
             snapshot = replica_set.metrics.snapshot()
             assert snapshot["replica_excluded_total"] >= 1
             assert snapshot["replica_readmitted_total"] >= 1
+
+    def test_readmitted_replica_rejoins_the_rotation(self, university):
+        """A replica back from exclusion has served far fewer reads than
+        its peer; it takes its turn, not every read until it is even."""
+        with _thread_cluster(university, replicas=2) as cluster:
+            replica_set = cluster.backend
+            replica_set.suspend_replica(0)
+            for step in range(4):  # max_lag=2, so lag 4 > bound
+                cluster.insert(
+                    "student", [f"S83{step}", f"Rejoin Drill{step}", "BIGDEPT"]
+                )
+            replica_set.resume_replica(1)
+            assert [cluster.query("alice", k=2).replica for _ in range(4)] == [
+                1, 1, 1, 1
+            ]
+            replica_set.resume_replica(0)
+            served = [cluster.query("alice", k=2).replica for _ in range(4)]
+            assert served == [0, 1, 0, 1]
 
     def test_all_laggards_fall_back_to_the_primary(self, university):
         with _thread_cluster(university, replicas=2) as cluster:

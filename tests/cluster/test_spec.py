@@ -14,16 +14,17 @@ from repro.errors import ClusterError
 CONFLICTS = [
     # (kwargs, detail fragment)
     ({"topology": "mesh"}, "unknown topology"),
-    ({"balance": "fastest"}, "unknown balance policy"),
+    (
+        {"topology": "sharded_replicated", "shards": 2, "replicas": 2},
+        "unknown topology",
+    ),
     ({"wal_fsync": "sometimes"}, "unknown wal fsync"),
     ({"dispatch": "broadcast"}, "unknown dispatch policy"),
     ({"shard_backend": "fiber"}, "unknown shard backend"),
     ({"replica_backend": "fiber"}, "unknown replica backend"),
     ({"topology": "sharded"}, "needs shards >= 1"),
-    ({"topology": "sharded_replicated", "replicas": 2}, "needs shards >= 1"),
     ({"shards": 2}, "conflicts with topology 'single'"),
     ({"topology": "replicated"}, "needs replicas >= 1"),
-    ({"topology": "sharded_replicated", "shards": 2}, "needs replicas >= 1"),
     ({"replicas": 2}, "conflicts with topology 'single'"),
     ({"topology": "sharded", "shards": 2, "replicas": 2}, "conflicts with"),
     ({"workers": 0}, "workers must be >= 1"),
@@ -50,8 +51,18 @@ CONFLICTS = [
     ({"wal_path": "/w"}, "publish no mutation epochs"),
     (
         {"topology": "sharded", "shards": 2, "wal_path": "/w"},
-        "not wired into the plain sharded topology",
+        "not wired into the sharded topology; use topology='replicated'",
     ),
+    # Ill-typed fields, as a spec file can carry them: refused by name,
+    # never deployed (a truthy "no") nor crashed on (a raw TypeError).
+    ({"live": "no"}, "live must be true or false"),
+    ({"workers": "4"}, "workers must be an integer"),
+    ({"workers": True}, "workers must be an integer"),
+    ({"shards": 2.5}, "shards must be an integer"),
+    ({"max_lag": None}, "max_lag must be an integer"),
+    ({"deadline": "1"}, "deadline must be a number or null"),
+    ({"db": 5}, "db must be a specifier string"),
+    ({"remote_replicas": "http://a:1"}, "remote_replicas must be a list"),
 ]
 
 
@@ -76,7 +87,6 @@ class TestConflictMatrix:
         ClusterSpec(topology="sharded", shards=4, dispatch="route")
         ClusterSpec(topology="replicated", replicas=3, wal_path=wal)
         ClusterSpec(topology="replicated", replicas=3)  # ephemeral WAL
-        ClusterSpec(topology="sharded_replicated", shards=2, replicas=2)
 
     def test_with_overrides_revalidates(self):
         spec = ClusterSpec(topology="sharded", shards=2)
@@ -122,11 +132,11 @@ class TestFromServeArgs:
             ClusterSpec.from_serve_args(_serve_args(replicas=2)).topology
             == "replicated"
         )
-        assert (
-            ClusterSpec.from_serve_args(
-                _serve_args(shards=2, replicas=2)
-            ).topology
-            == "sharded_replicated"
+        # Shards and replicas together are refused, not combined.
+        with pytest.raises(ClusterError) as caught:
+            ClusterSpec.from_serve_args(_serve_args(shards=2, replicas=2))
+        assert str(caught.value).startswith(
+            "invalid cluster spec: replicas=2 conflicts with topology 'sharded'"
         )
 
     def test_removed_aliases_are_ignored_not_mapped(self, tmp_path):
@@ -211,13 +221,11 @@ class TestSpecJson:
     def test_round_trip_preserves_every_field(self):
         spec = ClusterSpec(
             db="demo:bibliography",
-            topology="sharded_replicated",
-            shards=2,
+            topology="replicated",
             replicas=2,
             workers=3,
             queue_bound=32,
             deadline=1.5,
-            balance="least_inflight",
             max_lag=3,
             replica_backend="thread",
             trace_sample="slow",
@@ -254,9 +262,13 @@ class TestSpecJson:
 
     def test_copy_mode_is_an_unknown_field(self):
         """Removed fields fail loudly: ``copy_mode`` (every write
-        forks) and ``engine`` (every single deployment serves through
-        the engine)."""
-        for removed in ("copy_mode", "engine"):
+        forks), ``engine`` (every single deployment serves through
+        the engine), ``dedup`` (primary engines always dedup),
+        ``shard_strategy`` (shards are hash-placed) and ``balance``
+        (one balancing rule)."""
+        for removed in (
+            "copy_mode", "engine", "dedup", "shard_strategy", "balance"
+        ):
             with pytest.raises(TypeError):
                 ClusterSpec(**{removed: False})
         with pytest.raises(ClusterError, match="unknown spec field"):

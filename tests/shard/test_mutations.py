@@ -62,7 +62,7 @@ def drive(target, after_each=None):
             after_each()
 
 
-def assert_matches_fresh(router, strategy="hash"):
+def assert_matches_fresh(router, strategy=None):
     """The live partition equals one built from scratch over the
     router's graph: owner sets, maintained cut count and cut links."""
     live = router.partition
@@ -278,7 +278,7 @@ class TestRoutedMutations:
             assert errors == []
             assert router.epoch == 30
             # The partition survived intact: every insert was deleted.
-            fresh = GraphPartitioner(3, "hash").partition(router.graph)
+            fresh = GraphPartitioner(3).partition(router.graph)
             assert router.partition.shard_nodes == fresh.shard_nodes
 
     def test_insert_with_bad_strategy_fails_before_any_state_change(self):

@@ -1,4 +1,4 @@
-"""Tests for the graph partitioner and placement strategies."""
+"""Tests for the graph partitioner and its hash placement."""
 
 from __future__ import annotations
 
@@ -11,12 +11,7 @@ from repro.core.model import build_data_graph
 from repro.datasets import synth_bibliography
 from repro.errors import ShardError
 from repro.federate.links import TupleLink
-from repro.shard import (
-    GraphPartitioner,
-    hash_strategy,
-    round_robin_strategy,
-    table_strategy,
-)
+from repro.shard import GraphPartitioner, hash_strategy
 
 
 @pytest.fixture(scope="module")
@@ -40,15 +35,6 @@ class TestStrategies:
         # CRC32 of "table:rid" — a fixed value, immune to PYTHONHASHSEED.
         assert hash_strategy(1000)(("paper", 7)) == 508
         assert hash_strategy(1000)(("author", 7)) == 222
-
-    def test_table_strategy_colocates_rows(self):
-        place = table_strategy(3)
-        shards = {place(("paper", rid)) for rid in range(50)}
-        assert len(shards) == 1
-
-    def test_round_robin_stripes_rows(self):
-        place = round_robin_strategy(3)
-        assert [place(("t", rid)) for rid in range(6)] == [0, 1, 2, 0, 1, 2]
 
 
 class TestPartitioner:
@@ -113,8 +99,6 @@ class TestPartitioner:
     def test_rejects_bad_configuration(self, university_graph):
         with pytest.raises(ShardError):
             GraphPartitioner(0)
-        with pytest.raises(ShardError):
-            GraphPartitioner(2, strategy="sorcery")
         out_of_range = GraphPartitioner(2, strategy=lambda node: 7)
         with pytest.raises(ShardError):
             out_of_range.partition(university_graph)

@@ -9,10 +9,20 @@ as the partition's maintained cut count.
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.core.model import build_data_graph
-from repro.shard import GraphPartitioner, stats_of
+from repro.shard import GraphPartitioner, hash_strategy, stats_of
+
+#: Layouts the cover must hold under, as ``shards -> (node -> shard)``:
+#: the hash placement, whole tables together, rows striped by row id.
+PLACEMENTS = {
+    "hash": hash_strategy,
+    "table": lambda shards: lambda node: zlib.crc32(node[0].encode()) % shards,
+    "round_robin": lambda shards: lambda node: node[1] % shards,
+}
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +46,13 @@ def split_edges(graph, partition):
     return intra, cut
 
 
-@pytest.mark.parametrize("strategy", ["hash", "table", "round_robin"])
+@pytest.mark.parametrize("strategy", list(PLACEMENTS))
 @pytest.mark.parametrize("shards", [1, 2, 5])
 def test_stitch_reassembles_exactly(university_build, strategy, shards):
     """Shard node sets plus intra-shard and cut edges rebuild the graph."""
     graph, stats = university_build
-    partition = GraphPartitioner(shards, strategy=strategy).partition(graph)
+    place = PLACEMENTS[strategy](shards)
+    partition = GraphPartitioner(shards, strategy=place).partition(graph)
 
     owned = [node for nodes in partition.shard_nodes for node in nodes]
     assert len(owned) == len(set(owned)) == graph.num_nodes

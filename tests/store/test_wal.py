@@ -82,6 +82,13 @@ class TestWriterReader:
         assert reader.last_epoch() == 5
         assert reader.size_bytes() == writer.bytes_written > 0
 
+    def test_a_regular_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "wal"
+        path.write_text("")
+        with pytest.raises(WalError) as caught:
+            WalWriter(str(path))
+        assert f"WAL directory {str(path)!r} cannot be created" in str(caught.value)
+
     def test_entries_since(self, tmp_path):
         with WalWriter(str(tmp_path), fsync="never") as writer:
             for n in range(1, 8):

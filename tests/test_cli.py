@@ -128,6 +128,25 @@ class TestCommands:
         assert "router.search" in output
         assert "shard.search" in output
 
+    def test_shards_with_replicas_are_refused(self, capsys):
+        """A deployment is sharded or replicated, not both: ``trace``
+        and ``serve`` refuse the pair through the spec's one error."""
+        for command in (
+            ("trace", "demo:university", "alice"),
+            ("serve", "demo:university", "--check"),
+        ):
+            status, output = run_cli(*command, "--shards", "2", "--replicas", "2")
+            assert status == 1 and output == ""
+            assert "invalid cluster spec: replicas=2" in capsys.readouterr().err
+
+    def test_serve_refuses_an_ill_typed_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"db": "demo:university", "live": "no"}')
+        status, output = run_cli("serve", "--spec", str(path), "--check")
+        assert status == 1 and output == ""
+        err = capsys.readouterr().err
+        assert "invalid cluster spec: live must be true or false" in err
+
     def test_search_into_a_closed_pipe_exits_quietly(self):
         # ``banks search ... | head -1``: ~120 KB of answers, about twice
         # what a pipe holds, so the writer is still printing when the

@@ -39,7 +39,6 @@ from typing import Dict, List, Tuple
 #: The intended public surface, module by module.  Edit deliberately.
 PUBLIC_API: Dict[str, Tuple[str, ...]] = {
     "repro.cluster": (
-        "BALANCE_POLICIES",
         "CONSISTENCY_LEVELS",
         "Cluster",
         "ClusterSpec",
@@ -132,9 +131,7 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
         "fork_available",
         "graphs_equal",
         "hash_strategy",
-        "round_robin_strategy",
         "stats_of",
-        "table_strategy",
     ),
     "repro.store": (
         "Delta",
