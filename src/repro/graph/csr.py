@@ -2,9 +2,9 @@
 
 A search only ever reads the graph, and on dicts pays dict-probe and
 tuple-churn costs on every relaxation, so the data graph is built
-straight into arrays: :func:`repro.core.model.build_data_graph` hands
-its Eq. 1 edges to :meth:`CSRGraph.from_edges`, and no dict graph
-exists on a serving path.  The dict-of-dicts
+straight into arrays: :func:`repro.core.model.build_data_graph` lays
+each node's Eq. 1 rows out and hands them to :meth:`CSRGraph.from_rows`,
+and no dict graph exists on a serving path.  The dict-of-dicts
 :class:`~repro.graph.digraph.DiGraph` is the oracle's graph
 (:meth:`CSRGraph.thaw`) and the builder of the federated and hyperbase
 graphs.  This module holds everything a facade serves from
@@ -13,11 +13,11 @@ and writes to:
 * :class:`CSRGraph` — an immutable compressed-sparse-row snapshot with
   successor *and* predecessor adjacency laid out as contiguous
   ``array`` triples ``(offsets, targets, weights)``.  It is built from
-  an edge list (:meth:`CSRGraph.from_edges`) or from any DiGraph-shaped
-  graph (:meth:`CSRGraph.freeze`, which densely renumbers the live
-  nodes: tombstone slots are skipped, insertion order is preserved —
-  adjacency order feeds Dijkstra tie-breaking, so freeze/thaw must not
-  reshuffle it).  Node weights, the scoring normalisers and the
+  rows already laid out (:meth:`CSRGraph.from_rows`) or from any
+  DiGraph-shaped graph (:meth:`CSRGraph.freeze`, which densely
+  renumbers the live nodes: tombstone slots are skipped, insertion
+  order is preserved — adjacency order feeds Dijkstra tie-breaking, so
+  freeze/thaw must not reshuffle it).  Node weights, the scoring normalisers and the
   normalised log-scaled edge scores (``log2(1 + w/w_min)``, the paper's
   *EdgeLog* form) are precomputed when the arrays are laid out.
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import accumulate
 from itertools import chain as _chain
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Tuple
@@ -89,27 +88,6 @@ def _rows_of(
     return offsets, to, weights
 
 
-def _sorted_rows(
-    n: int, keys: array, values: array, weights: Iterable[float]
-) -> Rows:
-    """CSR rows grouping ``values``/``weights`` by ``keys``: a stable
-    counting sort, so each row keeps its entries in input order, and
-    nothing is allocated beyond the output arrays."""
-    counts = [0] * (n + 1)
-    for key in keys:
-        counts[key + 1] += 1
-    offsets = array("q", accumulate(counts))
-    free = array("q", offsets)  # each row's next free slot
-    to = array("q", [0]) * len(keys)
-    row_weights = array("d", [0.0]) * len(keys)
-    for key, value, weight in zip(keys, values, weights):
-        slot = free[key]
-        free[key] = slot + 1
-        to[slot] = value
-        row_weights[slot] = weight
-    return offsets, to, row_weights
-
-
 class CSRGraph:
     """An immutable CSR data graph.
 
@@ -144,40 +122,11 @@ class CSRGraph:
 
     def __init__(self) -> None:
         raise _GraphError(
-            "CSRGraph is built by CSRGraph.from_edges or CSRGraph.freeze, "
+            "CSRGraph is built by CSRGraph.from_rows or CSRGraph.freeze, "
             "not constructed"
         )
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        ids: List[Node],
-        index: Dict[Node, int],
-        node_weights: Iterable[float],
-        edges: Mapping[Tuple[int, int], float],
-    ) -> "CSRGraph":
-        """Lay a graph out from its nodes and its edge map.
-
-        ``index`` maps each node to its position in ``ids``; ``edges``
-        maps ``(source id, target id)`` pairs to weights, in insertion
-        order.  Successor rows are a stable sort of that order by
-        source, predecessor rows a stable sort by target: exactly the
-        rows ``DiGraph.add_edge`` in that order followed by
-        :meth:`freeze` produces, without the dict graph in between.
-        """
-        sources = array("q", (source for source, _target in edges))
-        targets = array("q", (target for _source, target in edges))
-        weight_array = array("d", node_weights)
-        return cls._assemble(
-            ids,
-            index,
-            weight_array,
-            _sorted_rows(len(ids), sources, targets, edges.values()),
-            _sorted_rows(len(ids), targets, sources, edges.values()),
-            max(weight_array) if ids else None,
-        )
 
     @classmethod
     def freeze(cls, graph) -> "CSRGraph":
@@ -194,7 +143,7 @@ class CSRGraph:
         # Delegate the node normaliser to the source graph: its max
         # scans tombstone slots as 0.0, and scoring parity demands the
         # exact same float the dict representation would have produced.
-        return cls._assemble(
+        return cls.from_rows(
             ids,
             index,
             array("d", (graph.node_weight(node) for node in ids)),
@@ -204,20 +153,34 @@ class CSRGraph:
         )
 
     @classmethod
-    def _assemble(
+    def from_rows(
         cls,
         ids: List[Node],
         index: Dict[Node, int],
         node_weights: array,
         succ: Rows,
         pred: Rows,
-        max_node: Optional[float],
+        max_node: Optional[float] = None,
+        tables: Optional[List[Optional[str]]] = None,
     ) -> "CSRGraph":
+        """A snapshot over rows already laid out.
+
+        ``index`` maps each node to its position in ``ids``; ``succ``
+        and ``pred`` are the two directions' ``(offsets, neighbour ids,
+        weights)``.  ``max_node`` defaults to the largest node weight,
+        ``tables`` to each node's table name.  The arrays are kept, not
+        copied: the two directions may share their offsets and
+        neighbour arrays.
+        """
         snapshot = cls.__new__(cls)
         snapshot._ids = ids
         snapshot._index = index
-        snapshot._tables = [_node_table(node) for node in ids]
+        if tables is None:
+            tables = [_node_table(node) for node in ids]
+        snapshot._tables = tables
         snapshot._node_weights = node_weights
+        if max_node is None and ids:
+            max_node = max(node_weights)
         snapshot._succ_off, snapshot._succ_to, snapshot._succ_w = succ
         snapshot._pred_off, snapshot._pred_to, snapshot._pred_w = pred
         succ_w = succ[2]

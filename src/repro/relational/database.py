@@ -13,7 +13,7 @@ That index serves two masters:
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import (
     Any,
     Dict,
@@ -450,25 +450,25 @@ class Database:
             out.append((fk, (target_name, target_rid)))
         return out
 
-    def resolved_references(self, table_name: str):
-        """Yield ``(source_rid, fk, target_rid)`` for every resolved
-        foreign-key reference out of ``table_name``'s rows, in
-        row-major, FK-declaration order — exactly what calling
-        :meth:`references_of` per row produces, through the same
-        :meth:`_resolve`.  Bulk consumers (graph construction over the
-        whole database) iterate this; point queries keep
-        :meth:`references_of`.
+    def row_references(
+        self, table_name: str
+    ) -> Iterator[Sequence[Tuple[ForeignKey, RID]]]:
+        """The resolved ``(fk, target)`` references of every live row of
+        ``table_name``: one list per row, in RID order — what calling
+        :meth:`references_of` row by row gives, through the same
+        :meth:`_resolve`.  Graph construction walks the whole database
+        this way; point queries keep :meth:`references_of`.
         """
         table = self.table(table_name)
         plan = self._fk_plan(table_name)
         if not plan:
-            return
+            return repeat((), len(table))
         resolve = self._resolve
-        for slot, values in enumerate(chain.from_iterable(table._heap)):
-            if values is not None:
-                source = (table_name, slot)
-                for fk, target in resolve(plan, values):
-                    yield source, fk, target
+        return (
+            resolve(plan, values)
+            for values in chain.from_iterable(table._heap)
+            if values is not None
+        )
 
     def referencing(self, rid: RID) -> List[Tuple[ForeignKey, RID]]:
         """Incoming references: tuples that point to ``rid``."""

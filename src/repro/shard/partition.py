@@ -28,6 +28,8 @@ any callable ``node -> int``.
 from __future__ import annotations
 
 import zlib
+from itertools import chain, repeat
+from operator import ne, sub
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ShardError
@@ -36,6 +38,9 @@ from repro.relational.database import RID
 
 #: A placement rule: node -> shard index in ``range(shards)``.
 ShardStrategy = Callable[[RID], int]
+
+#: Shard indexes are kept in one byte per node while partitioning.
+MAX_SHARDS = 256
 
 
 def hash_strategy(shards: int) -> ShardStrategy:
@@ -220,25 +225,46 @@ class GraphPartitioner:
     def __init__(self, shards: int, strategy: Optional[ShardStrategy] = None):
         if shards < 1:
             raise ShardError("a partition needs at least 1 shard")
+        if shards > MAX_SHARDS:
+            raise ShardError(f"a partition holds at most {MAX_SHARDS} shards")
         self.shards = shards
         self.strategy = hash_strategy(shards) if strategy is None else strategy
 
     def partition(self, graph) -> Partition:
-        """Assign every node of ``graph``; count the cut edges.  The
-        graph itself is only read."""
-        shard_nodes: List[Set[RID]] = [set() for _ in range(self.shards)]
-        # Scratch for the edge pass only; the sets keep ownership.
-        owner: Dict[RID, int] = {}
-        for node in graph.nodes():
-            shard = self.strategy(node)
-            if not 0 <= shard < self.shards:
+        """Assign every node of ``graph`` (a CSR graph or an overlay
+        over one); count the cut edges.  The graph itself is only read.
+
+        Each dense id is placed once, into a scratch owner byte; the
+        cut is counted against those bytes straight off the successor
+        arrays, then corrected row by row for the rows an overlay
+        rewrote.
+        """
+        place, shards = self.strategy, self.shards
+        shard_nodes: List[Set[RID]] = [set() for _ in range(shards)]
+        owner = bytearray(graph._slot_count())
+        removed = graph._removed
+        for index, node in enumerate(chain(graph._ids, graph._app_ids)):
+            if node is None or index in removed:
+                continue
+            shard = place(node)
+            if not 0 <= shard < shards:
                 raise ShardError(
                     f"strategy placed {node!r} on shard {shard}, outside "
-                    f"range(0, {self.shards})"
+                    f"range(0, {shards})"
                 )
             shard_nodes[shard].add(node)
-            owner[node] = shard
-        cut = sum(
-            owner[source] != owner[target] for source, target, _w in graph.edges()
-        )
-        return Partition(self.shards, shard_nodes, cut)
+            owner[index] = shard
+        # The base arrays' edges, then each row an overlay rewrote in
+        # place of its base row.
+        offsets = graph._succ_off
+        degrees = map(sub, offsets[1:], offsets[:-1])
+        source_owner = bytes(chain.from_iterable(map(repeat, owner, degrees)))
+        target_owner = bytes(map(owner.__getitem__, graph._succ_to))
+        cut = sum(map(ne, source_owner, target_owner))
+        for index, row in graph._over_succ.items():
+            shard = owner[index]
+            if index < len(offsets) - 1:
+                lo, hi = offsets[index], offsets[index + 1]
+                cut -= hi - lo - target_owner.count(shard, lo, hi)
+            cut += sum(owner[target] != shard for target in row)
+        return Partition(shards, shard_nodes, cut)

@@ -280,19 +280,21 @@ class ShardRouter:
         self.partitioner = GraphPartitioner(shards, strategy)
         self.partition: Partition = self.partitioner.partition(graph)
         self.graph = freeze_graph(graph)
+        owned = self.partition.shard_nodes
         self._searchers = [
             ShardSearcher(
                 shard_id,
                 database,
                 self.graph,
                 self.stats,
-                self.partition.shard_nodes[shard_id],
+                owned[shard_id],
+                index,
                 full_index,
                 scoring=scoring,
                 search_config=search_config,
                 include_metadata=include_metadata,
             )
-            for shard_id in range(shards)
+            for shard_id, index in enumerate(full_index.split(owned))
         ]
 
         # Fork before any thread exists (see repro.shard.process), then

@@ -9,8 +9,9 @@ every answer exactly once (up to re-rootings of the same undirected
 tree, which the gather's top-k merge deduplicates).
 
 Keyword resolution is partitioned for real: each shard holds an
-inverted index restricted to its own tuples
-(:meth:`~repro.text.inverted_index.InvertedIndex.restricted_to`), and
+inverted index restricted to its own tuples (the router cuts every
+shard's slice in one pass,
+:meth:`~repro.text.inverted_index.InvertedIndex.split`), and
 the per-term node sets it resolves are intersected with the owned set —
 so the union of per-shard resolutions equals the unsharded resolution
 node-for-node.
@@ -52,8 +53,9 @@ class ShardSearcher:
         graph: the global search graph, shared by every shard.
         stats: its scoring normalisers.
         owned_nodes: the nodes this shard owns (allowed answer roots).
-        full_index: the database-wide inverted index to restrict; the
-            router builds it once and every shard slices it.
+        index: the postings of the owned nodes (this shard's slice).
+        full_index: the database-wide inverted index the slices were
+            cut from; the router builds it once.
         scoring: scoring parameters (default: the paper's best).
         search_config: search knobs; the owned set and the link-table
             root exclusion are applied on top.
@@ -67,6 +69,7 @@ class ShardSearcher:
         graph: CSROverlayGraph,
         stats: GraphStats,
         owned_nodes: AbstractSet[RID],
+        index: InvertedIndex,
         full_index: InvertedIndex,
         scoring: Optional[ScoringConfig] = None,
         search_config: Optional[SearchConfig] = None,
@@ -84,7 +87,7 @@ class ShardSearcher:
         self._scoring_config = scoring or ScoringConfig()
         self._stats_dirty = False
         self.scorer = Scorer(stats, self._scoring_config)
-        self.index = full_index.restricted_to(owned_nodes)
+        self.index = index
         # The full index rides along for route-dispatch (whole queries
         # answered by one shard worker).  In a forked worker it is
         # inherited copy-on-write; in thread mode it is a shared

@@ -245,7 +245,10 @@ class WalReader:
     def __init__(self, path: str):
         self.path = str(path)
         if not os.path.isdir(self.path):
-            raise StoreError(f"WAL directory {self.path!r} does not exist")
+            problem = (
+                "is not a directory" if os.path.exists(self.path) else "does not exist"
+            )
+            raise StoreError(f"WAL directory {self.path!r} {problem}")
         #: ``(segment path, size) -> (first, last)`` complete epochs.
         self._ranges: dict = {}
 

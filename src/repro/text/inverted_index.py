@@ -17,7 +17,7 @@ the very problem Sec. 7 discusses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cow import MASK, PartitionedMap, empty_parts
 from repro.errors import IndexError_
@@ -216,26 +216,41 @@ class InvertedIndex:
         self._owned_tokens = set()
         return child
 
-    def restricted_to(self, nodes: Set[RID]) -> "InvertedIndex":
-        """A new index holding only the postings of ``nodes``.
+    def split(self, owners: Sequence[AbstractSet[RID]]) -> List["InvertedIndex"]:
+        """One index per node set, holding only the postings of its
+        nodes, made in one pass over the postings.
 
         The shard layer partitions the keyword index this way: each
         shard keeps the postings of its own tuples, so the union of
         per-shard lookups equals a full-index lookup and no shard pays
-        for another shard's vocabulary.  Metadata tables (name matches)
-        are shared — they describe the schema, which every shard sees.
+        for another shard's vocabulary.  The sets are disjoint.  Metadata
+        tables (name matches) are shared — they describe the schema,
+        which every shard sees.
         """
-        sub = InvertedIndex(index_key_columns=self.index_key_columns)
-        sub._database = self._database
-        sub._table_meta = self._table_meta
-        sub._column_meta = self._column_meta
-        parts = empty_parts()
+        owner: Dict[RID, int] = {}
+        for shard, nodes in enumerate(owners):
+            owner.update(dict.fromkeys(nodes, shard))
+        shard_of = owner.get
+        parts = [empty_parts() for _ in owners]
         for token, postings in self._postings.items():
-            kept = [p for p in postings if p.node in nodes]
-            if kept:
-                parts[hash(token) & MASK][token] = kept
-        sub._postings = PartitionedMap(parts=parts)
-        return sub
+            kept: List[List[Posting]] = [[] for _ in owners]
+            for posting in postings:
+                shard = shard_of((posting.table, posting.rid))
+                if shard is not None:
+                    kept[shard].append(posting)
+            part = hash(token) & MASK
+            for shard, owned in enumerate(kept):
+                if owned:
+                    parts[shard][part][token] = owned
+        slices = []
+        for shard_parts in parts:
+            sub = InvertedIndex(index_key_columns=self.index_key_columns)
+            sub._database = self._database
+            sub._table_meta = self._table_meta
+            sub._column_meta = self._column_meta
+            sub._postings = PartitionedMap(parts=shard_parts)
+            slices.append(sub)
+        return slices
 
     # -- lookup ------------------------------------------------------------
 

@@ -38,6 +38,10 @@ def tokenize(text: str) -> List[str]:
         if lowered == word:
             # Fast path: no uppercase, so no camel boundary to split.
             tokens.append(word)
+        elif lowered[1:] == word[1:]:
+            # Capitalised only: a boundary needs an uppercase letter
+            # after a lowercase one.
+            tokens.append(lowered)
         else:
             for part in _split_camel(word):
                 tokens.append(part.lower())

@@ -112,10 +112,70 @@ def spouses_db():
     return load_sql(SPOUSES, "rows")
 
 
+LIBRARY = """
+CREATE TABLE author (id TEXT PRIMARY KEY, name TEXT);
+CREATE TABLE paper (id TEXT PRIMARY KEY, title TEXT, cites TEXT REFERENCES paper(id));
+CREATE TABLE writes (
+  author TEXT REFERENCES author(id), paper TEXT REFERENCES paper(id)
+);
+INSERT INTO author VALUES ('a0', 'ann');
+INSERT INTO author VALUES ('a1', 'bob');
+INSERT INTO author VALUES ('a2', 'cy');
+INSERT INTO author VALUES ('a3', 'di');
+INSERT INTO paper VALUES ('p0', 'graphs', 'p1');
+INSERT INTO paper VALUES ('p1', 'trees', 'p3');
+INSERT INTO paper VALUES ('p2', 'lists', 'p1');
+INSERT INTO paper VALUES ('p3', 'heaps', NULL);
+INSERT INTO paper VALUES ('p4', 'tries', 'p3');
+INSERT INTO writes VALUES ('a0', 'p0');
+INSERT INTO writes VALUES ('a1', 'p1');
+INSERT INTO writes VALUES ('a2', 'p1');
+INSERT INTO writes VALUES ('a2', 'p3');
+INSERT INTO writes VALUES ('a3', 'p4');
+INSERT INTO writes VALUES ('a0', 'p4');
+"""
+
+
+def deleted_rows_db():
+    """Tombstones in every table, so dense ids are no longer slots;
+    ``paper`` both references and is referenced (``p1`` by a lower id,
+    while it references a higher one)."""
+    database = load_sql(LIBRARY, "rows")
+    for rid in [("writes", 1), ("author", 1), ("writes", 4), ("paper", 2)]:
+        database.delete(rid)
+    return database
+
+
+DEPARTMENTS = """
+CREATE TABLE dept (
+  site TEXT, code TEXT, name TEXT, tag TEXT UNIQUE, PRIMARY KEY (site, code)
+);
+CREATE TABLE emp (
+  id TEXT PRIMARY KEY, site TEXT, code TEXT, badge TEXT REFERENCES dept(tag),
+  FOREIGN KEY (site, code) REFERENCES dept(site, code)
+);
+INSERT INTO dept VALUES ('nyc', 'r1', 'research', 't1');
+INSERT INTO dept VALUES ('nyc', 'r2', 'sales', 't2');
+INSERT INTO dept VALUES ('sf', 'r1', 'ops', 't3');
+INSERT INTO emp VALUES ('e1', 'nyc', 'r1', 't3');
+INSERT INTO emp VALUES ('e2', 'sf', 'r1', 't1');
+INSERT INTO emp VALUES ('e3', 'nyc', 'r2', NULL);
+INSERT INTO emp VALUES ('e4', 'nyc', 'r1', 't1');
+"""
+
+
+def departments_db():
+    """A composite foreign key and one onto a unique non-key column;
+    ``e4`` reaches the same department through both."""
+    return load_sql(DEPARTMENTS, "rows")
+
+
 DATABASES = {
     "selfref_and_null_fk": lambda: load_sql(EMPLOYEES, "rows"),
     "mutual_references": spouses_db,
     "deferred_missing_target": dangling_db,
+    "deleted_rows": deleted_rows_db,
+    "composite_and_non_key_fks": departments_db,
     "bibliography": lambda: generate_bibliography()[0],
     "synth_800": lambda: synth_bibliography(800)[0],
 }
@@ -164,6 +224,21 @@ def test_selfref_null_and_dangling_make_no_edges():
     graph, stats = build_data_graph(dangling_db())
     assert stats.num_edges == 6  # cites 0 <-> p1, p2; cites 1 <-> p2 only
     assert graph.successors(("cites", 1)) == [(("paper", 1), 1.0)]
+
+
+def test_new_cases_reach_what_they_pin():
+    """Dense ids skip the tombstones; both FK shapes resolve."""
+    graph, _stats = build_data_graph(deleted_rows_db())
+    assert graph.index_of(("author", 2)) == 1
+    assert graph.index_of(("paper", 3)) == 5
+    successors = [node for node, _w in graph.successors(("paper", 1))]
+    assert successors[:2] == [("paper", 0), ("paper", 3)]
+    database = departments_db()
+    assert database.references_of(("emp", 3)) == [
+        (fk, ("dept", 0)) for fk in database.table("emp").schema.foreign_keys
+    ]
+    graph, _stats = build_data_graph(database)
+    assert graph.successors(("emp", 3)) == [(("dept", 0), 1.0)]
 
 
 @pytest.mark.parametrize("name", ["bibliography", "synth_800", "mutual_references"])

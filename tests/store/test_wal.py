@@ -89,6 +89,20 @@ class TestWriterReader:
             WalWriter(str(path))
         assert f"WAL directory {str(path)!r} cannot be created" in str(caught.value)
 
+    def test_reader_refuses_a_missing_directory(self, tmp_path):
+        path = str(tmp_path / "wal")
+        with pytest.raises(StoreError) as caught:
+            WalReader(path)
+        assert str(caught.value) == f"WAL directory {path!r} does not exist"
+
+    def test_reader_refuses_a_regular_file_as_not_a_directory(self, tmp_path):
+        path = tmp_path / "wal"
+        path.write_text("")
+        with pytest.raises(StoreError) as caught:
+            WalReader(str(path))
+        message = f"WAL directory {str(path)!r} is not a directory"
+        assert str(caught.value) == message
+
     def test_entries_since(self, tmp_path):
         with WalWriter(str(tmp_path), fsync="never") as writer:
             for n in range(1, 8):

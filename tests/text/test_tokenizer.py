@@ -29,6 +29,11 @@ class TestTokenize:
     def test_all_caps_kept_together(self):
         assert tokenize("DBLP") == ["dblp"]
 
+    def test_capitalised_words_split_only_at_inner_boundaries(self):
+        assert tokenize("Alice A1 McDonald iPhone AbC") == [
+            "alice", "a1", "mc", "donald", "i", "phone", "ab", "c",
+        ]
+
     def test_numbers_survive(self):
         assert "1988" in tokenize("published in 1988")
 
