@@ -15,7 +15,8 @@ default).  Node weights carry prestige (indegree or PageRank).
 
 The graph is laid out straight into the frozen CSR arrays every
 facade serves from (:class:`~repro.graph.csr.CSRGraph`).  The rows are
-walked once, each reference resolved once; then every node's row is
+walked once, each reference resolved once, straight from its key to
+its target's dense id; then every node's row is
 copied into the arrays in id order, and no dict graph is built on the
 way (PageRank prestige alone walks a forward-only one).
 """
@@ -25,14 +26,15 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.pagerank import pagerank
 from repro.core.weights import WeightPolicy
+from repro.cow import MASK
 from repro.relational.database import Database, RID
 
 
@@ -107,45 +109,62 @@ class _Side(NamedTuple):
 
 
 def _references(
-    database: Database, policy: WeightPolicy, index: Dict[RID, int], spans
+    database: Database, policy: WeightPolicy, ids: List[RID], spans, id_of
 ) -> Tuple[array, _Side, _Side]:
     """Every reference resolved once, in id order: ``(source ids, the
     references seen from their sources, seen from their targets)``.
-    Self references are dropped (the graph model has no self loops)."""
+    ``id_of[table][slot]`` is a row's dense id.  Self references are
+    dropped (the graph model has no self loops)."""
     own_off, sources, targets = array("q", [0]), array("q"), array("q")
     forward, backward = array("d"), array("d")
     add_source, add_target = sources.append, targets.append
     add_forward, add_backward = forward.append, backward.append
     indegree_from = database.indegree_from
     scaling = policy.backward_indegree_scaling
-    for name, node, _end in spans:
+    for name, node, end in spans:
         # ``s(R1, R2)`` and ``s_b(R1, R2)`` depend only on the relation
-        # pair, ``IN_{R(u)}(v)`` only on (target, referencing table):
-        # each is computed once per key, not once per referencing row.
-        referenced = {
-            fk.target_table for fk in database.schema.table(name).foreign_keys
-        }
-        forward_of = {
-            table: policy.forward_similarity(name, table) for table in referenced
-        }
-        similar_of = {
-            table: policy.backward_similarity(name, table) for table in referenced
-        }
+        # pair, so each foreign key's are computed once; a reference's
+        # key probes its target's slot and ``id_of`` maps that to an id.
+        steps = [
+            (
+                positions,
+                parts,
+                id_of[fk.target_table],
+                policy.forward_similarity(name, fk.target_table),
+                policy.backward_similarity(name, fk.target_table),
+            )
+            for fk, positions, parts in database.reference_steps(name)
+        ]
+        if not steps:
+            own_off.extend(repeat(len(targets), end - node))
+            continue
+        # ``IN_{R(u)}(v)`` depends only on (target, referencing table).
         backward_of: Dict[int, float] = {}
-        for references in database.row_references(name):
-            for fk, target in references:
-                target_id = index[target]
+        for values in chain.from_iterable(database.table(name)._heap):
+            if values is None:
+                continue
+            for positions, parts, slot_ids, forward_w, similar in steps:
+                if len(positions) == 1:
+                    key = (values[positions[0]],)
+                else:
+                    key = tuple([values[p] for p in positions])
+                if None in key:
+                    continue  # NULL foreign keys reference nothing
+                slot = parts[hash(key) & MASK].get(key)
+                if slot is None:
+                    continue  # dangling, in a deferred database
+                target_id = slot_ids[slot]
                 if target_id == node:
                     continue
                 weight = backward_of.get(target_id)
                 if weight is None:
-                    weight = similar_of[fk.target_table]
+                    weight = similar
                     if scaling:
-                        weight *= max(1, indegree_from(target, name))
+                        weight *= max(1, indegree_from(ids[target_id], name))
                     backward_of[target_id] = weight
                 add_source(node)
                 add_target(target_id)
-                add_forward(forward_of[fk.target_table])
+                add_forward(forward_w)
                 add_backward(weight)
             own_off.append(len(targets))
             node += 1
@@ -263,18 +282,27 @@ def build_data_graph(
     if policy is None:
         policy = WeightPolicy()
     # Every live tuple is a node, isolated ones included, so they are
-    # still searchable.  Each table's nodes are one run of dense ids.
+    # still searchable.  Each table's nodes are one run of dense ids;
+    # ``id_of[table][slot]`` is a row's id: the run itself, or a slot ->
+    # id array where tombstones leave gaps.
     ids: List[RID] = []
     tables: List[str] = []
     spans: List[Tuple[str, int, int]] = []
+    id_of: Dict[str, Sequence[int]] = {}
     for table in database.tables():
         name, start = table.schema.name, len(ids)
         ids.extend(zip(repeat(name), table.rids()))
         tables.extend(repeat(name, len(ids) - start))
         spans.append((name, start, len(ids)))
+        if len(table) == table.next_rid:
+            id_of[name] = range(start, len(ids))
+        else:
+            slots = id_of[name] = array("q", bytes(8 * table.next_rid))
+            for node in range(start, len(ids)):
+                slots[ids[node][1]] = node
     index = dict(zip(ids, range(len(ids))))
 
-    sources, own, incoming = _references(database, policy, index, spans)
+    sources, own, incoming = _references(database, policy, ids, spans, id_of)
     rows = _lay(spans, own, incoming)
     if _has_repeats(sources, own.neighbour, len(ids)):
         rows = _merged(rows, policy.merge)

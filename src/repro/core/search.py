@@ -101,8 +101,9 @@ class SearchConfig:
         excluded_root_tables: relations whose tuples may not serve as
             information nodes.
         excluded_root_nodes: specific nodes that may not serve as
-            information nodes (used by the XML layer, whose exclusions
-            are tag- rather than table-based).
+            information nodes.  Federation is its only setter: its
+            nodes name a member database as well as a table, so it
+            excludes the link tables' tuples node by node.
         allowed_root_nodes: when not ``None``, only these nodes may
             serve as information nodes (on top of the exclusions).  The
             shard router partitions the answer space with this: each

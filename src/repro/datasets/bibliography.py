@@ -302,11 +302,13 @@ def _weighted_sample(
     cum_weights: Sequence[float],
     count: int,
 ) -> List[str]:
-    """Sample ``count`` distinct items with replacement-then-dedup."""
-    chosen: Set[str] = set()
+    """Sample ``count`` distinct items with replacement-then-dedup, in
+    first-drawn order (a dict, not a set, so the order does not depend
+    on the process's string hashing)."""
+    chosen: Dict[str, None] = {}
     guard = 0
     while len(chosen) < count and guard < 50 * count:
-        chosen.add(rng.choices(population, cum_weights=cum_weights)[0])
+        chosen[rng.choices(population, cum_weights=cum_weights)[0]] = None
         guard += 1
     return list(chosen)
 

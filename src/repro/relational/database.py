@@ -13,7 +13,7 @@ That index serves two masters:
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import (
     Any,
     Dict,
@@ -61,17 +61,16 @@ class Database:
         # (target table, target rid) -> list of (fk, source table, source
         # rid); partitioned by the target's slot bits, like ``_indeg``.
         self._reverse_refs = PartitionedMap(by_slot)
-        # Reverse-ref lists this version has copied since its last fork,
-        # so owns privately; any other list may be shared with a fork
-        # and is copied before its first append.
-        self._owned_refs: Set[RID] = set()
         # target rid -> {source table: count}: the per-relation indegree
         # ``IN_{R}(v)`` of Eq. 1, maintained so :meth:`indegree_from` is
         # O(1) instead of scanning the (possibly huge, for hub tuples)
-        # reverse-reference list.  Inner dicts are never mutated in
-        # place — every change rebinds a fresh dict — so forks may share
-        # them without copy-on-write bookkeeping.
+        # reverse-reference list.
         self._indeg = PartitionedMap(by_slot)
+        # Targets whose reverse-ref list and indegree dict this version
+        # made since its last fork, so owns privately and mutates in
+        # place.  Any other target's list and dict may be shared with a
+        # fork: a change copies both first and adds the target here.
+        self._owned_refs: Set[RID] = set()
         # table name -> prepared FK resolution steps (see :meth:`_fk_plan`).
         # Derived purely from the schema, so forks share it; DDL rebinds
         # a fresh dict rather than clearing in place.
@@ -84,15 +83,16 @@ class Database:
 
         Tables fork at chunk and partition granularity (see
         :meth:`Table.fork`); the reverse-reference and indegree maps
-        are partitioned (:class:`~repro.cow.PartitionedMap`): a write copies
-        the partitions it lands in, and a reverse-reference list is
-        copied before its first append.  The fork and the original each
-        see a fully consistent database; whichever side mutates first
-        pays for exactly what it touches.  The snapshot store only ever
+        are partitioned (:class:`~repro.cow.PartitionedMap`): a write
+        copies the partitions it lands in, and a target's
+        reverse-reference list and indegree dict are copied before their
+        first change.  The fork and the original each see a fully
+        consistent database; whichever side mutates first pays for
+        exactly what it touches.  The snapshot store only ever
         mutates the newest fork.
 
         Cost: the table map, each table's chunk list and one list of
-        partition references per map; the owned-list sets restart
+        partition references per map; the owned-target sets restart
         empty on both sides, so no set of keys is built.
         """
         child = Database.__new__(Database)
@@ -103,7 +103,7 @@ class Database:
         child._reverse_refs = self._reverse_refs.fork()
         child._owned_refs = set()
         self._owned_refs = set()
-        child._indeg = self._indeg.fork()  # inner dicts shared, see __init__
+        child._indeg = self._indeg.fork()
         child._fk_plans = self._fk_plans  # schema-derived, DDL rebinds
         return child
 
@@ -295,30 +295,26 @@ class Database:
         # Resolve every target before mutating the index so that a failing
         # FK leaves no partial entries behind.
         targets = self._resolve(self._fk_plan(table_name), values)
-        refs = self._reverse_refs
-        ref_parts, ref_owned = refs.parts, refs.owned
-        indeg = self._indeg
-        indeg_parts, indeg_owned = indeg.parts, indeg.owned
-        owned = self._owned_refs
+        refs, indeg, owned = self._reverse_refs, self._indeg, self._owned_refs
+        ref_parts, indeg_parts = refs.parts, indeg.parts
         for fk, target in targets:
             i = target[1] & MASK
-            part = ref_parts[i]
-            if not ref_owned[i]:
-                part = ref_parts[i] = part.copy()
-                ref_owned[i] = 1
+            entry = (fk, table_name, slot)
             if target in owned:
-                part[target].append((fk, table_name, slot))
-            else:
-                # Possibly shared with a fork: copy before the first append.
-                part[target] = [*part.get(target, ()), (fk, table_name, slot)]
-                owned.add(target)
-            part = indeg_parts[i]
-            if not indeg_owned[i]:
-                part = indeg_parts[i] = part.copy()
-                indeg_owned[i] = 1
+                # Made by this version since its last fork, so are its
+                # partitions: append and count in place.
+                ref_parts[i][target].append(entry)
+                counts = indeg_parts[i][target]
+                counts[table_name] = counts.get(table_name, 0) + 1
+                continue
+            # Possibly shared with a fork: copy the list and the counts.
+            part = ref_parts[i] if refs.owned[i] else refs.own(i)
+            part[target] = [*part.get(target, ()), entry]
+            part = indeg_parts[i] if indeg.owned[i] else indeg.own(i)
             counts = dict(part.get(target, ()))
             counts[table_name] = counts.get(table_name, 0) + 1
             part[target] = counts
+            owned.add(target)
 
     def _forget_references(
         self, table_name: str, slot: int, values: Sequence[Any]
@@ -416,24 +412,24 @@ class Database:
         share.  NULL keys reference nothing; a missing target raises
         :class:`IntegrityError`, or is skipped in a deferred database."""
         out: List[Tuple[ForeignKey, RID]] = []
+        tables = self._tables
         for fk, target_name, source_positions, target_positions in plan:
             if len(source_positions) == 1:
-                part = values[source_positions[0]]
-                if part is None:
+                key = (values[source_positions[0]],)
+                if key[0] is None:
                     continue  # NULL foreign keys reference nothing
-                key = (part,)
             else:
-                key = tuple(values[p] for p in source_positions)
-                if any(part is None for part in key):
+                key = tuple([values[p] for p in source_positions])
+                if None in key:
                     continue
-            target_table = self._tables[target_name]
             if target_positions is None:
                 # The PK index itself: an FK's target key is never empty.
-                target_rid = target_table._pk_index.parts[hash(key) & MASK].get(key)
+                parts = tables[target_name]._pk_index.parts
+                target_rid = parts[hash(key) & MASK].get(key)
             else:
                 # Non-PK inclusion dependency: scan for the first match.
                 target_rid = None
-                for candidate in target_table.scan():
+                for candidate in tables[target_name].scan():
                     if (
                         tuple(candidate.values[p] for p in target_positions)
                         == key
@@ -450,25 +446,28 @@ class Database:
             out.append((fk, (target_name, target_rid)))
         return out
 
-    def row_references(
+    def reference_steps(
         self, table_name: str
-    ) -> Iterator[Sequence[Tuple[ForeignKey, RID]]]:
-        """The resolved ``(fk, target)`` references of every live row of
-        ``table_name``: one list per row, in RID order — what calling
-        :meth:`references_of` row by row gives, through the same
-        :meth:`_resolve`.  Graph construction walks the whole database
-        this way; point queries keep :meth:`references_of`.
-        """
-        table = self.table(table_name)
+    ) -> List[Tuple[ForeignKey, Tuple[int, ...], List[Dict[Any, int]]]]:
+        """``(fk, source positions, parts)`` per foreign key of
+        ``table_name``: a row's key ``k`` (its source values) targets
+        slot ``parts[hash(k) & MASK].get(k)`` — a probe of the PK index,
+        or of a map to each key's first row for a non-PK target, as
+        :meth:`_resolve` finds it.  For walks over every row."""
+        steps = []
         plan = self._fk_plan(table_name)
-        if not plan:
-            return repeat((), len(table))
-        resolve = self._resolve
-        return (
-            resolve(plan, values)
-            for values in chain.from_iterable(table._heap)
-            if values is not None
-        )
+        for fk, target_name, source_positions, target_positions in plan:
+            target = self._tables[target_name]
+            if target_positions is None:
+                parts = target._pk_index.parts
+            else:
+                parts = empty_parts()
+                for slot, values in enumerate(chain.from_iterable(target._heap)):
+                    if values is not None:
+                        key = tuple([values[p] for p in target_positions])
+                        parts[hash(key) & MASK].setdefault(key, slot)
+            steps.append((fk, source_positions, parts))
+        return steps
 
     def referencing(self, rid: RID) -> List[Tuple[ForeignKey, RID]]:
         """Incoming references: tuples that point to ``rid``."""

@@ -91,6 +91,8 @@ class Table:
             schema.column_position(c) for c in schema.primary_key
         )
         self._pk_index = PartitionedMap()
+        # Each column's exact Python type: a row matching it needs no coercion.
+        self._types = tuple(c.datatype.python_type for c in schema.columns)
 
     # -- copy-on-write forking ---------------------------------------------
 
@@ -108,6 +110,7 @@ class Table:
         child = Table.__new__(Table)
         child.schema = self.schema
         child._pk_positions = self._pk_positions
+        child._types = self._types
         child._heap = self._heap[:]
         child._owned = bytearray(len(self._heap))
         self._owned = bytearray(len(self._heap))
@@ -135,7 +138,7 @@ class Table:
         table as it was."""
         name = self.schema.name
         columns = self.schema.columns
-        expected = tuple(c.datatype.python_type for c in columns)
+        expected = self._types
         if type(heap) is not list and type(heap) is not tuple:
             raise IntegrityError(f"{name}: {heap!r:.80} is not a heap")
         positions = self._pk_positions
@@ -191,7 +194,12 @@ class Table:
     # -- mutation ----------------------------------------------------------
 
     def _coerce(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """``values`` validated against the schema: width, types, NOT NULL."""
+        """``values`` validated against the schema: width, types, NOT NULL.
+        A row of exactly the columns' Python types passes with one
+        compare, as in :meth:`restore`; any other goes to the coercers."""
+        values = tuple(values)
+        if tuple(map(type, values)) == self._types:
+            return values
         columns = self.schema.columns
         if len(values) != len(columns):
             raise IntegrityError(
@@ -217,8 +225,12 @@ class Table:
         """Validate and append one tuple; return its RID."""
         row_tuple = self._coerce(values)
         rid = self._slots
-        if self._pk_positions:
-            key = tuple([row_tuple[p] for p in self._pk_positions])
+        positions = self._pk_positions
+        if positions:
+            if len(positions) == 1:
+                key = (row_tuple[positions[0]],)
+            else:
+                key = tuple([row_tuple[p] for p in positions])
             if None in key:
                 raise IntegrityError(
                     f"primary key of {self.schema.name!r} cannot be NULL"
@@ -330,16 +342,6 @@ class Table:
         if rid is None:
             return None
         return self.row(rid)
-
-    def lookup_pk_rid(self, key: Tuple[Any, ...]) -> Optional[int]:
-        """RID of the row with the given primary-key tuple, if present —
-        the :meth:`lookup_pk` hash probe without building a :class:`Row`,
-        for callers that only need the slot number."""
-        if not self._pk_positions:
-            raise IntegrityError(
-                f"table {self.schema.name!r} has no primary key"
-            )
-        return self._pk_index.parts[hash(key) & MASK].get(key)
 
     def scan(self) -> Iterator[Row]:
         """Yield every live row in RID order."""

@@ -17,6 +17,7 @@ the very problem Sec. 7 discusses).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cow import MASK, PartitionedMap, empty_parts
@@ -110,14 +111,18 @@ class InvertedIndex:
             ]
             if not text_columns:
                 continue
-            for row in table.scan():
+            # One posting per (row, column), shared by its value's tokens.
+            name = schema.name
+            for rid, values in enumerate(chain.from_iterable(table._heap)):
+                if values is None:
+                    continue
                 for position, column_name in text_columns:
-                    value = row.values[position]
+                    value = values[position]
                     if value is None:
                         continue
+                    posting = Posting(name, rid, column_name)
                     for token in tokenize(value):
                         part = parts[hash(token) & MASK]
-                        posting = Posting(schema.name, row.rid, column_name)
                         postings = part.get(token)
                         if postings is None:
                             part[token] = [posting]

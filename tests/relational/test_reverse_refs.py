@@ -82,6 +82,12 @@ def reference_state(database: Database):
     return refs, dict(database._indeg)
 
 
+def exact_state(database: Database):
+    """``_reverse_refs`` with each list in write order, and ``_indeg``."""
+    refs = {target: list(entries) for target, entries in database._reverse_refs.items()}
+    return refs, {target: dict(counts) for target, counts in database._indeg.items()}
+
+
 def rebuilt_state(database: Database):
     """What ``check_integrity`` rebuilds from the same rows, computed on
     a fork so ``database`` itself is not touched."""
@@ -273,3 +279,52 @@ class TestTargetedForget:
         assert database.indegree(("author", 0)) == 2
         assert child.indegree(("author", 0)) == 3
         assert sibling.indegree(("author", 0)) == 0
+
+
+class TestInPlaceIndegree:
+    """A target's list and indegree dict are mutated in place only by the
+    version that made them since its last fork; a fork must never see
+    the other side's appends or counts."""
+
+    def loaded(self) -> Database:
+        database = make_db()
+        database.insert("author", ["hub", "ada"])
+        for i in range(4):
+            database.insert("paper", [f"p{i}", "engines", None])
+            database.insert("writes", ["hub", f"p{i}"])
+        return database
+
+    def view(self, database: Database):
+        hub = ("author", 0)
+        return (
+            database.indegree(hub),
+            database.indegree_from(hub, "writes"),
+            database.referencing(hub),
+        )
+
+    @pytest.mark.parametrize("writer", ["parent", "child"])
+    def test_inserts_on_one_side_leave_the_other_as_it_was(self, writer):
+        database = self.loaded()
+        child = database.fork()
+        before = self.view(database)
+        assert self.view(child) == before
+        side, other = (database, child) if writer == "parent" else (child, database)
+        for i in range(3):
+            side.insert("writes", ["hub", f"p{i}"])
+            assert self.view(other) == before
+        assert self.view(side)[:2] == (7, 7)
+        # The other side's own appends are in place too, and stay its own.
+        other.insert("writes", ["hub", "p3"])
+        assert self.view(other)[:2] == (5, 5)
+        assert self.view(side)[:2] == (7, 7)
+        assert reference_state(database) == rebuilt_state(database)
+        assert reference_state(child) == rebuilt_state(child)
+
+    def test_a_dangling_insert_leaves_the_index_as_it_was(self):
+        database = self.loaded()
+        database.insert("writes", ["hub", "p0"])  # the hub is owned now
+        before = exact_state(database)
+        with pytest.raises(IntegrityError):
+            database.insert("writes", ["hub", "missing"])
+        assert exact_state(database) == before
+        assert self.view(database)[:2] == (5, 5)

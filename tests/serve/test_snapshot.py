@@ -314,7 +314,7 @@ def twenty_publishes(size: int) -> IncrementalBANKS:
         else:
             store.mutate(
                 lambda f, k=k: f.update(
-                    ("paper", f.database.table("paper").lookup_pk_rid((f"NP{k}",))),
+                    ("paper", f.database.table("paper").lookup_pk((f"NP{k}",)).rid),
                     {"title": f"renamed {k}"},
                 )
             )
@@ -393,8 +393,8 @@ class TestForkCost:
                 sys.getsizeof(dict(m.items())) for m in maps
             )
 
-        title = ("paper", database.table("paper").lookup_pk_rid(("S000007",)))
-        appended = ("writes", database.table("writes").lookup_pk_rid(("na0", "NP0")))
+        title = ("paper", database.table("paper").lookup_pk(("S000007",)).rid)
+        appended = ("writes", database.table("writes").lookup_pk(("na0", "NP0")).rid)
         writes = (
             ("writes", lambda f: f.insert("writes", ["na1", "S000007"])),
             ("paper", lambda f: f.update(title, {"title": "a renamed title"})),

@@ -332,7 +332,7 @@ class TestFormatCompatibility:
         facade = IncrementalBANKS(generate_university()[0])
 
         def rid(table, *key):
-            return (table, facade.database.table(table).lookup_pk_rid(key))
+            return (table, facade.database.table(table).lookup_pk(key).rid)
 
         facade.insert("student", ["SCAROL", "Carol Walreplay", "BIGDEPT"])
         facade.insert("registration", ["SCAROL", "C0000"])
