@@ -9,7 +9,7 @@ row leaves a tombstone so RIDs stay stable.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -91,6 +91,9 @@ class Table:
             schema.column_position(c) for c in schema.primary_key
         )
         self._pk_index = PartitionedMap()
+        # Column positions -> key -> first live slot holding that key,
+        # built on first use (:meth:`key_index`) and kept by every write.
+        self._key_indexes: Dict[Tuple[int, ...], PartitionedMap] = {}
         # Each column's exact Python type: a row matching it needs no coercion.
         self._types = tuple(c.datatype.python_type for c in schema.columns)
 
@@ -117,6 +120,9 @@ class Table:
         child._slots = self._slots
         child._live_count = self._live_count
         child._pk_index = self._pk_index.fork()
+        child._key_indexes = {}
+        for positions, index in self._key_indexes.items():
+            child._key_indexes[positions] = index.fork()
         return child
 
     def _own_chunk(self, i: int) -> List[Optional[Tuple[Any, ...]]]:
@@ -184,6 +190,7 @@ class Table:
         self._owned = bytearray(b"\x01") * len(self._heap)
         self._slots = len(rows)
         self._pk_index = PartitionedMap(parts=parts)
+        self._key_indexes = {}
         self._live_count = live
 
     @property
@@ -246,6 +253,8 @@ class Table:
                 part = pk.parts[i] = part.copy()
                 pk.owned[i] = 1
             part[key] = rid
+        if self._key_indexes:
+            self._rekey(rid, None, row_tuple)
 
         if rid & CHUNK_MASK:
             i = rid >> CHUNK_SHIFT
@@ -293,6 +302,8 @@ class Table:
                     )
                 del self._pk_index[old_key]
                 self._pk_index[new_key] = rid
+        if self._key_indexes:
+            self._rekey(rid, old_tuple, new_tuple)
         self._own_chunk(rid >> CHUNK_SHIFT)[rid & CHUNK_MASK] = new_tuple
 
     def delete(self, rid: int) -> None:
@@ -301,8 +312,38 @@ class Table:
         if self._pk_positions:
             key = tuple(row_tuple[p] for p in self._pk_positions)
             self._pk_index.pop(key, None)
+        if self._key_indexes:
+            self._rekey(rid, row_tuple, None)
         self._own_chunk(rid >> CHUNK_SHIFT)[rid & CHUNK_MASK] = None
         self._live_count -= 1
+
+    def _rekey(
+        self,
+        rid: int,
+        old: Optional[Tuple[Any, ...]],
+        new: Optional[Tuple[Any, ...]],
+    ) -> None:
+        """Keep every :meth:`key_index` right as the row at ``rid``
+        changes from ``old`` to ``new`` (``None``: no row)."""
+        for positions, index in self._key_indexes.items():
+            old_key = None if old is None else tuple([old[p] for p in positions])
+            new_key = None if new is None else tuple([new[p] for p in positions])
+            if old_key == new_key:
+                continue
+            if old_key is not None and index.get(old_key) == rid:
+                # The key's first row leaves it: the next live row
+                # holding it, if any, is first now.
+                later = islice(chain.from_iterable(self._heap), rid + 1, None)
+                for slot, row in enumerate(later, rid + 1):
+                    if row is not None and tuple([row[p] for p in positions]) == old_key:
+                        index[old_key] = slot
+                        break
+                else:
+                    del index[old_key]
+            if new_key is not None:
+                first = index.get(new_key)
+                if first is None or rid < first:
+                    index[new_key] = rid
 
     # -- access ------------------------------------------------------------
 
@@ -342,6 +383,21 @@ class Table:
         if rid is None:
             return None
         return self.row(rid)
+
+    def key_index(self, positions: Tuple[int, ...]) -> PartitionedMap:
+        """The values at ``positions`` of each live row -> the first
+        (lowest) live slot holding them: what a non-primary-key foreign
+        key resolves through.  Built on first use in one pass over the
+        heap; every later write keeps it, so a probe stays O(1)."""
+        index = self._key_indexes.get(positions)
+        if index is None:
+            parts = empty_parts()
+            for slot, row in enumerate(chain.from_iterable(self._heap)):
+                if row is not None:
+                    key = tuple([row[p] for p in positions])
+                    parts[hash(key) & MASK].setdefault(key, slot)
+            index = self._key_indexes[positions] = PartitionedMap(parts=parts)
+        return index
 
     def scan(self) -> Iterator[Row]:
         """Yield every live row in RID order."""

@@ -1,17 +1,16 @@
 """The two loaders agree: one ``Database.insert`` per row, and
 ``Database.restore`` of the same heaps in one bulk pass.
 
-Inserting maintains the reverse-reference index and the indegrees row
-by row (copy-on-write, counts mutated in place once owned); restoring
-rebuilds both in one pass.  The graph build and the keyword index then
-read each database.  Everything must agree, except the order of each
-reverse-reference list: restore lists it table-major, not in write
-order, so those lists compare as multisets.
+Inserting logs each resolved reference and lays the reverse-reference
+index and the indegrees out at the first reverse read; restoring lays
+both straight from the rows.  The graph build and the keyword index
+then read each database.  Everything must agree, except the order of
+each reverse-reference list: restore lists it table-major, not in
+write order, so those lists compare as multisets.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 
 import pytest
@@ -20,6 +19,7 @@ from repro.cli import load_database
 from repro.core.model import build_data_graph
 from repro.relational.database import Database
 from repro.text.inverted_index import InvertedIndex
+from tests.relational.reverse_index import reverse_state
 
 SPECS = [
     "synth:800",
@@ -37,13 +37,6 @@ def restored(database: Database) -> Database:
         [table.schema for table in tables],
         {table.schema.name: list(chain.from_iterable(table._heap)) for table in tables},
     )
-
-
-def references(database: Database):
-    return {
-        target: Counter((fk.name, table, rid) for fk, table, rid in entries)
-        for target, entries in database._reverse_refs.items()
-    }
 
 
 def graph_state(database: Database):
@@ -75,8 +68,7 @@ def postings(database: Database):
 def test_inserted_and_restored_databases_agree(spec):
     inserted = load_database(spec)
     bulk = restored(inserted)
-    assert references(inserted) == references(bulk)
-    assert dict(inserted._indeg) == dict(bulk._indeg)
+    assert reverse_state(inserted) == reverse_state(bulk)
     assert graph_state(inserted) == graph_state(bulk)
     assert postings(inserted) == postings(bulk)
 

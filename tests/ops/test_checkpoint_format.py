@@ -26,7 +26,6 @@ import os
 import pickle
 import struct
 import zlib
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -44,6 +43,7 @@ from repro.relational.types import BOOLEAN, INTEGER, REAL, TEXT
 from repro.serve.snapshot import SnapshotStore
 
 from tests.ops.test_checkpoint_crash import QUERIES, build_history, make_db
+from tests.relational.reverse_index import reverse_state
 
 REASONS = {"crc", "format", "schema", "integrity"}
 
@@ -66,12 +66,7 @@ def state(database: Database):
         "heaps": {t.schema.name: heap(t) for t in tables},
         "live": {t.schema.name: len(t) for t in tables},
         "pk": {t.schema.name: t._pk_index for t in tables},
-        "indeg": database._indeg,
-        "refs": {
-            target: Counter((fk.name, table, rid) for fk, table, rid in entries)
-            for target, entries in database._reverse_refs.items()
-            if entries
-        },
+        "refs_and_indeg": reverse_state(database),
     }
 
 
@@ -346,7 +341,7 @@ def test_failed_integrity_check_leaves_the_index_alone():
     database.insert("a", ["a1", "b1"])
     database.insert("a", ["a2", "missing"])
     before = state(database)
-    assert before["indeg"] == {("b", 0): {"a": 1}}
+    assert before["refs_and_indeg"][1] == {("b", 0): {"a": 1}}
     with pytest.raises(IntegrityError):
         database.check_integrity()
     assert database._deferred is True

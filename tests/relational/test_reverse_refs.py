@@ -1,18 +1,17 @@
 """The reverse-reference index under random writes.
 
-``Database`` maintains ``_reverse_refs`` (target -> referencing entries)
-and ``_indeg`` (the per-relation indegree of Eq. 1) incrementally: an
-insert records each resolved foreign key, and an update or delete
-forgets exactly the entries the old row recorded, by resolving its
-targets again.  Whatever the write sequence, both maps must equal what
+``Database`` keeps, for every tuple, the references to it and the
+per-relation indegree of Eq. 1: an insert records each resolved
+foreign key, and an update or delete forgets exactly the entries the
+old row recorded, by resolving its targets again.  Whatever the write
+sequence, what the public reads return must equal what
 :meth:`Database.check_integrity` rebuilds from the same rows — across
 NULL foreign keys, a two-FK link table, a non-PK (inclusion-dependency)
-target, deferred-missing targets and copy-on-write forks taken midway.
+target, deferred-missing targets and copy-on-write forks taken before
+and after the index's frozen base is laid, with writes on both sides.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import IntegrityError
 from repro.relational.database import Database
 from repro.relational.schema import Column, ForeignKey, TableSchema
+from repro.relational.table import Table
 from repro.relational.types import INTEGER, TEXT
+from tests.relational.reverse_index import reverse_state
 
 #: A target key no operation ever creates: a deferred database records
 #: nothing for it, and forgetting it must be a no-op.
@@ -71,29 +72,12 @@ def make_db(deferred: bool = False) -> Database:
     return database
 
 
-def reference_state(database: Database):
-    """``_reverse_refs`` as multisets (list order is insertion history,
-    not content) and ``_indeg``, without empty entries."""
-    refs = {
-        target: Counter((fk.name, table, rid) for fk, table, rid in entries)
-        for target, entries in database._reverse_refs.items()
-        if entries
-    }
-    return refs, dict(database._indeg)
-
-
-def exact_state(database: Database):
-    """``_reverse_refs`` with each list in write order, and ``_indeg``."""
-    refs = {target: list(entries) for target, entries in database._reverse_refs.items()}
-    return refs, {target: dict(counts) for target, counts in database._indeg.items()}
-
-
 def rebuilt_state(database: Database):
     """What ``check_integrity`` rebuilds from the same rows, computed on
     a fork so ``database`` itself is not touched."""
     rebuilt = database.fork()
     rebuilt.check_integrity()
-    return reference_state(rebuilt)
+    return reverse_state(rebuilt)
 
 
 def live(database: Database, table: str):
@@ -174,32 +158,42 @@ _ops = st.lists(
                 "relabel",
                 "delete",
                 "fork",
+                "read",
             ]
         ),
         st.integers(0, 11),
         st.integers(0, 11),
+        st.integers(0, 3),
     ),
     min_size=1,
     max_size=40,
 )
 
 
-def run(database: Database, operations) -> Database:
-    """Apply ``operations``; a ``fork`` step continues on the fork and
-    checks the abandoned parent never changes again."""
-    parents = []
-    for serial, (op, a, b) in enumerate(operations):
+def run(database: Database, operations):
+    """Apply ``operations``, each to the side its last number picks.
+
+    A ``fork`` step forks that side and keeps writing to both; it also
+    takes a second fork that nothing writes, which must never change.
+    A ``read`` step reads the side in reverse, which lays its base
+    (so does the first fork, update or delete).  Returns the sides."""
+    sides, frozen = [database], []
+    for serial, (op, a, b, pick_side) in enumerate(operations):
+        side = sides[pick_side % len(sides)]
         if op == "fork":
-            parents.append((database, reference_state(database)))
-            database = database.fork()
-            continue
-        try:
-            apply(database, op, a, b, serial)
-        except IntegrityError:
-            pass
-    for parent, frozen in parents:
-        assert reference_state(parent) == frozen
-    return database
+            sides.append(side.fork())
+            untouched = side.fork()
+            frozen.append((untouched, reverse_state(untouched)))
+        elif op == "read":
+            side.indegree(("author", a))
+        else:
+            try:
+                apply(side, op, a, b, serial)
+            except IntegrityError:
+                pass
+    for untouched, state in frozen:
+        assert reverse_state(untouched) == state
+    return sides
 
 
 def drop_dangling(database: Database) -> None:
@@ -216,16 +210,16 @@ def drop_dangling(database: Database) -> None:
 @settings(deadline=None, max_examples=80)
 @given(operations=_ops)
 def test_random_writes_match_check_integrity(operations):
-    database = run(make_db(), operations)
-    assert reference_state(database) == rebuilt_state(database)
+    for side in run(make_db(), operations):
+        assert reverse_state(side) == rebuilt_state(side)
 
 
 @settings(deadline=None, max_examples=60)
 @given(operations=_ops)
 def test_deferred_missing_targets_record_and_forget_nothing(operations):
-    database = run(make_db(deferred=True), operations)
-    drop_dangling(database)
-    assert reference_state(database) == rebuilt_state(database)
+    for side in run(make_db(deferred=True), operations):
+        drop_dangling(side)
+        assert reverse_state(side) == rebuilt_state(side)
 
 
 class TestTargetedForget:
@@ -241,8 +235,9 @@ class TestTargetedForget:
         assert database.indegree_from(("paper", 0), "writes") == 1
         database.update(both, {"aid": None})
         assert database.indegree(("author", 0)) == 0
-        assert ("author", 0) not in database._indeg
-        assert reference_state(database) == rebuilt_state(database)
+        assert database.indegree_from(("author", 0), "writes") == 0
+        assert ("author", 0) not in reverse_state(database)[1]
+        assert reverse_state(database) == rebuilt_state(database)
 
     def test_non_pk_target_follows_the_moved_reference(self):
         database = make_db()
@@ -253,7 +248,7 @@ class TestTargetedForget:
         database.update(paper, {"venue": "vldb"})
         assert not database.referencing(("venue", 1))
         assert database.indegree_from(("venue", 0), "paper") == 1
-        assert reference_state(database) == rebuilt_state(database)
+        assert reverse_state(database) == rebuilt_state(database)
 
     def test_referenced_non_pk_column_cannot_change(self):
         database = make_db()
@@ -317,14 +312,137 @@ class TestInPlaceIndegree:
         other.insert("writes", ["hub", "p3"])
         assert self.view(other)[:2] == (5, 5)
         assert self.view(side)[:2] == (7, 7)
-        assert reference_state(database) == rebuilt_state(database)
-        assert reference_state(child) == rebuilt_state(child)
+        assert reverse_state(database) == rebuilt_state(database)
+        assert reverse_state(child) == rebuilt_state(child)
 
     def test_a_dangling_insert_leaves_the_index_as_it_was(self):
         database = self.loaded()
         database.insert("writes", ["hub", "p0"])  # the hub is owned now
-        before = exact_state(database)
+        before = reverse_state(database, ordered=True)
         with pytest.raises(IntegrityError):
             database.insert("writes", ["hub", "missing"])
-        assert exact_state(database) == before
+        assert reverse_state(database, ordered=True) == before
         assert self.view(database)[:2] == (5, 5)
+
+
+class TestBaseAndOverlay:
+    """Inserts into a never-forked, never reverse-read database only log
+    their references; the first reverse read or fork lays the log out
+    as a frozen base, and every later write goes to an overlay."""
+
+    def loaded(self) -> Database:
+        database = make_db()
+        database.insert("author", ["hub", "ada"])
+        database.insert("venue", [1, "vldb", "first"])
+        for i in range(6):
+            database.insert("paper", [f"p{i}", "engines", "vldb" if i % 2 else None])
+            database.insert("writes", ["hub", f"p{i}"])
+        return database
+
+    def test_forks_before_and_after_the_base_is_laid(self):
+        database = self.loaded()
+        assert database._log is not None
+        child = database.fork()  # lays the base on the way
+        assert database._log is None and child._log is None
+        database.insert("writes", ["hub", "p0"])
+        child.delete(("writes", 1))
+        child.insert("paper", ["c1", "child only", "vldb"])
+        grandchild = child.fork()  # the base is laid already
+        child.insert("writes", ["hub", "c1"])
+        grandchild.update(("paper", 1), {"venue": None})
+        grandchild.insert("writes", ["hub", "c1"])
+        database.update(("writes", 3), {"pid": "p5"})
+        hub = ("author", 0)
+        assert [database.indegree(hub), child.indegree(hub)] == [7, 6]
+        assert grandchild.indegree(hub) == 6
+        assert grandchild.indegree_from(("venue", 0), "paper") == 3
+        assert child.indegree_from(("venue", 0), "paper") == 4
+        for side in (database, child, grandchild):
+            assert reverse_state(side) == rebuilt_state(side)
+
+    def test_insert_order_survives_the_lay(self):
+        database = self.loaded()
+        expected = [("writes(aid)->author(aid)", ("writes", i)) for i in range(6)]
+        database.insert("writes", ["hub", "p2"])
+        expected.append(("writes(aid)->author(aid)", ("writes", 6)))
+        hub = ("author", 0)
+        assert reverse_state(database, ordered=True)[0][hub] == expected
+        child = database.fork()
+        child.insert("writes", ["hub", "p3"])
+        expected.append(("writes(aid)->author(aid)", ("writes", 7)))
+        assert reverse_state(child, ordered=True)[0][hub] == expected
+
+    def test_alternating_inserts_and_deletes_lay_the_base_once(self, monkeypatch):
+        lays = []
+        lay = Database._lay
+
+        def counted(database):
+            if database._log is not None:
+                lays.append(database)
+            lay(database)
+
+        monkeypatch.setattr(Database, "_lay", counted)
+        database = self.loaded()
+        for i in range(40):
+            rid = database.insert("writes", ["hub", f"p{i % 6}"])
+            if i % 3 == 2:
+                database = database.fork()
+            database.delete(rid)
+        assert len(lays) <= 1
+        assert reverse_state(database) == rebuilt_state(database)
+
+
+class TestNonPkResolution:
+    """A foreign key to a non-primary-key column resolves to the first
+    live row holding the key, through a per-column index the target
+    table keeps across its writes and forks."""
+
+    def test_inserts_visit_rows_linearly(self, monkeypatch):
+        visits = [0]
+        scan, row = Table.scan, Table.row
+
+        def counted_scan(table):
+            for found in scan(table):
+                visits[0] += 1
+                yield found
+
+        def counted_row(table, rid):
+            visits[0] += 1
+            return row(table, rid)
+
+        monkeypatch.setattr(Table, "scan", counted_scan)
+        monkeypatch.setattr(Table, "row", counted_row)
+        database = make_db()
+        venues, papers = 300, 300
+        for v in range(venues):
+            database.insert("venue", [v, f"v{v}", "label"])
+        for p in range(papers):
+            database.insert("paper", [f"p{p}", "title", f"v{(p * 7) % venues}"])
+        assert visits[0] <= venues + papers
+        assert database.indegree_from(("venue", 7), "paper") == 1
+
+    def test_first_live_row_follows_writes_and_forks(self):
+        database = make_db()
+        for vid, code in enumerate(("vldb", "vldb", "icde", "vldb")):
+            database.insert("venue", [vid, code, "label"])
+        database.insert("paper", ["p0", "t", "icde"])  # builds the index
+        child = database.fork()
+        # Re-keying the first "vldb" row hands the key to the next one.
+        child.update(("venue", 0), {"code": "sigmod"})
+        child.insert("paper", ["c1", "t", "vldb"])
+        database.insert("paper", ["p1", "t", "vldb"])
+        assert child.references_of(("paper", 1))[0][1] == ("venue", 1)
+        assert database.references_of(("paper", 1))[0][1] == ("venue", 0)
+        # Deleting a key's first row does the same; restoring a lower
+        # row's key takes it back.
+        database.delete(("paper", 1))
+        database.delete(("venue", 0))
+        database.insert("paper", ["p2", "t", "vldb"])
+        assert database.references_of(("paper", 2))[0][1] == ("venue", 1)
+        child.delete(("paper", 1))
+        child.update(("venue", 0), {"code": "vldb"})
+        child.insert("paper", ["c2", "t", "vldb"])
+        assert child.references_of(("paper", 2))[0][1] == ("venue", 0)
+        assert child.indegree_from(("venue", 1), "paper") == 0
+        for side in (database, child):
+            assert reverse_state(side) == rebuilt_state(side)

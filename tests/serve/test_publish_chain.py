@@ -24,6 +24,7 @@ from repro.graph.csr import CSRGraph, CSROverlayGraph
 from repro.relational import Database, load_sql
 from repro.serve.snapshot import SnapshotStore
 from repro.text.inverted_index import InvertedIndex
+from tests.relational.reverse_index import reverse_state
 
 
 def make_db() -> Database:
@@ -134,15 +135,6 @@ def postings_of(index: InvertedIndex):
     return {term: Counter(index.lookup(term)) for term in index.vocabulary()}
 
 
-def refs_of(database: Database):
-    refs = {
-        target: Counter((fk.name, table, rid) for fk, table, rid in entries)
-        for target, entries in database._reverse_refs.items()
-        if entries
-    }
-    return refs, dict(database._indeg)
-
-
 def frozen_content(snapshot: CSRGraph):
     return (
         graph_content(snapshot),
@@ -167,7 +159,7 @@ def assert_is_its_own_rebuild(facade) -> None:
     assert postings_of(facade.index) == postings_of(InvertedIndex(facade.database))
     rebuilt = facade.database.fork()
     rebuilt.check_integrity()
-    assert refs_of(facade.database) == refs_of(rebuilt)
+    assert reverse_state(facade.database) == reverse_state(rebuilt)
     assert frozen_content(graph.refreeze()) == frozen_content(CSRGraph.freeze(fresh))
 
 

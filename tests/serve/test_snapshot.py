@@ -378,7 +378,8 @@ class TestForkCost:
 
         def copy_bytes(table: str) -> int:
             """One whole-map copy of the maps a write to ``table``
-            touches, and of the table's heap."""
+            touches, of the table's heap and of the reverse-reference
+            index's arrays (its overlays are two of the maps)."""
             maps = (
                 database._reverse_refs,
                 database._indeg,
@@ -389,8 +390,15 @@ class TestForkCost:
                 graph._over_nw,
             )
             heap = [row for chunk in database.table(table)._heap for row in chunk]
-            return sys.getsizeof(heap) + sum(
-                sys.getsizeof(dict(m.items())) for m in maps
+            reverse_base = [
+                column
+                for base in database._base.values()
+                for column in (base.offsets, base.entries, *base.counts.values())
+            ]
+            return (
+                sys.getsizeof(heap)
+                + sum(sys.getsizeof(dict(m.items())) for m in maps)
+                + sum(map(sys.getsizeof, reverse_base))
             )
 
         title = ("paper", database.table("paper").lookup_pk(("S000007",)).rid)

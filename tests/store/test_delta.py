@@ -196,7 +196,16 @@ class TestRelationalForks:
         pk_parts = shared(mine._pk_index.parts, theirs._pk_index.parts)
         assert pk_parts.count(False) == 1
         assert pk_parts.index(False) == hash(("new",)) & MASK
-        assert all(shared(fork._reverse_refs.parts, database._reverse_refs.parts))
+        # No reference changed: the reverse index's frozen base arrays
+        # are the same objects and no overlay partition was copied.
+        assert set(fork._base) == set(database._base) == {"author", "paper"}
+        for name, base in fork._base.items():
+            theirs = database._base[name]
+            assert base.offsets is theirs.offsets and base.entries is theirs.entries
+            assert all(base.counts[s] is theirs.counts[s] for s in base.counts)
+        for overlay in ("_reverse_refs", "_indeg"):
+            mine, theirs = getattr(fork, overlay), getattr(database, overlay)
+            assert all(shared(mine.parts, theirs.parts))
 
     def test_index_fork_isolation(self):
         database = make_db()
